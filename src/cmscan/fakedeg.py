@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import partitions as pt
-from .polycore import GradedProduct, LaurentPoly
+from .polycore import GradedProduct, LaurentPoly, VerificationError
 
 _GROUP_RE = re.compile(r"^G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
@@ -113,7 +113,8 @@ def irr_dimension(g: GroupSpec, label: IrrLabel | pt.MultipartitionOrbit) -> int
         dim //= functools.reduce(int.__mul__, range(1, k + 1), 1)
         dim *= pt.standard_tableau_count(lam)
     q, r = divmod(dim, orbit.stab_order)
-    assert r == 0, "stabiliser order must divide the ambient dimension"
+    if r:
+        raise VerificationError("stabiliser order must divide the ambient dimension")
     return q
 
 
@@ -126,7 +127,7 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
 
         trailing degree == k + m * sum weighted_size(component)
 
-    is asserted on the reduced result.
+    is checked on the reduced result.
     """
     weight = pt.orbit_weight_poly(orbit)
     k = weight.trailing_degree()
@@ -135,8 +136,12 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
     gp = gp * pt.hook_quotient(orbit.canonical).substitute(g.m)
     f = gp.reduce_with(reduced_weight).shift(k)
     hooks_shift = sum(pt.weighted_size(lam) for lam in orbit.canonical)
-    assert f.trailing_degree() == k + g.m * hooks_shift
-    assert all(c > 0 for _, c in f.items()), "fake degree coefficients are nonnegative"
+    if f.trailing_degree() != k + g.m * hooks_shift:
+        raise VerificationError(
+            f"fake degree of {orbit.canonical} has trailing degree "
+            f"{f.trailing_degree()}, not {k + g.m * hooks_shift}")
+    if not all(c > 0 for _, c in f.items()):
+        raise VerificationError("fake degree has a negative coefficient")
     return f
 
 

@@ -12,9 +12,10 @@ Text format: components joined by "|", parts by ",", empty component
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
-from .polycore import GradedProduct, LaurentPoly
+from .polycore import GradedProduct, LaurentPoly, VerificationError
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -76,10 +77,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def hook_poly(lam: Partition) -> GradedProduct:
     """prod over cells of (1 - t^hook)."""
-    gp = GradedProduct.one()
-    for h in hook_lengths(lam):
-        gp = gp * GradedProduct.of(h)
-    return gp
+    return GradedProduct(factors=Counter(hook_lengths(lam)))
 
 
 def weighted_size(lam: Partition) -> int:
@@ -96,10 +94,7 @@ def t_factorial(n: int) -> GradedProduct:
     """(t)_n = (1 - t)(1 - t^2)...(1 - t^n)."""
     if n < 0:
         raise ValueError("t-factorial needs n >= 0")
-    gp = GradedProduct.one()
-    for k in range(1, n + 1):
-        gp = gp * GradedProduct.of(k)
-    return gp
+    return GradedProduct(factors=dict.fromkeys(range(1, n + 1), 1))
 
 
 def standard_tableau_count(lam: Partition) -> int:
@@ -109,7 +104,8 @@ def standard_tableau_count(lam: Partition) -> int:
     for h in hook_lengths(lam):
         denom *= h
     count, rem = divmod(functools.reduce(int.__mul__, range(1, n + 1), 1), denom)
-    assert rem == 0
+    if rem:
+        raise VerificationError(f"hook product of {lam} does not divide {n}!")
     return count
 
 
@@ -197,7 +193,8 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
         current = shift(current, d)
     size = len(seen)
     stab, rem = divmod(p, size)
-    assert rem == 0, "orbit size must divide p"
+    if rem:
+        raise VerificationError("orbit size must divide p")
     members = tuple(sorted(seen, key=multipartition_key))
     return MultipartitionOrbit(members, members[0], stab)
 
@@ -226,13 +223,10 @@ def hook_quotient(mp: Multipartition) -> GradedProduct:
     the trailing-degree bookkeeping exact.
     """
     mp = check_multipartition(mp)
-    n = multipartition_size(mp)
-    gp = t_factorial(n)
-    total_shift = 0
-    for lam in mp:
-        total_shift += weighted_size(lam)
-        gp = gp * hook_poly(lam).inv()
-    return gp.shifted(total_shift)
+    factors = Counter(range(1, multipartition_size(mp) + 1))
+    factors.subtract(h for lam in mp for h in hook_lengths(lam))
+    return GradedProduct(shift=sum(weighted_size(lam) for lam in mp),
+                         factors=factors)
 
 
 # -- text format ---------------------------------------------------------

@@ -2,16 +2,21 @@
 
 Two value types cover everything the higher layers need:
 
-* ``LaurentPoly`` is a sparse map from integer exponents (possibly
-  negative) to nonzero integer coefficients.  All arithmetic is exact;
-  there is no floating point anywhere in this package.
+* ``LaurentPoly`` stores a Laurent polynomial densely, as its trailing
+  exponent and the tuple of integer coefficients from there up to its
+  degree, trimmed so that both ends are nonzero.  Products are list
+  convolutions and long division runs by index from the top
+  coefficient.  All arithmetic is exact; there is no floating point
+  anywhere in this package.
 
 * ``GradedProduct`` is a formal product ``scalar * t^shift *
   prod_a (1 - t^a)^e(a)`` with multiplicities of either sign.  Graded
   dimension formulas are assembled in this shape so that factors cancel
-  exactly *before* anything is expanded; expansion goes through the
-  cyclotomic factorisation ``1 - t^a = prod_{k | a} Phi_k(t)`` (up to
-  sign) and fails loudly when the product is not a polynomial.
+  exactly *before* anything is expanded.  Expansion takes one factor at
+  a time: multiplying by 1 - t^a is a shift-and-subtract and dividing by
+  it the recurrence q[i] = c[i] + q[i - a], each linear in the length.
+  The cyclotomic factorisation ``1 - t^a = -prod_{k | a} Phi_k(t)``
+  names the offending Phi_k when the product is not a polynomial.
 """
 from __future__ import annotations
 
@@ -20,7 +25,20 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import accumulate, repeat
+from operator import add, mul, neg, sub
+from typing import Iterable, Iterator, Mapping
+
+# Largest degree minus trailing degree a polynomial may have.  Storage
+# is dense, so this bounds the memory one value can take; it is checked
+# before anything is allocated.
+MAX_SPAN = 1 << 20
+
+
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise ValueError(f"polynomial would span {span} exponents; "
+                         f"the limit is {MAX_SPAN}")
 
 
 class NotPolynomialError(ArithmeticError):
@@ -37,8 +55,22 @@ class NotPolynomialError(ArithmeticError):
         )
 
 
+class VerificationError(AssertionError):
+    """An exact identity that must hold did not.
+
+    Raised explicitly, so the check also runs under ``python -O``; it
+    subclasses AssertionError so existing handlers treat it as before.
+    """
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
+
+    Stored densely: ``_c[i]`` is the coefficient of t^(_lo + i), and the
+    tuple ``_c`` has nonzero first and last entries (the zero polynomial
+    is ``_lo == 0, _c == ()``), so equal polynomials have equal fields.
+    Other modules use only the public methods.  Degree minus trailing
+    degree may not exceed MAX_SPAN.
 
     >>> p = LaurentPoly({0: 1, 1: 1})
     >>> print(p * p)
@@ -47,17 +79,42 @@ class LaurentPoly:
     t^8 + 2*t^5
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_lo", "_c")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
+        terms: dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
                 if not isinstance(e, int) or not isinstance(c, int):
                     raise TypeError("exponents and coefficients must be ints")
                 if c:
-                    clean[e] = clean.get(e, 0) + c
-        self._coeffs = {e: c for e, c in sorted(clean.items()) if c}
+                    terms[e] = c
+        if not terms:
+            self._lo, self._c = 0, ()
+            return
+        lo, hi = min(terms), max(terms)
+        _check_span(hi - lo)
+        dense = [0] * (hi - lo + 1)
+        for e, c in terms.items():
+            dense[e - lo] = c
+        self._lo, self._c = lo, tuple(dense)
+
+    @classmethod
+    def _dense(cls, lo: int, coeffs: Iterable[int]) -> LaurentPoly:
+        """Internal constructor trusting its input: ``coeffs`` are ints of
+        t^lo, t^(lo+1), ...; only zero ends are trimmed."""
+        c = tuple(coeffs)
+        end = len(c)
+        while end and not c[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not c[start]:
+            start += 1
+        if start or end < len(c):
+            c = c[start:end]
+        out = object.__new__(cls)
+        out._lo, out._c = (lo + start, c) if c else (0, c)
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -80,40 +137,43 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:
-        """Exponent/coefficient pairs in increasing exponent order."""
-        return iter(self._coeffs.items())
+        """Exponent/coefficient pairs with nonzero coefficient, in
+        increasing exponent order."""
+        lo = self._lo
+        return ((lo + i, c) for i, c in enumerate(self._c) if c)
 
     def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        i = exp - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._c
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._c)
 
     def trailing_degree(self) -> int:
         """Least exponent with nonzero coefficient; rejects the zero polynomial."""
-        if not self._coeffs:
+        if not self._c:
             raise ValueError("the zero polynomial has no trailing degree")
-        return next(iter(self._coeffs))
+        return self._lo
 
     def degree(self) -> int:
-        if not self._coeffs:
+        if not self._c:
             raise ValueError("the zero polynomial has no degree")
-        return next(reversed(self._coeffs))
+        return self._lo + len(self._c) - 1
 
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self._coeffs.values()) if self._coeffs else 0
+        return math.gcd(*self._c)
 
     def at_one(self) -> int:
-        return sum(self._coeffs.values())
+        return sum(self._c)
 
     def __call__(self, x):
         """Evaluate at ``x``; negative exponents need an invertible ``x``."""
         total = 0
-        for e, c in self._coeffs.items():
+        for e, c in self.items():
             if e >= 0:
                 total = total + c * x**e
             elif isinstance(x, int):
@@ -128,22 +188,31 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly({0: other})
+            return LaurentPoly._dense(0, (other,))
         return None
 
     def __add__(self, other) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        if not other._c:
+            return self
+        if not self._c:
+            return other
+        lo = min(self._lo, other._lo)
+        span = max(self.degree(), other.degree()) - lo
+        _check_span(span)
+        out = [0] * (span + 1)
+        i = self._lo - lo
+        out[i:i + len(self._c)] = self._c
+        j, k = other._lo - lo, other._lo - lo + len(other._c)
+        out[j:k] = map(add, out[j:k], other._c)
+        return LaurentPoly._dense(lo, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._dense(self._lo, map(neg, self._c))
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -158,12 +227,22 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        a, b = self._c, other._c
+        if not a or not b:
+            return LaurentPoly()
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(a)
+        _check_span(n + len(b) - 2)
+        # As in division, a factor in t^step touches every step-th entry.
+        step = math.gcd(*(i for i, c in enumerate(a) if c)) or 1
+        a_terms = a[::step]
+        out = [0] * (n + len(b) - 1)
+        for j, cb in enumerate(b):
+            if cb:
+                out[j:j + n:step] = map(add, out[j:j + n:step],
+                                        map(mul, a_terms, repeat(cb)))
+        return LaurentPoly._dense(self._lo + other._lo, out)
 
     __rmul__ = __mul__
 
@@ -181,7 +260,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._dense(self._lo + k, self._c)
 
     def __divmod__(self, other) -> tuple[LaurentPoly, LaurentPoly]:
         """Long division ordered by descending exponent, over the integers.
@@ -199,32 +278,32 @@ class LaurentPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return LaurentPoly.zero(), LaurentPoly.zero()
-        # Normalise both operands to honest polynomials with nonzero
-        # constant term; units t^k are invertible so this loses nothing.
-        a_tr, b_tr = self.trailing_degree(), other.trailing_degree()
-        rem = {e - a_tr: c for e, c in self._coeffs.items()}
-        den = {e - b_tr: c for e, c in other._coeffs.items()}
-        den_deg = max(den)
-        den_lead = den[den_deg]
-        quot: dict[int, int] = {}
-        while rem:
-            rem_deg = max(rem)
-            if rem_deg < den_deg:
-                break
-            lead, r = divmod(rem[rem_deg], den_lead)
-            if r:
-                break
-            e = rem_deg - den_deg
-            quot[e] = lead
-            for de, dc in den.items():
-                k = de + e
-                v = rem.get(k, 0) - lead * dc
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        q = LaurentPoly(quot).shift(a_tr - b_tr)
-        r = LaurentPoly(rem).shift(a_tr)
+        # Index i is the coefficient of t^i after dividing each operand
+        # by its trailing monomial, a unit, so both have nonzero constant
+        # terms and rem[top] is the current leading coefficient.  When
+        # ``other`` is a polynomial in t^step (fake degrees usually are),
+        # each step updates only every step-th coefficient.
+        den = other._c
+        den_deg = len(den) - 1
+        den_lead = den[-1]
+        step = math.gcd(*(i for i, c in enumerate(den) if c)) or 1
+        den_terms = den[::step]
+        rem = list(self._c)
+        quot = [0] * max(len(rem) - den_deg, 0)
+        top = len(rem) - 1
+        while top >= den_deg:
+            c = rem[top]
+            if c:
+                lead, r = divmod(c, den_lead)
+                if r:
+                    break
+                e = top - den_deg
+                quot[e] = lead
+                rem[e:top + 1:step] = map(sub, rem[e:top + 1:step],
+                                          map(mul, den_terms, repeat(lead)))
+            top -= 1
+        q = LaurentPoly._dense(self._lo - other._lo, quot)
+        r = LaurentPoly._dense(self._lo, rem[:top + 1])
         return q, r
 
     def __truediv__(self, other) -> LaurentPoly:
@@ -237,10 +316,10 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._lo == other._lo and self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(tuple(self._coeffs.items()))
+        return hash((self._lo, self._c))
 
     # -- text format -------------------------------------------------
 
@@ -289,10 +368,10 @@ class LaurentPoly:
 
     def render(self) -> str:
         """Canonical text: descending exponents, unit coefficients elided."""
-        if not self._coeffs:
+        if not self._c:
             return "0"
         parts: list[str] = []
-        for e, c in sorted(self._coeffs.items(), reverse=True):
+        for e, c in reversed(list(self.items())):
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -349,15 +428,6 @@ class CycloFactorisation:
 
     def negative_indices(self) -> list[int]:
         return [k for k, e in self.multiplicities if e < 0]
-
-    def expand(self) -> LaurentPoly:
-        """Product of the Phi_k^e; rejects negative multiplicities."""
-        out = LaurentPoly.one()
-        for k, e in self.multiplicities:
-            if e < 0:
-                raise NotPolynomialError(k)
-            out = out * cyclotomic(k) ** e
-        return out
 
 
 class GradedProduct:
@@ -443,33 +513,46 @@ class GradedProduct:
 
         The verdict is exact: after cancelling cyclotomic factors, any
         Phi_k left in the denominator proves the value is not a
-        polynomial, and the error names the first offender.
+        polynomial, and the error names the first offender before
+        anything is expanded.
         """
-        cf, sign = self.cyclotomic_factorisation()
-        negatives = cf.negative_indices()
+        negatives = self.cyclotomic_factorisation()[0].negative_indices()
         if negatives:
             raise NotPolynomialError(negatives[0])
-        return (cf.expand() * (self.scalar * sign)).shift(self.shift)
+        return self.reduce_with(LaurentPoly.one())
 
     def reduce_with(self, poly: LaurentPoly) -> LaurentPoly:
         """Expand ``poly * self`` when that product is a polynomial.
 
-        Negative cyclotomic multiplicities are allowed here as long as the
-        expanded denominator divides ``poly`` times the expanded numerator
-        exactly; fake-degree assembly relies on this cancellation.
+        Negative multiplicities are allowed here as long as the
+        denominator divides ``poly`` times the numerator exactly;
+        fake-degree assembly relies on this cancellation.  First each
+        factor (1 - t^a) of the numerator multiplies in, then each one
+        of the denominator divides out by q[i] = c[i] + q[i - a].  When
+        the whole quotient is a polynomial every one of these divisions
+        is exact, so a remainder proves it is not, and the error names
+        the largest Phi_k of negative multiplicity.
         """
-        cf, sign = self.cyclotomic_factorisation()
-        num = poly
-        den = LaurentPoly.one()
-        for k, e in cf.multiplicities:
-            if e > 0:
-                num = num * cyclotomic(k) ** e
-            else:
-                den = den * cyclotomic(k) ** (-e)
-        q, r = divmod(num, den)
-        if not r.is_zero():
-            raise NotPolynomialError(max(cf.negative_indices(), default=1))
-        return (q * (self.scalar * sign)).shift(self.shift)
+        c = list(poly._c)
+        if not c:
+            return LaurentPoly()
+        grow = sum(a * e for a, e in self.factors.items() if e > 0)
+        _check_span(len(c) - 1 + grow)
+        for a, e in self.factors.items():
+            for _ in range(e):
+                c += [0] * a
+                c[a:] = map(sub, c[a:], c[:-a])
+        for a, e in self.factors.items():
+            for _ in range(-e):
+                for j in range(min(a, len(c))):
+                    c[j::a] = accumulate(c[j::a])
+                if any(c[max(len(c) - a, 0):]):
+                    cf = self.cyclotomic_factorisation()[0]
+                    raise NotPolynomialError(max(cf.negative_indices(), default=1))
+                del c[len(c) - a:]
+        if self.scalar != 1:
+            c = map(mul, c, repeat(self.scalar))
+        return LaurentPoly._dense(poly._lo + self.shift, c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedProduct):

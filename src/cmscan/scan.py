@@ -21,7 +21,7 @@ from .fakedeg import (
     GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
     isomorphism_note, reducibility_note,
 )
-from .polycore import GradedProduct, LaurentPoly
+from .polycore import GradedProduct, LaurentPoly, VerificationError
 
 
 class DatasetError(ValueError):
@@ -76,7 +76,8 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
     primitive = shifted if content == 1 else shifted / LaurentPoly.monomial(content)
     quotient, remainder = divmod(poincare, primitive)
     if remainder.is_zero():
-        assert quotient.at_one() * primitive.at_one() == poincare.at_one()
+        if quotient.at_one() * primitive.at_one() != poincare.at_one():
+            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
         return DivisibilityVerdict(label, b, dim, True, quotient)
     return DivisibilityVerdict(label, b, dim, False, remainder)
 
@@ -132,7 +133,8 @@ def scan_group(g: GroupSpec, mapper=map) -> ScanReport:
     tests are independent); the report is identical either way.
     """
     poincare = coinvariant_poincare(g)
-    assert poincare.at_one() == g.order
+    if poincare.at_one() != g.order:
+        raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
     tasks = []
     graded_sum = LaurentPoly.zero()
     for label in irr_labels(g):
@@ -140,7 +142,8 @@ def scan_group(g: GroupSpec, mapper=map) -> ScanReport:
         dim = irr_dimension(g, label)
         tasks.append((poincare, f, dim, label.render()))
         graded_sum = graded_sum + f * LaurentPoly.monomial(dim)
-    assert graded_sum == poincare, "graded sum rule violated"
+    if graded_sum != poincare:
+        raise VerificationError("graded sum rule violated")
     verdicts = list(mapper(_run_test, tasks))
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(g.render(), len(verdicts), failures,

@@ -1,0 +1,220 @@
+"""Reference kernel for differential tests of cmscan.polycore.
+
+``DictPoly`` is the sparse dict-based Laurent polynomial that
+``LaurentPoly`` used to be: a sorted map from exponents to nonzero
+coefficients, with schoolbook multiplication and long division that
+finds the leading term with ``max`` on every step.  ``reduce`` and
+``reduce_with`` expand a ``GradedProduct`` through its cyclotomic
+factorisation, multiplying out Phi_k^e and dividing once at the end.
+The code is kept as it was, so tests can compare the dense kernel and
+the factor-at-a-time expansion against it.
+"""
+from __future__ import annotations
+
+import functools
+from typing import Iterator, Mapping
+
+from cmscan.polycore import GradedProduct, LaurentPoly, NotPolynomialError
+
+
+class DictPoly:
+    """Immutable Laurent polynomial with integer coefficients, stored sparsely."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        clean: dict[int, int] = {}
+        if coeffs:
+            for e, c in coeffs.items():
+                if not isinstance(e, int) or not isinstance(c, int):
+                    raise TypeError("exponents and coefficients must be ints")
+                if c:
+                    clean[e] = clean.get(e, 0) + c
+        self._coeffs = {e: c for e, c in sorted(clean.items()) if c}
+
+    @classmethod
+    def of(cls, p: LaurentPoly) -> DictPoly:
+        return cls(dict(p.items()))
+
+    @classmethod
+    def zero(cls) -> DictPoly:
+        return cls({})
+
+    @classmethod
+    def one(cls) -> DictPoly:
+        return cls({0: 1})
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        """Exponent/coefficient pairs in increasing exponent order."""
+        return iter(self._coeffs.items())
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def trailing_degree(self) -> int:
+        """Least exponent with nonzero coefficient; rejects the zero polynomial."""
+        if not self._coeffs:
+            raise ValueError("the zero polynomial has no trailing degree")
+        return next(iter(self._coeffs))
+
+    def _coerce(self, other) -> DictPoly | None:
+        if isinstance(other, DictPoly):
+            return other
+        if isinstance(other, int):
+            return DictPoly({0: other})
+        return None
+
+    def __add__(self, other) -> DictPoly:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return DictPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> DictPoly:
+        return DictPoly({e: -c for e, c in self._coeffs.items()})
+
+    def __sub__(self, other) -> DictPoly:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other) -> DictPoly:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out: dict[int, int] = {}
+        for e1, c1 in self._coeffs.items():
+            for e2, c2 in other._coeffs.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return DictPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> DictPoly:
+        if n < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        result = DictPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def shift(self, k: int) -> DictPoly:
+        """Multiply by t^k."""
+        return DictPoly({e + k: c for e, c in self._coeffs.items()})
+
+    def __divmod__(self, other) -> tuple[DictPoly, DictPoly]:
+        """Long division ordered by descending exponent, over the integers.
+
+        Returns ``(q, r)`` with ``self == q * other + r``.  Division stops
+        as soon as the leading coefficient of ``other`` fails to divide the
+        current leading coefficient, so the remainder is canonical and the
+        quotient is always integral; ``r == 0`` iff ``other`` divides
+        ``self`` in Z[t, t^-1].
+        """
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero():
+            return DictPoly.zero(), DictPoly.zero()
+        # Normalise both operands to honest polynomials with nonzero
+        # constant term; units t^k are invertible so this loses nothing.
+        a_tr, b_tr = self.trailing_degree(), other.trailing_degree()
+        rem = {e - a_tr: c for e, c in self._coeffs.items()}
+        den = {e - b_tr: c for e, c in other._coeffs.items()}
+        den_deg = max(den)
+        den_lead = den[den_deg]
+        quot: dict[int, int] = {}
+        while rem:
+            rem_deg = max(rem)
+            if rem_deg < den_deg:
+                break
+            lead, r = divmod(rem[rem_deg], den_lead)
+            if r:
+                break
+            e = rem_deg - den_deg
+            quot[e] = lead
+            for de, dc in den.items():
+                k = de + e
+                v = rem.get(k, 0) - lead * dc
+                if v:
+                    rem[k] = v
+                else:
+                    rem.pop(k, None)
+        q = DictPoly(quot).shift(a_tr - b_tr)
+        r = DictPoly(rem).shift(a_tr)
+        return q, r
+
+    def __truediv__(self, other) -> DictPoly:
+        q, r = divmod(self, other)
+        if not r.is_zero():
+            raise ValueError(f"{self} is not divisible by {other}")
+        return q
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._coeffs.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(k: int) -> DictPoly:
+    """The k-th cyclotomic polynomial Phi_k, computed by exact division."""
+    if k < 1:
+        raise ValueError("cyclotomic index must be positive")
+    num = DictPoly({k: 1, 0: -1})
+    for d in range(1, k):
+        if k % d == 0:
+            num = num / cyclotomic(d)
+    return num
+
+
+def expand(multiplicities) -> DictPoly:
+    """Product of the Phi_k^e; rejects negative multiplicities."""
+    out = DictPoly.one()
+    for k, e in multiplicities:
+        if e < 0:
+            raise NotPolynomialError(k)
+        out = out * cyclotomic(k) ** e
+    return out
+
+
+def reduce(gp: GradedProduct) -> DictPoly:
+    """GradedProduct.reduce by cyclotomic expansion."""
+    cf, sign = gp.cyclotomic_factorisation()
+    negatives = cf.negative_indices()
+    if negatives:
+        raise NotPolynomialError(negatives[0])
+    return (expand(cf.multiplicities) * (gp.scalar * sign)).shift(gp.shift)
+
+
+def reduce_with(gp: GradedProduct, poly: DictPoly) -> DictPoly:
+    """GradedProduct.reduce_with by cyclotomic expansion and one division."""
+    cf, sign = gp.cyclotomic_factorisation()
+    num = poly
+    den = DictPoly.one()
+    for k, e in cf.multiplicities:
+        if e > 0:
+            num = num * cyclotomic(k) ** e
+        else:
+            den = den * cyclotomic(k) ** (-e)
+    q, r = divmod(num, den)
+    if not r.is_zero():
+        raise NotPolynomialError(max(cf.negative_indices(), default=1))
+    return (q * (gp.scalar * sign)).shift(gp.shift)

@@ -186,3 +186,11 @@ class TestDeterminism:
         par = run_cli("table1", "--data", str(synthetic_file),
                       "--threads", "4")
         assert seq.stdout == par.stdout
+
+    def test_optimized_interpreter_gives_identical_scan(self):
+        argv = ["-m", "cmscan", "scan", "G(3,3,3)"]
+        normal = subprocess.run([sys.executable, *argv], capture_output=True)
+        optimized = subprocess.run([sys.executable, "-O", *argv],
+                                   capture_output=True)
+        assert normal.returncode == optimized.returncode == 0
+        assert optimized.stdout == normal.stdout

@@ -1,9 +1,12 @@
+import subprocess
+import sys
+
 import pytest
 
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import GroupSpec, coinvariant_poincare, fake_degree
-from cmscan.polycore import LaurentPoly, parse_poly
+from cmscan.polycore import LaurentPoly, VerificationError, parse_poly
 
 P = parse_poly
 
@@ -95,6 +98,41 @@ class TestScanGroup:
     def test_notes_mention_known_isomorphism(self):
         report = scan.scan_group(GroupSpec(2, 2, 3))
         assert any("G(1,1,4)" in note for note in report.notes)
+
+
+class TestChecksUnderOptimize:
+    """The scan path raises VerificationError explicitly, so ``python -O``,
+    which strips asserts, still runs every check."""
+
+    SCRIPT = """
+from cmscan import scan
+from cmscan.fakedeg import GroupSpec
+from cmscan.polycore import LaurentPoly, VerificationError
+real = scan.coinvariant_poincare
+scan.coinvariant_poincare = lambda g: {corrupt}
+print("__debug__ =", __debug__)
+try:
+    scan.scan_group(GroupSpec(3, 3, 3))
+except VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        # P(1) is unchanged, so only the graded sum rule catches this.
+        ('real(g) + LaurentPoly.parse("t^3 - t")', "graded sum rule violated"),
+        ("real(g) * 2", "P(1) = 108 != |W| = 54"),
+    ])
+    def test_corrupted_poincare_raises(self, corrupt, message):
+        code = self.SCRIPT.format(corrupt=corrupt)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "__debug__ = False", f"VerificationError: {message}"]
+
+    def test_is_an_assertion_error(self):
+        # The CLI maps AssertionError to exit status 1.
+        assert issubclass(VerificationError, AssertionError)
 
 
 class TestWitness:
