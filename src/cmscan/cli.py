@@ -28,11 +28,21 @@ from .groups import (
     degrees_series, molien_series, omega_class_sum, reflection_classes,
 )
 from .partitions import render_multipartition
-from .polycore import NotPolynomialError
+from .polycore import NotPolynomialError, VerificationError
 
 
 def _parse_group(text: str) -> GroupSpec:
     return GroupSpec.parse(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -106,7 +116,10 @@ def cmd_verify_omega(args) -> int:
     for idx, cls in enumerate(classes, start=1):
         lam = omega_class_sum(g, cls)
         expected = Fraction(cls.size, g.n)
-        assert lam == expected
+        if lam != expected:
+            raise VerificationError(
+                f"class {idx} of {g}: sum of forms is {lam} * omega, "
+                f"not {expected} * omega")
         entries.append({
             "class": idx,
             "size": cls.size,
@@ -224,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     molien = add("molien", cmd_molien,
                  "compare the Molien series against the degrees product",
                  elementwise=True)
-    molien.add_argument("--truncate", type=int, default=30,
+    molien.add_argument("--truncate", type=_nonnegative_int, default=30,
                         help="series truncation order (default 30)")
     add("g4", cmd_g4,
         "run the full binary-tetrahedral verification battery",

@@ -230,10 +230,6 @@ class CycloNumber:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other) -> CycloNumber:
-        coerced = self._coerce(other)
-        return coerced * self.inverse()
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycloNumber.from_rational(self.m, other)
@@ -246,18 +242,13 @@ class CycloNumber:
 
     # -- structure maps ----------------------------------------------
 
-    def galois(self, j: int) -> CycloNumber:
-        """Apply zeta -> zeta^j; j must be invertible mod m to be an
-        automorphism, which conjugation (j = m - 1) always is."""
+    def conj(self) -> CycloNumber:
+        """Complex conjugation zeta -> zeta^-1."""
         out = CycloNumber.zero(self.m)
         for i, c in enumerate(self.coords):
             if c:
-                out = out + CycloNumber.zeta(self.m, (i * j) % self.m) * c
+                out = out + CycloNumber.zeta(self.m, -i % self.m) * c
         return out
-
-    def conj(self) -> CycloNumber:
-        """Complex conjugation zeta -> zeta^-1."""
-        return self.galois(self.m - 1)
 
     def lift(self, big_m: int) -> CycloNumber:
         """Image under Q(zeta_m) -> Q(zeta_M), zeta_m = zeta_M^(M/m)."""
@@ -285,12 +276,6 @@ class CycloNumber:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self.coords[0]
-
-    def as_int(self) -> int:
-        q = self.as_rational()
-        if q.denominator != 1:
-            raise ValueError(f"{self} is not an integer")
-        return q.numerator
 
     def __repr__(self) -> str:
         terms = []

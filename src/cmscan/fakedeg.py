@@ -216,17 +216,24 @@ def configured_groups(max_order: int = 2000, max_m: int = 12,
     return tuple(out)
 
 
-REDUCIBLE_NATURAL = "reducible natural representation"
+def natural_is_reducible(g: GroupSpec) -> bool:
+    """Whether the natural action of G(m,p,n) on C^n is reducible.
+
+    That happens exactly for G(1,1,n) with n >= 2, the symmetric group
+    fixing the all-ones line, and for G(2,2,2) = {+-1, +-swap}, which is
+    abelian and fixes the lines of (1, 1) and (1, -1).
+    """
+    return (g.m == 1 and g.n >= 2) or (g.m, g.p, g.n) == (2, 2, 2)
 
 
 def reducibility_note(g: GroupSpec) -> str | None:
     """Known reducible or isomorphic-duplicate realizations, for report
     headers; verdicts are still computed."""
-    if g.m == 1 and g.n >= 2:
+    if not natural_is_reducible(g):
+        return None
+    if g.m == 1:
         return f"{g}: natural n-dimensional realization is trivial + standard (reducible)"
-    if (g.m, g.p, g.n) == (2, 2, 2):
-        return "G(2,2,2): reducible (isomorphic to G(1,1,2) x G(1,1,2))"
-    return None
+    return "G(2,2,2): reducible (isomorphic to G(1,1,2) x G(1,1,2))"
 
 
 def isomorphism_note(g: GroupSpec) -> str | None:

@@ -16,12 +16,20 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclo import CycloNumber
+from .polycore import VerificationError
 
 __all__ = [
     "Quaternion", "G4", "build_g4", "ROW_NAMES", "decompose",
     "inner_product", "solve_ef_multiplicities", "admissible_shapes",
     "ModuleShape", "reflection_form_check", "run_battery",
 ]
+
+
+def _require(ok: bool, detail: str) -> None:
+    """Raise VerificationError(detail) unless ok; unlike assert, the
+    check also runs under python -O."""
+    if not ok:
+        raise VerificationError(detail)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class Quaternion:
             if power == ONE:
                 return k
             power = power * self
-        raise AssertionError("element order exceeds 24")
+        raise VerificationError("element order exceeds 24")
 
     def matrix(self, m: int = 12) -> linalg.Matrix:
         """2x2 matrix [[a+bi, c+di], [-c+di, a-bi]] over Q(zeta_m), 4|m."""
@@ -186,15 +194,15 @@ def build_g4() -> G4:
     Labels are pinned by representatives (1, -1, s1, t1, i, t1*t2,
     s1*s2): element order and quaternionic trace alone cannot separate
     Cl3 from Cl4 or Cl6 from Cl7.  Sizes, orders and the explicit
-    reflection-class element lists are asserted during construction.
+    reflection-class element lists are checked during construction.
     """
     listed = [ONE, -ONE, I, -I, J, -J, K, -K] + [
         Quaternion(sa * HALF, sb * HALF, sc * HALF, sd * HALF)
         for sa, sb, sc, sd in itertools.product((1, -1), repeat=4)]
-    assert len(set(listed)) == 24
+    _require(len(set(listed)) == 24, "the listed elements must be distinct")
     generated = _close_under_multiplication([S1, S2])
-    assert generated == set(listed), "s1, s2 must generate all 24 elements"
-    assert _close_under_multiplication(listed) == set(listed), "not closed"
+    _require(generated == set(listed), "s1, s2 must generate all 24 elements")
+    _require(_close_under_multiplication(listed) == set(listed), "not closed")
 
     elements = tuple(listed)
     remaining = set(elements)
@@ -211,41 +219,45 @@ def build_g4() -> G4:
             if rep in orbit:
                 return tuple(sorted(
                     orbit, key=lambda q: (q.a, q.b, q.c, q.d), reverse=True))
-        raise AssertionError(f"no class contains {rep}")
+        raise VerificationError(f"no class contains {rep}")
 
     classes = tuple(class_of(rep)
                     for rep in (ONE, -ONE, S1, T1, I, T1 * T2, S1 * S2))
-    assert len(raw_classes) == 7
-    assert tuple(len(c) for c in classes) == CLASS_SIZES
-    assert tuple(c[0].order() for c in classes) == CLASS_ORDERS
+    _require(len(raw_classes) == 7, f"{len(raw_classes)} classes, not 7")
+    _require(tuple(len(c) for c in classes) == CLASS_SIZES,
+             "class sizes differ from CLASS_SIZES")
+    _require(tuple(c[0].order() for c in classes) == CLASS_ORDERS,
+             "element orders differ from CLASS_ORDERS")
     for cls in classes:
-        assert len({q.order() for q in cls}) == 1
-    assert set(classes[2]) == {S1, S2, S3, S4}
-    assert set(classes[3]) == {T1, T2, T3, T4}
-    assert set(classes[4]) == {I, -I, J, -J, K, -K}
-    assert T1 * T1 in classes[2], "t1^2 must land in Cl3"
+        _require(len({q.order() for q in cls}) == 1,
+                 f"class of {cls[0]} mixes element orders")
+    _require(set(classes[2]) == {S1, S2, S3, S4}, "Cl3 is not {s1..s4}")
+    _require(set(classes[3]) == {T1, T2, T3, T4}, "Cl4 is not {t1..t4}")
+    _require(set(classes[4]) == {I, -I, J, -J, K, -K}, "Cl5 is not {+-i, +-j, +-k}")
+    _require(T1 * T1 in classes[2], "t1^2 must land in Cl3")
     return G4(elements, classes)
 
 
 def presentation_check(group: G4) -> None:
     """s1^3 = s2^3 = (s1 s2)^6 = 1, with the intermediate powers != 1."""
-    assert S1.order() == 3 and S2.order() == 3
-    assert (S1 * S2).order() == 6
-    assert I * J == K
-    assert S1 * T1 == ONE, "t1 must invert s1"
-    assert set(group.elements) == _close_under_multiplication([S1, S2])
+    _require(S1.order() == 3 and S2.order() == 3, "s1, s2 must have order 3")
+    _require((S1 * S2).order() == 6, "s1*s2 must have order 6")
+    _require(I * J == K, "i*j must be k")
+    _require(S1 * T1 == ONE, "t1 must invert s1")
+    _require(set(group.elements) == _close_under_multiplication([S1, S2]),
+             "s1, s2 must generate the group")
 
 
 def class_product_check(group: G4) -> None:
     """Membership facts used by the trace argument: products of the two
     reflection classes land in prescribed classes."""
     for t in (S2, S3, S4):
-        assert group.class_index(S1 * t) == 6, f"s1*{t} not in Cl7"
+        _require(group.class_index(S1 * t) == 6, f"s1*{t} not in Cl7")
     for t in (T2, T3, T4):
-        assert group.class_index(S1 * t) == 4, f"s1*{t} not in Cl5"
+        _require(group.class_index(S1 * t) == 4, f"s1*{t} not in Cl5")
     for t in (T2, T3, T4):
-        assert group.class_index(T1 * t) == 5, f"t1*{t} not in Cl6"
-    assert group.class_index(T1 * T1) == 2
+        _require(group.class_index(T1 * t) == 5, f"t1*{t} not in Cl6")
+    _require(group.class_index(T1 * T1) == 2, "t1^2 not in Cl3")
 
 
 # -- character arithmetic over Q(omega) ------------------------------------
@@ -309,7 +321,8 @@ def orthogonality_check() -> None:
     for i, chi in enumerate(rows):
         for j, psi in enumerate(rows):
             want = one if i == j else zero
-            assert inner_product(chi, psi) == want, (i, j)
+            _require(inner_product(chi, psi) == want,
+                     f"rows {ROW_NAMES[i]} and {ROW_NAMES[j]} are not orthonormal")
     for ci in range(7):
         for cj in range(7):
             acc = CycloNumber.zero(3)
@@ -317,7 +330,8 @@ def orthogonality_check() -> None:
                 acc = acc + chi[ci] * chi[cj].conj()
             want = (CycloNumber.from_rational(3, Fraction(24, CLASS_SIZES[ci]))
                     if ci == cj else zero)
-            assert acc == want, (ci, cj)
+            _require(acc == want, f"columns Cl{ci + 1} and Cl{cj + 1} "
+                     "fail column orthogonality")
 
 
 def trace_consistency_check(group: G4) -> None:
@@ -326,7 +340,8 @@ def trace_consistency_check(group: G4) -> None:
     for q in group.elements:
         value = w_row[group.class_index(q)].lift(12)
         mat = q.matrix(12)
-        assert mat[0][0] + mat[1][1] == value, q
+        _require(mat[0][0] + mat[1][1] == value,
+                 f"trace of {q} differs from the W row")
 
 
 # -- the (n, m) -> aE + bF solver and the shape enumeration ----------------
@@ -343,7 +358,8 @@ def solve_ef_multiplicities(n: int, m: int) -> tuple[int, int] | None:
     a, b = a_num // 24, b_num // 24
     if a < 0 or b < 0:
         return None
-    assert 12 * a + 6 * b == n and 12 * a - 6 * b == m
+    _require(12 * a + 6 * b == n and 12 * a - 6 * b == m,
+             f"({a}, {b}) does not solve ({n}, {m})")
     return a, b
 
 
@@ -389,20 +405,21 @@ def admissible_shapes() -> tuple[ModuleShape, ...]:
             eliminated = mults["h"] == 0 and mults["h*"] == 0
             shapes.append(ModuleShape(a, b, eliminated))
     shapes.sort(key=lambda s: (s.dim, s.b))
-    assert len(shapes) == 8
-    assert {(s.a, s.b) for s in shapes if not s.eliminated} == {(1, 1), (1, 2)}
+    _require(len(shapes) == 8, f"{len(shapes)} candidate shapes, not 8")
+    _require({(s.a, s.b) for s in shapes if not s.eliminated} == {(1, 1), (1, 2)},
+             "survivors are not E + F and E + 2F")
     return tuple(shapes)
 
 
 def summand_absence_check() -> dict[str, int]:
     """h and h* are absent from End(E) and End(F); the full published
-    decompositions are asserted."""
+    decompositions are checked."""
     end_e = decompose(endomorphism_character(E_CHARACTER))
     end_f = decompose(endomorphism_character(F_CHARACTER))
-    assert end_e == {"T": 12, "V1": 12, "V2": 12, "W": 0,
-                     "h": 0, "h*": 0, "U": 36}, end_e
-    assert end_f == {"T": 3, "V1": 3, "V2": 3, "W": 0,
-                     "h": 0, "h*": 0, "U": 9}, end_f
+    _require(end_e == {"T": 12, "V1": 12, "V2": 12, "W": 0,
+                       "h": 0, "h*": 0, "U": 36}, f"End(E) = {end_e}")
+    _require(end_f == {"T": 3, "V1": 3, "V2": 3, "W": 0,
+                       "h": 0, "h*": 0, "U": 9}, f"End(F) = {end_f}")
     return {"End(E)": end_e["h"] + end_e["h*"],
             "End(F)": end_f["h"] + end_f["h*"]}
 
@@ -431,24 +448,24 @@ def reflection_form_check(group: G4) -> dict[str, Fraction]:
         zeta = None
         for q in group.classes[index]:
             rho = reflection_matrix(group, q)
-            b = linalg.mat_sub(linalg.identity(2, m), rho)
-            assert linalg.rank(b) == 1, f"{q} does not act as a reflection"
+            try:
+                form = linalg.reflection_form(rho, m)
+            except VerificationError as exc:
+                raise VerificationError(f"{q} does not act as a reflection") from exc
             zeta_q = rho[0][0] + rho[1][1] - one
             zeta = zeta_q if zeta is None else zeta
-            assert zeta_q == zeta, "eigenvalue must be constant on the class"
-            form = linalg.restricted_form_matrix(
-                linalg.symplectic_extension(rho, m), m)
+            _require(zeta_q == zeta, "eigenvalue must be constant on the class")
             total = form if total is None else tuple(
                 tuple(x + y for x, y in zip(rx, ry))
                 for rx, ry in zip(total, form))
         lam = linalg.proportionality_scalar(total, j)
-        assert lam is not None, f"{label} sum is not proportional to omega"
+        _require(lam is not None, f"{label} sum is not proportional to omega")
         closed = ((one - zeta).inverse() * (one - zeta.conj()).inverse()
                   * (CycloNumber.from_rational(m, 2) - zeta - zeta.conj())
                   * Fraction(4, 2))
-        assert lam == closed, "closed form disagrees"
+        _require(lam == closed, "closed form disagrees")
         scalar = lam.as_rational()
-        assert scalar == 2, f"{label} scalar is {scalar}, expected 2"
+        _require(scalar == 2, f"{label} scalar is {scalar}, expected 2")
         results[label] = scalar
     return results
 
@@ -458,13 +475,14 @@ def homomorphism_check(group: G4) -> None:
     h_row = CHARACTER_TABLE["h"]
     for q in group.elements:
         rho = reflection_matrix(group, q)
-        assert rho[0][0] + rho[1][1] == h_row[group.class_index(q)].lift(12), q
+        _require(rho[0][0] + rho[1][1] == h_row[group.class_index(q)].lift(12),
+                 f"trace of {q} on h differs from the h row")
     for q1 in (S1, S2, T1, I, J):
         for q2 in (S1, T2, K, S1 * S2):
             lhs = reflection_matrix(group, q1 * q2)
             rhs = linalg.mat_mul(reflection_matrix(group, q1),
                                  reflection_matrix(group, q2))
-            assert lhs == rhs, (q1, q2)
+            _require(lhs == rhs, f"rho({q1} * {q2}) != rho({q1}) rho({q2})")
 
 
 def tensor_positivity_check() -> None:
@@ -473,7 +491,8 @@ def tensor_positivity_check() -> None:
         for name_b in ROW_NAMES:
             mults = decompose(pointwise_product(
                 CHARACTER_TABLE[name_a], CHARACTER_TABLE[name_b]))
-            assert all(v >= 0 for v in mults.values()), (name_a, name_b)
+            _require(all(v >= 0 for v in mults.values()),
+                     f"{name_a} x {name_b} has a negative multiplicity")
 
 
 def run_battery() -> tuple[tuple[str, str], ...]:
@@ -499,7 +518,8 @@ def run_battery() -> tuple[tuple[str, str], ...]:
                    "V1-twisted quaternionic action realizes the h row"))
     regular = class_function((24, 0, 0, 0, 0, 0, 0))
     reg = decompose(regular)
-    assert reg == {"T": 1, "V1": 1, "V2": 1, "W": 2, "h": 2, "h*": 2, "U": 3}
+    _require(reg == {"T": 1, "V1": 1, "V2": 1, "W": 2, "h": 2, "h*": 2, "U": 3},
+             f"regular character decomposes as {reg}")
     checks.append(("regular character", "multiplicities equal the degrees"))
     summand_absence_check()
     checks.append(("End decompositions",
@@ -511,8 +531,8 @@ def run_battery() -> tuple[tuple[str, str], ...]:
     for (n, m), want in (((12, 12), (1, 0)), ((6, -6), (0, 1)),
                          ((24, 0), (1, 2)), ((18, 6), (1, 1))):
         got = solve_ef_multiplicities(n, m)
-        assert got == want, (n, m, got)
-    assert solve_ef_multiplicities(1, 2) is None
+        _require(got == want, f"solver gives {got} for ({n}, {m}), not {want}")
+    _require(solve_ef_multiplicities(1, 2) is None, "(1, 2) must be infeasible")
     checks.append(("aE + bF solver",
                    "(12,12)->(1,0) (6,-6)->(0,1) (24,0)->(1,2) "
                    "(18,6)->(1,1); (1,2) infeasible"))

@@ -2,9 +2,9 @@
 
 Elements are monomial matrices stored as (permutation, exponent vector):
 the matrix has entry zeta_m^exps[i] in row perm[i], column i.  Element
-enumeration, reflection detection (rank(1 - w) = 1 over Q(zeta_m)),
-conjugacy classes of reflections, restricted symplectic forms on h + h*
-and Molien series all live here; everything is exact.
+enumeration, reflection detection from the cycle type, conjugacy classes
+of reflections, sums of restricted symplectic forms on h + h* and Molien
+series all live here; everything is exact.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclo import CycloNumber
-from .fakedeg import GroupSpec
-from .polycore import LaurentPoly
+from .fakedeg import GroupSpec, natural_is_reducible
+from .polycore import LaurentPoly, VerificationError
 
 DEFAULT_MAX_ORDER = 10**6
 
@@ -89,13 +89,6 @@ class MonomialElement:
                 acc = acc + CycloNumber.zeta(self.m, self.exps[i])
         return acc
 
-    def trace_inverse(self) -> CycloNumber:
-        acc = CycloNumber.zero(self.m)
-        for i in range(self.n):
-            if self.perm[i] == i:
-                acc = acc + CycloNumber.zeta(self.m, -self.exps[i] % self.m)
-        return acc
-
     def cycles(self) -> list[list[int]]:
         seen = [False] * self.n
         out = []
@@ -127,22 +120,17 @@ def elements(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER):
                 yield MonomialElement(g.m, perm, exps)
 
 
-def _one_minus_rows(w: MonomialElement) -> list[dict[int, CycloNumber]]:
-    one = CycloNumber.one(w.m)
-    rows: list[dict[int, CycloNumber]] = [{i: one} for i in range(w.n)]
-    for j in range(w.n):
-        row = rows[w.perm[j]]
-        val = row.get(j, CycloNumber.zero(w.m)) - CycloNumber.zeta(w.m, w.exps[j])
-        if val.is_zero():
-            row.pop(j, None)
-        else:
-            row[j] = val
-    return rows
-
-
 def is_reflection(w: MonomialElement) -> bool:
-    """rank(1 - w) == 1, computed exactly over Q(zeta_m)."""
-    return linalg.sparse_rank(_one_minus_rows(w), stop_at=2) == 1
+    """rank(1 - w) == 1.
+
+    On the coordinates of one cycle of w, of length L and exponent sum E,
+    w has characteristic polynomial x^L - zeta^E, so it fixes a line there
+    exactly when E = 0 mod m and nothing otherwise.  Hence rank(1 - w) is
+    n minus the number of cycles whose exponent sum is 0 mod m.
+    """
+    fixed = sum(1 for cyc in w.cycles()
+                if sum(w.exps[i] for i in cyc) % w.m == 0)
+    return w.n - fixed == 1
 
 
 @dataclass(frozen=True)
@@ -176,62 +164,15 @@ def reflection_classes(g: GroupSpec,
     return tuple(classes)
 
 
-def character_norm(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
-    """<chi, chi> of the natural character, exactly."""
-    acc = CycloNumber.zero(g.m)
-    for w in elements(g, max_order):
-        acc = acc + w.trace() * w.trace_inverse()
-    return acc.as_rational() / g.order
-
-
-def is_irreducible_natural(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> bool:
-    return character_norm(g, max_order) == 1
-
-
-# -- the symplectic form on h + h* ---------------------------------------
-
-@dataclass(frozen=True)
-class SymplecticVector:
-    """A vector of h + h* in coordinates (h part, dual-basis h* part)."""
-
-    h: tuple[CycloNumber, ...]
-    hstar: tuple[CycloNumber, ...]
-
-    @classmethod
-    def from_rationals(cls, m: int, h, hstar) -> SymplecticVector:
-        return cls(tuple(CycloNumber.from_rational(m, c) for c in h),
-                   tuple(CycloNumber.from_rational(m, c) for c in hstar))
-
-    def concat(self) -> linalg.Vector:
-        return self.h + self.hstar
-
-
-def omega(x: SymplecticVector, y: SymplecticVector) -> CycloNumber:
-    """omega((f1,f2),(g1,g2)) = f2(g1) - g2(f1)."""
-    acc = CycloNumber.zero(x.h[0].m)
-    for a, b in zip(x.hstar, y.h):
-        acc = acc + a * b
-    for a, b in zip(y.hstar, x.h):
-        acc = acc - a * b
-    return acc
-
-
-def omega_restricted(s: MonomialElement, x: SymplecticVector,
-                     y: SymplecticVector) -> CycloNumber:
-    """omega(pi_s x, pi_s y) where pi_s projects onto Im(1 - s) along
-    Ker(1 - s) in the h + h* action; s must be a reflection."""
-    if not is_reflection(s):
-        raise ValueError("omega_restricted needs a reflection")
-    form = linalg.restricted_form_matrix(
-        linalg.symplectic_extension(s.matrix(), s.m), s.m)
-    xv, yv = x.concat(), y.concat()
-    return linalg._dot(linalg.mat_vec(form, yv), xv)
+def is_irreducible_natural(g: GroupSpec) -> bool:
+    """Whether G(m,p,n) acts irreducibly on C^n (fakedeg.natural_is_reducible)."""
+    return not natural_is_reducible(g)
 
 
 def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
     """Scalar lambda with sum_{s in class} omega_s == lambda * omega.
 
-    Verified entrywise on the standard basis, and asserted equal to the
+    Verified entrywise on the standard basis, and checked equal to the
     exact closed form (k/n)(1-zeta)^-1(1-zeta^-1)^-1(2-zeta-zeta^-1).
     Refuses reducible natural representations, where the Schur argument
     does not apply.
@@ -242,14 +183,13 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
     m = g.m
     total: linalg.Matrix | None = None
     for s in refl_class.elements:
-        form = linalg.restricted_form_matrix(
-            linalg.symplectic_extension(s.matrix(), m), m)
+        form = linalg.reflection_form(s.matrix(), m)
         total = form if total is None else tuple(
             tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, form))
     j = linalg.symplectic_form_matrix(g.n, m)
     lam = linalg.proportionality_scalar(total, j)
     if lam is None:
-        raise AssertionError(f"class sum for {g} is not proportional to omega")
+        raise VerificationError(f"class sum for {g} is not proportional to omega")
     zeta = refl_class.zeta
     zinv = zeta.conj()
     one = CycloNumber.one(m)
@@ -258,7 +198,8 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
         * (CycloNumber.from_rational(m, 2) - zeta - zinv)
         * Fraction(refl_class.size, g.n)
     )
-    assert lam == closed, "closed form disagrees with the computed scalar"
+    if lam != closed:
+        raise VerificationError("closed form disagrees with the computed scalar")
     return lam.as_rational()
 
 
@@ -270,7 +211,7 @@ def molien_series(g: GroupSpec, truncate: int = 30,
 
     det(1 - t w) = prod over permutation cycles of (1 - zeta^E t^len),
     so elements are grouped by their cycle signature before the series
-    work; the rational-integrality of the result is asserted.
+    work; the rational-integrality of the result is checked.
     """
     signatures: dict[tuple[tuple[int, int], ...], int] = {}
     for w in elements(g, max_order):
@@ -312,7 +253,7 @@ def molien_series(g: GroupSpec, truncate: int = 30,
         value = v * scale
         coeff = value.as_rational()
         if coeff.denominator != 1:
-            raise AssertionError(f"Molien coefficient at t^{k} is not integral")
+            raise VerificationError(f"Molien coefficient at t^{k} is not integral")
         if coeff.numerator:
             out[k] = coeff.numerator
     return LaurentPoly(out)

@@ -1,15 +1,17 @@
 """Exact linear algebra over cyclotomic fields.
 
 Matrices are tuples of row tuples of CycloNumber, all sharing one
-modulus.  Sizes here are tiny (2n x 2n for rank <= 5 groups), so the
-implementations favour clarity: plain Gauss-Jordan with exact division.
+modulus.  The only nontrivial matrix a check needs is the restricted
+symplectic form of a reflection, which has a closed form because 1 - s
+has rank one; the generic projection pipeline it replaces is the test
+oracle in tests/linalg_oracle.py.
 """
 from __future__ import annotations
 
 from .cyclo import CycloNumber
+from .polycore import VerificationError
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
-Vector = tuple[CycloNumber, ...]
 
 
 def identity(n: int, m: int) -> Matrix:
@@ -38,140 +40,8 @@ def _dot(u, v) -> CycloNumber:
     return acc
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(_dot(row, v) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def scalar_mul(c: CycloNumber, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def invert(a: Matrix, m: int) -> Matrix:
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
-    n = len(a)
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, identity(n, m))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def rref(a: Matrix) -> tuple[tuple[tuple[CycloNumber, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def rank(a: Matrix, stop_at: int | None = None) -> int:
-    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
-    return sparse_rank(rows, stop_at)
-
-
-def sparse_rank(rows: list[dict[int, CycloNumber]], stop_at: int | None = None) -> int:
-    """Rank by elimination on sparse rows; stops early at stop_at."""
-    pending = [r for r in rows if r]
-    rnk = 0
-    while pending:
-        row = pending.pop(0)
-        rnk += 1
-        if stop_at is not None and rnk >= stop_at:
-            return rnk
-        p = min(row)
-        pv = row[p]
-        nxt = []
-        for r in pending:
-            if p in r:
-                f = r[p] / pv
-                merged = dict(r)
-                for c, v in row.items():
-                    w = merged.get(c, None)
-                    w = (w - f * v) if w is not None else (-f * v)
-                    if w.is_zero():
-                        merged.pop(c, None)
-                    else:
-                        merged[c] = w
-                if merged:
-                    nxt.append(merged)
-            else:
-                nxt.append(r)
-        pending = nxt
-    return rnk
-
-
-def kernel_basis(a: Matrix, m: int) -> list[Vector]:
-    """Basis of the right kernel, from the reduced echelon form."""
-    reduced, pivots = rref(a)
-    ncols = len(a[0])
-    free = [j for j in range(ncols) if j not in pivots]
-    zero, one = CycloNumber.zero(m), CycloNumber.one(m)
-    basis: list[Vector] = []
-    for j in free:
-        vec = [zero] * ncols
-        vec[j] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][j]
-        basis.append(tuple(vec))
-    return basis
-
-
-def column_space_basis(a: Matrix) -> list[Vector]:
-    """The pivot columns of a, as vectors."""
-    _, pivots = rref(a)
-    cols = list(zip(*a))
-    return [tuple(cols[j]) for j in pivots]
-
-
-def projection_onto_image(b: Matrix, m: int) -> Matrix:
-    """Projection onto Im(b) along Ker(b), by exact solve.
-
-    Valid whenever Im(b) and Ker(b) are complementary, which holds for
-    b = 1 - s with s of finite order.
-    """
-    n = len(b)
-    image = column_space_basis(b)
-    kernel = kernel_basis(b, m)
-    if len(image) + len(kernel) != n:
-        raise ValueError("image and kernel do not span")
-    cols = image + kernel
-    basis = tuple(zip(*cols))  # columns -> matrix
-    binv = invert(basis, m)
-    zero = CycloNumber.zero(m)
-    # P = [image | 0] * basis^-1
-    padded = tuple(
-        tuple(image[j][i] if j < len(image) else zero for j in range(n))
-        for i in range(n)
-    )
-    return mat_mul(padded, binv)
 
 
 def symplectic_form_matrix(n: int, m: int) -> Matrix:
@@ -189,27 +59,33 @@ def symplectic_form_matrix(n: int, m: int) -> Matrix:
     return tuple(rows)
 
 
-def symplectic_extension(a: Matrix, m: int) -> Matrix:
-    """Block action on h + h*: diag(a, (a^-1)^T)."""
-    n = len(a)
-    dual = transpose(invert(a, m))
-    zero = CycloNumber.zero(m)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(a[i]) + (zero,) * n)
-    for i in range(n):
-        rows.append((zero,) * n + tuple(dual[i]))
-    return tuple(rows)
+def reflection_form(s: Matrix, m: int) -> Matrix:
+    """Gram matrix on h + h* of the restricted form omega_s of a
+    reflection s of h.
 
+    omega_s = omega(pi ., pi .), where pi projects onto Im(1 - S) along
+    Ker(1 - S) for the action S = diag(s, (s^-1)^T) on h + h*.  With
+    M = 1 - s of rank one and t = tr M = 1 - zeta, M^2 = t M, so M / t is
+    that projection on h; on h* it is N / (1 - zeta^-1) for
+    N = 1 - (s^-1)^T, and N^T M = -zeta^-1 M^2 because s^-1 acts on
+    Im M by zeta^-1.  Both cross blocks of pi^T J pi then reduce to
+    M / t, giving t^-1 [[0, -M^T], [M, 0]] with no inverse matrix.
 
-def restricted_form_matrix(s: Matrix, m: int) -> Matrix:
-    """Gram matrix of omega_s = omega(pi_s ., pi_s .) on h + h*,
-    where pi_s projects onto Im(1 - s) along Ker(1 - s)."""
-    two_n = len(s)
-    b = mat_sub(identity(two_n, m), s)
-    p = projection_onto_image(b, m)
-    j = symplectic_form_matrix(two_n // 2, m)
-    return mat_mul(transpose(p), mat_mul(j, p))
+    Raises VerificationError unless t != 0 and M M == t M, which in
+    characteristic 0 holds exactly when s is a reflection: rank M = 1
+    with Im M and Ker M complementary.
+    """
+    n = len(s)
+    b = mat_sub(identity(n, m), s)
+    t = sum((b[i][i] for i in range(1, n)), b[0][0])
+    if t.is_zero() or mat_mul(b, b) != scalar_mul(t, b):
+        raise VerificationError("1 - s does not have rank one with nonzero "
+                                "trace: s is not a reflection")
+    scaled = scalar_mul(t.inverse(), b)
+    zero = (CycloNumber.zero(m),) * n
+    return (tuple(zero + tuple(-scaled[j][i] for j in range(n))
+                  for i in range(n))
+            + tuple(row + zero for row in scaled))
 
 
 def proportionality_scalar(a: Matrix, b: Matrix) -> CycloNumber | None:

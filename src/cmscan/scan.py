@@ -21,7 +21,7 @@ from .fakedeg import (
     GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
     isomorphism_note, reducibility_note,
 )
-from .polycore import GradedProduct, LaurentPoly, VerificationError
+from .polycore import MAX_SPAN, GradedProduct, LaurentPoly, VerificationError
 
 
 class DatasetError(ValueError):
@@ -286,6 +286,27 @@ _GROUP_LINE = re.compile(
 _IRREP_LINE = re.compile(r"^irrep\s+(\S+)\s+dim\s+(\d+)\s+fake\s+(.+)$")
 
 
+def _parse_degrees(text: str, lineno: int, name: str) -> tuple[int, ...]:
+    """The degrees of a group header, each at least 1 and with
+    sum(d_i - 1), the degree of the Poincaré polynomial, at most
+    polycore.MAX_SPAN, so no header can make the factorisation or the
+    expansion of the Poincaré polynomial run long."""
+    try:
+        degrees = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise DatasetError(f"line {lineno}: group {name}: bad degree list "
+                           f"{text.strip()!r}") from None
+    if min(degrees) < 1:
+        raise DatasetError(f"line {lineno}: group {name}: degrees must be "
+                           "at least 1")
+    span = sum(d - 1 for d in degrees)
+    if span > MAX_SPAN:
+        raise DatasetError(f"line {lineno}: group {name}: the degrees give a "
+                           f"Poincaré polynomial of degree {span}, above the "
+                           f"limit {MAX_SPAN}")
+    return degrees
+
+
 def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
     """Parse the line-oriented dataset format.
 
@@ -309,9 +330,8 @@ def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
         mg = _GROUP_LINE.match(line)
         if mg:
             close()
-            degrees = tuple(int(s) for s in mg.group(4).split(","))
             current = [mg.group(1), int(mg.group(2)), int(mg.group(3)),
-                       degrees, []]
+                       _parse_degrees(mg.group(4), lineno, mg.group(1)), []]
             continue
         mi = _IRREP_LINE.match(line)
         if mi:

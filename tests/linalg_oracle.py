@@ -1,0 +1,204 @@
+"""Reference pipeline for differential tests of cmscan.linalg and groups.
+
+This is the generic route to a reflection's restricted form that
+``cmscan`` used before the closed forms: reduced echelon forms, kernel
+and column-space bases, a Gauss-Jordan inverse, the projection onto
+Im(1 - S) along Ker(1 - S) for the symplectic extension
+S = diag(s, (s^-1)^T) on h + h*, and the Gram matrix of omega under that
+projection.  ``sparse_rank`` of 1 - w is the old reflection test and
+``character_norm`` the old irreducibility test, by enumeration.  The
+code is kept as it was, so tests can compare the closed forms against it.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cmscan.cyclo import CycloNumber
+from cmscan.groups import MonomialElement, elements
+from cmscan.linalg import (
+    Matrix, _dot, identity, mat_mul, mat_sub, symplectic_form_matrix,
+)
+
+Vector = tuple[CycloNumber, ...]
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(_dot(row, v) for row in a)
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+def pairing(form: Matrix, x: Vector, y: Vector) -> CycloNumber:
+    """x^T form y."""
+    return _dot(mat_vec(form, y), x)
+
+
+def invert(a: Matrix, m: int) -> Matrix:
+    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    n = len(a)
+    aug = [list(row) + list(idrow) for row, idrow in zip(a, identity(n, m))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero():
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def rref(a: Matrix) -> tuple[tuple[tuple[CycloNumber, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form and pivot column indices."""
+    rows = [list(r) for r in a]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def rank(a: Matrix, stop_at: int | None = None) -> int:
+    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
+    return sparse_rank(rows, stop_at)
+
+
+def sparse_rank(rows: list[dict[int, CycloNumber]], stop_at: int | None = None) -> int:
+    """Rank by elimination on sparse rows; stops early at stop_at."""
+    pending = [r for r in rows if r]
+    rnk = 0
+    while pending:
+        row = pending.pop(0)
+        rnk += 1
+        if stop_at is not None and rnk >= stop_at:
+            return rnk
+        p = min(row)
+        pv = row[p]
+        nxt = []
+        for r in pending:
+            if p in r:
+                f = r[p] / pv
+                merged = dict(r)
+                for c, v in row.items():
+                    w = merged.get(c, None)
+                    w = (w - f * v) if w is not None else (-f * v)
+                    if w.is_zero():
+                        merged.pop(c, None)
+                    else:
+                        merged[c] = w
+                if merged:
+                    nxt.append(merged)
+            else:
+                nxt.append(r)
+        pending = nxt
+    return rnk
+
+
+def kernel_basis(a: Matrix, m: int) -> list[Vector]:
+    """Basis of the right kernel, from the reduced echelon form."""
+    reduced, pivots = rref(a)
+    ncols = len(a[0])
+    free = [j for j in range(ncols) if j not in pivots]
+    zero, one = CycloNumber.zero(m), CycloNumber.one(m)
+    basis: list[Vector] = []
+    for j in free:
+        vec = [zero] * ncols
+        vec[j] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][j]
+        basis.append(tuple(vec))
+    return basis
+
+
+def column_space_basis(a: Matrix) -> list[Vector]:
+    """The pivot columns of a, as vectors."""
+    _, pivots = rref(a)
+    cols = list(zip(*a))
+    return [tuple(cols[j]) for j in pivots]
+
+
+def projection_onto_image(b: Matrix, m: int) -> Matrix:
+    """Projection onto Im(b) along Ker(b), by exact solve.
+
+    Valid whenever Im(b) and Ker(b) are complementary, which holds for
+    b = 1 - s with s of finite order.
+    """
+    n = len(b)
+    image = column_space_basis(b)
+    kernel = kernel_basis(b, m)
+    if len(image) + len(kernel) != n:
+        raise ValueError("image and kernel do not span")
+    cols = image + kernel
+    basis = tuple(zip(*cols))  # columns -> matrix
+    binv = invert(basis, m)
+    zero = CycloNumber.zero(m)
+    # P = [image | 0] * basis^-1
+    padded = tuple(
+        tuple(image[j][i] if j < len(image) else zero for j in range(n))
+        for i in range(n)
+    )
+    return mat_mul(padded, binv)
+
+
+def symplectic_extension(a: Matrix, m: int) -> Matrix:
+    """Block action on h + h*: diag(a, (a^-1)^T)."""
+    n = len(a)
+    dual = transpose(invert(a, m))
+    zero = CycloNumber.zero(m)
+    rows = []
+    for i in range(n):
+        rows.append(tuple(a[i]) + (zero,) * n)
+    for i in range(n):
+        rows.append((zero,) * n + tuple(dual[i]))
+    return tuple(rows)
+
+
+def restricted_form_matrix(s: Matrix, m: int) -> Matrix:
+    """Gram matrix of omega_s = omega(pi_s ., pi_s .) on h + h*,
+    where pi_s projects onto Im(1 - s) along Ker(1 - s)."""
+    two_n = len(s)
+    b = mat_sub(identity(two_n, m), s)
+    p = projection_onto_image(b, m)
+    j = symplectic_form_matrix(two_n // 2, m)
+    return mat_mul(transpose(p), mat_mul(j, p))
+
+
+def one_minus_rows(w: MonomialElement) -> list[dict[int, CycloNumber]]:
+    """The rows of 1 - w as sparse dicts, for ``sparse_rank``."""
+    one = CycloNumber.one(w.m)
+    rows: list[dict[int, CycloNumber]] = [{i: one} for i in range(w.n)]
+    for j in range(w.n):
+        row = rows[w.perm[j]]
+        val = row.get(j, CycloNumber.zero(w.m)) - CycloNumber.zeta(w.m, w.exps[j])
+        if val.is_zero():
+            row.pop(j, None)
+        else:
+            row[j] = val
+    return rows
+
+
+def character_norm(g) -> Fraction:
+    """<chi, chi> of the natural character of G(m,p,n), by enumeration."""
+    acc = CycloNumber.zero(g.m)
+    for w in elements(g):
+        acc = acc + w.trace() * w.inv().trace()
+    return acc.as_rational() / g.order

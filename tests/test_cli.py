@@ -82,6 +82,13 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "agreement: OK" in proc.stdout
 
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_molien_bad_truncate_is_exit_2(self, value):
+        proc = run_cli("molien", "G(3,3,2)", "--truncate", value)
+        assert proc.returncode == 2
+        assert "--truncate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_g4_ok(self):
         proc = run_cli("g4")
         assert proc.returncode == 0
@@ -118,6 +125,20 @@ class TestExitCodes:
         proc = run_cli("table1", "--data", str(path))
         assert proc.returncode == 2
         assert "cmscan: error:" in proc.stderr
+
+    @pytest.mark.parametrize("degrees, message", [
+        ("6,,12", "line 2: group G4: bad degree list"),
+        ("0,4", "line 2: group G4: degrees must be at least 1"),
+        ("20000000", "line 2: group G4: the degrees give a Poincaré "
+                     "polynomial of degree 19999999"),
+    ])
+    def test_table1_bad_degrees_is_exit_2(self, tmp_path, degrees, message):
+        path = tmp_path / "degrees.fd"
+        path.write_text(f"# header\ngroup G4 order 24 rank 2 degrees {degrees}\n",
+                        encoding="utf-8")
+        proc = run_cli("table1", "--data", str(path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
 
     def test_unknown_command_is_exit_2(self):
         proc = run_cli("frobnicate")

@@ -63,7 +63,7 @@ def test_conjugation_is_inversion_on_roots():
 def test_galois_action():
     z = CycloNumber.zeta(7, 1)
     x = z + z * z * 3
-    assert x.galois(2) == CycloNumber.zeta(7, 2) + CycloNumber.zeta(7, 4) * 3
+    assert x.conj() == CycloNumber.zeta(7, 6) + CycloNumber.zeta(7, 5) * 3
 
 
 def test_lift_preserves_arithmetic():

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,3 +154,26 @@ class TestBattery:
         assert names[0] == "group order"
         assert "aE + bF solver" in names
         assert all(detail for _, detail in results)
+
+    def test_corrupted_table_raises_under_optimize(self):
+        # V1 overwritten by V2 breaks row orthogonality; the battery
+        # raises VerificationError explicitly, so python -O, which strips
+        # asserts, still catches it.
+        code = """
+from cmscan import g4
+from cmscan.polycore import VerificationError
+g4.CHARACTER_TABLE["V1"] = g4.CHARACTER_TABLE["V2"]
+print("__debug__ =", __debug__)
+try:
+    g4.run_battery()
+except VerificationError as exc:
+    print("VerificationError:", exc)
+else:
+    print("battery passed")
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "__debug__ = False",
+            "VerificationError: rows V1 and V2 are not orthonormal"]

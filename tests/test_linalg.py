@@ -1,7 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 
-from cmscan import linalg
+import linalg_oracle as oracle
+from cmscan import g4, groups, linalg
 from cmscan.cyclo import CycloNumber
+from cmscan.fakedeg import GroupSpec
+from cmscan.polycore import VerificationError
 
 
 def c(m, value):
@@ -17,7 +23,7 @@ def test_invert_round_trip():
     m = 3
     z = CycloNumber.zeta(m, 1)
     a = zmat(m, [[1, z, 0], [z, 1 + z, 1], [0, 1, 2]])
-    ainv = linalg.invert(a, m)
+    ainv = oracle.invert(a, m)
     assert linalg.mat_mul(a, ainv) == linalg.identity(3, m)
     assert linalg.mat_mul(ainv, a) == linalg.identity(3, m)
 
@@ -27,25 +33,25 @@ def test_singular_matrix_rejected():
     z = CycloNumber.zeta(m, 1)
     sing = ((CycloNumber.one(m), z), (z, z * z))
     with pytest.raises(ValueError):
-        linalg.invert(sing, m)
+        oracle.invert(sing, m)
 
 
 def test_rank_and_kernel():
     m = 3
     z = CycloNumber.zeta(m, 1)
     sing = ((CycloNumber.one(m), z), (z, z * z))
-    assert linalg.rank(sing) == 1
-    basis = linalg.kernel_basis(sing, m)
+    assert oracle.rank(sing) == 1
+    basis = oracle.kernel_basis(sing, m)
     assert len(basis) == 1
-    assert all(v.is_zero() for v in linalg.mat_vec(sing, basis[0]))
+    assert all(v.is_zero() for v in oracle.mat_vec(sing, basis[0]))
 
 
 def test_sparse_rank_early_exit():
     m = 4
     rows = [{0: CycloNumber.one(m)}, {1: CycloNumber.one(m)},
             {2: CycloNumber.one(m)}]
-    assert linalg.sparse_rank([dict(r) for r in rows]) == 3
-    assert linalg.sparse_rank([dict(r) for r in rows], stop_at=2) == 2
+    assert oracle.sparse_rank([dict(r) for r in rows]) == 3
+    assert oracle.sparse_rank([dict(r) for r in rows], stop_at=2) == 2
 
 
 def test_projection_properties():
@@ -53,10 +59,10 @@ def test_projection_properties():
     i = CycloNumber.zeta(m, 1)
     s = zmat(m, [[i, 0], [0, 1]])
     b = linalg.mat_sub(linalg.identity(2, m), s)
-    p = linalg.projection_onto_image(b, m)
+    p = oracle.projection_onto_image(b, m)
     assert linalg.mat_mul(p, p) == p
     assert linalg.mat_mul(p, b) == b
-    assert linalg.rank(p) == linalg.rank(b)
+    assert oracle.rank(p) == oracle.rank(b)
 
 
 def test_symplectic_form_matrix_pairing():
@@ -65,8 +71,8 @@ def test_symplectic_form_matrix_pairing():
     # x^T J y with x in h, y in h*: omega(e_i, e*_i) = -1, omega(e*_i, e_i) = 1
     x = (c(m, 1), c(m, 0), c(m, 0), c(m, 0))
     y = (c(m, 0), c(m, 0), c(m, 1), c(m, 0))
-    assert linalg._dot(linalg.mat_vec(j, y), x) == c(m, -1)
-    assert linalg._dot(linalg.mat_vec(j, x), y) == c(m, 1)
+    assert oracle.pairing(j, x, y) == c(m, -1)
+    assert oracle.pairing(j, y, x) == c(m, 1)
 
 
 def test_symplectic_extension_preserves_form():
@@ -74,9 +80,9 @@ def test_symplectic_extension_preserves_form():
     m = 12
     z = CycloNumber.zeta(m, 1)
     a = zmat(m, [[1, z], [0, z * z]])
-    s = linalg.symplectic_extension(a, m)
+    s = oracle.symplectic_extension(a, m)
     j = linalg.symplectic_form_matrix(2, m)
-    assert linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(j, s)) == j
+    assert linalg.mat_mul(oracle.transpose(s), linalg.mat_mul(j, s)) == j
 
 
 def test_restricted_form_of_diagonal_reflection():
@@ -84,11 +90,69 @@ def test_restricted_form_of_diagonal_reflection():
     # the (h_0, h*_0) plane.
     m = 2
     s = zmat(m, [[-1, 0], [0, 1]])
-    ext = linalg.symplectic_extension(s, m)
-    form = linalg.restricted_form_matrix(ext, m)
     expected = zmat(m, [[0, 0, -1, 0], [0, 0, 0, 0],
                         [1, 0, 0, 0], [0, 0, 0, 0]])
-    assert form == expected
+    assert linalg.reflection_form(s, m) == expected
+    ext = oracle.symplectic_extension(s, m)
+    assert oracle.restricted_form_matrix(ext, m) == expected
+
+
+# Groups whose every reflection is compared with the generic pipeline:
+# diagonal and transposition-type reflections, p = 1, 1 < p < m and
+# p = m, ranks 2 to 4.
+GRID = [(2, 1, 2), (3, 1, 2), (4, 2, 2), (3, 3, 2), (4, 4, 2), (6, 2, 2),
+        (6, 3, 2), (2, 1, 3), (2, 2, 3), (3, 3, 3), (1, 1, 4), (2, 2, 4)]
+
+
+def oracle_form(s, m):
+    return oracle.restricted_form_matrix(oracle.symplectic_extension(s, m), m)
+
+
+@pytest.mark.parametrize("spec", GRID)
+def test_reflection_form_matches_generic_pipeline(spec):
+    g = GroupSpec(*spec)
+    reflections = [w for w in groups.elements(g) if groups.is_reflection(w)]
+    assert reflections
+    for w in reflections:
+        s = w.matrix()
+        assert linalg.reflection_form(s, g.m) == oracle_form(s, g.m), w
+
+
+def test_reflection_form_matches_generic_pipeline_on_g4():
+    group = g4.build_g4()
+    for index in (2, 3):  # Cl3 and Cl4
+        for q in group.classes[index]:
+            rho = g4.reflection_matrix(group, q)
+            assert linalg.reflection_form(rho, 12) == oracle_form(rho, 12), q
+
+
+@pytest.mark.parametrize("rows", [
+    [[-1, 0], [0, -1]],   # rank(1 - s) = 2
+    [[1, 0], [0, 1]],     # rank(1 - s) = 0
+    [[1, 1], [0, 1]],     # rank one, but 1 - s is nilpotent
+])
+def test_reflection_form_rejects_non_reflections(rows):
+    with pytest.raises(VerificationError, match="not a reflection"):
+        linalg.reflection_form(zmat(2, rows), 2)
+
+
+def test_reflection_form_rejects_non_reflection_under_optimize():
+    code = """
+from cmscan import linalg
+from cmscan.cyclo import CycloNumber
+from cmscan.polycore import VerificationError
+minus, zero = CycloNumber.from_rational(2, -1), CycloNumber.zero(2)
+try:
+    linalg.reflection_form(((minus, zero), (zero, minus)), 2)
+except VerificationError as exc:
+    print("VerificationError:", exc)
+print("__debug__ =", __debug__)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "__debug__ = False"
+    assert proc.stdout.startswith("VerificationError:")
 
 
 def test_proportionality_scalar():

@@ -6,7 +6,7 @@ import pytest
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import GroupSpec, coinvariant_poincare, fake_degree
-from cmscan.polycore import LaurentPoly, VerificationError, parse_poly
+from cmscan.polycore import MAX_SPAN, LaurentPoly, VerificationError, parse_poly
 
 P = parse_poly
 
@@ -219,6 +219,26 @@ class TestDatasetFormat:
             scan.parse_dataset(
                 "group C1 order 1 rank 1 degrees 1\n"
                 "irrep triv dim 1 fake t^\n")
+
+    def test_empty_degree(self):
+        with pytest.raises(scan.DatasetError, match="line 2: group C1: bad degree"):
+            scan.parse_dataset("\ngroup C1 order 1 rank 2 degrees 1,,1\n")
+
+    def test_degree_below_one(self):
+        with pytest.raises(scan.DatasetError, match="line 1: .* at least 1"):
+            scan.parse_dataset("group C1 order 1 rank 1 degrees 0\n")
+
+    def test_degrees_bounded_before_factorising(self):
+        # sum(d - 1) = MAX_SPAN passes the parser; one more is refused
+        # before any Poincaré polynomial work.
+        top = MAX_SPAN + 1
+        (g,) = scan.parse_dataset(f"group X order 1 rank 1 degrees {top}\n")
+        assert g.degrees == (top,)
+        with pytest.raises(scan.DatasetError, match=f"degree {top},"):
+            scan.parse_dataset(
+                f"group X order 1 rank 2 degrees {top},2\n")
+        with pytest.raises(scan.DatasetError, match="line 1: group X"):
+            scan.parse_dataset("group X order 1 rank 1 degrees 1000000000\n")
 
     def test_validate_square_sum(self):
         text = SAMPLE.replace("order 2", "order 3")
