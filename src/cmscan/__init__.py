@@ -23,7 +23,7 @@ from .partitions import (
     Multipartition, MultipartitionOrbit, Partition, multipartitions,
     parse_multipartition, render_multipartition,
 )
-from .polycore import GradedProduct, LaurentPoly, parse_poly, render_poly
+from .polycore import GradedProduct, LaurentPoly
 from .scan import (
     DivisibilityVerdict, ExceptionalGroupData, ScanReport,
     divisibility_test, expected_failure_counts, parse_dataset,
@@ -40,7 +40,7 @@ __all__ = [
     "configured_groups", "divisibility_test", "expected_failure_counts",
     "fake_degree", "irr_dimension", "irr_labels", "molien_series",
     "multipartitions", "omega_class_sum", "parse_dataset",
-    "parse_multipartition", "parse_poly", "reflection_classes",
-    "render_dataset", "render_multipartition", "render_poly",
-    "scan_dataset", "scan_group", "witness_check", "__version__",
+    "parse_multipartition", "reflection_classes", "render_dataset",
+    "render_multipartition", "scan_dataset", "scan_group", "witness_check",
+    "__version__",
 ]

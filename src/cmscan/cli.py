@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from fractions import Fraction
 
 from . import g4 as g4mod
@@ -29,10 +27,6 @@ from .groups import (
 )
 from .partitions import render_multipartition
 from .polycore import NotPolynomialError, VerificationError
-
-
-def _parse_group(text: str) -> GroupSpec:
-    return GroupSpec.parse(text)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -52,14 +46,6 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
-def _pool(threads: int):
-    """Order-preserving mapper; sequential unless threads > 1."""
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        return pool, pool.map
-    return nullcontext(), map
-
-
 def _root_of_unity_label(z: CycloNumber) -> str:
     for e in range(z.m):
         if z == CycloNumber.zeta(z.m, e):
@@ -72,7 +58,7 @@ def _root_of_unity_label(z: CycloNumber) -> str:
 
 
 def cmd_fake_degrees(args) -> int:
-    g = _parse_group(args.group)
+    g = GroupSpec.parse(args.group)
     rows = []
     for label in irr_labels(g):
         f = fake_degree(g, label.orbit)
@@ -94,23 +80,21 @@ def cmd_fake_degrees(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    g = _parse_group(args.group)
-    ctx, mapper = _pool(args.threads)
-    with ctx:
-        report = scanmod.scan_group(g, mapper)
+    g = GroupSpec.parse(args.group)
+    report = scanmod.scan_group(g)
     _emit(args, report.to_dict(), report.render())
     return 0
 
 
 def cmd_witness(args) -> int:
-    g = _parse_group(args.group)
+    g = GroupSpec.parse(args.group)
     report = scanmod.witness_check(g)
     _emit(args, report.to_dict(), report.render())
     return 0 if report.matches_prediction else 1
 
 
 def cmd_verify_omega(args) -> int:
-    g = _parse_group(args.group)
+    g = GroupSpec.parse(args.group)
     classes = reflection_classes(g, args.max_order)
     entries = []
     for idx, cls in enumerate(classes, start=1):
@@ -138,7 +122,7 @@ def cmd_verify_omega(args) -> int:
 
 
 def cmd_molien(args) -> int:
-    g = _parse_group(args.group)
+    g = GroupSpec.parse(args.group)
     n = args.truncate
     computed = molien_series(g, n, args.max_order)
     oracle = degrees_series(g, n)
@@ -177,9 +161,7 @@ def cmd_table1(args) -> int:
     with open(args.data, encoding="utf-8") as handle:
         text = handle.read()
     groups = scanmod.parse_dataset(text)
-    ctx, mapper = _pool(args.threads)
-    with ctx:
-        reports = scanmod.scan_dataset(groups, mapper)
+    reports = scanmod.scan_dataset(groups)
     comparisons = scanmod.compare_with_expected(reports)
     lines = [f"dataset: {len(groups)} group(s) from {args.data}"]
     for report, comp in zip(reports, comparisons):
@@ -215,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("group", help='group spec, e.g. "G(3,3,2)"')
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="run independent tests in a thread pool")
         if elementwise:
             p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                            help="refuse groups with more elements than this")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .polycore import cyclotomic
+from .polycore import VerificationError, cyclotomic
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -216,12 +216,14 @@ class CycloNumber:
             q, r = _pdivmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _trim(_psub(s0, _pmul(q, s1)))
+        if len(r0) != 1:
+            raise VerificationError("gcd with an irreducible must be constant")
         g = r0[0]
-        assert len(r0) == 1 and g, "gcd with an irreducible must be constant"
         inv = [c / g for c in s0]
         inv = (inv + [_ZERO] * deg)[:deg]
         result = CycloNumber(self.m, inv)
-        assert (result * self).is_one(), "inverse computation failed"
+        if not (result * self).is_one():
+            raise VerificationError("inverse computation failed")
         return result
 
     def __truediv__(self, other) -> CycloNumber:

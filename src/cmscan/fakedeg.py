@@ -118,7 +118,6 @@ def irr_dimension(g: GroupSpec, label: IrrLabel | pt.MultipartitionOrbit) -> int
     return q
 
 
-@functools.lru_cache(maxsize=None)
 def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
     """Fake degree polynomial shared by every label of the orbit.
 

@@ -409,14 +409,6 @@ def cyclotomic(k: int) -> LaurentPoly:
     return num
 
 
-def parse_poly(text: str) -> LaurentPoly:
-    return LaurentPoly.parse(text)
-
-
-def render_poly(p: LaurentPoly) -> str:
-    return p.render()
-
-
 @dataclass(frozen=True)
 class CycloFactorisation:
     """Multiplicities of cyclotomic polynomials Phi_k, k >= 1."""

@@ -126,32 +126,27 @@ def _series_notes(g: GroupSpec) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def scan_group(g: GroupSpec, mapper=map) -> ScanReport:
+def scan_group(g: GroupSpec) -> ScanReport:
     """Run the divisibility test over every irreducible label of G(m,p,n).
 
-    ``mapper`` may be an order-preserving parallel map (the per-label
-    tests are independent); the report is identical either way.
+    Each fake degree is dropped once its label is tested; the graded sum
+    rule sum(dim * f) == P is checked after the last label.
     """
     poincare = coinvariant_poincare(g)
     if poincare.at_one() != g.order:
         raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
-    tasks = []
+    verdicts = []
     graded_sum = LaurentPoly.zero()
     for label in irr_labels(g):
         f = fake_degree(g, label.orbit)
         dim = irr_dimension(g, label)
-        tasks.append((poincare, f, dim, label.render()))
+        verdicts.append(divisibility_test(poincare, f, dim, label.render()))
         graded_sum = graded_sum + f * LaurentPoly.monomial(dim)
     if graded_sum != poincare:
         raise VerificationError("graded sum rule violated")
-    verdicts = list(mapper(_run_test, tasks))
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(g.render(), len(verdicts), failures,
                       tuple(verdicts), _series_notes(g))
-
-
-def _run_test(task) -> DivisibilityVerdict:
-    return divisibility_test(*task)
 
 
 # -- the three designated witness families --------------------------------
@@ -362,8 +357,7 @@ def render_dataset(groups: tuple[ExceptionalGroupData, ...]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def scan_dataset(groups: tuple[ExceptionalGroupData, ...],
-                 mapper=map) -> tuple[ScanReport, ...]:
+def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, ...]:
     """Validate then scan each dataset group row by row."""
     note = ("row identities follow the source tabulation; verdicts and "
             "counts are per row")
@@ -371,8 +365,8 @@ def scan_dataset(groups: tuple[ExceptionalGroupData, ...],
     for g in groups:
         g.validate()
         poincare = g.poincare()
-        tasks = [(poincare, row.fake, row.dim, row.ident) for row in g.rows]
-        verdicts = tuple(mapper(_run_test, tasks))
+        verdicts = tuple(divisibility_test(poincare, row.fake, row.dim, row.ident)
+                         for row in g.rows)
         failures = sum(1 for v in verdicts if not v.divides)
         reports.append(ScanReport(g.name, len(verdicts), failures,
                                   verdicts, (note,)))

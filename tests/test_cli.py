@@ -144,6 +144,13 @@ class TestExitCodes:
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
 
+    def test_threads_option_is_gone(self, synthetic_file):
+        for argv in (("scan", "G(3,3,3)"),
+                     ("table1", "--data", str(synthetic_file))):
+            proc = run_cli(*argv, "--threads", "4")
+            assert proc.returncode == 2, argv
+            assert "unrecognized arguments: --threads 4" in proc.stderr
+
 
 class TestJson:
     @pytest.mark.parametrize("argv", [
@@ -195,18 +202,6 @@ class TestDeterminism:
         seed0 = run_cli(*argv, env_extra={"PYTHONHASHSEED": "0"})
         seed1 = run_cli(*argv, env_extra={"PYTHONHASHSEED": "1"})
         assert seed0.stdout == seed1.stdout
-
-    def test_threads_do_not_change_output(self):
-        seq = run_cli("scan", "G(2,2,4)")
-        par = run_cli("scan", "G(2,2,4)", "--threads", "4")
-        assert seq.stdout == par.stdout
-        assert seq.returncode == par.returncode
-
-    def test_threads_do_not_change_table1(self, synthetic_file):
-        seq = run_cli("table1", "--data", str(synthetic_file))
-        par = run_cli("table1", "--data", str(synthetic_file),
-                      "--threads", "4")
-        assert seq.stdout == par.stdout
 
     def test_optimized_interpreter_gives_identical_scan(self):
         argv = ["-m", "cmscan", "scan", "G(3,3,3)"]

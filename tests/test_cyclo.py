@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -95,3 +97,24 @@ def test_rational_reduction_of_real_combinations():
     lam = (CycloNumber.one(3) - omega).inverse() \
         * (CycloNumber.one(3) - omega.conj()).inverse() * expr
     assert lam.as_rational() == 1
+
+
+def test_inverse_check_runs_under_optimize():
+    # The check that result * self == 1 raises VerificationError
+    # explicitly, so python -O, which strips asserts, still runs it.
+    code = """
+from cmscan.cyclo import CycloNumber
+from cmscan.polycore import VerificationError
+real = CycloNumber.__mul__
+CycloNumber.__mul__ = lambda a, b: real(a, b) + 1
+print("__debug__ =", __debug__)
+try:
+    (CycloNumber.zeta(7, 1) + 3).inverse()
+except VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "__debug__ = False", "VerificationError: inverse computation failed"]

@@ -2,9 +2,9 @@ import pytest
 
 from cmscan import fakedeg as fd
 from cmscan import partitions as pt
-from cmscan.polycore import LaurentPoly, parse_poly
+from cmscan.polycore import LaurentPoly
 
-P = parse_poly
+P = LaurentPoly.parse
 
 
 class TestGroupSpec:

@@ -7,9 +7,9 @@ from cmscan import groups as gr
 from cmscan import linalg
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
-from cmscan.polycore import VerificationError, parse_poly
+from cmscan.polycore import LaurentPoly, VerificationError
 
-P = parse_poly
+P = LaurentPoly.parse
 
 
 def reflection_count(m, p, n):

@@ -1,9 +1,9 @@
 import pytest
 
 from cmscan import partitions as pt
-from cmscan.polycore import parse_poly
+from cmscan.polycore import LaurentPoly
 
-P = parse_poly
+P = LaurentPoly.parse
 
 
 class TestPartitions:

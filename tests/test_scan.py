@@ -6,9 +6,9 @@ import pytest
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import GroupSpec, coinvariant_poincare, fake_degree
-from cmscan.polycore import MAX_SPAN, LaurentPoly, VerificationError, parse_poly
+from cmscan.polycore import MAX_SPAN, LaurentPoly, VerificationError
 
-P = parse_poly
+P = LaurentPoly.parse
 
 
 class TestDivisibilityTest:
@@ -87,13 +87,6 @@ class TestScanGroup:
             base = v.label.split(" eps=")[0]
             by_base.setdefault(base, set()).add((v.divides, v.poly))
         assert all(len(outcomes) == 1 for outcomes in by_base.values())
-
-    def test_parallel_mapper_gives_identical_report(self):
-        from concurrent.futures import ThreadPoolExecutor
-        g = GroupSpec(3, 3, 3)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = scan.scan_group(g, mapper=pool.map)
-        assert parallel == scan.scan_group(g)
 
     def test_notes_mention_known_isomorphism(self):
         report = scan.scan_group(GroupSpec(2, 2, 3))
