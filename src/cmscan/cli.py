@@ -4,7 +4,8 @@ Subcommands: fake-degrees, scan, witness, verify-omega, molien, g4,
 table1.  Exit status 0 means the command ran and any findings are in the
 report (scan failures are findings, not errors); 1 means a verification
 mismatch (an exact identity that should hold did not, or a comparison
-against expected values differed); 2 means bad usage or bad input data.
+against expected values differed); 2 means bad usage or bad input data;
+3 means an internal error (an unexpected exception, a bug in cmscan).
 Output is deterministic; --json replaces the text report with a JSON
 document carrying the same content.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import g4 as g4mod
@@ -39,11 +41,12 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _emit(args, doc: dict, text: str) -> None:
+def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the JSON document or the text report, building only that one."""
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc(), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _root_of_unity_label(z: CycloNumber) -> str:
@@ -75,21 +78,22 @@ def cmd_fake_degrees(args) -> int:
         lines.append(f"  {row['label']}  dim={row['dim']} b={row['b']} "
                      f"f={row['fake_degree']}  "
                      f"orbit[{len(row['orbit'])}]: {', '.join(row['orbit'])}")
-    _emit(args, {"group": g.render(), "labels": rows}, "\n".join(lines))
+    _emit(args, lambda: {"group": g.render(), "labels": rows},
+          lambda: "\n".join(lines))
     return 0
 
 
 def cmd_scan(args) -> int:
     g = GroupSpec.parse(args.group)
     report = scanmod.scan_group(g)
-    _emit(args, report.to_dict(), report.render())
+    _emit(args, report.to_dict, report.render)
     return 0
 
 
 def cmd_witness(args) -> int:
     g = GroupSpec.parse(args.group)
     report = scanmod.witness_check(g)
-    _emit(args, report.to_dict(), report.render())
+    _emit(args, report.to_dict, report.render)
     return 0 if report.matches_prediction else 1
 
 
@@ -117,7 +121,7 @@ def cmd_verify_omega(args) -> int:
             f"  class {e['class']}: size {e['size']}, zeta = {e['zeta']}, "
             f"sum of forms = {e['lambda']} * omega (= k/n, closed form agrees)")
     doc = {"group": g.render(), "classes": entries, "verified": True}
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, lambda: doc, lambda: "\n".join(lines))
     return 0
 
 
@@ -139,7 +143,7 @@ def cmd_molien(args) -> int:
              f"  computed: {computed.render()}",
              f"  degrees {g.degrees} product: {oracle.render()}",
              f"  agreement: {'OK' if match else 'MISMATCH'}"]
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, lambda: doc, lambda: "\n".join(lines))
     return 0 if match else 1
 
 
@@ -149,7 +153,7 @@ def cmd_g4(args) -> int:
            "passed": True}
     lines = [f"PASS {name}: {detail}" for name, detail in checks]
     lines.append(f"all {len(checks)} checks passed")
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, lambda: doc, lambda: "\n".join(lines))
     return 0
 
 
@@ -163,24 +167,30 @@ def cmd_table1(args) -> int:
     groups = scanmod.parse_dataset(text)
     reports = scanmod.scan_dataset(groups)
     comparisons = scanmod.compare_with_expected(reports)
-    lines = [f"dataset: {len(groups)} group(s) from {args.data}"]
-    for report, comp in zip(reports, comparisons):
-        lines.append("  " + comp.render())
-        failing = [v.label for v in report.verdicts if not v.divides]
-        if failing:
-            lines.append(f"    failing rows: {', '.join(failing)}")
     checked = [c for c in comparisons if c.matches is not None]
     mismatched = [c for c in checked if not c.matches]
-    if checked:
-        lines.append(f"  expected-count comparison: "
-                     f"{len(checked) - len(mismatched)}/{len(checked)} match")
-    doc = {
-        "data": args.data,
-        "reports": [r.to_dict() for r in reports],
-        "comparisons": [c.to_dict() for c in comparisons],
-        "mismatches": len(mismatched),
-    }
-    _emit(args, doc, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"dataset: {len(groups)} group(s) from {args.data}"]
+        for report, comp in zip(reports, comparisons):
+            lines.append("  " + comp.render())
+            failing = [v.label for v in report.verdicts if not v.divides]
+            if failing:
+                lines.append(f"    failing rows: {', '.join(failing)}")
+        if checked:
+            lines.append(f"  expected-count comparison: "
+                         f"{len(checked) - len(mismatched)}/{len(checked)} match")
+        return "\n".join(lines)
+
+    def doc() -> dict:
+        return {
+            "data": args.data,
+            "reports": [r.to_dict() for r in reports],
+            "comparisons": [c.to_dict() for c in comparisons],
+            "mismatches": len(mismatched),
+        }
+
+    _emit(args, doc, text)
     return 1 if mismatched else 0
 
 
@@ -243,6 +253,14 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"cmscan: verification mismatch{detail}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # A bug, not a finding: keep the traceback for the report and a
+        # status no verification result uses.
+        import traceback
+        traceback.print_exc()
+        print(f"cmscan: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

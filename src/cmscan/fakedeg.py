@@ -82,15 +82,7 @@ class IrrLabel:
 @functools.lru_cache(maxsize=None)
 def group_orbits(g: GroupSpec) -> tuple[pt.MultipartitionOrbit, ...]:
     """Shift orbits of m-multipartitions of n, in enumeration order."""
-    seen: set[pt.Multipartition] = set()
-    orbits: list[pt.MultipartitionOrbit] = []
-    for mp in pt.multipartitions(g.m, g.n):
-        if mp in seen:
-            continue
-        orbit = pt.orbit_of(mp, g.p, g.d)
-        seen.update(orbit.members)
-        orbits.append(orbit)
-    return tuple(orbits)
+    return pt.shift_orbits(g.p, g.d, g.n)
 
 
 def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
@@ -131,10 +123,11 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
     weight = pt.orbit_weight_poly(orbit)
     k = weight.trailing_degree()
     reduced_weight = weight.shift(-k)
+    hooks = pt.hook_quotient(orbit.canonical)
     gp = GradedProduct.of(g.d * g.n) * GradedProduct.of(g.m * g.n).inv()
-    gp = gp * pt.hook_quotient(orbit.canonical).substitute(g.m)
+    gp = gp * hooks.substitute(g.m)
     f = gp.reduce_with(reduced_weight).shift(k)
-    hooks_shift = sum(pt.weighted_size(lam) for lam in orbit.canonical)
+    hooks_shift = hooks.shift  # sum of weighted_size over the components
     if f.trailing_degree() != k + g.m * hooks_shift:
         raise VerificationError(
             f"fake degree of {orbit.canonical} has trailing degree "

@@ -8,6 +8,11 @@ epsilon label per stabiliser element.
 
 Text format: components joined by "|", parts by ",", empty component
 "-", e.g. ``"2,2|-|1"`` for ((2,2), (), (1)).
+
+Partitions are validated where they enter from outside (the public
+``check_*``, ``hook_lengths``, ``weighted_size``, ``orbit_of`` and
+``parse_multipartition``); the enumerators only produce valid ones, so
+the scan path works on them through unchecked private helpers.
 """
 from __future__ import annotations
 
@@ -19,6 +24,10 @@ from .polycore import GradedProduct, LaurentPoly, VerificationError
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
+
+# The most multipartitions ``multipartitions`` enumerates: G(12,6,6)'s
+# 42,614 five times over, while G(20,1,8)'s 9,869,990 exhausts memory.
+MAX_MULTIPARTITIONS = 200_000
 
 
 def check_partition(parts: tuple[int, ...]) -> Partition:
@@ -58,7 +67,10 @@ def hook_lengths(lam: Partition) -> tuple[int, ...]:
     >>> hook_lengths((2, 2))
     (3, 2, 2, 1)
     """
-    lam = check_partition(lam)
+    return _hook_lengths(check_partition(lam))
+
+
+def _hook_lengths(lam: Partition) -> tuple[int, ...]:
     conj = conjugate(lam)
     hooks = []
     for i, row in enumerate(lam):
@@ -86,7 +98,10 @@ def weighted_size(lam: Partition) -> int:
     >>> weighted_size((2, 2, 1))
     4
     """
-    check_partition(lam)
+    return _weighted_size(check_partition(lam))
+
+
+def _weighted_size(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
 
 
@@ -98,10 +113,11 @@ def t_factorial(n: int) -> GradedProduct:
 
 
 def standard_tableau_count(lam: Partition) -> int:
-    """Number of standard Young tableaux, by the hook length formula."""
+    """Number of standard Young tableaux, by the hook length formula;
+    ``lam`` must be a valid partition (unchecked)."""
     n = sum(lam)
     denom = 1
-    for h in hook_lengths(lam):
+    for h in _hook_lengths(lam):
         denom *= h
     count, rem = divmod(functools.reduce(int.__mul__, range(1, n + 1), 1), denom)
     if rem:
@@ -128,20 +144,49 @@ def multipartition_key(mp: Multipartition) -> tuple:
     return tuple(_partition_key(lam) for lam in mp)
 
 
-@functools.lru_cache(maxsize=None)
-def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
-    """All m-multipartitions of n, deterministically ordered.
+def multipartition_count(m: int, n: int, cap: int | None = None) -> int:
+    """Number of m-multipartitions of n, without enumerating them.
 
-    The order sorts component 0 first (larger, lexicographically earlier
-    partitions first), then recurses on the remaining components:
+    It is the coefficient a_n of x^n in prod_k (1 - x^k)^(-m), and
+    i * a_i = m * sum_{j=1..i} sigma(j) * a_(i-j), where sigma(j) is the
+    sum of the divisors of j.  The a_i never decrease, so with ``cap``
+    the recurrence stops at the first a_i above it and returns that
+    a_i; the work then stays small however large m and n are.
 
-    >>> multipartitions(2, 2)[0]
-    ((2,), ())
+    >>> multipartition_count(2, 2)
+    5
     """
     if m < 1:
         raise ValueError("need at least one component")
     if n < 0:
         raise ValueError("total size must be nonnegative")
+    a = [1]
+    sigma = [0]
+    for i in range(1, n + 1):
+        sigma.append(sum(k for k in range(1, i + 1) if i % k == 0))
+        a.append(m * sum(sigma[j] * a[i - j] for j in range(1, i + 1)) // i)
+        if cap is not None and a[i] > cap:
+            break
+    return a[-1]
+
+
+@functools.lru_cache(maxsize=None)
+def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
+    """All m-multipartitions of n, deterministically ordered.
+
+    The order sorts component 0 first (larger, lexicographically earlier
+    partitions first), then recurses on the remaining components, which
+    is ascending ``multipartition_key`` order:
+
+    >>> multipartitions(2, 2)[0]
+    ((2,), ())
+
+    Refuses, before enumerating, more than MAX_MULTIPARTITIONS.
+    """
+    if multipartition_count(m, n, MAX_MULTIPARTITIONS) > MAX_MULTIPARTITIONS:
+        raise ValueError(
+            f"more than {MAX_MULTIPARTITIONS} {m}-multipartitions of {n}: "
+            "too many labels to enumerate")
     if m == 1:
         return tuple((lam,) for lam in partitions(n))
     out: list[Multipartition] = []
@@ -184,6 +229,29 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
     mp = check_multipartition(mp)
     if p < 1 or d < 1 or len(mp) != p * d:
         raise ValueError("need m = p * d components")
+    return _orbit(mp, p, d, multipartition_key)
+
+
+def shift_orbits(p: int, d: int, n: int) -> tuple[MultipartitionOrbit, ...]:
+    """Orbits of shift-by-d, of order p, on the (p * d)-multipartitions
+    of n, in enumeration order of their canonical members."""
+    if p < 1 or d < 1:
+        raise ValueError("need positive p and d")
+    mps = multipartitions(p * d, n)
+    # Enumeration order is key order, so positions sort orbit members.
+    unseen = {mp: i for i, mp in enumerate(mps)}
+    orbits = []
+    for mp in mps:
+        if mp in unseen:
+            orbit = _orbit(mp, p, d, unseen.__getitem__)
+            for member in orbit.members:
+                del unseen[member]
+            orbits.append(orbit)
+    return tuple(orbits)
+
+
+def _orbit(mp: Multipartition, p: int, d: int, key) -> MultipartitionOrbit:
+    """Orbit of a valid mp, its members sorted by ``key``."""
     seen: list[Multipartition] = []
     current = mp
     for _ in range(p):
@@ -195,7 +263,7 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
     stab, rem = divmod(p, size)
     if rem:
         raise VerificationError("orbit size must divide p")
-    members = tuple(sorted(seen, key=multipartition_key))
+    members = tuple(sorted(seen, key=key))
     return MultipartitionOrbit(members, members[0], stab)
 
 
@@ -220,12 +288,12 @@ def hook_quotient(mp: Multipartition) -> GradedProduct:
     """(t)_n * t^(sum weighted_size) / prod hook polynomials, unexpanded.
 
     n is the total size of the multipartition; the monomial shift keeps
-    the trailing-degree bookkeeping exact.
+    the trailing-degree bookkeeping exact.  ``mp`` must be valid, as
+    every orbit member is (unchecked).
     """
-    mp = check_multipartition(mp)
     factors = Counter(range(1, multipartition_size(mp) + 1))
-    factors.subtract(h for lam in mp for h in hook_lengths(lam))
-    return GradedProduct(shift=sum(weighted_size(lam) for lam in mp),
+    factors.subtract(h for lam in mp for h in _hook_lengths(lam))
+    return GradedProduct(shift=sum(_weighted_size(lam) for lam in mp),
                          factors=factors)
 
 

@@ -13,7 +13,9 @@ let `table1` diff a dataset scan against the published values.
 """
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import partitions as pt
@@ -46,25 +48,47 @@ class DivisibilityVerdict:
     def verdict(self) -> str:
         return "divisible" if self.divides else "fails"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, render_poly: Callable[[LaurentPoly], str]
+                = LaurentPoly.render) -> dict:
         out = {"label": self.label, "b": self.b, "dim": self.dim,
                "verdict": self.verdict}
-        out["quotient" if self.divides else "remainder"] = self.poly.render()
+        out["quotient" if self.divides else "remainder"] = render_poly(self.poly)
         return out
 
-    def render(self) -> str:
+    def render(self, render_poly: Callable[[LaurentPoly], str]
+               = LaurentPoly.render) -> str:
         kind = "quotient" if self.divides else "remainder"
         return (f"{self.label}  dim={self.dim} b={self.b} "
-                f"{self.verdict}  {kind}={self.poly.render()}")
+                f"{self.verdict}  {kind}={render_poly(self.poly)}")
+
+
+Division = tuple[bool, LaurentPoly]
+
+
+def _divide(poincare: LaurentPoly, primitive: LaurentPoly,
+            label: str) -> Division:
+    """(True, quotient) or (False, remainder) of P by a primitive divisor."""
+    quotient, remainder = divmod(poincare, primitive)
+    if remainder.is_zero():
+        if quotient.at_one() * primitive.at_one() != poincare.at_one():
+            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
+        return True, quotient
+    return False, remainder
 
 
 def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
-                      label: str) -> DivisibilityVerdict:
+                      label: str,
+                      memo: dict[LaurentPoly, Division] | None = None,
+                      ) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
     ``dim`` must equal f(1).  The divisor is normalized to its primitive
     part, so the verdict is divisibility in C[t]; when it divides, the
     quotient satisfies quotient(1) * primitive(1) = P(1) = |W|.
+
+    ``memo``, when given, maps primitive divisors of this same ``poincare``
+    to their division, so labels sharing a primitive part share one
+    division and one quotient or remainder object.
     """
     if f.is_zero():
         raise ValueError("fake degree must be nonzero")
@@ -74,12 +98,12 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
     shifted = f.shift(-b)
     content = shifted.content()
     primitive = shifted if content == 1 else shifted / LaurentPoly.monomial(content)
-    quotient, remainder = divmod(poincare, primitive)
-    if remainder.is_zero():
-        if quotient.at_one() * primitive.at_one() != poincare.at_one():
-            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
-        return DivisibilityVerdict(label, b, dim, True, quotient)
-    return DivisibilityVerdict(label, b, dim, False, remainder)
+    if memo is None:
+        memo = {}
+    division = memo.get(primitive)
+    if division is None:
+        division = memo[primitive] = _divide(poincare, primitive, label)
+    return DivisibilityVerdict(label, b, dim, *division)
 
 
 @dataclass(frozen=True)
@@ -91,12 +115,14 @@ class ScanReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        # Verdicts of labels sharing a primitive divisor share their poly.
+        render_poly = functools.cache(LaurentPoly.render)
         return {
             "group": self.group,
             "labels": self.labels,
             "failures": self.failures,
             "notes": list(self.notes),
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "verdicts": [v.to_dict(render_poly) for v in self.verdicts],
         }
 
     def render(self) -> str:
@@ -106,7 +132,8 @@ class ScanReport:
         lines = [f"scan {self.group}: {self.labels} labels, "
                  f"{self.failures} failures -- {conclusion}"]
         lines += [f"  note: {n}" for n in self.notes]
-        lines += ["  " + v.render() for v in self.verdicts]
+        render_poly = functools.cache(LaurentPoly.render)
+        lines += ["  " + v.render(render_poly) for v in self.verdicts]
         return "\n".join(lines)
 
 
@@ -129,18 +156,22 @@ def _series_notes(g: GroupSpec) -> tuple[str, ...]:
 def scan_group(g: GroupSpec) -> ScanReport:
     """Run the divisibility test over every irreducible label of G(m,p,n).
 
-    Each fake degree is dropped once its label is tested; the graded sum
+    Each fake degree is dropped once its label is tested, and each
+    distinct primitive divisor is divided into P once; the graded sum
     rule sum(dim * f) == P is checked after the last label.
     """
+    labels = irr_labels(g)  # refuses too many labels before other work
     poincare = coinvariant_poincare(g)
     if poincare.at_one() != g.order:
         raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
     verdicts = []
+    memo: dict[LaurentPoly, Division] = {}
     graded_sum = LaurentPoly.zero()
-    for label in irr_labels(g):
+    for label in labels:
         f = fake_degree(g, label.orbit)
         dim = irr_dimension(g, label)
-        verdicts.append(divisibility_test(poincare, f, dim, label.render()))
+        verdicts.append(divisibility_test(poincare, f, dim, label.render(),
+                                          memo))
         graded_sum = graded_sum + f * LaurentPoly.monomial(dim)
     if graded_sum != poincare:
         raise VerificationError("graded sum rule violated")
@@ -358,14 +389,17 @@ def render_dataset(groups: tuple[ExceptionalGroupData, ...]) -> str:
 
 
 def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, ...]:
-    """Validate then scan each dataset group row by row."""
+    """Validate then scan each dataset group row by row, dividing each
+    distinct primitive divisor into the group's P once."""
     note = ("row identities follow the source tabulation; verdicts and "
             "counts are per row")
     reports = []
     for g in groups:
         g.validate()
         poincare = g.poincare()
-        verdicts = tuple(divisibility_test(poincare, row.fake, row.dim, row.ident)
+        memo: dict[LaurentPoly, Division] = {}
+        verdicts = tuple(divisibility_test(poincare, row.fake, row.dim,
+                                           row.ident, memo)
                          for row in g.rows)
         failures = sum(1 for v in verdicts if not v.divides)
         reports.append(ScanReport(g.name, len(verdicts), failures,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cmscan import scan
+from cmscan import cli, scan
 from cmscan.fakedeg import GroupSpec
 
 DATASET = """\
@@ -144,6 +144,27 @@ class TestExitCodes:
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
 
+    def test_oversized_group_is_refused_before_enumeration(self):
+        # 9,869,990 labels: enumerating them used to exhaust memory.
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmscan", "scan", "G(20,1,8)"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert ("cmscan: error: more than 200000 20-multipartitions of 8"
+                in proc.stderr)
+
+    def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
+        def broken(g):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(scan, "scan_group", broken)
+        assert cli.main(["scan", "G(3,3,3)"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "cmscan: internal error: KeyError: 'boom'")
+
     def test_threads_option_is_gone(self, synthetic_file):
         for argv in (("scan", "G(3,3,3)"),
                      ("table1", "--data", str(synthetic_file))):
@@ -180,6 +201,37 @@ class TestJson:
         doc = json.loads(proc.stdout)
         assert doc["fake_degree"] == "t^4 + t"
         assert doc["matches_prediction"] is True
+
+
+class TestLazyOutput:
+    """Only the format that is printed gets built."""
+
+    @pytest.mark.parametrize("argv, unused", [
+        (("scan", "G(3,3,3)", "--json"), (scan.ScanReport, "render")),
+        (("scan", "G(3,3,3)"), (scan.ScanReport, "to_dict")),
+        (("witness", "G(5,5,2)", "--json"), (scan.WitnessReport, "render")),
+        (("witness", "G(5,5,2)"), (scan.WitnessReport, "to_dict")),
+        (("table1", "--json"), (scan.CountComparison, "render")),
+        (("table1",), (scan.ScanReport, "to_dict")),
+    ])
+    def test_other_format_is_not_built(self, argv, unused, synthetic_file,
+                                       monkeypatch, capsys):
+        if argv[0] == "table1":
+            argv += ("--data", str(synthetic_file))
+        assert cli.main(list(argv)) == 0
+        expected = capsys.readouterr().out
+        owner, name = unused
+        original = getattr(owner, name)
+        calls = []
+
+        def spy(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+        assert calls == []
 
 
 class TestDeterminism:

@@ -26,6 +26,17 @@ class TestPartitions:
         with pytest.raises(ValueError):
             pt.check_partition((2, 0))
 
+    def test_public_entries_validate(self):
+        # The unchecked helpers behind them serve enumerated partitions only.
+        with pytest.raises(ValueError):
+            pt.hook_lengths((1, 2))
+        with pytest.raises(ValueError):
+            pt.weighted_size((2, 0))
+        with pytest.raises(ValueError):
+            pt.orbit_of(((1, 2), ()), 2, 1)
+        with pytest.raises(ValueError):
+            pt.parse_multipartition("1,2|-")
+
 
 class TestHooksAndStatistics:
     def test_hook_lengths(self):
@@ -70,6 +81,56 @@ class TestMultipartitions:
         for mp in pt.multipartitions(3, 4):
             assert pt.multipartition_size(mp) == 4
 
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_enumerated_multipartitions_are_valid(self, m):
+        # Oracle for the checks the scan path skips on enumerated input.
+        for n in range(7):
+            for mp in pt.multipartitions(m, n):
+                assert len(mp) == m
+                assert pt.check_multipartition(mp) == mp
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_enumeration_order_is_key_order(self, m):
+        # shift_orbits sorts orbit members by enumeration position.
+        for n in range(6):
+            keys = [pt.multipartition_key(mp) for mp in pt.multipartitions(m, n)]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_count_matches_enumeration(self):
+        for m in range(1, 6):
+            for n in range(7):
+                assert pt.multipartition_count(m, n) == len(
+                    pt.multipartitions(m, n)), (m, n)
+
+    def test_count_generating_function_values(self):
+        assert [pt.multipartition_count(1, n) for n in range(10)] == [
+            1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+        assert pt.multipartition_count(20, 8) == 9_869_990
+        assert pt.multipartition_count(12, 6) == 42_614
+
+    def test_capped_count_stops_early(self):
+        # Counts never decrease in n, so one above the cap settles it;
+        # neither call may walk to n = 10^9 or sum 10^9 terms.
+        assert pt.multipartition_count(1, 10**9, cap=1000) > 1000
+        assert pt.multipartition_count(10**9, 10**9, cap=1000) > 1000
+        assert pt.multipartition_count(3, 2, cap=1000) == 9
+
+    def test_refuses_before_enumerating(self):
+        with pytest.raises(ValueError, match="more than 200000 20-multipartitions of 8"):
+            pt.multipartitions(20, 8)
+        with pytest.raises(ValueError, match="more than"):
+            pt.multipartitions(1, 10**9)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        pt.multipartitions.cache_clear()
+        monkeypatch.setattr(pt, "MAX_MULTIPARTITIONS", 9)
+        try:
+            assert len(pt.multipartitions(3, 2)) == 9
+            with pytest.raises(ValueError, match="more than 9 3-multipartitions of 3"):
+                pt.multipartitions(3, 3)
+        finally:
+            pt.multipartitions.cache_clear()
+
 
 class TestShiftOrbits:
     def test_shift_moves_components(self):
@@ -97,6 +158,19 @@ class TestShiftOrbits:
             seen.update(orbit.members)
             total += orbit.size()
         assert total == len(pt.multipartitions(m, n))
+
+    @pytest.mark.parametrize("m, p, n", [(4, 2, 3), (6, 3, 3), (6, 6, 2),
+                                         (2, 2, 5), (3, 1, 3), (8, 4, 2)])
+    def test_shift_orbits_match_orbit_of(self, m, p, n):
+        # Oracle: orbit_of on each first-seen member, sorted by key.
+        seen = set()
+        want = []
+        for mp in pt.multipartitions(m, n):
+            if mp not in seen:
+                orbit = pt.orbit_of(mp, p, m // p)
+                seen.update(orbit.members)
+                want.append(orbit)
+        assert pt.shift_orbits(p, m // p, n) == tuple(want)
 
     def test_shift_preserves_size(self):
         for mp in pt.multipartitions(3, 3):

@@ -5,7 +5,9 @@ import pytest
 
 from cmscan import partitions as pt
 from cmscan import scan
-from cmscan.fakedeg import GroupSpec, coinvariant_poincare, fake_degree
+from cmscan.fakedeg import (
+    GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
+)
 from cmscan.polycore import MAX_SPAN, LaurentPoly, VerificationError
 
 P = LaurentPoly.parse
@@ -91,6 +93,95 @@ class TestScanGroup:
     def test_notes_mention_known_isomorphism(self):
         report = scan.scan_group(GroupSpec(2, 2, 3))
         assert any("G(1,1,4)" in note for note in report.notes)
+
+
+def _fields(verdicts):
+    return [(v.label, v.b, v.dim, v.divides, v.poly) for v in verdicts]
+
+
+def _primitive(f):
+    shifted = f.shift(-f.trailing_degree())
+    return shifted / LaurentPoly.monomial(shifted.content())
+
+
+# Two rows of content 2 (2*t, 2*t^3) and six identical rows (t^2); all
+# eight share the primitive divisor 1 of P = (1 + t)^4.
+REPEATS = """\
+group R order 16 rank 4 degrees 2,2,2,2
+irrep a dim 1 fake 1
+irrep b dim 2 fake 2*t
+irrep c1 dim 1 fake t^2
+irrep c2 dim 1 fake t^2
+irrep c3 dim 1 fake t^2
+irrep c4 dim 1 fake t^2
+irrep c5 dim 1 fake t^2
+irrep c6 dim 1 fake t^2
+irrep d dim 2 fake 2*t^3
+irrep e dim 1 fake t^4
+"""
+
+
+class TestDivisionMemo:
+    """Each distinct primitive divisor is divided once per group; the
+    oracle is the per-label divisibility_test with no memo."""
+
+    @pytest.mark.parametrize("spec", [(3, 3, 3), (4, 2, 4), (2, 2, 8),
+                                      (6, 3, 4), (5, 1, 4)])
+    def test_scan_group_matches_unmemoized_loop(self, spec):
+        g = GroupSpec(*spec)
+        poincare = coinvariant_poincare(g)
+        fakes = [fake_degree(g, label.orbit) for label in irr_labels(g)]
+        oracle = [scan.divisibility_test(poincare, f, irr_dimension(g, label),
+                                         label.render())
+                  for label, f in zip(irr_labels(g), fakes)]
+        report = scan.scan_group(g)
+        assert _fields(report.verdicts) == _fields(oracle)
+        # Labels sharing a primitive divisor share one poly object.
+        assert len({id(v.poly) for v in report.verdicts}) == len(
+            {_primitive(f) for f in fakes})
+
+    def test_scan_dataset_matches_unmemoized_loop(self):
+        groups = scan.parse_dataset(REPEATS) + (
+            scan.synthetic_dataset(GroupSpec(3, 3, 3)),
+            scan.synthetic_dataset(GroupSpec(4, 2, 3)))
+        reports = scan.scan_dataset(groups)
+        for g, report in zip(groups, reports):
+            poincare = g.poincare()
+            oracle = [scan.divisibility_test(poincare, row.fake, row.dim, row.ident)
+                      for row in g.rows]
+            assert _fields(report.verdicts) == _fields(oracle)
+        (repeats, *_) = reports
+        assert repeats.failures == 0
+        assert len({id(v.poly) for v in repeats.verdicts}) == 1
+        assert [(v.b, v.dim) for v in repeats.verdicts][:2] == [(0, 1), (1, 2)]
+
+    def test_memo_entries_are_shared(self):
+        poincare = P("1 + 2*t + t^2")
+        memo = {}
+        v1 = scan.divisibility_test(poincare, P("t + t^2"), 2, "x", memo)
+        v2 = scan.divisibility_test(poincare, P("3*t^4 + 3*t^5"), 6, "y", memo)
+        assert list(memo) == [P("1 + t")]
+        assert v1.poly is v2.poly and v1.poly == P("1 + t")
+        assert (v2.b, v2.dim, v2.divides) == (4, 6, True)
+
+    def test_dim_mismatch_raises_on_memoized_primitive(self):
+        poincare = P("1 + 2*t + t^2")
+        memo = {}
+        scan.divisibility_test(poincare, P("1 + t"), 2, "x", memo)
+        assert P("1 + t") in memo
+        with pytest.raises(ValueError, match="dim 3 != f\\(1\\) = 2 for y"):
+            scan.divisibility_test(poincare, P("t + t^2"), 3, "y", memo)
+        with pytest.raises(ValueError, match="nonzero"):
+            scan.divisibility_test(poincare, LaurentPoly.zero(), 0, "z", memo)
+
+    @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 6)])
+    def test_reports_render_each_verdict_as_before(self, spec):
+        report = scan.scan_group(GroupSpec(*spec))
+        lines = report.render().splitlines()
+        assert lines[-len(report.verdicts):] == [
+            "  " + v.render() for v in report.verdicts]
+        assert report.to_dict()["verdicts"] == [
+            v.to_dict() for v in report.verdicts]
 
 
 class TestChecksUnderOptimize:
