@@ -82,7 +82,18 @@ class IrrLabel:
 @functools.lru_cache(maxsize=None)
 def group_orbits(g: GroupSpec) -> tuple[pt.MultipartitionOrbit, ...]:
     """Shift orbits of m-multipartitions of n, in enumeration order."""
-    return pt.shift_orbits(g.p, g.d, g.n)
+    mps = pt.multipartitions(g.m, g.n)
+    # Enumeration order is multipartition_key order, so positions sort
+    # orbit members without re-keying them.
+    unseen = {mp: i for i, mp in enumerate(mps)}
+    orbits: list[pt.MultipartitionOrbit] = []
+    for mp in mps:
+        if mp in unseen:
+            orbit = pt._orbit(mp, g.p, g.d, unseen.__getitem__)
+            for member in orbit.members:
+                del unseen[member]
+            orbits.append(orbit)
+    return tuple(orbits)
 
 
 def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
@@ -123,11 +134,10 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
     weight = pt.orbit_weight_poly(orbit)
     k = weight.trailing_degree()
     reduced_weight = weight.shift(-k)
-    hooks = pt.hook_quotient(orbit.canonical)
     gp = GradedProduct.of(g.d * g.n) * GradedProduct.of(g.m * g.n).inv()
-    gp = gp * hooks.substitute(g.m)
+    gp = gp * pt.hook_quotient(orbit.canonical).substitute(g.m)
     f = gp.reduce_with(reduced_weight).shift(k)
-    hooks_shift = hooks.shift  # sum of weighted_size over the components
+    hooks_shift = sum(pt._weighted_size(lam) for lam in orbit.canonical)
     if f.trailing_degree() != k + g.m * hooks_shift:
         raise VerificationError(
             f"fake degree of {orbit.canonical} has trailing degree "

@@ -10,8 +10,9 @@ Text format: components joined by "|", parts by ",", empty component
 "-", e.g. ``"2,2|-|1"`` for ((2,2), (), (1)).
 
 Partitions are validated where they enter from outside (the public
-``check_*``, ``hook_lengths``, ``weighted_size``, ``orbit_of`` and
-``parse_multipartition``); the enumerators only produce valid ones, so
+``check_*``, ``hook_lengths``, ``weighted_size``, ``orbit_of``,
+``parse_multipartition`` and the canonical member of every
+``MultipartitionOrbit``); the enumerators only produce valid ones, so
 the scan path works on them through unchecked private helpers.
 """
 from __future__ import annotations
@@ -144,16 +145,17 @@ def multipartition_key(mp: Multipartition) -> tuple:
     return tuple(_partition_key(lam) for lam in mp)
 
 
-def multipartition_count(m: int, n: int, cap: int | None = None) -> int:
-    """Number of m-multipartitions of n, without enumerating them.
+def _multipartition_count(m: int, n: int) -> int:
+    """Number of m-multipartitions of n, without enumerating them, or
+    the first count above MAX_MULTIPARTITIONS on the way to n.
 
     It is the coefficient a_n of x^n in prod_k (1 - x^k)^(-m), and
     i * a_i = m * sum_{j=1..i} sigma(j) * a_(i-j), where sigma(j) is the
-    sum of the divisors of j.  The a_i never decrease, so with ``cap``
-    the recurrence stops at the first a_i above it and returns that
-    a_i; the work then stays small however large m and n are.
+    sum of the divisors of j.  The a_i never decrease, so the recurrence
+    stops at the first a_i above the limit; the work then stays small
+    however large m and n are.
 
-    >>> multipartition_count(2, 2)
+    >>> _multipartition_count(2, 2)
     5
     """
     if m < 1:
@@ -165,7 +167,7 @@ def multipartition_count(m: int, n: int, cap: int | None = None) -> int:
     for i in range(1, n + 1):
         sigma.append(sum(k for k in range(1, i + 1) if i % k == 0))
         a.append(m * sum(sigma[j] * a[i - j] for j in range(1, i + 1)) // i)
-        if cap is not None and a[i] > cap:
+        if a[i] > MAX_MULTIPARTITIONS:
             break
     return a[-1]
 
@@ -183,7 +185,7 @@ def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
 
     Refuses, before enumerating, more than MAX_MULTIPARTITIONS.
     """
-    if multipartition_count(m, n, MAX_MULTIPARTITIONS) > MAX_MULTIPARTITIONS:
+    if _multipartition_count(m, n) > MAX_MULTIPARTITIONS:
         raise ValueError(
             f"more than {MAX_MULTIPARTITIONS} {m}-multipartitions of {n}: "
             "too many labels to enumerate")
@@ -220,6 +222,11 @@ class MultipartitionOrbit:
     canonical: Multipartition
     stab_order: int
 
+    def __post_init__(self):
+        # Once per orbit: fake_degree and irr_dimension read canonical
+        # through unchecked helpers, and an orbit may be built by hand.
+        check_multipartition(self.canonical)
+
     def size(self) -> int:
         return len(self.members)
 
@@ -230,24 +237,6 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
     if p < 1 or d < 1 or len(mp) != p * d:
         raise ValueError("need m = p * d components")
     return _orbit(mp, p, d, multipartition_key)
-
-
-def shift_orbits(p: int, d: int, n: int) -> tuple[MultipartitionOrbit, ...]:
-    """Orbits of shift-by-d, of order p, on the (p * d)-multipartitions
-    of n, in enumeration order of their canonical members."""
-    if p < 1 or d < 1:
-        raise ValueError("need positive p and d")
-    mps = multipartitions(p * d, n)
-    # Enumeration order is key order, so positions sort orbit members.
-    unseen = {mp: i for i, mp in enumerate(mps)}
-    orbits = []
-    for mp in mps:
-        if mp in unseen:
-            orbit = _orbit(mp, p, d, unseen.__getitem__)
-            for member in orbit.members:
-                del unseen[member]
-            orbits.append(orbit)
-    return tuple(orbits)
 
 
 def _orbit(mp: Multipartition, p: int, d: int, key) -> MultipartitionOrbit:

@@ -2,7 +2,7 @@ import pytest
 
 from cmscan import fakedeg as fd
 from cmscan import partitions as pt
-from cmscan.polycore import LaurentPoly
+from cmscan.polycore import GradedProduct, LaurentPoly, VerificationError
 
 P = LaurentPoly.parse
 
@@ -123,6 +123,19 @@ class TestGlobalIdentities:
             k = min(pt.index_weight(mp) for mp in orbit.members)
             hooks = sum(pt.weighted_size(lam) for lam in orbit.canonical)
             assert f.trailing_degree() == k + g.m * hooks
+
+    def test_wrong_hook_quotient_shift_is_caught(self, monkeypatch):
+        # The trailing-degree check recomputes the shift independently.
+        real = pt.hook_quotient
+
+        def shifted(mp):
+            gp = real(mp)
+            return GradedProduct(gp.scalar, gp.shift + 1, gp.factors)
+
+        monkeypatch.setattr(pt, "hook_quotient", shifted)
+        g = fd.GroupSpec(3, 3, 2)
+        with pytest.raises(VerificationError, match="trailing degree"):
+            fd.fake_degree(g, fd.group_orbits(g)[0])
 
 
 class TestConfiguredBattery:

@@ -1,5 +1,6 @@
 import pytest
 
+from cmscan import fakedeg as fd
 from cmscan import partitions as pt
 from cmscan.polycore import LaurentPoly
 
@@ -91,7 +92,7 @@ class TestMultipartitions:
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_enumeration_order_is_key_order(self, m):
-        # shift_orbits sorts orbit members by enumeration position.
+        # group_orbits sorts orbit members by enumeration position.
         for n in range(6):
             keys = [pt.multipartition_key(mp) for mp in pt.multipartitions(m, n)]
             assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -99,21 +100,21 @@ class TestMultipartitions:
     def test_count_matches_enumeration(self):
         for m in range(1, 6):
             for n in range(7):
-                assert pt.multipartition_count(m, n) == len(
+                assert pt._multipartition_count(m, n) == len(
                     pt.multipartitions(m, n)), (m, n)
 
     def test_count_generating_function_values(self):
-        assert [pt.multipartition_count(1, n) for n in range(10)] == [
+        assert [pt._multipartition_count(1, n) for n in range(10)] == [
             1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-        assert pt.multipartition_count(20, 8) == 9_869_990
-        assert pt.multipartition_count(12, 6) == 42_614
+        assert pt._multipartition_count(12, 6) == 42_614
 
-    def test_capped_count_stops_early(self):
-        # Counts never decrease in n, so one above the cap settles it;
-        # neither call may walk to n = 10^9 or sum 10^9 terms.
-        assert pt.multipartition_count(1, 10**9, cap=1000) > 1000
-        assert pt.multipartition_count(10**9, 10**9, cap=1000) > 1000
-        assert pt.multipartition_count(3, 2, cap=1000) == 9
+    def test_count_stops_above_the_limit(self):
+        # G(20,1,8) has 9,869,990 labels.  Counts never decrease in n, so
+        # one above the limit settles it; no call may walk to n = 10^9
+        # or sum 10^9 terms.
+        assert pt._multipartition_count(20, 8) > pt.MAX_MULTIPARTITIONS
+        assert pt._multipartition_count(1, 10**9) > pt.MAX_MULTIPARTITIONS
+        assert pt._multipartition_count(10**9, 10**9) > pt.MAX_MULTIPARTITIONS
 
     def test_refuses_before_enumerating(self):
         with pytest.raises(ValueError, match="more than 200000 20-multipartitions of 8"):
@@ -161,7 +162,7 @@ class TestShiftOrbits:
 
     @pytest.mark.parametrize("m, p, n", [(4, 2, 3), (6, 3, 3), (6, 6, 2),
                                          (2, 2, 5), (3, 1, 3), (8, 4, 2)])
-    def test_shift_orbits_match_orbit_of(self, m, p, n):
+    def test_group_orbits_match_orbit_of(self, m, p, n):
         # Oracle: orbit_of on each first-seen member, sorted by key.
         seen = set()
         want = []
@@ -170,7 +171,13 @@ class TestShiftOrbits:
                 orbit = pt.orbit_of(mp, p, m // p)
                 seen.update(orbit.members)
                 want.append(orbit)
-        assert pt.shift_orbits(p, m // p, n) == tuple(want)
+        assert fd.group_orbits(fd.GroupSpec(m, p, n)) == tuple(want)
+
+    @pytest.mark.parametrize("canonical", [((1, 2), ()), ((0,), ()),
+                                           ((1.0,), ())])
+    def test_hand_built_orbit_is_validated(self, canonical):
+        with pytest.raises(ValueError):
+            pt.MultipartitionOrbit((canonical,), canonical, 1)
 
     def test_shift_preserves_size(self):
         for mp in pt.multipartitions(3, 3):
