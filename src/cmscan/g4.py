@@ -464,6 +464,7 @@ def reflection_form_check(group: G4) -> dict[str, Fraction]:
                   * (CycloNumber.from_rational(m, 2) - zeta - zeta.conj())
                   * Fraction(4, 2))
         _require(lam == closed, "closed form disagrees")
+        _require(lam.is_rational(), f"{label} scalar is not rational")
         scalar = lam.as_rational()
         _require(scalar == 2, f"{label} scalar is {scalar}, expected 2")
         results[label] = scalar

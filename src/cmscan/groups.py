@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .cyclo import CycloNumber
 from .fakedeg import GroupSpec, natural_is_reducible
-from .polycore import LaurentPoly, VerificationError
+from .polycore import MAX_SPAN, LaurentPoly, VerificationError
 
 DEFAULT_MAX_ORDER = 10**6
 
@@ -200,6 +200,8 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
     )
     if lam != closed:
         raise VerificationError("closed form disagrees with the computed scalar")
+    if not lam.is_rational():
+        raise VerificationError(f"class sum scalar for {g} is not rational")
     return lam.as_rational()
 
 
@@ -209,53 +211,65 @@ def molien_series(g: GroupSpec, truncate: int = 30,
                   max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
     """(1/|W|) sum_w 1/det(1 - t w) to order ``truncate``, exactly.
 
-    det(1 - t w) = prod over permutation cycles of (1 - zeta^E t^len),
-    so elements are grouped by their cycle signature before the series
-    work; the rational-integrality of the result is checked.
+    det(1 - t w) = prod over the cycles of w of (1 - zeta^E t^L), with L
+    the cycle length and E its exponent sum, so the elements are grouped
+    by their sorted (L, E mod m) signature and each group contributes
+    count * prod_cycles sum_j zeta^(E j) t^(L j).  Those products are
+    summed in the group ring Z[C_m]: each t-coefficient is a list of m
+    ints indexed by the exponent of zeta.  Each coefficient is reduced
+    into Q(zeta_m) once, on the power basis, and divided by |W|; it must
+    be rational and integral (else VerificationError).  The series are
+    expanded term by term, never summed in closed form: that sum
+    collapses to the degrees product this series is checked against.
+    A table of (truncate + 1) * m ints above polycore.MAX_SPAN is refused
+    with ValueError before any work.
     """
+    m = g.m
+    n_terms = truncate + 1
+    if n_terms * m > MAX_SPAN:
+        raise ValueError(
+            f"molien series of {g} to t^{truncate} needs {n_terms * m} "
+            f"coefficients; the limit is {MAX_SPAN}")
     signatures: dict[tuple[tuple[int, int], ...], int] = {}
     for w in elements(g, max_order):
         sig = []
         for cyc in w.cycles():
-            total = sum(w.exps[i] for i in cyc) % g.m
+            total = sum(w.exps[i] for i in cyc) % m
             sig.append((len(cyc), total))
         key = tuple(sorted(sig))
         signatures[key] = signatures.get(key, 0) + 1
 
-    n_terms = truncate + 1
-    zero = CycloNumber.zero(g.m)
-    one = CycloNumber.one(g.m)
-    acc = [zero] * n_terms
+    table = [[0] * m for _ in range(n_terms)]
     for sig, count in sorted(signatures.items()):
-        den = [zero] * n_terms
-        den[0] = one
+        series = [[0] * m for _ in range(n_terms)]
+        series[0][0] = 1
         for length, exp in sig:
-            z = CycloNumber.zeta(g.m, exp)
-            nxt = list(den)
+            # times 1/(1 - zeta^exp t^length): s[k] += zeta^exp * s[k - length],
+            # k ascending, so s[k - length] already carries the new factor.
             for k in range(length, n_terms):
-                if not den[k - length].is_zero():
-                    nxt[k] = nxt[k] - z * den[k - length]
-            den = nxt
-        inv = [zero] * n_terms
-        inv[0] = one
-        for k in range(1, n_terms):
-            s = zero
-            for j in range(1, k + 1):
-                if not den[j].is_zero() and not inv[k - j].is_zero():
-                    s = s + den[j] * inv[k - j]
-            inv[k] = -s
-        c = Fraction(count)
-        acc = [a + v * c for a, v in zip(acc, inv)]
+                prev = series[k - length]
+                rotated = prev[m - exp:] + prev[:m - exp]
+                series[k] = [a + b for a, b in zip(series[k], rotated)]
+        for k, row in enumerate(series):
+            table[k] = [a + count * b for a, b in zip(table[k], row)]
 
-    scale = Fraction(1, g.order)
+    # Phi_m is monic over Z, so zeta^e has integer power-basis coordinates
+    # and so has each reduced coefficient sum_e a_e zeta^e.
+    zetas = [[int(c) for c in CycloNumber.zeta(m, e).coords] for e in range(m)]
+    order = g.order
     out: dict[int, int] = {}
-    for k, v in enumerate(acc):
-        value = v * scale
-        coeff = value.as_rational()
-        if coeff.denominator != 1:
+    for k, row in enumerate(table):
+        coords = [0] * len(zetas[0])
+        for z, a in zip(zetas, row):
+            if a:
+                coords = [c + a * zc for c, zc in zip(coords, z)]
+        if any(coords[1:]):
+            raise VerificationError(f"Molien coefficient at t^{k} is not rational")
+        coeff, rem = divmod(coords[0], order)
+        if rem:
             raise VerificationError(f"Molien coefficient at t^{k} is not integral")
-        if coeff.numerator:
-            out[k] = coeff.numerator
+        if coeff:
+            out[k] = coeff
     return LaurentPoly(out)
 
 

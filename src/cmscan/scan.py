@@ -189,6 +189,31 @@ _WRAPAROUND_NOTE = (
 )
 
 
+# witness_check expands P and divides it by one fake degree, which is
+# quadratic in deg P, and orbit_of keeps up to p shifted m-tuples; both
+# are bounded before any work.
+MAX_WITNESS_DEGREE = 20_000
+
+
+def _check_witness_size(g: GroupSpec) -> None:
+    """Refuse with ValueError a witness whose P has degree above
+    MAX_WITNESS_DEGREE or whose orbit has p * m above
+    partitions.MAX_MULTIPARTITIONS, before anything of size n or m is built.
+
+    deg P = sum(d_i - 1) over the degrees m, 2m, ..., (n-1)m, dn, in
+    closed form so that no tuple of n degrees is allocated.
+    """
+    degree = g.m * g.n * (g.n - 1) // 2 + g.d * g.n - g.n
+    if degree > MAX_WITNESS_DEGREE:
+        raise ValueError(
+            f"the witness of {g} needs a Poincaré polynomial of degree "
+            f"{degree}; the limit is {MAX_WITNESS_DEGREE}")
+    if g.p * g.m > pt.MAX_MULTIPARTITIONS:
+        raise ValueError(
+            f"the witness orbit of {g} spans p*m = {g.p * g.m} components; "
+            f"the limit is {pt.MAX_MULTIPARTITIONS}")
+
+
 def witness_multipartition(g: GroupSpec) -> pt.Multipartition:
     """The designated failing multipartition for G(m,p,n), p > 1."""
     if g.p == 1:
@@ -243,7 +268,9 @@ class WitnessReport:
 
 def witness_check(g: GroupSpec) -> WitnessReport:
     """Test the designated witness label and compare with its predicted
-    failure; discrepancies are reported, never corrected."""
+    failure; discrepancies are reported, never corrected.  Groups over
+    the witness size bounds are refused first (ValueError)."""
+    _check_witness_size(g)
     mp = witness_multipartition(g)
     orbit = pt.orbit_of(mp, g.p, g.d)
     f = fake_degree(g, orbit)

@@ -6,18 +6,23 @@ and column-space bases, a Gauss-Jordan inverse, the projection onto
 Im(1 - S) along Ker(1 - S) for the symplectic extension
 S = diag(s, (s^-1)^T) on h + h*, and the Gram matrix of omega under that
 projection.  ``sparse_rank`` of 1 - w is the old reflection test and
-``character_norm`` the old irreducibility test, by enumeration.  The
-code is kept as it was, so tests can compare the closed forms against it.
+``character_norm`` the old irreducibility test, by enumeration.
+``molien_series_by_inversion`` is the old Molien series, which inverts
+one ``CycloNumber`` power series per cycle signature.  The code is kept
+as it was, so tests can compare the closed forms and the group-ring
+Molien sum against it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from cmscan.cyclo import CycloNumber
-from cmscan.groups import MonomialElement, elements
+from cmscan.fakedeg import GroupSpec
+from cmscan.groups import DEFAULT_MAX_ORDER, MonomialElement, elements
 from cmscan.linalg import (
     Matrix, _dot, identity, mat_mul, mat_sub, symplectic_form_matrix,
 )
+from cmscan.polycore import LaurentPoly, VerificationError
 
 Vector = tuple[CycloNumber, ...]
 
@@ -202,3 +207,59 @@ def character_norm(g) -> Fraction:
     for w in elements(g):
         acc = acc + w.trace() * w.inv().trace()
     return acc.as_rational() / g.order
+
+
+# -- Molien series --------------------------------------------------------
+
+def molien_series_by_inversion(g: GroupSpec, truncate: int = 30,
+                                max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+    """(1/|W|) sum_w 1/det(1 - t w) to order ``truncate``, exactly.
+
+    det(1 - t w) = prod over permutation cycles of (1 - zeta^E t^len),
+    so elements are grouped by their cycle signature before the series
+    work; the rational-integrality of the result is checked.
+    """
+    signatures: dict[tuple[tuple[int, int], ...], int] = {}
+    for w in elements(g, max_order):
+        sig = []
+        for cyc in w.cycles():
+            total = sum(w.exps[i] for i in cyc) % g.m
+            sig.append((len(cyc), total))
+        key = tuple(sorted(sig))
+        signatures[key] = signatures.get(key, 0) + 1
+
+    n_terms = truncate + 1
+    zero = CycloNumber.zero(g.m)
+    one = CycloNumber.one(g.m)
+    acc = [zero] * n_terms
+    for sig, count in sorted(signatures.items()):
+        den = [zero] * n_terms
+        den[0] = one
+        for length, exp in sig:
+            z = CycloNumber.zeta(g.m, exp)
+            nxt = list(den)
+            for k in range(length, n_terms):
+                if not den[k - length].is_zero():
+                    nxt[k] = nxt[k] - z * den[k - length]
+            den = nxt
+        inv = [zero] * n_terms
+        inv[0] = one
+        for k in range(1, n_terms):
+            s = zero
+            for j in range(1, k + 1):
+                if not den[j].is_zero() and not inv[k - j].is_zero():
+                    s = s + den[j] * inv[k - j]
+            inv[k] = -s
+        c = Fraction(count)
+        acc = [a + v * c for a, v in zip(acc, inv)]
+
+    scale = Fraction(1, g.order)
+    out: dict[int, int] = {}
+    for k, v in enumerate(acc):
+        value = v * scale
+        coeff = value.as_rational()
+        if coeff.denominator != 1:
+            raise VerificationError(f"Molien coefficient at t^{k} is not integral")
+        if coeff.numerator:
+            out[k] = coeff.numerator
+    return LaurentPoly(out)

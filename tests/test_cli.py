@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cmscan import cli, scan
+from cmscan import cli, groups, scan
 from cmscan.fakedeg import GroupSpec
 
 DATASET = """\
@@ -88,6 +88,47 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "--truncate" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_molien_truncate_bound_is_exit_2(self):
+        # (truncate + 1) * m above polycore.MAX_SPAN is refused before
+        # the 10^9-row series table is allocated.
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmscan", "molien", "G(2,1,2)",
+             "--truncate", "1000000000"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "the limit is 1048576" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_molien_non_rational_is_exit_1(self, monkeypatch, capsys):
+        real = groups.elements
+
+        def corrupted(g, max_order):
+            # diag(zeta_3, 1) in place of the identity: the t^1
+            # coefficient is no longer rational.
+            for w in real(g, max_order):
+                yield (groups.MonomialElement(3, (0, 1), (1, 0))
+                       if w.is_identity() else w)
+
+        monkeypatch.setattr(groups, "elements", corrupted)
+        assert cli.main(["molien", "G(3,1,2)"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("cmscan: verification mismatch: "
+                       "Molien coefficient at t^1 is not rational\n")
+
+    @pytest.mark.parametrize("group, message", [
+        ("G(2,2,400)", "degree 159600; the limit is 20000"),
+        ("G(100000,100000,2)", "degree 100000; the limit is 20000"),
+        ("G(2,2,1000000000)", "the limit is 20000"),
+        ("G(448,448,2)", "p*m = 200704 components; the limit is 200000"),
+    ])
+    def test_witness_size_bound_is_exit_2(self, group, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmscan", "witness", group],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
 
     def test_g4_ok(self):
         proc = run_cli("g4")

@@ -1,13 +1,16 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import linalg_oracle as oracle
+from cmscan import fakedeg as fd
 from cmscan import groups as gr
 from cmscan import linalg
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
-from cmscan.polycore import LaurentPoly, VerificationError
+from cmscan.polycore import MAX_SPAN, LaurentPoly, VerificationError
 
 P = LaurentPoly.parse
 
@@ -219,3 +222,97 @@ class TestMolien:
     def test_respects_order_bound(self):
         with pytest.raises(gr.GroupTooLargeError):
             gr.molien_series(GroupSpec(2, 1, 3), max_order=10)
+
+    def test_truncate_bounded_before_any_work(self, monkeypatch):
+        with pytest.raises(ValueError, match=f"the limit is {MAX_SPAN}"):
+            gr.molien_series(GroupSpec(2, 1, 2), truncate=10**9)
+        # The bound is on (truncate + 1) * m and is inclusive.
+        monkeypatch.setattr(gr, "MAX_SPAN", 62)
+        assert gr.molien_series(GroupSpec(2, 1, 2), truncate=30) == (
+            gr.degrees_series(GroupSpec(2, 1, 2), truncate=30))
+        with pytest.raises(ValueError, match="needs 64 coefficients"):
+            gr.molien_series(GroupSpec(2, 1, 2), truncate=31)
+
+
+class TestMolienAgainstInversion:
+    """The group-ring sum against the per-signature CycloNumber inversion
+    it replaced (tests/linalg_oracle.py)."""
+
+    @pytest.mark.parametrize("truncate", [0, 1, 30])
+    def test_configured_groups(self, truncate):
+        groups = fd.configured_groups(max_order=200)
+        assert len(groups) > 30
+        for g in groups:
+            assert gr.molien_series(g, truncate) == (
+                oracle.molien_series_by_inversion(g, truncate)), g
+
+    @pytest.mark.parametrize("spec", [(1, 1, 4), (6, 6, 3), (12, 4, 2)]
+                             + [(m, 1, 1) for m in range(1, 13)])
+    def test_extremes(self, spec):
+        # m = 1, rank one, p = m and 1 < p < m.
+        g = GroupSpec(*spec)
+        got = gr.molien_series(g, truncate=30)
+        assert got == oracle.molien_series_by_inversion(g, truncate=30)
+        assert got == gr.degrees_series(g, truncate=30)
+
+    def test_rank_one_is_powers_of_t_to_the_m(self):
+        for m in range(1, 13):
+            got = gr.molien_series(GroupSpec(m, 1, 1), truncate=25)
+            assert got == LaurentPoly({k: 1 for k in range(0, 26, m)})
+
+
+class TestMolienChecks:
+    """The rationality and integrality checks raise VerificationError,
+    so the CLI reports exit 1 and ``python -O`` keeps them."""
+
+    SCRIPT = """
+from cmscan import groups as gr
+from cmscan.fakedeg import GroupSpec
+from cmscan.polycore import VerificationError
+real = gr.elements
+def corrupted(g, max_order):
+    for w in real(g, max_order):
+        {corrupt}
+gr.elements = corrupted
+print("__debug__ =", __debug__)
+try:
+    gr.molien_series(GroupSpec(3, 1, 2), truncate=4)
+except VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        # The identity counted twice: t^0 has coefficient 19/18.
+        ("yield w\n        if w.is_identity(): yield w",
+         "Molien coefficient at t^0 is not integral"),
+        # The identity replaced by diag(zeta, 1): the count stays |W| but
+        # the t^1 coefficient moves by (zeta - 1)/|W|.
+        ("yield gr.MonomialElement(3, (0, 1), (1, 0)) "
+         "if w.is_identity() else w",
+         "Molien coefficient at t^1 is not rational"),
+    ])
+    def test_corrupted_signatures_raise_under_optimize(self, corrupt, message):
+        code = self.SCRIPT.format(corrupt=corrupt)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "__debug__ = False", f"VerificationError: {message}"]
+
+    def test_non_rational_class_scalar_raises(self, monkeypatch):
+        # A ReflectionClass whose zeta is 2*zeta_5, not a root of unity,
+        # makes the closed form irrational; the computed scalar is
+        # patched to agree with it, so only the rationality check fails.
+        g = GroupSpec(5, 1, 2)
+        cls = gr.reflection_classes(g)[0]
+        zeta = CycloNumber.zeta(5) * 2
+        bad = gr.ReflectionClass(cls.elements, zeta)
+        one = CycloNumber.one(5)
+        closed = ((one - zeta).inverse() * (one - zeta.conj()).inverse()
+                  * (CycloNumber.from_rational(5, 2) - zeta - zeta.conj())
+                  * Fraction(bad.size, g.n))
+        assert not closed.is_rational()
+        monkeypatch.setattr(gr.linalg, "proportionality_scalar",
+                            lambda total, j: closed)
+        with pytest.raises(VerificationError, match="is not rational"):
+            gr.omega_class_sum(g, bad)

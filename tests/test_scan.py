@@ -245,6 +245,38 @@ class TestWitness:
         assert not report.verdict.divides
         assert report.notes == ()
 
+    def test_size_bound_degree_is_that_of_p(self, monkeypatch):
+        # The bound's closed form of deg P, read from its message with a
+        # limit of 0, against P itself.
+        monkeypatch.setattr(scan, "MAX_WITNESS_DEGREE", 0)
+        for spec in [(2, 2, 4), (5, 5, 2), (6, 2, 3), (4, 2, 5), (1, 1, 6),
+                     (3, 1, 1), (12, 4, 3)]:
+            g = GroupSpec(*spec)
+            degree = coinvariant_poincare(g).degree()
+            assert degree == sum(d - 1 for d in g.degrees)
+            with pytest.raises(ValueError,
+                               match=f"of degree {degree}; the limit is 0"):
+                scan._check_witness_size(g)
+
+    def test_size_bounds(self, monkeypatch):
+        # deg P of G(2,2,141) is 19,740 and G(447,447,2) has p*m = 199,809.
+        for spec in [(2, 2, 141), (447, 447, 2), (5, 5, 2)]:
+            scan._check_witness_size(GroupSpec(*spec))
+        for spec in [(2, 2, 142), (448, 448, 2), (20001, 20001, 2)]:
+            with pytest.raises(ValueError, match="the limit is"):
+                scan.witness_check(GroupSpec(*spec))
+        # Both limits are inclusive.
+        monkeypatch.setattr(scan, "MAX_WITNESS_DEGREE", 19_740)
+        scan._check_witness_size(GroupSpec(2, 2, 141))
+        monkeypatch.setattr(scan, "MAX_WITNESS_DEGREE", 19_739)
+        with pytest.raises(ValueError, match="the limit is 19739"):
+            scan._check_witness_size(GroupSpec(2, 2, 141))
+        monkeypatch.setattr(pt, "MAX_MULTIPARTITIONS", 25)
+        scan._check_witness_size(GroupSpec(5, 5, 2))
+        monkeypatch.setattr(pt, "MAX_MULTIPARTITIONS", 24)
+        with pytest.raises(ValueError, match="p[*]m = 25 components"):
+            scan._check_witness_size(GroupSpec(5, 5, 2))
+
     def test_g552_witness_fake_degree(self):
         report = scan.witness_check(GroupSpec(5, 5, 2))
         assert report.fake == P("t + t^4")
