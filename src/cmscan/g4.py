@@ -444,20 +444,12 @@ def reflection_form_check(group: G4) -> dict[str, Fraction]:
     one = CycloNumber.one(m)
     results: dict[str, Fraction] = {}
     for label, index in (("Cl3", 2), ("Cl4", 3)):
-        total = None
-        zeta = None
-        for q in group.classes[index]:
-            rho = reflection_matrix(group, q)
-            try:
-                form = linalg.reflection_form(rho, m)
-            except VerificationError as exc:
-                raise VerificationError(f"{q} does not act as a reflection") from exc
-            zeta_q = rho[0][0] + rho[1][1] - one
-            zeta = zeta_q if zeta is None else zeta
-            _require(zeta_q == zeta, "eigenvalue must be constant on the class")
-            total = form if total is None else tuple(
-                tuple(x + y for x, y in zip(rx, ry))
-                for rx, ry in zip(total, form))
+        try:
+            total, t = linalg.reflection_form_sum(
+                (reflection_matrix(group, q) for q in group.classes[index]), m)
+        except VerificationError as exc:
+            raise VerificationError(f"{label}: {exc}") from exc
+        zeta = one - t
         lam = linalg.proportionality_scalar(total, j)
         _require(lam is not None, f"{label} sum is not proportional to omega")
         closed = ((one - zeta).inverse() * (one - zeta.conj()).inverse()

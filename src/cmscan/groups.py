@@ -2,9 +2,9 @@
 
 Elements are monomial matrices stored as (permutation, exponent vector):
 the matrix has entry zeta_m^exps[i] in row perm[i], column i.  Element
-enumeration, reflection detection from the cycle type, conjugacy classes
-of reflections, sums of restricted symplectic forms on h + h* and Molien
-series all live here; everything is exact.
+enumeration, the conjugacy classes of reflections in closed form, sums
+of restricted symplectic forms on h + h* and Molien series all live
+here; everything is exact.
 """
 from __future__ import annotations
 
@@ -109,28 +109,27 @@ class MonomialElement:
         return (self.perm, self.exps)
 
 
+def _check_order(g: GroupSpec, max_order: int) -> None:
+    # |W| = m^n n!/p, multiplied up only until past the bound: huge n is cheap.
+    order = 1
+    for k in range(1, g.n + 1):
+        order *= g.m * k
+        if order > max_order * g.p:
+            size = f" {order // g.p}" if k == g.n else ""
+            raise GroupTooLargeError(f"{g} has order{size} > bound {max_order}")
+
+
 def elements(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER):
-    """All elements in deterministic (perm, exps) lexicographic order."""
-    if g.order > max_order:
-        raise GroupTooLargeError(
-            f"{g} has order {g.order} > bound {max_order}")
+    """All elements in deterministic (perm, exps) lexicographic order,
+    valid by construction and so not re-validated."""
+    _check_order(g, max_order)
+    m, p, new = g.m, g.p, object.__new__
     for perm in itertools.permutations(range(g.n)):
-        for exps in itertools.product(range(g.m), repeat=g.n):
-            if sum(exps) % g.p == 0:
-                yield MonomialElement(g.m, perm, exps)
-
-
-def is_reflection(w: MonomialElement) -> bool:
-    """rank(1 - w) == 1.
-
-    On the coordinates of one cycle of w, of length L and exponent sum E,
-    w has characteristic polynomial x^L - zeta^E, so it fixes a line there
-    exactly when E = 0 mod m and nothing otherwise.  Hence rank(1 - w) is
-    n minus the number of cycles whose exponent sum is 0 mod m.
-    """
-    fixed = sum(1 for cyc in w.cycles()
-                if sum(w.exps[i] for i in cyc) % w.m == 0)
-    return w.n - fixed == 1
+        for head in itertools.product(range(m), repeat=g.n - 1):
+            for last in range(-sum(head) % p, m, p):
+                w = new(MonomialElement)
+                vars(w).update(m=m, perm=perm, exps=head + (last,))
+                yield w
 
 
 @dataclass(frozen=True)
@@ -147,21 +146,31 @@ class ReflectionClass:
 
 def reflection_classes(g: GroupSpec,
                        max_order: int = DEFAULT_MAX_ORDER) -> tuple[ReflectionClass, ...]:
-    """Conjugacy classes of reflections, ordered by first appearance."""
-    all_elements = list(elements(g, max_order))
-    reflections = [w for w in all_elements if is_reflection(w)]
-    assigned: set[MonomialElement] = set()
-    classes: list[ReflectionClass] = []
-    n_minus_1 = CycloNumber.from_rational(g.m, g.n - 1)
-    for s in reflections:
-        if s in assigned:
-            continue
-        orbit = {x * s * x.inv() for x in all_elements}
-        assigned |= orbit
-        members = tuple(sorted(orbit, key=MonomialElement.sort_key))
-        zeta = s.trace() - n_minus_1
-        classes.append(ReflectionClass(members, zeta))
-    return tuple(classes)
+    """Conjugacy classes of reflections, in closed form.
+
+    One class of the n matrices diag(..., zeta^k, ...) per k in pZ/m,
+    k != 0, then one of the m n(n-1)/2 transpositions (i j) with
+    exponents a at i and -a at j, split by the parity of a for n = 2
+    with p even (conjugation moves a only by even steps there).  That is
+    the (perm, exps) order of first members, as an enumeration meets
+    them; members are sorted the same way.  |W| > max_order is refused.
+    """
+    _check_order(g, max_order)
+    m, n = g.m, g.n
+    ident = tuple(range(n))
+    classes = [([MonomialElement(m, ident, tuple(k if x == i else 0 for x in ident))
+                 for i in ident], CycloNumber.zeta(m, k)) for k in range(g.p, m, g.p)]
+    swaps: dict[int, list[MonomialElement]] = {}
+    split = n == 2 and g.p % 2 == 0
+    for i, j in itertools.combinations(ident, 2):
+        perm = tuple(j if x == i else i if x == j else x for x in ident)
+        for a in range(m):
+            exps = tuple(a if x == i else -a % m if x == j else 0 for x in ident)
+            swaps.setdefault(a % 2 if split else 0, []).append(
+                MonomialElement(m, perm, exps))
+    classes += [(members, CycloNumber.from_rational(m, -1)) for members in swaps.values()]
+    return tuple(ReflectionClass(tuple(sorted(members, key=MonomialElement.sort_key)),
+                                 zeta) for members, zeta in classes)
 
 
 def is_irreducible_natural(g: GroupSpec) -> bool:
@@ -174,18 +183,16 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
 
     Verified entrywise on the standard basis, and checked equal to the
     exact closed form (k/n)(1-zeta)^-1(1-zeta^-1)^-1(2-zeta-zeta^-1).
-    Refuses reducible natural representations, where the Schur argument
-    does not apply.
+    That is k/n for any root of unity zeta != 1, so the class's zeta is
+    checked against its members' too.  Refuses reducible natural
+    representations, where the Schur argument does not apply.
     """
     if not is_irreducible_natural(g):
         raise ReducibleRepresentationError(
             f"natural representation of {g} is reducible")
     m = g.m
-    total: linalg.Matrix | None = None
-    for s in refl_class.elements:
-        form = linalg.reflection_form(s.matrix(), m)
-        total = form if total is None else tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, form))
+    total, t = linalg.reflection_form_sum(
+        (s.matrix() for s in refl_class.elements), m)
     j = linalg.symplectic_form_matrix(g.n, m)
     lam = linalg.proportionality_scalar(total, j)
     if lam is None:
@@ -194,7 +201,7 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
     zinv = zeta.conj()
     one = CycloNumber.one(m)
     closed = (
-        (one - zeta).inverse() * (one - zinv).inverse()
+        ((one - zeta) * (one - zinv)).inverse()
         * (CycloNumber.from_rational(m, 2) - zeta - zinv)
         * Fraction(refl_class.size, g.n)
     )
@@ -202,6 +209,9 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
         raise VerificationError("closed form disagrees with the computed scalar")
     if not lam.is_rational():
         raise VerificationError(f"class sum scalar for {g} is not rational")
+    if t != one - zeta:
+        raise VerificationError(
+            f"class eigenvalue of {g} is not the eigenvalue of its members")
     return lam.as_rational()
 
 
@@ -231,12 +241,13 @@ def molien_series(g: GroupSpec, truncate: int = 30,
             f"molien series of {g} to t^{truncate} needs {n_terms * m} "
             f"coefficients; the limit is {MAX_SPAN}")
     signatures: dict[tuple[tuple[int, int], ...], int] = {}
+    cycles_of: dict[tuple[int, ...], list[list[int]]] = {}  # once per perm
     for w in elements(g, max_order):
-        sig = []
-        for cyc in w.cycles():
-            total = sum(w.exps[i] for i in cyc) % m
-            sig.append((len(cyc), total))
-        key = tuple(sorted(sig))
+        if w.perm not in cycles_of:
+            cycles_of[w.perm] = w.cycles()
+        get = w.exps.__getitem__
+        key = tuple(sorted((len(cyc), sum(map(get, cyc)) % m)
+                           for cyc in cycles_of[w.perm]))
         signatures[key] = signatures.get(key, 0) + 1
 
     table = [[0] * m for _ in range(n_terms)]
@@ -274,9 +285,12 @@ def molien_series(g: GroupSpec, truncate: int = 30,
 
 
 def degrees_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
-    """prod 1/(1 - t^degree) truncated; the invariant-theory prediction."""
-    den = LaurentPoly.one()
-    for deg in g.degrees:
-        den = den * LaurentPoly({0: 1, deg: -1})
-    from .polycore import series_quotient
-    return series_quotient(LaurentPoly.one(), den, truncate)
+    """prod 1/(1 - t^degree) truncated; the invariant-theory prediction.
+    Dividing by 1 - t^d is q[i] += q[i - d], i ascending, over ints."""
+    if not 0 <= truncate <= MAX_SPAN:
+        raise ValueError(f"truncation order must be in [0, {MAX_SPAN}]")
+    q = [1] + [0] * truncate
+    for d in g.degrees:
+        for j in range(min(d, len(q))):
+            q[j::d] = itertools.accumulate(q[j::d])
+    return LaurentPoly._dense(0, q)

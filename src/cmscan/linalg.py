@@ -1,12 +1,14 @@
 """Exact linear algebra over cyclotomic fields.
 
 Matrices are tuples of row tuples of CycloNumber, all sharing one
-modulus.  The only nontrivial matrix a check needs is the restricted
-symplectic form of a reflection, which has a closed form because 1 - s
-has rank one; the generic projection pipeline it replaces is the test
+modulus.  The only nontrivial matrix a check needs is a sum of
+restricted symplectic forms of reflections, in closed form as 1 - s has
+rank one; the generic projection pipeline it replaces is the test
 oracle in tests/linalg_oracle.py.
 """
 from __future__ import annotations
+
+from typing import Iterable
 
 from .cyclo import CycloNumber
 from .polycore import VerificationError
@@ -20,7 +22,8 @@ def identity(n: int, m: int) -> Matrix:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x if y.is_zero() else x - y for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -32,16 +35,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _dot(u, v) -> CycloNumber:
-    it = iter(zip(u, v))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    """sum u[i] v[i], skipping (exactly) the pairs with a zero factor."""
+    acc = None
+    for x, y in zip(u, v):
+        if x.is_zero() or y.is_zero():
+            continue
+        acc = x * y if acc is None else acc + x * y
+    return CycloNumber.zero(u[0].m) if acc is None else acc
 
 
 def scalar_mul(c: CycloNumber, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(x if x.is_zero() else c * x for x in row) for row in a)
 
 
 def symplectic_form_matrix(n: int, m: int) -> Matrix:
@@ -61,7 +65,14 @@ def symplectic_form_matrix(n: int, m: int) -> Matrix:
 
 def reflection_form(s: Matrix, m: int) -> Matrix:
     """Gram matrix on h + h* of the restricted form omega_s of a
-    reflection s of h.
+    reflection s of h: the one-member case of reflection_form_sum."""
+    return reflection_form_sum((s,), m)[0]
+
+
+def reflection_form_sum(reflections: Iterable[Matrix],
+                        m: int) -> tuple[Matrix, CycloNumber]:
+    """(sum of the Gram matrices of omega_s on h + h*, t = 1 - zeta) for
+    reflections s of h that share one eigenvalue zeta.
 
     omega_s = omega(pi ., pi .), where pi projects onto Im(1 - S) along
     Ker(1 - S) for the action S = diag(s, (s^-1)^T) on h + h*.  With
@@ -69,23 +80,38 @@ def reflection_form(s: Matrix, m: int) -> Matrix:
     that projection on h; on h* it is N / (1 - zeta^-1) for
     N = 1 - (s^-1)^T, and N^T M = -zeta^-1 M^2 because s^-1 acts on
     Im M by zeta^-1.  Both cross blocks of pi^T J pi then reduce to
-    M / t, giving t^-1 [[0, -M^T], [M, 0]] with no inverse matrix.
+    M / t, giving t^-1 [[0, -M^T], [M, 0]] with no inverse matrix, and
+    as t is shared the sum is t^-1 [[0, -sum M^T], [sum M, 0]].
 
-    Raises VerificationError unless t != 0 and M M == t M, which in
-    characteristic 0 holds exactly when s is a reflection: rank M = 1
-    with Im M and Ker M complementary.
+    Raises VerificationError unless each s has the same t, t != 0 and
+    M M == t M, which in characteristic 0 holds exactly when s is a
+    reflection: rank M = 1 with Im M and Ker M complementary.
     """
-    n = len(s)
-    b = mat_sub(identity(n, m), s)
-    t = sum((b[i][i] for i in range(1, n)), b[0][0])
-    if t.is_zero() or mat_mul(b, b) != scalar_mul(t, b):
-        raise VerificationError("1 - s does not have rank one with nonzero "
-                                "trace: s is not a reflection")
-    scaled = scalar_mul(t.inverse(), b)
+    total = t = None
+    for s in reflections:
+        n = len(s)
+        b = mat_sub(identity(n, m), s)
+        tr = sum((b[i][i] for i in range(1, n)), b[0][0])
+        if tr.is_zero() or mat_mul(b, b) != scalar_mul(tr, b):
+            raise VerificationError("1 - s does not have rank one with nonzero "
+                                    "trace: s is not a reflection")
+        if t is None:
+            total, t = b, tr
+        elif tr != t:
+            raise VerificationError("reflections summed together must share "
+                                    "their eigenvalue")
+        else:
+            total = tuple(tuple(x if y.is_zero() else x + y
+                                for x, y in zip(rx, ry))
+                          for rx, ry in zip(total, b))
+    if t is None:
+        raise ValueError("no reflections to sum")
+    scaled = scalar_mul(t.inverse(), total)
     zero = (CycloNumber.zero(m),) * n
-    return (tuple(zero + tuple(-scaled[j][i] for j in range(n))
+    form = (tuple(zero + tuple(-scaled[j][i] for j in range(n))
                   for i in range(n))
             + tuple(row + zero for row in scaled))
+    return form, t
 
 
 def proportionality_scalar(a: Matrix, b: Matrix) -> CycloNumber | None:
@@ -97,10 +123,9 @@ def proportionality_scalar(a: Matrix, b: Matrix) -> CycloNumber | None:
                 if not x.is_zero():
                     return None
                 continue
-            ratio = x / y
             if c is None:
-                c = ratio
-            elif c != ratio:
+                c = x / y
+            elif x != c * y:
                 return None
     if c is None:
         c = CycloNumber.zero(a[0][0].m)

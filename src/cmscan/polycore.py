@@ -558,35 +558,3 @@ class GradedProduct:
     def __repr__(self) -> str:
         body = " ".join(f"(1-t^{a})^{e}" for a, e in self.factors.items())
         return f"GradedProduct({self.scalar} * t^{self.shift} * {body or '1'})"
-
-
-def series_quotient(num: LaurentPoly, den: LaurentPoly, n: int) -> LaurentPoly:
-    """First n+1 coefficients of num/den as a formal power series.
-
-    ``den`` must be an honest polynomial with nonzero constant term and
-    ``num`` must have no negative exponents.  The recurrence is run over
-    exact rationals and the truncated result must be integral.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("series division by zero")
-    if den.trailing_degree() != 0:
-        raise ValueError("series denominator needs a nonzero constant term")
-    if not num.is_zero() and num.trailing_degree() < 0:
-        raise ValueError("series numerator must not have negative exponents")
-    if n < 0:
-        raise ValueError("truncation order must be nonnegative")
-    d0 = Fraction(den.coeff(0))
-    coeffs: list[Fraction] = []
-    for k in range(n + 1):
-        acc = Fraction(num.coeff(k))
-        for j, c in den.items():
-            if 1 <= j <= k:
-                acc -= c * coeffs[k - j]
-        coeffs.append(acc / d0)
-    out: dict[int, int] = {}
-    for k, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise ValueError(f"series coefficient at t^{k} is not an integer: {c}")
-        if c.numerator:
-            out[k] = c.numerator
-    return LaurentPoly(out)

@@ -7,6 +7,9 @@ Im(1 - S) along Ker(1 - S) for the symplectic extension
 S = diag(s, (s^-1)^T) on h + h*, and the Gram matrix of omega under that
 projection.  ``sparse_rank`` of 1 - w is the old reflection test and
 ``character_norm`` the old irreducibility test, by enumeration.
+``is_reflection`` is the cycle rule that replaced ``sparse_rank``, and
+``reflection_classes_by_conjugation`` the old reflection classes, which
+enumerate the group and conjugate each reflection by every element.
 ``molien_series_by_inversion`` is the old Molien series, which inverts
 one ``CycloNumber`` power series per cycle signature.  The code is kept
 as it was, so tests can compare the closed forms and the group-ring
@@ -18,7 +21,9 @@ from fractions import Fraction
 
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
-from cmscan.groups import DEFAULT_MAX_ORDER, MonomialElement, elements
+from cmscan.groups import (
+    DEFAULT_MAX_ORDER, MonomialElement, ReflectionClass, elements,
+)
 from cmscan.linalg import (
     Matrix, _dot, identity, mat_mul, mat_sub, symplectic_form_matrix,
 )
@@ -199,6 +204,39 @@ def one_minus_rows(w: MonomialElement) -> list[dict[int, CycloNumber]]:
         else:
             row[j] = val
     return rows
+
+
+def is_reflection(w: MonomialElement) -> bool:
+    """rank(1 - w) == 1.
+
+    On the coordinates of one cycle of w, of length L and exponent sum E,
+    w has characteristic polynomial x^L - zeta^E, so it fixes a line there
+    exactly when E = 0 mod m and nothing otherwise.  Hence rank(1 - w) is
+    n minus the number of cycles whose exponent sum is 0 mod m.
+    """
+    fixed = sum(1 for cyc in w.cycles()
+                if sum(w.exps[i] for i in cyc) % w.m == 0)
+    return w.n - fixed == 1
+
+
+def reflection_classes_by_conjugation(
+        g: GroupSpec,
+        max_order: int = DEFAULT_MAX_ORDER) -> tuple[ReflectionClass, ...]:
+    """Conjugacy classes of reflections, ordered by first appearance."""
+    all_elements = list(elements(g, max_order))
+    reflections = [w for w in all_elements if is_reflection(w)]
+    assigned: set[MonomialElement] = set()
+    classes: list[ReflectionClass] = []
+    n_minus_1 = CycloNumber.from_rational(g.m, g.n - 1)
+    for s in reflections:
+        if s in assigned:
+            continue
+        orbit = {x * s * x.inv() for x in all_elements}
+        assigned |= orbit
+        members = tuple(sorted(orbit, key=MonomialElement.sort_key))
+        zeta = s.trace() - n_minus_1
+        classes.append(ReflectionClass(members, zeta))
+    return tuple(classes)
 
 
 def character_norm(g) -> Fraction:

@@ -6,12 +6,15 @@ coefficients, with schoolbook multiplication and long division that
 finds the leading term with ``max`` on every step.  ``reduce`` and
 ``reduce_with`` expand a ``GradedProduct`` through its cyclotomic
 factorisation, multiplying out Phi_k^e and dividing once at the end.
-The code is kept as it was, so tests can compare the dense kernel and
-the factor-at-a-time expansion against it.
+``series_quotient`` is the power-series division over ``Fraction`` that
+``groups.degrees_series`` used before its integer prefix sums.  The code
+is kept as it was, so tests can compare the dense kernel, the
+factor-at-a-time expansion and the degrees series against it.
 """
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from typing import Iterator, Mapping
 
 from cmscan.polycore import GradedProduct, LaurentPoly, NotPolynomialError
@@ -218,3 +221,35 @@ def reduce_with(gp: GradedProduct, poly: DictPoly) -> DictPoly:
     if not r.is_zero():
         raise NotPolynomialError(max(cf.negative_indices(), default=1))
     return (q * (gp.scalar * sign)).shift(gp.shift)
+
+
+def series_quotient(num: LaurentPoly, den: LaurentPoly, n: int) -> LaurentPoly:
+    """First n+1 coefficients of num/den as a formal power series.
+
+    ``den`` must be an honest polynomial with nonzero constant term and
+    ``num`` must have no negative exponents.  The recurrence is run over
+    exact rationals and the truncated result must be integral.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("series division by zero")
+    if den.trailing_degree() != 0:
+        raise ValueError("series denominator needs a nonzero constant term")
+    if not num.is_zero() and num.trailing_degree() < 0:
+        raise ValueError("series numerator must not have negative exponents")
+    if n < 0:
+        raise ValueError("truncation order must be nonnegative")
+    d0 = Fraction(den.coeff(0))
+    coeffs: list[Fraction] = []
+    for k in range(n + 1):
+        acc = Fraction(num.coeff(k))
+        for j, c in den.items():
+            if 1 <= j <= k:
+                acc -= c * coeffs[k - j]
+        coeffs.append(acc / d0)
+    out: dict[int, int] = {}
+    for k, c in enumerate(coeffs):
+        if c.denominator != 1:
+            raise ValueError(f"series coefficient at t^{k} is not an integer: {c}")
+        if c.numerator:
+            out[k] = c.numerator
+    return LaurentPoly(out)

@@ -77,6 +77,31 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "order" in proc.stderr
 
+    @pytest.mark.parametrize("bound, code", [(15551, 2), (15552, 0)])
+    def test_verify_omega_max_order_is_the_group_order(self, bound, code,
+                                                        capsys):
+        # |G(6,2,4)| = 15552; the classes are built in closed form, but
+        # --max-order still bounds the group's order, inclusively.
+        assert cli.main(["verify-omega", "G(6,2,4)",
+                         "--max-order", str(bound)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "cmscan: error: G(6,2,4) has "
+                       "order 15552 > bound 15551\n")
+
+    def test_verify_omega_never_enumerates_the_group(self, monkeypatch,
+                                                     capsys):
+        calls = []
+        real = groups.elements
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "elements", spy)
+        assert cli.main(["verify-omega", "G(6,2,4)"]) == 0
+        assert "3 reflection class(es)" in capsys.readouterr().out
+        assert calls == []
+
     def test_molien_ok(self):
         proc = run_cli("molien", "G(3,3,2)", "--truncate", "12")
         assert proc.returncode == 0

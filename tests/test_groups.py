@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import linalg_oracle as oracle
+import polyoracle
 from cmscan import fakedeg as fd
 from cmscan import groups as gr
 from cmscan import linalg
@@ -81,6 +83,18 @@ class TestEnumeration:
         with pytest.raises(gr.GroupTooLargeError):
             list(gr.elements(GroupSpec(2, 1, 3), max_order=10))
 
+    def test_elements_equal_validated_elements(self):
+        # The enumerator skips MonomialElement's validation; every element
+        # must still be the validated one, in (perm, exps) order.
+        for g in fd.configured_groups(max_order=2000):
+            els = list(gr.elements(g))
+            assert len(els) == g.order, g
+            assert els == sorted(els, key=gr.MonomialElement.sort_key), g
+            assert len(set(els)) == g.order, g
+            for w in els:
+                assert w == gr.MonomialElement(g.m, w.perm, w.exps), (g, w)
+                assert sum(w.exps) % g.p == 0, (g, w)
+
 
 class TestReflections:
     @pytest.mark.parametrize("spec", [(1, 1, 3), (2, 1, 2), (3, 1, 2),
@@ -88,11 +102,11 @@ class TestReflections:
                                       (2, 2, 3)])
     def test_reflection_count(self, spec):
         g = GroupSpec(*spec)
-        found = sum(1 for w in gr.elements(g) if gr.is_reflection(w))
+        found = sum(1 for w in gr.elements(g) if oracle.is_reflection(w))
         assert found == reflection_count(*spec)
 
     def test_identity_is_not_a_reflection(self):
-        assert not gr.is_reflection(gr.MonomialElement.identity(4, 2))
+        assert not oracle.is_reflection(gr.MonomialElement.identity(4, 2))
 
     def test_class_structure_g312(self):
         g = GroupSpec(3, 1, 2)
@@ -117,7 +131,7 @@ class TestReflections:
         for w in gr.elements(GroupSpec(*spec)):
             rank_is_one = oracle.sparse_rank(oracle.one_minus_rows(w),
                                              stop_at=2) == 1
-            assert gr.is_reflection(w) == rank_is_one, w
+            assert oracle.is_reflection(w) == rank_is_one, w
 
     def test_classes_are_closed_under_conjugation(self):
         g = GroupSpec(3, 3, 2)
@@ -126,6 +140,81 @@ class TestReflections:
         for x in gr.elements(g):
             for s in members:
                 assert x * s * x.inv() in members
+
+
+def oracle_groups():
+    """Every G(m,p,n) with m <= 8, n <= 4 and order <= 50,000."""
+    return [GroupSpec(m, p, n) for n in range(1, 5) for m in range(1, 9)
+            for p in range(1, m + 1)
+            if m % p == 0 and GroupSpec(m, p, n).order <= 50_000]
+
+
+class TestClosedFormClasses:
+    """The closed-form reflection classes against the enumeration and
+    conjugation they replaced (tests/linalg_oracle.py)."""
+
+    @pytest.mark.parametrize("g", oracle_groups(), ids=str)
+    def test_matches_conjugation_oracle(self, g):
+        got = gr.reflection_classes(g)
+        want = oracle.reflection_classes_by_conjugation(g)
+        assert [c.elements for c in got] == [c.elements for c in want]
+        assert [c.zeta for c in got] == [c.zeta for c in want]
+
+    def test_oracle_grid_size(self):
+        assert len(oracle_groups()) == 78
+
+    @pytest.mark.parametrize("spec", [(1, 1, 1), (2, 1, 1), (6, 1, 1),
+                                      (6, 2, 1), (8, 4, 1), (5, 5, 1)])
+    def test_rank_one_has_only_diagonal_classes(self, spec):
+        g = GroupSpec(*spec)
+        classes = gr.reflection_classes(g)
+        m, p, _ = spec
+        assert [c.elements for c in classes] == [
+            (gr.MonomialElement(m, (0,), (k,)),) for k in range(p, m, p)]
+        assert [c.zeta for c in classes] == [
+            CycloNumber.zeta(m, k) for k in range(p, m, p)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_symmetric_group_has_only_transpositions(self, n):
+        (cls,) = gr.reflection_classes(GroupSpec(1, 1, n))
+        assert cls.size == n * (n - 1) // 2
+        assert cls.zeta == CycloNumber.from_rational(1, -1)
+        assert all(sum(i != j for i, j in enumerate(w.perm)) == 2
+                   for w in cls.elements)
+
+    @pytest.mark.parametrize("spec", [(4, 2, 2), (6, 2, 2), (6, 6, 2)])
+    def test_rank_two_even_p_splits_by_parity(self, spec):
+        m, p, _ = spec
+        classes = gr.reflection_classes(GroupSpec(*spec))
+        swaps = [c for c in classes if c.elements[0].perm == (1, 0)]
+        assert len(swaps) == 2
+        for parity, cls in enumerate(swaps):
+            assert cls.size == m // 2
+            assert cls.zeta == CycloNumber.from_rational(m, -1)
+            assert [w.exps for w in cls.elements] == [
+                (a, -a % m) for a in range(parity, m, 2)]
+        assert len(classes) == 2 + (m // p - 1)
+
+    @pytest.mark.parametrize("spec", [(6, 3, 2), (6, 1, 2), (4, 2, 3)])
+    def test_odd_p_or_higher_rank_does_not_split(self, spec):
+        m, _, n = spec
+        classes = gr.reflection_classes(GroupSpec(*spec))
+        swaps = [c for c in classes if c.elements[0].perm != tuple(range(n))]
+        assert [c.size for c in swaps] == [m * n * (n - 1) // 2]
+
+    def test_order_bound_before_any_work(self):
+        with pytest.raises(gr.GroupTooLargeError, match="> bound 10"):
+            gr.reflection_classes(GroupSpec(2, 1, 3), max_order=10)
+        # |G(2, 1, 10^7)| has tens of millions of digits: the bound stops
+        # multiplying it up once it is passed, so this is refused at once.
+        for g in (GroupSpec(2, 1, 10**7), GroupSpec(10**4, 1, 1000)):
+            with pytest.raises(gr.GroupTooLargeError,
+                               match=rf"^{re.escape(str(g))} has order > bound"):
+                gr.reflection_classes(g)
+            with pytest.raises(gr.GroupTooLargeError, match="has order > bound"):
+                next(gr.elements(g))
+        # The bound is inclusive.
+        assert gr.reflection_classes(GroupSpec(2, 1, 3), max_order=48)
 
 
 class TestNaturalCharacter:
@@ -201,6 +290,53 @@ class TestClassSums:
             gr.omega_class_sum(g, cls)
 
 
+class TestClassSumChecks:
+    """omega_class_sum's checks on hand-built classes raise
+    VerificationError, also under ``python -O``."""
+
+    SCRIPT = """
+from cmscan import groups as gr
+from cmscan.fakedeg import GroupSpec
+from cmscan.polycore import VerificationError
+g = GroupSpec(5, 1, 2)
+diag1, diag2, *_, swaps = gr.reflection_classes(g)
+bad = gr.ReflectionClass({members}, {zeta})
+print("__debug__ =", __debug__)
+try:
+    gr.omega_class_sum(g, bad)
+except VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+
+    @pytest.mark.parametrize("members, zeta, message", [
+        # diag(1, zeta) and diag(1, zeta^2) disagree on the eigenvalue.
+        ("diag1.elements[:1] + diag2.elements[:1]", "diag1.zeta",
+         "reflections summed together must share their eigenvalue"),
+        # The identity: 1 - s = 0 has trace 0.
+        ("diag1.elements + (gr.MonomialElement.identity(5, 2),)",
+         "diag1.zeta",
+         "1 - s does not have rank one with nonzero trace: "
+         "s is not a reflection"),
+        # diag(zeta, zeta): 1 - s has rank two.
+        ("(gr.MonomialElement(5, (0, 1), (1, 1)),)", "diag1.zeta",
+         "1 - s does not have rank one with nonzero trace: "
+         "s is not a reflection"),
+        # Right members, wrong label: the closed form is k/n for every
+        # root of unity, so only the trace check sees this.
+        ("diag1.elements", "diag2.zeta",
+         "class eigenvalue of G(5,1,2) is not the eigenvalue of its members"),
+        ("swaps.elements", "diag1.zeta",
+         "class eigenvalue of G(5,1,2) is not the eigenvalue of its members"),
+    ])
+    def test_bad_class_raises_under_optimize(self, members, zeta, message):
+        code = self.SCRIPT.format(members=members, zeta=zeta)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "__debug__ = False", f"VerificationError: {message}"]
+
+
 class TestMolien:
     def test_rank_one(self):
         # invariants of <zeta_4> acting on one variable: C[x^4]
@@ -232,6 +368,26 @@ class TestMolien:
             gr.degrees_series(GroupSpec(2, 1, 2), truncate=30))
         with pytest.raises(ValueError, match="needs 64 coefficients"):
             gr.molien_series(GroupSpec(2, 1, 2), truncate=31)
+
+
+class TestDegreesSeries:
+    """The integer prefix sums against the Fraction series division they
+    replaced (tests/polyoracle.py)."""
+
+    @pytest.mark.parametrize("truncate", [0, 1, 30, 500])
+    def test_configured_groups(self, truncate):
+        for g in fd.configured_groups(max_order=200):
+            den = LaurentPoly.one()
+            for d in g.degrees:
+                den = den * LaurentPoly({0: 1, d: -1})
+            assert gr.degrees_series(g, truncate) == (
+                polyoracle.series_quotient(LaurentPoly.one(), den, truncate)), g
+
+    def test_truncation_bounds(self):
+        with pytest.raises(ValueError):
+            gr.degrees_series(GroupSpec(3, 3, 2), -1)
+        with pytest.raises(ValueError, match=f"{MAX_SPAN}"):
+            gr.degrees_series(GroupSpec(3, 3, 2), MAX_SPAN + 1)
 
 
 class TestMolienAgainstInversion:

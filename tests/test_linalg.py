@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -111,7 +113,7 @@ def oracle_form(s, m):
 @pytest.mark.parametrize("spec", GRID)
 def test_reflection_form_matches_generic_pipeline(spec):
     g = GroupSpec(*spec)
-    reflections = [w for w in groups.elements(g) if groups.is_reflection(w)]
+    reflections = [w for w in groups.elements(g) if oracle.is_reflection(w)]
     assert reflections
     for w in reflections:
         s = w.matrix()
@@ -153,6 +155,78 @@ print("__debug__ =", __debug__)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "__debug__ = False"
     assert proc.stdout.startswith("VerificationError:")
+
+
+def random_sparse(rng, m, rows, cols):
+    """A matrix over Q(zeta_m) with about two thirds of its entries zero;
+    some nonzero-looking entries cancel to zero too."""
+    def entry():
+        acc = CycloNumber.zero(m)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            acc = acc + CycloNumber.zeta(m, rng.randrange(m)) * Fraction(
+                rng.randint(-3, 3), rng.randint(1, 4))
+        return acc
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+def unskipped_mul(a, b, m):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)),
+                           CycloNumber.zero(m)) for col in zip(*b))
+                 for row in a)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
+def test_sparse_kernels_match_unskipped_arithmetic(m):
+    # mat_mul, mat_sub and scalar_mul skip zero entries; the results must
+    # equal the plain products and differences entry for entry.
+    rng = random.Random(7000 + m)
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 2), (4, 4, 4), (5, 2, 5),
+                              (3, 6, 1)] * 3:
+        a = random_sparse(rng, m, rows, inner)
+        b = random_sparse(rng, m, inner, cols)
+        assert linalg.mat_mul(a, b) == unskipped_mul(a, b, m)
+        a2 = random_sparse(rng, m, rows, inner)
+        assert linalg.mat_sub(a, a2) == tuple(
+            tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, a2))
+        scalar = random_sparse(rng, m, 1, 1)[0][0]
+        assert linalg.scalar_mul(scalar, a) == tuple(
+            tuple(scalar * x for x in row) for row in a)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 2), (4, 2, 3), (6, 6, 2), (2, 2, 4)])
+def test_reflection_form_sum_is_the_sum_of_oracle_forms(spec):
+    g = GroupSpec(*spec)
+    one = CycloNumber.one(g.m)
+    for cls in groups.reflection_classes(g):
+        mats = [w.matrix() for w in cls.elements]
+        total, t = linalg.reflection_form_sum(mats, g.m)
+        want = oracle_form(mats[0], g.m)
+        for s in mats[1:]:
+            want = tuple(tuple(x + y for x, y in zip(rx, ry))
+                         for rx, ry in zip(want, oracle_form(s, g.m)))
+        assert total == want, (g, cls.zeta)
+        assert t == one - cls.zeta
+
+
+def test_reflection_form_sum_on_g4_classes():
+    group = g4.build_g4()
+    for index in (2, 3):  # Cl3 and Cl4
+        mats = [g4.reflection_matrix(group, q) for q in group.classes[index]]
+        total, _ = linalg.reflection_form_sum(mats, 12)
+        want = linalg.reflection_form(mats[0], 12)
+        for s in mats[1:]:
+            want = tuple(tuple(x + y for x, y in zip(rx, ry)) for rx, ry in
+                         zip(want, linalg.reflection_form(s, 12)))
+        assert total == want
+
+
+def test_reflection_form_sum_rejects_mixed_eigenvalues_and_no_members():
+    minus = zmat(3, [[-1, 0], [0, 1]])
+    zeta = zmat(3, [[1, 0], [0, CycloNumber.zeta(3)]])
+    with pytest.raises(VerificationError, match="share their eigenvalue"):
+        linalg.reflection_form_sum([minus, zeta], 3)
+    with pytest.raises(ValueError, match="no reflections"):
+        linalg.reflection_form_sum([], 3)
 
 
 def test_proportionality_scalar():
