@@ -1,21 +1,37 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A CycloNumber is the residue of a rational polynomial in zeta modulo
-the m-th cyclotomic polynomial, stored densely on the power basis
-1, zeta, ..., zeta^(phi(m)-1) with Fraction coordinates.  Division goes
-through the extended Euclidean algorithm in Q[t]; complex conjugation
-and lifts along Q(zeta_m) -> Q(zeta_M) for m | M are Galois-style
-monomial substitutions.
+the m-th cyclotomic polynomial, stored on the power basis
+1, zeta, ..., zeta^(phi(m)-1) as a tuple of int numerators over one
+positive int denominator, in lowest terms: the gcd of the numerators
+and the denominator is 1, so each value has exactly one representation
+and equality and hashing compare (m, num, den).
+
+Phi_m is monic over Z, so every zeta^e has integer coordinates.  Sums
+cross-multiply the numerators (not at all when the denominators agree),
+products are an integer convolution folded down by the integer
+coordinates of zeta^k, and complex conjugation and lifts along
+Q(zeta_m) -> Q(zeta_M) for m | M substitute those coordinates directly;
+each result is divided once by its content gcd.  Only division goes
+through Fractions, by the extended Euclidean algorithm in Q[t].  The
+Fraction-coordinate kernel this replaces is the test oracle in
+tests/cyclo_oracle.py.
 """
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .polycore import VerificationError, cyclotomic
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Distinct moduli whose integer tables are kept, and distinct (m, e mod m)
+# roots of unity kept as CycloNumbers.
+FIELD_CACHE_SIZE = 64
+ZETA_CACHE_SIZE = 1024
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -62,76 +78,83 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list
     return _trim(q), rem
 
 
-@functools.lru_cache(maxsize=None)
-def _field_data(m: int) -> tuple[tuple[Fraction, ...], int, tuple[tuple[Fraction, ...], ...]]:
-    """Dense Phi_m coefficients, degree, and reductions of zeta^j for
-    j in [degree, 2*degree - 2] (the range reachable by products)."""
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _field_data(m: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...],
+                                 tuple[tuple[int, ...], ...]]:
+    """Dense Phi_m coefficients, degree phi(m), the integer coordinates
+    of zeta^e for e in [0, m), and those of zeta^k for k in
+    [degree, 2*degree - 2] (the range reachable by products)."""
     if m < 1:
         raise ValueError("cyclotomic modulus must be positive")
     phi = cyclotomic(m)
     deg = phi.degree()
-    dense = [_ZERO] * (deg + 1)
+    dense = [0] * (deg + 1)
     for e, c in phi.items():
-        dense[e] = Fraction(c)
-    # zeta^deg = -(phi - t^deg), then recur upward.
-    tails: list[tuple[Fraction, ...]] = []
-    prev = [-dense[i] for i in range(deg)]
-    tails.append(tuple(prev))
-    for _ in range(deg, 2 * deg - 1):
-        nxt = [_ZERO] + prev[:-1]
-        top = prev[-1]
+        dense[e] = c
+    # zeta^(e+1) = zeta * zeta^e, with zeta^deg = -(Phi_m - t^deg).
+    powers = []
+    coords = [1] + [0] * (deg - 1)
+    for _ in range(m):
+        powers.append(tuple(coords))
+        top = coords[-1]
+        coords = [0] + coords[:-1]
         if top:
-            nxt = [nxt[i] + top * tails[0][i] for i in range(deg)]
-        prev = nxt
-        tails.append(tuple(prev))
-    return tuple(dense), deg, tuple(tails)
+            coords = [c - top * p for c, p in zip(coords, dense)]
+    tails = tuple(powers[k % m] for k in range(deg, 2 * deg - 1))
+    return tuple(dense), deg, tuple(powers), tails
 
 
-def _reduce_power(m: int, e: int) -> tuple[Fraction, ...]:
-    """Coordinates of zeta_m^e (any integer e)."""
-    _, deg, tails = _field_data(m)
-    e %= m
-    if e < deg:
-        coords = [_ZERO] * deg
-        coords[e] = _ONE
-        return tuple(coords)
-    # e < m <= anything: fold down step by step via the tail table.
-    coords = [_ZERO] * deg
-    coords[deg - 1] = _ONE
-    for _ in range(e - (deg - 1)):
-        coords = _mul_by_zeta(m, coords)
-    return tuple(coords)
-
-
-def _mul_by_zeta(m: int, coords) -> tuple[Fraction, ...]:
-    _, deg, tails = _field_data(m)
-    shifted = [_ZERO] + list(coords[:-1])
-    top = coords[-1]
-    if top:
-        t0 = tails[0]
-        shifted = [shifted[i] + top * t0[i] for i in range(deg)]
-    return tuple(shifted)
+@functools.lru_cache(maxsize=ZETA_CACHE_SIZE)
+def _zeta(m: int, e: int) -> CycloNumber:
+    return CycloNumber._raw(m, _field_data(m)[2][e], 1)
 
 
 class CycloNumber:
     """An element of Q(zeta_m), exact and immutable."""
 
-    __slots__ = ("m", "coords")
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coords):
-        _, deg, _ = _field_data(m)
-        coords = tuple(Fraction(c) for c in coords)
+        _, deg, _, _ = _field_data(m)
+        coords = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in coords]
         if len(coords) != deg:
             raise ValueError(f"need {deg} coordinates for Q(zeta_{m})")
+        # Each coordinate is in lowest terms, so for each prime p | lcm the
+        # coordinate whose denominator holds p's full power scales to a
+        # numerator prime to p: the result is already in lowest terms.
+        den = math.lcm(*(c.denominator for c in coords))
         self.m = m
-        self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @classmethod
+    def _raw(cls, m: int, num: tuple[int, ...], den: int) -> CycloNumber:
+        """num / den, already in lowest terms."""
+        out = object.__new__(cls)
+        out.m, out.num, out.den = m, num, den
+        return out
+
+    @classmethod
+    def _reduced(cls, m: int, num, den: int) -> CycloNumber:
+        """num / den for den > 0, divided through by the content gcd."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                return cls._raw(m, tuple(c // g for c in num), den // g)
+        return cls._raw(m, tuple(num), den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, m: int) -> CycloNumber:
-        _, deg, _ = _field_data(m)
-        return cls(m, (_ZERO,) * deg)
+        _, deg, _, _ = _field_data(m)
+        return cls._raw(m, (0,) * deg, 1)
 
     @classmethod
     def one(cls, m: int) -> CycloNumber:
@@ -139,15 +162,17 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, m: int, value) -> CycloNumber:
-        _, deg, _ = _field_data(m)
-        coords = [Fraction(value)] + [_ZERO] * (deg - 1)
-        return cls(m, coords)
+        _, deg, _, _ = _field_data(m)
+        value = Fraction(value)
+        return cls._raw(m, (value.numerator,) + (0,) * (deg - 1),
+                        value.denominator)
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
     def zeta(cls, m: int, e: int = 1) -> CycloNumber:
         """zeta_m^e."""
-        return cls(m, _reduce_power(m, e))
+        if m < 1:
+            raise ValueError("cyclotomic modulus must be positive")
+        return _zeta(m, e % m)
 
     # -- ring structure ----------------------------------------------
 
@@ -164,42 +189,53 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNumber(self.m, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        if da == db:
+            return CycloNumber._reduced(
+                self.m, [a + b for a, b in zip(self.num, other.num)], da)
+        return CycloNumber._reduced(
+            self.m, [a * db + b * da for a, b in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloNumber:
-        return CycloNumber(self.m, tuple(-a for a in self.coords))
+        return CycloNumber._raw(self.m, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other) -> CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNumber(self.m, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        if da == db:
+            return CycloNumber._reduced(
+                self.m, [a - b for a, b in zip(self.num, other.num)], da)
+        return CycloNumber._reduced(
+            self.m, [a * db - b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __rsub__(self, other) -> CycloNumber:
         return -(self - other)
 
     def __mul__(self, other) -> CycloNumber:
+        if isinstance(other, (int, Fraction)):
+            return CycloNumber._reduced(
+                self.m, [a * other.numerator for a in self.num],
+                self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _, deg, tails = _field_data(self.m)
-        prod = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
-        coords = list(prod[:deg])
-        for k in range(deg, 2 * deg - 1):
-            c = prod[k]
+        a, b = self.num, other.num
+        deg = len(a)
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        num = prod[:deg]
+        for c, tail in zip(prod[deg:], _field_data(self.m)[3]):
             if c:
-                tail = tails[k - deg]
-                for i in range(deg):
-                    coords[i] += c * tail[i]
-        return CycloNumber(self.m, coords)
+                num = [n + c * t for n, t in zip(num, tail)]
+        return CycloNumber._reduced(self.m, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -207,10 +243,12 @@ class CycloNumber:
         """Multiplicative inverse via extended Euclid mod Phi_m."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        dense, deg, _ = _field_data(self.m)
-        # Invariant: r_i == s_i * self (mod Phi_m); Phi_m is irreducible
-        # over Q so the last nonzero remainder is a nonzero constant.
-        r0, r1 = _trim(list(dense)), _trim(list(self.coords))
+        dense, deg, _, _ = _field_data(self.m)
+        # Invariant: r_i == s_i * num (mod Phi_m), for self = num / den;
+        # Phi_m is irreducible over Q so the last nonzero remainder is a
+        # nonzero constant.
+        r0 = _trim([Fraction(c) for c in dense])
+        r1 = _trim([Fraction(c) for c in self.num])
         s0, s1 = [_ZERO], [_ONE]
         while r1:
             q, r = _pdivmod(r0, r1)
@@ -218,8 +256,8 @@ class CycloNumber:
             s0, s1 = s1, _trim(_psub(s0, _pmul(q, s1)))
         if len(r0) != 1:
             raise VerificationError("gcd with an irreducible must be constant")
-        g = r0[0]
-        inv = [c / g for c in s0]
+        scale = self.den / r0[0]
+        inv = [c * scale for c in s0]
         inv = (inv + [_ZERO] * deg)[:deg]
         result = CycloNumber(self.m, inv)
         if not (result * self).is_one():
@@ -233,51 +271,53 @@ class CycloNumber:
         return self * other.inverse()
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, CycloNumber):
+            return (self.m == other.m and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(self.m, other)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        return self.m == other.m and self.coords == other.coords
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator and self.is_rational())
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coords))
+        return hash((self.m, self.num, self.den))
 
     # -- structure maps ----------------------------------------------
 
+    def _substitute(self, big_m: int, step: int) -> CycloNumber:
+        """Image in Q(zeta_M) under zeta_m^i -> zeta_M^(i * step)."""
+        _, deg, powers, _ = _field_data(big_m)
+        out = [0] * deg
+        for i, c in enumerate(self.num):
+            if c:
+                out = [o + c * z for o, z in zip(out, powers[i * step % big_m])]
+        return CycloNumber._reduced(big_m, out, self.den)
+
     def conj(self) -> CycloNumber:
         """Complex conjugation zeta -> zeta^-1."""
-        out = CycloNumber.zero(self.m)
-        for i, c in enumerate(self.coords):
-            if c:
-                out = out + CycloNumber.zeta(self.m, -i % self.m) * c
-        return out
+        return self._substitute(self.m, -1)
 
     def lift(self, big_m: int) -> CycloNumber:
         """Image under Q(zeta_m) -> Q(zeta_M), zeta_m = zeta_M^(M/m)."""
         if big_m % self.m != 0:
             raise ValueError(f"{self.m} does not divide {big_m}")
-        step = big_m // self.m
-        out = CycloNumber.zero(big_m)
-        for i, c in enumerate(self.coords):
-            if c:
-                out = out + CycloNumber.zeta(big_m, i * step) * c
-        return out
+        return self._substitute(big_m, big_m // self.m)
 
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and all(not c for c in self.coords[1:])
+        return self.den == 1 and self.num[0] == 1 and self.is_rational()
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self) -> str:
         terms = []

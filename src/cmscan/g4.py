@@ -11,7 +11,7 @@ Q(omega) must mix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -161,26 +161,49 @@ CHARACTER_TABLE: dict[str, ClassFunction] = {
 
 @dataclass(frozen=True)
 class G4:
-    """The group with its conjugacy classes labeled Cl1..Cl7."""
+    """The group with its conjugacy classes labeled Cl1..Cl7.
+
+    ``table[i][j]`` is the index in ``elements`` of the product
+    elements[i] * elements[j]; ``orders[i]`` is the order of elements[i].
+    """
 
     elements: tuple[Quaternion, ...]
     classes: tuple[tuple[Quaternion, ...], ...]
+    table: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
+    _index: dict[Quaternion, int] = field(init=False, repr=False, compare=False)
+    _class_of: dict[Quaternion, int] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index",
+                           {q: i for i, q in enumerate(self.elements)})
+        object.__setattr__(self, "_class_of", {
+            q: idx for idx, cls in enumerate(self.classes) for q in cls})
 
     def class_index(self, q: Quaternion) -> int:
-        for idx, cls in enumerate(self.classes):
-            if q in cls:
-                return idx
-        raise ValueError(f"{q} is not a group element")
+        try:
+            return self._class_of[q]
+        except KeyError:
+            raise ValueError(f"{q} is not a group element") from None
+
+    def index(self, q: Quaternion) -> int:
+        """Position of q in ``elements``."""
+        try:
+            return self._index[q]
+        except KeyError:
+            raise ValueError(f"{q} is not a group element") from None
 
 
-def _close_under_multiplication(gens: list[Quaternion]) -> set[Quaternion]:
+def _generated(table: tuple[tuple[int, ...], ...], gens) -> set[int]:
+    """Indices of the closure of gens under the multiplication table."""
     group = set(gens)
     frontier = list(gens)
     while frontier:
         fresh = []
         for x in frontier:
             for g in gens:
-                y = x * g
+                y = table[x][g]
                 if y not in group:
                     group.add(y)
                     fresh.append(y)
@@ -191,34 +214,53 @@ def _close_under_multiplication(gens: list[Quaternion]) -> set[Quaternion]:
 def build_g4() -> G4:
     """Construct the 24 elements and label the seven conjugacy classes.
 
-    Labels are pinned by representatives (1, -1, s1, t1, i, t1*t2,
-    s1*s2): element order and quaternionic trace alone cannot separate
-    Cl3 from Cl4 or Cl6 from Cl7.  Sizes, orders and the explicit
+    The 24 x 24 Cayley table of the listed elements is built once (576
+    quaternion products); closure, generation by s1 and s2, the
+    conjugation orbits and the element orders are read off it.  Labels
+    are pinned by representatives (1, -1, s1, t1, i, t1*t2, s1*s2):
+    element order and quaternionic trace alone cannot separate Cl3 from
+    Cl4 or Cl6 from Cl7.  Sizes, orders and the explicit
     reflection-class element lists are checked during construction.
     """
     listed = [ONE, -ONE, I, -I, J, -J, K, -K] + [
         Quaternion(sa * HALF, sb * HALF, sc * HALF, sd * HALF)
         for sa, sb, sc, sd in itertools.product((1, -1), repeat=4)]
     _require(len(set(listed)) == 24, "the listed elements must be distinct")
-    generated = _close_under_multiplication([S1, S2])
-    _require(generated == set(listed), "s1, s2 must generate all 24 elements")
-    _require(_close_under_multiplication(listed) == set(listed), "not closed")
+    index = {q: i for i, q in enumerate(listed)}
+    products = [[index.get(x * y) for y in listed] for x in listed]
+    _require(all(k is not None for row in products for k in row), "not closed")
+    table = tuple(tuple(row) for row in products)
+    _require(_generated(table, (index[S1], index[S2])) == set(range(24)),
+             "s1, s2 must generate all 24 elements")
+
+    # x of order k has the inverse x^(k-1), so once every order is
+    # found, every row of the table holds the identity.
+    e = index[ONE]
+    orders = []
+    for x in range(24):
+        power, k = x, 1
+        while power != e and k < 24:
+            power, k = table[power][x], k + 1
+        _require(power == e, f"order of {listed[x]} exceeds 24")
+        orders.append(k)
+    inverse = [row.index(e) for row in table]
 
     elements = tuple(listed)
-    remaining = set(elements)
+    remaining = set(range(24))
     raw_classes = []
-    for q in elements:
+    for q in range(24):
         if q not in remaining:
             continue
-        orbit = frozenset(x * q * x.inv() for x in elements)
+        orbit = frozenset(table[table[x][q]][inverse[x]] for x in range(24))
         remaining -= orbit
         raw_classes.append(orbit)
 
     def class_of(rep: Quaternion) -> tuple[Quaternion, ...]:
         for orbit in raw_classes:
-            if rep in orbit:
+            if index[rep] in orbit:
                 return tuple(sorted(
-                    orbit, key=lambda q: (q.a, q.b, q.c, q.d), reverse=True))
+                    (elements[x] for x in orbit),
+                    key=lambda q: (q.a, q.b, q.c, q.d), reverse=True))
         raise VerificationError(f"no class contains {rep}")
 
     classes = tuple(class_of(rep)
@@ -226,38 +268,43 @@ def build_g4() -> G4:
     _require(len(raw_classes) == 7, f"{len(raw_classes)} classes, not 7")
     _require(tuple(len(c) for c in classes) == CLASS_SIZES,
              "class sizes differ from CLASS_SIZES")
-    _require(tuple(c[0].order() for c in classes) == CLASS_ORDERS,
+    _require(tuple(orders[index[c[0]]] for c in classes) == CLASS_ORDERS,
              "element orders differ from CLASS_ORDERS")
     for cls in classes:
-        _require(len({q.order() for q in cls}) == 1,
+        _require(len({orders[index[q]] for q in cls}) == 1,
                  f"class of {cls[0]} mixes element orders")
     _require(set(classes[2]) == {S1, S2, S3, S4}, "Cl3 is not {s1..s4}")
     _require(set(classes[3]) == {T1, T2, T3, T4}, "Cl4 is not {t1..t4}")
     _require(set(classes[4]) == {I, -I, J, -J, K, -K}, "Cl5 is not {+-i, +-j, +-k}")
     _require(T1 * T1 in classes[2], "t1^2 must land in Cl3")
-    return G4(elements, classes)
+    return G4(elements, classes, table, tuple(orders))
 
 
 def presentation_check(group: G4) -> None:
     """s1^3 = s2^3 = (s1 s2)^6 = 1, with the intermediate powers != 1."""
-    _require(S1.order() == 3 and S2.order() == 3, "s1, s2 must have order 3")
-    _require((S1 * S2).order() == 6, "s1*s2 must have order 6")
+    s1, s2 = group.index(S1), group.index(S2)
+    _require(group.orders[s1] == 3 and group.orders[s2] == 3,
+             "s1, s2 must have order 3")
+    _require(group.orders[group.table[s1][s2]] == 6, "s1*s2 must have order 6")
     _require(I * J == K, "i*j must be k")
     _require(S1 * T1 == ONE, "t1 must invert s1")
-    _require(set(group.elements) == _close_under_multiplication([S1, S2]),
+    _require(_generated(group.table, (s1, s2)) == set(range(len(group.elements))),
              "s1, s2 must generate the group")
 
 
 def class_product_check(group: G4) -> None:
     """Membership facts used by the trace argument: products of the two
     reflection classes land in prescribed classes."""
+    def product(x: Quaternion, y: Quaternion) -> Quaternion:
+        return group.elements[group.table[group.index(x)][group.index(y)]]
+
     for t in (S2, S3, S4):
-        _require(group.class_index(S1 * t) == 6, f"s1*{t} not in Cl7")
+        _require(group.class_index(product(S1, t)) == 6, f"s1*{t} not in Cl7")
     for t in (T2, T3, T4):
-        _require(group.class_index(S1 * t) == 4, f"s1*{t} not in Cl5")
+        _require(group.class_index(product(S1, t)) == 4, f"s1*{t} not in Cl5")
     for t in (T2, T3, T4):
-        _require(group.class_index(T1 * t) == 5, f"t1*{t} not in Cl6")
-    _require(group.class_index(T1 * T1) == 2, "t1^2 not in Cl3")
+        _require(group.class_index(product(T1, t)) == 5, f"t1*{t} not in Cl6")
+    _require(group.class_index(product(T1, T1)) == 2, "t1^2 not in Cl3")
 
 
 # -- character arithmetic over Q(omega) ------------------------------------

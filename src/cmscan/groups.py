@@ -265,8 +265,9 @@ def molien_series(g: GroupSpec, truncate: int = 30,
             table[k] = [a + count * b for a, b in zip(table[k], row)]
 
     # Phi_m is monic over Z, so zeta^e has integer power-basis coordinates
-    # and so has each reduced coefficient sum_e a_e zeta^e.
-    zetas = [[int(c) for c in CycloNumber.zeta(m, e).coords] for e in range(m)]
+    # (its numerators, over denominator 1) and so has each reduced
+    # coefficient sum_e a_e zeta^e.
+    zetas = [CycloNumber.zeta(m, e).num for e in range(m)]
     order = g.order
     out: dict[int, int] = {}
     for k, row in enumerate(table):

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclo_oracle as oracle
+from cmscan import cyclo
 from cmscan.cyclo import CycloNumber
 
 
@@ -118,3 +121,206 @@ except VerificationError as exc:
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "__debug__ = False", "VerificationError: inverse computation failed"]
+
+
+# -- differential tests against the Fraction-coordinate oracle -------------
+
+MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15)
+SMALL = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def _degree(m):
+    return len(oracle.CycloNumber.zero(m).coords)
+
+
+@st.composite
+def operands(draw, count=2):
+    """(m, [coordinate lists]) for count elements of Q(zeta_m)."""
+    m = draw(st.sampled_from(MODULI))
+    coords = st.lists(SMALL, min_size=_degree(m), max_size=_degree(m))
+    return m, [draw(coords) for _ in range(count)]
+
+
+def assert_normal(x):
+    assert isinstance(x.den, int) and x.den > 0
+    assert all(isinstance(c, int) for c in x.num)
+    assert len(x.num) == _degree(x.m)
+    assert math.gcd(x.den, *x.num) == 1
+
+
+def assert_agrees(x, want):
+    """x (the integer kernel) and want (the oracle) are the same number,
+    and every inspection method says so."""
+    assert_normal(x)
+    assert x.m == want.m
+    assert x.coords == want.coords
+    assert all(type(c) is Fraction for c in x.coords)
+    assert repr(x) == repr(want)
+    assert x.is_zero() == want.is_zero()
+    assert x.is_one() == want.is_one()
+    assert x.is_rational() == want.is_rational()
+    if want.is_rational():
+        assert x.as_rational() == want.as_rational()
+    else:
+        with pytest.raises(ValueError):
+            x.as_rational()
+
+
+def _pair(m, coords):
+    return CycloNumber(m, coords), oracle.CycloNumber(m, coords)
+
+
+@given(operands())
+@settings(max_examples=200, deadline=None)
+def test_ring_operations_match_oracle(case):
+    m, (ca, cb) = case
+    a, oa = _pair(m, ca)
+    b, ob = _pair(m, cb)
+    assert_agrees(a, oa)
+    assert_agrees(a + b, oa + ob)
+    assert_agrees(a - b, oa - ob)
+    assert_agrees(a * b, oa * ob)
+    assert_agrees(-a, -oa)
+    assert (a == b) == (oa == ob)
+    if not ob.is_zero():
+        assert_agrees(a / b, oa / ob)
+        assert_agrees(b.inverse(), ob.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+@given(operands(count=1), SMALL, st.integers(-5, 5))
+@settings(max_examples=150, deadline=None)
+def test_mixed_rational_operations_match_oracle(case, r, k):
+    m, (ca,) = case
+    a, oa = _pair(m, ca)
+    for s in (r, k):
+        assert_agrees(a + s, oa + s)
+        assert_agrees(s + a, s + oa)
+        assert_agrees(a - s, oa - s)
+        assert_agrees(s - a, s - oa)
+        assert_agrees(a * s, oa * s)
+        assert_agrees(s * a, s * oa)
+        assert (a == s) == (oa == s)
+        if s:
+            assert_agrees(a / s, oa / s)
+
+
+@given(operands(count=1))
+@settings(max_examples=150, deadline=None)
+def test_conj_and_lift_match_oracle(case):
+    m, (ca,) = case
+    a, oa = _pair(m, ca)
+    assert_agrees(a.conj(), oa.conj())
+    for big_m in (2 * m, 3 * m):
+        assert_agrees(a.lift(big_m), oa.lift(big_m))
+    if m > 1:
+        with pytest.raises(ValueError):
+            a.lift(m + 1)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_roots_of_unity_match_oracle(m):
+    for e in range(-m, 2 * m + 1):
+        assert_agrees(CycloNumber.zeta(m, e), oracle.CycloNumber.zeta(m, e))
+    assert_agrees(CycloNumber.zero(m), oracle.CycloNumber.zero(m))
+    assert_agrees(CycloNumber.one(m), oracle.CycloNumber.one(m))
+    assert_agrees(CycloNumber.from_rational(m, Fraction(-6, 4)),
+                  oracle.CycloNumber.from_rational(m, Fraction(-6, 4)))
+
+
+# -- normal form ------------------------------------------------------------
+
+def test_equal_values_have_one_representation():
+    half = CycloNumber.from_rational(6, Fraction(1, 2))
+    routes = [
+        CycloNumber(6, [Fraction(2, 4), 0]),
+        CycloNumber(6, [Fraction(1, 2), Fraction(0, 3)]),
+        CycloNumber.from_rational(6, Fraction(3, 6)),
+        CycloNumber.one(6) / 2,
+        CycloNumber.one(6) * Fraction(1, 2),
+        CycloNumber.from_rational(6, Fraction(1, 6)) * 3,
+        CycloNumber.from_rational(6, Fraction(1, 4)) + Fraction(1, 4),
+        CycloNumber(6, [Fraction(1, 3), Fraction(1, 3)])
+        + CycloNumber(6, [Fraction(1, 6), Fraction(-1, 3)]),
+        CycloNumber.zeta(6, 2) * Fraction(-1, 2) + CycloNumber.zeta(6, 1) / 2,
+        (CycloNumber.zeta(6, 1) + 1) * (CycloNumber.zeta(6, 1) + 1).inverse() / 2,
+    ]
+    for x in routes:
+        assert_normal(x)
+        assert (x.num, x.den) == ((1, 0), 2)
+        assert x == half and hash(x) == hash(half)
+        assert x == Fraction(1, 2) and x != 1
+    assert len(set(routes)) == 1
+    # Same numerators, other denominator or other field: not equal.
+    assert half != CycloNumber.one(6) and half != CycloNumber.from_rational(6, 1)
+    assert half != CycloNumber.from_rational(3, Fraction(1, 2))
+
+
+@given(operands())
+@settings(max_examples=100, deadline=None)
+def test_cancellation_gives_the_canonical_zero(case):
+    m, (ca, cb) = case
+    a, b = CycloNumber(m, ca), CycloNumber(m, cb)
+    zero = CycloNumber.zero(m)
+    for x in (a - a, a + (-a), (a + b) - b - a, a * 0, a * zero,
+              a.conj() - a.conj(), a.lift(2 * m) - a.lift(2 * m)):
+        assert_normal(x)
+        assert x.den == 1 and not any(x.num)
+        assert x.is_zero() and x == 0
+        assert x == CycloNumber.zero(x.m) and hash(x) == hash(CycloNumber.zero(x.m))
+
+
+@given(operands())
+@settings(max_examples=100, deadline=None)
+def test_every_result_is_in_lowest_terms(case):
+    m, (ca, cb) = case
+    a, b = CycloNumber(m, ca), CycloNumber(m, cb)
+    results = [a, b, a + b, a - b, b - a, -a, a * b, a.conj(), a.lift(2 * m),
+               a.lift(3 * m), a + Fraction(1, 3), a * Fraction(-2, 3), 2 - a]
+    if not b.is_zero():
+        results += [a / b, b.inverse()]
+    for x in results:
+        assert_normal(x)
+    # Equal values built by different routes hash alike.
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+
+
+def test_constructor_accepts_ints_and_fractions():
+    x = CycloNumber(4, [3, Fraction(-6, 4)])
+    assert (x.num, x.den) == ((6, -3), 2)
+    assert x.coords == (Fraction(3), Fraction(-3, 2))
+    assert CycloNumber(4, [Fraction(4, 2), 0]) == 2
+    with pytest.raises(ValueError):
+        CycloNumber(4, [1, 2, 3])
+    with pytest.raises(ValueError):
+        CycloNumber(0, [])
+
+
+# -- bounded caches ---------------------------------------------------------
+
+def test_zeta_reduces_the_exponent_before_caching():
+    cyclo._zeta.cache_clear()
+    assert CycloNumber.zeta(7, 3) is CycloNumber.zeta(7, 7 * 10**12 + 3)
+    assert CycloNumber.zeta(7, -4) is CycloNumber.zeta(7, 3)
+    for e in range(-10**6, 10**6, 997):
+        CycloNumber.zeta(7, e)
+    assert cyclo._zeta.cache_info().currsize <= 7
+
+
+def test_caches_are_bounded():
+    for m in range(1, cyclo.FIELD_CACHE_SIZE + 20):
+        for e in range(0, 2 * cyclo.ZETA_CACHE_SIZE // m + 2):
+            CycloNumber.zeta(m, e)
+    assert cyclo._zeta.cache_info().maxsize == cyclo.ZETA_CACHE_SIZE
+    assert cyclo._zeta.cache_info().currsize <= cyclo.ZETA_CACHE_SIZE
+    assert cyclo._field_data.cache_info().maxsize == cyclo.FIELD_CACHE_SIZE
+    assert cyclo._field_data.cache_info().currsize <= cyclo.FIELD_CACHE_SIZE
+    # Evicted tables are rebuilt on demand and agree with the oracle.
+    assert_agrees(CycloNumber.zeta(12, 5) * CycloNumber.zeta(12, 9),
+                  oracle.CycloNumber.zeta(12, 2))

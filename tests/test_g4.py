@@ -177,3 +177,93 @@ else:
         assert proc.stdout.splitlines() == [
             "__debug__ = False",
             "VerificationError: rows V1 and V2 are not orthonormal"]
+
+
+class TestCayleyTable:
+    def test_table_matches_quaternion_products(self, group):
+        els = group.elements
+        assert len(group.table) == 24
+        for i, x in enumerate(els):
+            assert len(group.table[i]) == 24
+            for j, y in enumerate(els):
+                assert els[group.table[i][j]] == x * y
+
+    def test_orders_match_powers(self, group):
+        assert group.orders == tuple(q.order() for q in group.elements)
+
+    def test_class_index_matches_membership(self, group):
+        for q in group.elements:
+            want = [idx for idx, cls in enumerate(group.classes) if q in cls]
+            assert [group.class_index(q)] == want
+            assert group.elements[group.index(q)] == q
+        outsider = g4.Quaternion.of(2)
+        with pytest.raises(ValueError, match="not a group element"):
+            group.class_index(outsider)
+        with pytest.raises(ValueError, match="not a group element"):
+            group.index(outsider)
+
+    def test_classes_are_conjugation_orbits(self, group):
+        for cls in group.classes:
+            q = cls[0]
+            assert set(cls) == {x * q * x.inv() for x in group.elements}
+
+    def test_checks_raise_under_optimize(self):
+        # Each corruption trips one _require of build_g4,
+        # presentation_check or class_product_check, which raise
+        # VerificationError explicitly and so also run under python -O.
+        code = """
+import dataclasses
+from cmscan import g4
+from cmscan.polycore import VerificationError
+
+def attempt(label, fn):
+    try:
+        fn()
+    except VerificationError as exc:
+        print(label, "VerificationError:", exc)
+    else:
+        print(label, "passed")
+
+print("__debug__ =", __debug__)
+real = g4.Quaternion.__mul__
+def off_group(a, b):
+    return g4.Quaternion.of(2) if (a, b) == (g4.I, g4.J) else real(a, b)
+g4.Quaternion.__mul__ = off_group
+attempt("closure", g4.build_g4)
+g4.Quaternion.__mul__ = real
+
+s2 = g4.S2
+g4.S2 = g4.S1
+attempt("generation", g4.build_g4)
+g4.S2 = s2
+
+orders = g4.CLASS_ORDERS
+g4.CLASS_ORDERS = orders[:-1] + (3,)
+attempt("orders", g4.build_g4)
+g4.CLASS_ORDERS = orders
+
+group = g4.build_g4()
+bad = dataclasses.replace(group, orders=(1,) * 24)
+attempt("presentation", lambda: g4.presentation_check(bad))
+s1s2 = group.index(g4.S1 * g4.S2)
+orders = group.orders[:s1s2] + (3,) + group.orders[s1s2 + 1:]
+bad = dataclasses.replace(group, orders=orders)
+attempt("presentation", lambda: g4.presentation_check(bad))
+swapped = group.classes[:5] + (group.classes[6], group.classes[5])
+bad = dataclasses.replace(group, classes=swapped)
+attempt("products", lambda: g4.class_product_check(bad))
+attempt("clean", lambda: (g4.presentation_check(group),
+                          g4.class_product_check(group)))
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "__debug__ = False",
+            "closure VerificationError: not closed",
+            "generation VerificationError: s1, s2 must generate all 24 elements",
+            "orders VerificationError: element orders differ from CLASS_ORDERS",
+            "presentation VerificationError: s1, s2 must have order 3",
+            "presentation VerificationError: s1*s2 must have order 6",
+            "products VerificationError: s1*(-1+i-j+k)/2 not in Cl7",
+            "clean passed"]
