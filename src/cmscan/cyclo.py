@@ -12,8 +12,8 @@ cross-multiply the numerators (not at all when the denominators agree),
 products are an integer convolution folded down by the integer
 coordinates of zeta^k, and complex conjugation and lifts along
 Q(zeta_m) -> Q(zeta_M) for m | M substitute those coordinates directly;
-each result is divided once by its content gcd.  Only division goes
-through Fractions, by the extended Euclidean algorithm in Q[t].  The
+each result is divided once by its content gcd.  An inverse is the
+product of the other Galois conjugates over the norm, a rational.  The
 Fraction-coordinate kernel this replaces is the test oracle in
 tests/cyclo_oracle.py.
 """
@@ -25,65 +25,18 @@ from fractions import Fraction
 
 from .polycore import VerificationError, cyclotomic
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # Distinct moduli whose integer tables are kept, and distinct (m, e mod m)
 # roots of unity kept as CycloNumbers.
 FIELD_CACHE_SIZE = 64
 ZETA_CACHE_SIZE = 1024
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Full rational long division on little-endian coefficient lists."""
-    b = _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _trim(list(a))
-    q = [_ZERO] * max(len(rem) - len(b) + 1, 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        k = len(rem) - len(b)
-        factor = rem[-1] / lead
-        q[k] = factor
-        for i, c in enumerate(b[:-1]):
-            rem[i + k] -= factor * c
-        rem.pop()
-        _trim(rem)
-    return _trim(q), rem
-
-
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
-def _field_data(m: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...],
+def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...],
                                  tuple[tuple[int, ...], ...]]:
-    """Dense Phi_m coefficients, degree phi(m), the integer coordinates
-    of zeta^e for e in [0, m), and those of zeta^k for k in
-    [degree, 2*degree - 2] (the range reachable by products)."""
+    """The degree phi(m), the integer coordinates of zeta^e for e in
+    [0, m), and those of zeta^k for k in [degree, 2*degree - 2] (the
+    range reachable by products)."""
     if m < 1:
         raise ValueError("cyclotomic modulus must be positive")
     phi = cyclotomic(m)
@@ -101,12 +54,12 @@ def _field_data(m: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ..
         if top:
             coords = [c - top * p for c, p in zip(coords, dense)]
     tails = tuple(powers[k % m] for k in range(deg, 2 * deg - 1))
-    return tuple(dense), deg, tuple(powers), tails
+    return deg, tuple(powers), tails
 
 
 @functools.lru_cache(maxsize=ZETA_CACHE_SIZE)
 def _zeta(m: int, e: int) -> CycloNumber:
-    return CycloNumber._raw(m, _field_data(m)[2][e], 1)
+    return CycloNumber._raw(m, _field_data(m)[1][e], 1)
 
 
 class CycloNumber:
@@ -115,7 +68,7 @@ class CycloNumber:
     __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coords):
-        _, deg, _, _ = _field_data(m)
+        deg = _field_data(m)[0]
         coords = [c if isinstance(c, (int, Fraction)) else Fraction(c)
                   for c in coords]
         if len(coords) != deg:
@@ -153,7 +106,7 @@ class CycloNumber:
 
     @classmethod
     def zero(cls, m: int) -> CycloNumber:
-        _, deg, _, _ = _field_data(m)
+        deg = _field_data(m)[0]
         return cls._raw(m, (0,) * deg, 1)
 
     @classmethod
@@ -162,7 +115,7 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, m: int, value) -> CycloNumber:
-        _, deg, _, _ = _field_data(m)
+        deg = _field_data(m)[0]
         value = Fraction(value)
         return cls._raw(m, (value.numerator,) + (0,) * (deg - 1),
                         value.denominator)
@@ -232,7 +185,7 @@ class CycloNumber:
                     if y:
                         prod[i + j] += x * y
         num = prod[:deg]
-        for c, tail in zip(prod[deg:], _field_data(self.m)[3]):
+        for c, tail in zip(prod[deg:], _field_data(self.m)[2]):
             if c:
                 num = [n + c * t for n, t in zip(num, tail)]
         return CycloNumber._reduced(self.m, num, self.den * other.den)
@@ -240,26 +193,23 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        """Multiplicative inverse via extended Euclid mod Phi_m."""
+        """Multiplicative inverse by the field norm.
+
+        N(x) = prod over k in (Z/m)* of sigma_k(x), sigma_k: zeta -> zeta^k,
+        is a nonzero rational for x != 0, so 1/x is the product of the
+        conjugates sigma_k(x), k != 1, divided by N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        dense, deg, _, _ = _field_data(self.m)
-        # Invariant: r_i == s_i * num (mod Phi_m), for self = num / den;
-        # Phi_m is irreducible over Q so the last nonzero remainder is a
-        # nonzero constant.
-        r0 = _trim([Fraction(c) for c in dense])
-        r1 = _trim([Fraction(c) for c in self.num])
-        s0, s1 = [_ZERO], [_ONE]
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _trim(_psub(s0, _pmul(q, s1)))
-        if len(r0) != 1:
-            raise VerificationError("gcd with an irreducible must be constant")
-        scale = self.den / r0[0]
-        inv = [c * scale for c in s0]
-        inv = (inv + [_ZERO] * deg)[:deg]
-        result = CycloNumber(self.m, inv)
+        m = self.m
+        others = CycloNumber.one(m)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                others = others * self._substitute(m, k)
+        norm = self * others
+        if not norm.is_rational() or norm.is_zero():
+            raise VerificationError("inverse computation failed")
+        result = others * Fraction(norm.den, norm.num[0])
         if not (result * self).is_one():
             raise VerificationError("inverse computation failed")
         return result
@@ -286,7 +236,7 @@ class CycloNumber:
 
     def _substitute(self, big_m: int, step: int) -> CycloNumber:
         """Image in Q(zeta_M) under zeta_m^i -> zeta_M^(i * step)."""
-        _, deg, powers, _ = _field_data(big_m)
+        deg, powers, _ = _field_data(big_m)
         out = [0] * deg
         for i, c in enumerate(self.num):
             if c:

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from . import partitions as pt
 from .polycore import GradedProduct, LaurentPoly, VerificationError
 
+# Distinct groups whose shift orbits are kept.
+ORBITS_CACHE_SIZE = 64
+
 _GROUP_RE = re.compile(r"^G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
@@ -79,7 +82,7 @@ class IrrLabel:
         return f"{base} eps={self.eps}"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=ORBITS_CACHE_SIZE)
 def group_orbits(g: GroupSpec) -> tuple[pt.MultipartitionOrbit, ...]:
     """Shift orbits of m-multipartitions of n, in enumeration order."""
     mps = pt.multipartitions(g.m, g.n)

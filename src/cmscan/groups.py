@@ -1,20 +1,24 @@
 """Exact matrix realizations of G(m,p,n).
 
 Elements are monomial matrices stored as (permutation, exponent vector):
-the matrix has entry zeta_m^exps[i] in row perm[i], column i.  Element
-enumeration, the conjugacy classes of reflections in closed form, sums
-of restricted symplectic forms on h + h* and Molien series all live
-here; everything is exact.
+the matrix has entry zeta_m^exps[i] in row perm[i], column i.  The
+conjugacy classes of reflections, sums of restricted symplectic forms
+on h + h* and Molien series all live here, exact and in closed form
+where one is known: no group is enumerated.  The enumeration and the
+group operations are the oracle in tests/linalg_oracle.py.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .cyclo import CycloNumber
 from .fakedeg import GroupSpec, natural_is_reducible
+from .partitions import partitions
 from .polycore import MAX_SPAN, LaurentPoly, VerificationError
 
 DEFAULT_MAX_ORDER = 10**6
@@ -48,62 +52,12 @@ class MonomialElement:
     def n(self) -> int:
         return len(self.perm)
 
-    @classmethod
-    def identity(cls, m: int, n: int) -> MonomialElement:
-        return cls(m, tuple(range(n)), (0,) * n)
-
-    def __mul__(self, other: MonomialElement) -> MonomialElement:
-        """Matrix product self * other (self applied second)."""
-        if not isinstance(other, MonomialElement):
-            return NotImplemented
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("mixed ambient groups")
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        exps = tuple(
-            (other.exps[j] + self.exps[other.perm[j]]) % self.m
-            for j in range(self.n)
-        )
-        return MonomialElement(self.m, perm, exps)
-
-    def inv(self) -> MonomialElement:
-        q = [0] * self.n
-        for i, img in enumerate(self.perm):
-            q[img] = i
-        exps = tuple((-self.exps[q[k]]) % self.m for k in range(self.n))
-        return MonomialElement(self.m, tuple(q), exps)
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.n)) and not any(self.exps)
-
     def matrix(self) -> linalg.Matrix:
         zero = CycloNumber.zero(self.m)
         rows = [[zero] * self.n for _ in range(self.n)]
         for j in range(self.n):
             rows[self.perm[j]][j] = CycloNumber.zeta(self.m, self.exps[j])
         return tuple(tuple(r) for r in rows)
-
-    def trace(self) -> CycloNumber:
-        acc = CycloNumber.zero(self.m)
-        for i in range(self.n):
-            if self.perm[i] == i:
-                acc = acc + CycloNumber.zeta(self.m, self.exps[i])
-        return acc
-
-    def cycles(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.perm[start]
-            while j != start:
-                seen[j] = True
-                cyc.append(j)
-                j = self.perm[j]
-            out.append(cyc)
-        return out
 
     def sort_key(self) -> tuple:
         return (self.perm, self.exps)
@@ -117,19 +71,6 @@ def _check_order(g: GroupSpec, max_order: int) -> None:
         if order > max_order * g.p:
             size = f" {order // g.p}" if k == g.n else ""
             raise GroupTooLargeError(f"{g} has order{size} > bound {max_order}")
-
-
-def elements(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER):
-    """All elements in deterministic (perm, exps) lexicographic order,
-    valid by construction and so not re-validated."""
-    _check_order(g, max_order)
-    m, p, new = g.m, g.p, object.__new__
-    for perm in itertools.permutations(range(g.n)):
-        for head in itertools.product(range(m), repeat=g.n - 1):
-            for last in range(-sum(head) % p, m, p):
-                w = new(MonomialElement)
-                vars(w).update(m=m, perm=perm, exps=head + (last,))
-                yield w
 
 
 @dataclass(frozen=True)
@@ -217,13 +158,39 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
 
 # -- Molien series --------------------------------------------------------
 
+def _signature_counts(g: GroupSpec) -> dict[tuple[tuple[int, int], ...], int]:
+    """How many elements of G(m,p,n) have each sorted (L, E mod m) cycle
+    signature, with L a cycle's length and E its exponent sum.
+
+    A cycle type lam of n with k cycles, a_L of them of length L, is
+    taken by n!/z_lam permutations, z_lam = prod_L L^a_L a_L!, and a
+    cycle of length L carries m^(L-1) exponent vectors of each sum E.
+    So each tuple of cycle sums (E_1, ..., E_k) with sum E = 0 mod p
+    counts n!/z_lam * m^(n-k) elements; the last E steps by p.
+    """
+    m, p, n = g.m, g.p, g.n
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
+    for lam in partitions(n):
+        z = 1
+        for length, mult in Counter(lam).items():
+            z *= length**mult * math.factorial(mult)
+        weight = math.factorial(n) // z * m ** (n - len(lam))
+        for head in itertools.product(range(m), repeat=len(lam) - 1):
+            for last in range(-sum(head) % p, m, p):
+                key = tuple(sorted(zip(lam, head + (last,))))
+                counts[key] = counts.get(key, 0) + weight
+    return counts
+
+
 def molien_series(g: GroupSpec, truncate: int = 30,
                   max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
     """(1/|W|) sum_w 1/det(1 - t w) to order ``truncate``, exactly.
 
     det(1 - t w) = prod over the cycles of w of (1 - zeta^E t^L), with L
-    the cycle length and E its exponent sum, so the elements are grouped
-    by their sorted (L, E mod m) signature and each group contributes
+    the cycle length and E its exponent sum, so only the number of
+    elements with each sorted (L, E mod m) signature matters, and that
+    is known in closed form (``_signature_counts``); no element is
+    enumerated.  Each signature contributes
     count * prod_cycles sum_j zeta^(E j) t^(L j).  Those products are
     summed in the group ring Z[C_m]: each t-coefficient is a list of m
     ints indexed by the exponent of zeta.  Each coefficient is reduced
@@ -232,7 +199,8 @@ def molien_series(g: GroupSpec, truncate: int = 30,
     expanded term by term, never summed in closed form: that sum
     collapses to the degrees product this series is checked against.
     A table of (truncate + 1) * m ints above polycore.MAX_SPAN is refused
-    with ValueError before any work.
+    with ValueError before any work, then |W| > max_order with
+    GroupTooLargeError.
     """
     m = g.m
     n_terms = truncate + 1
@@ -240,15 +208,8 @@ def molien_series(g: GroupSpec, truncate: int = 30,
         raise ValueError(
             f"molien series of {g} to t^{truncate} needs {n_terms * m} "
             f"coefficients; the limit is {MAX_SPAN}")
-    signatures: dict[tuple[tuple[int, int], ...], int] = {}
-    cycles_of: dict[tuple[int, ...], list[list[int]]] = {}  # once per perm
-    for w in elements(g, max_order):
-        if w.perm not in cycles_of:
-            cycles_of[w.perm] = w.cycles()
-        get = w.exps.__getitem__
-        key = tuple(sorted((len(cyc), sum(map(get, cyc)) % m)
-                           for cyc in cycles_of[w.perm]))
-        signatures[key] = signatures.get(key, 0) + 1
+    _check_order(g, max_order)
+    signatures = _signature_counts(g)
 
     table = [[0] * m for _ in range(n_terms)]
     for sig, count in sorted(signatures.items()):

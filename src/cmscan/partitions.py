@@ -30,6 +30,11 @@ Multipartition = tuple[Partition, ...]
 # 42,614 five times over, while G(20,1,8)'s 9,869,990 exhausts memory.
 MAX_MULTIPARTITIONS = 200_000
 
+# Distinct (n, max_part) and (m, n) arguments whose enumerations are kept.
+# One multipartitions(m, n) call recurses through m * n of them.
+PARTITIONS_CACHE_SIZE = 4096
+MULTIPARTITIONS_CACHE_SIZE = 1024
+
 
 def check_partition(parts: tuple[int, ...]) -> Partition:
     """Validate weakly decreasing positive parts."""
@@ -42,7 +47,7 @@ def check_partition(parts: tuple[int, ...]) -> Partition:
     return parts
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n in descending lexicographic order.
 
@@ -172,7 +177,7 @@ def _multipartition_count(m: int, n: int) -> int:
     return a[-1]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MULTIPARTITIONS_CACHE_SIZE)
 def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
     """All m-multipartitions of n, deterministically ordered.
 

@@ -24,7 +24,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping
@@ -33,6 +32,11 @@ from typing import Iterable, Iterator, Mapping
 # is dense, so this bounds the memory one value can take; it is checked
 # before anything is allocated.
 MAX_SPAN = 1 << 20
+
+# Distinct cyclotomic polynomials kept.  Phi_k is built from Phi_d for
+# every d | k, and no k below 10^6 has more than 240 divisors, so one
+# call's working set fits.
+CYCLOTOMIC_CACHE_SIZE = 256
 
 
 def _check_span(span: int) -> None:
@@ -169,18 +173,6 @@ class LaurentPoly:
 
     def at_one(self) -> int:
         return sum(self._c)
-
-    def __call__(self, x):
-        """Evaluate at ``x``; negative exponents need an invertible ``x``."""
-        total = 0
-        for e, c in self.items():
-            if e >= 0:
-                total = total + c * x**e
-            elif isinstance(x, int):
-                total = total + Fraction(c, x ** (-e))
-            else:
-                total = total + c * x**e
-        return total
 
     # -- arithmetic --------------------------------------------------
 
@@ -391,7 +383,7 @@ class LaurentPoly:
         return f"LaurentPoly.parse({self.render()!r})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic(k: int) -> LaurentPoly:
     """The k-th cyclotomic polynomial Phi_k, computed by exact division.
 

@@ -1,5 +1,12 @@
 """Reference pipeline for differential tests of cmscan.linalg and groups.
 
+``elements`` enumerates G(m,p,n) and ``identity_element``, ``mul``,
+``inv``, ``is_identity``, ``trace`` and ``cycles`` are the group
+operations on its monomial elements, which ``cmscan`` no longer needs:
+no command enumerates a group.  ``signature_counts_by_enumeration``
+counts the elements of each Molien cycle signature one by one, as
+``groups.molien_series`` did before the closed-form count.
+
 This is the generic route to a reflection's restricted form that
 ``cmscan`` used before the closed forms: reduced echelon forms, kernel
 and column-space bases, a Gauss-Jordan inverse, the projection onto
@@ -17,12 +24,13 @@ Molien sum against it.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
 from cmscan.groups import (
-    DEFAULT_MAX_ORDER, MonomialElement, ReflectionClass, elements,
+    DEFAULT_MAX_ORDER, MonomialElement, ReflectionClass, _check_order,
 )
 from cmscan.linalg import (
     Matrix, _dot, identity, mat_mul, mat_sub, symplectic_form_matrix,
@@ -30,6 +38,84 @@ from cmscan.linalg import (
 from cmscan.polycore import LaurentPoly, VerificationError
 
 Vector = tuple[CycloNumber, ...]
+
+
+# -- group elements --------------------------------------------------------
+
+def elements(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER):
+    """All elements in deterministic (perm, exps) lexicographic order,
+    valid by construction and so not re-validated."""
+    _check_order(g, max_order)
+    m, p, new = g.m, g.p, object.__new__
+    for perm in itertools.permutations(range(g.n)):
+        for head in itertools.product(range(m), repeat=g.n - 1):
+            for last in range(-sum(head) % p, m, p):
+                w = new(MonomialElement)
+                vars(w).update(m=m, perm=perm, exps=head + (last,))
+                yield w
+
+
+def identity_element(m: int, n: int) -> MonomialElement:
+    return MonomialElement(m, tuple(range(n)), (0,) * n)
+
+
+def mul(x: MonomialElement, y: MonomialElement) -> MonomialElement:
+    """Matrix product x * y (x applied second)."""
+    if x.m != y.m or x.n != y.n:
+        raise ValueError("mixed ambient groups")
+    perm = tuple(x.perm[y.perm[j]] for j in range(x.n))
+    exps = tuple((y.exps[j] + x.exps[y.perm[j]]) % x.m for j in range(x.n))
+    return MonomialElement(x.m, perm, exps)
+
+
+def inv(w: MonomialElement) -> MonomialElement:
+    q = [0] * w.n
+    for i, img in enumerate(w.perm):
+        q[img] = i
+    exps = tuple((-w.exps[q[k]]) % w.m for k in range(w.n))
+    return MonomialElement(w.m, tuple(q), exps)
+
+
+def is_identity(w: MonomialElement) -> bool:
+    return w.perm == tuple(range(w.n)) and not any(w.exps)
+
+
+def trace(w: MonomialElement) -> CycloNumber:
+    acc = CycloNumber.zero(w.m)
+    for i in range(w.n):
+        if w.perm[i] == i:
+            acc = acc + CycloNumber.zeta(w.m, w.exps[i])
+    return acc
+
+
+def cycles(w: MonomialElement) -> list[list[int]]:
+    seen = [False] * w.n
+    out = []
+    for start in range(w.n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        j = w.perm[start]
+        while j != start:
+            seen[j] = True
+            cyc.append(j)
+            j = w.perm[j]
+        out.append(cyc)
+    return out
+
+
+def signature_counts_by_enumeration(
+        g: GroupSpec,
+        max_order: int = DEFAULT_MAX_ORDER) -> dict[tuple[tuple[int, int], ...], int]:
+    """Number of elements with each sorted (cycle length, exponent sum
+    mod m) signature, one element at a time."""
+    signatures: dict[tuple[tuple[int, int], ...], int] = {}
+    for w in elements(g, max_order):
+        key = tuple(sorted((len(cyc), sum(w.exps[i] for i in cyc) % g.m)
+                           for cyc in cycles(w)))
+        signatures[key] = signatures.get(key, 0) + 1
+    return signatures
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -214,7 +300,7 @@ def is_reflection(w: MonomialElement) -> bool:
     exactly when E = 0 mod m and nothing otherwise.  Hence rank(1 - w) is
     n minus the number of cycles whose exponent sum is 0 mod m.
     """
-    fixed = sum(1 for cyc in w.cycles()
+    fixed = sum(1 for cyc in cycles(w)
                 if sum(w.exps[i] for i in cyc) % w.m == 0)
     return w.n - fixed == 1
 
@@ -231,10 +317,10 @@ def reflection_classes_by_conjugation(
     for s in reflections:
         if s in assigned:
             continue
-        orbit = {x * s * x.inv() for x in all_elements}
+        orbit = {mul(mul(x, s), inv(x)) for x in all_elements}
         assigned |= orbit
         members = tuple(sorted(orbit, key=MonomialElement.sort_key))
-        zeta = s.trace() - n_minus_1
+        zeta = trace(s) - n_minus_1
         classes.append(ReflectionClass(members, zeta))
     return tuple(classes)
 
@@ -243,7 +329,7 @@ def character_norm(g) -> Fraction:
     """<chi, chi> of the natural character of G(m,p,n), by enumeration."""
     acc = CycloNumber.zero(g.m)
     for w in elements(g):
-        acc = acc + w.trace() * w.inv().trace()
+        acc = acc + trace(w) * trace(inv(w))
     return acc.as_rational() / g.order
 
 
@@ -257,14 +343,7 @@ def molien_series_by_inversion(g: GroupSpec, truncate: int = 30,
     so elements are grouped by their cycle signature before the series
     work; the rational-integrality of the result is checked.
     """
-    signatures: dict[tuple[tuple[int, int], ...], int] = {}
-    for w in elements(g, max_order):
-        sig = []
-        for cyc in w.cycles():
-            total = sum(w.exps[i] for i in cyc) % g.m
-            sig.append((len(cyc), total))
-        key = tuple(sorted(sig))
-        signatures[key] = signatures.get(key, 0) + 1
+    signatures = signature_counts_by_enumeration(g, max_order)
 
     n_terms = truncate + 1
     zero = CycloNumber.zero(g.m)

@@ -90,17 +90,19 @@ class TestExitCodes:
 
     def test_verify_omega_never_enumerates_the_group(self, monkeypatch,
                                                      capsys):
-        calls = []
-        real = groups.elements
+        # Only the 2 * 4 diagonal reflections and the 6 * 6 transpositions
+        # of G(6,2,4) are built, not its 15552 elements.
+        built = []
+        real = groups.MonomialElement.__post_init__
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def spy(self):
+            built.append(self)
+            real(self)
 
-        monkeypatch.setattr(groups, "elements", spy)
+        monkeypatch.setattr(groups.MonomialElement, "__post_init__", spy)
         assert cli.main(["verify-omega", "G(6,2,4)"]) == 0
         assert "3 reflection class(es)" in capsys.readouterr().out
-        assert calls == []
+        assert len(built) == 2 * 4 + 6 * 6
 
     def test_molien_ok(self):
         proc = run_cli("molien", "G(3,3,2)", "--truncate", "12")
@@ -126,16 +128,17 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_molien_non_rational_is_exit_1(self, monkeypatch, capsys):
-        real = groups.elements
+        real = groups._signature_counts
 
-        def corrupted(g, max_order):
-            # diag(zeta_3, 1) in place of the identity: the t^1
+        def corrupted(g):
+            # One count of the identity moved to diag(zeta_3, 1): the t^1
             # coefficient is no longer rational.
-            for w in real(g, max_order):
-                yield (groups.MonomialElement(3, (0, 1), (1, 0))
-                       if w.is_identity() else w)
+            counts = real(g)
+            counts[((1, 0), (1, 0))] -= 1
+            counts[((1, 0), (1, 1))] += 1
+            return counts
 
-        monkeypatch.setattr(groups, "elements", corrupted)
+        monkeypatch.setattr(groups, "_signature_counts", corrupted)
         assert cli.main(["molien", "G(3,1,2)"]) == 1
         err = capsys.readouterr().err
         assert err == ("cmscan: verification mismatch: "

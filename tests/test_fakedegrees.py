@@ -161,3 +161,14 @@ class TestNotes:
         assert "G(1,1,4)" in fd.isomorphism_note(fd.GroupSpec(2, 2, 3))
         assert "G(2,1,2)" in fd.isomorphism_note(fd.GroupSpec(4, 4, 2))
         assert fd.isomorphism_note(fd.GroupSpec(4, 1, 2)) is None
+
+
+def test_group_orbits_cache_is_bounded():
+    for m in range(1, fd.ORBITS_CACHE_SIZE + 20):
+        orbits = fd.group_orbits(fd.GroupSpec(m, m, 1))
+        # Shift by 1 on the m components permutes the m one-box
+        # multipartitions transitively.
+        assert [o.size() for o in orbits] == [m]
+    info = fd.group_orbits.cache_info()
+    assert info.maxsize == fd.ORBITS_CACHE_SIZE
+    assert info.currsize <= fd.ORBITS_CACHE_SIZE

@@ -24,31 +24,31 @@ def reflection_count(m, p, n):
 
 class TestMonomialElements:
     def test_identity(self):
-        e = gr.MonomialElement.identity(3, 2)
-        assert e.is_identity()
+        e = oracle.identity_element(3, 2)
+        assert oracle.is_identity(e)
         assert e.matrix() == linalg.identity(2, 3)
 
     def test_product_matches_matrix_product(self):
         g = GroupSpec(4, 2, 2)
-        els = list(gr.elements(g))
+        els = list(oracle.elements(g))
         for x in els[::5]:
             for y in els[::7]:
-                assert (x * y).matrix() == linalg.mat_mul(x.matrix(),
-                                                          y.matrix())
+                assert oracle.mul(x, y).matrix() == linalg.mat_mul(
+                    x.matrix(), y.matrix())
 
     def test_inverse(self):
         g = GroupSpec(6, 3, 2)
-        for w in gr.elements(g):
-            assert (w * w.inv()).is_identity()
-            assert (w.inv() * w).is_identity()
+        for w in oracle.elements(g):
+            assert oracle.is_identity(oracle.mul(w, oracle.inv(w)))
+            assert oracle.is_identity(oracle.mul(oracle.inv(w), w))
 
     def test_trace_agrees_with_matrix(self):
         g = GroupSpec(3, 1, 2)
-        for w in gr.elements(g):
+        for w in oracle.elements(g):
             mat = w.matrix()
             diag = mat[0][0] + mat[1][1]
-            assert w.trace() == diag
-            assert w.inv().trace() == w.trace().conj()
+            assert oracle.trace(w) == diag
+            assert oracle.trace(oracle.inv(w)) == oracle.trace(w).conj()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestMonomialElements:
 
     def test_cycles(self):
         w = gr.MonomialElement(2, (1, 2, 0, 3), (1, 0, 1, 0))
-        assert w.cycles() == [[0, 1, 2], [3]]
+        assert oracle.cycles(w) == [[0, 1, 2], [3]]
 
 
 class TestEnumeration:
@@ -66,28 +66,28 @@ class TestEnumeration:
                                       (4, 2, 2), (6, 6, 3)])
     def test_count_is_group_order(self, spec):
         g = GroupSpec(*spec)
-        assert sum(1 for _ in gr.elements(g)) == g.order
+        assert sum(1 for _ in oracle.elements(g)) == g.order
 
     def test_identity_comes_first(self):
-        first = next(gr.elements(GroupSpec(4, 2, 3)))
-        assert first.is_identity()
+        first = next(oracle.elements(GroupSpec(4, 2, 3)))
+        assert oracle.is_identity(first)
 
     def test_closure(self):
         g = GroupSpec(3, 3, 2)
-        els = set(gr.elements(g))
-        assert all(x * y in els for x in els for y in els)
+        els = set(oracle.elements(g))
+        assert all(oracle.mul(x, y) in els for x in els for y in els)
 
     def test_order_bound(self):
         with pytest.raises(gr.GroupTooLargeError):
-            list(gr.elements(GroupSpec(12, 1, 5)))
+            list(oracle.elements(GroupSpec(12, 1, 5)))
         with pytest.raises(gr.GroupTooLargeError):
-            list(gr.elements(GroupSpec(2, 1, 3), max_order=10))
+            list(oracle.elements(GroupSpec(2, 1, 3), max_order=10))
 
     def test_elements_equal_validated_elements(self):
         # The enumerator skips MonomialElement's validation; every element
         # must still be the validated one, in (perm, exps) order.
         for g in fd.configured_groups(max_order=2000):
-            els = list(gr.elements(g))
+            els = list(oracle.elements(g))
             assert len(els) == g.order, g
             assert els == sorted(els, key=gr.MonomialElement.sort_key), g
             assert len(set(els)) == g.order, g
@@ -102,11 +102,11 @@ class TestReflections:
                                       (2, 2, 3)])
     def test_reflection_count(self, spec):
         g = GroupSpec(*spec)
-        found = sum(1 for w in gr.elements(g) if oracle.is_reflection(w))
+        found = sum(1 for w in oracle.elements(g) if oracle.is_reflection(w))
         assert found == reflection_count(*spec)
 
     def test_identity_is_not_a_reflection(self):
-        assert not oracle.is_reflection(gr.MonomialElement.identity(4, 2))
+        assert not oracle.is_reflection(oracle.identity_element(4, 2))
 
     def test_class_structure_g312(self):
         g = GroupSpec(3, 1, 2)
@@ -128,7 +128,7 @@ class TestReflections:
                                       (6, 6, 2), (3, 1, 3), (4, 2, 3),
                                       (3, 3, 3), (1, 1, 4), (2, 2, 4)])
     def test_cycle_rule_matches_rank(self, spec):
-        for w in gr.elements(GroupSpec(*spec)):
+        for w in oracle.elements(GroupSpec(*spec)):
             rank_is_one = oracle.sparse_rank(oracle.one_minus_rows(w),
                                              stop_at=2) == 1
             assert oracle.is_reflection(w) == rank_is_one, w
@@ -137,9 +137,9 @@ class TestReflections:
         g = GroupSpec(3, 3, 2)
         (cls,) = gr.reflection_classes(g)
         members = set(cls.elements)
-        for x in gr.elements(g):
+        for x in oracle.elements(g):
             for s in members:
-                assert x * s * x.inv() in members
+                assert oracle.mul(oracle.mul(x, s), oracle.inv(x)) in members
 
 
 def oracle_groups():
@@ -212,7 +212,7 @@ class TestClosedFormClasses:
                                match=rf"^{re.escape(str(g))} has order > bound"):
                 gr.reflection_classes(g)
             with pytest.raises(gr.GroupTooLargeError, match="has order > bound"):
-                next(gr.elements(g))
+                next(oracle.elements(g))
         # The bound is inclusive.
         assert gr.reflection_classes(GroupSpec(2, 1, 3), max_order=48)
 
@@ -313,7 +313,7 @@ except VerificationError as exc:
         ("diag1.elements[:1] + diag2.elements[:1]", "diag1.zeta",
          "reflections summed together must share their eigenvalue"),
         # The identity: 1 - s = 0 has trace 0.
-        ("diag1.elements + (gr.MonomialElement.identity(5, 2),)",
+        ("diag1.elements + (gr.MonomialElement(5, (0, 1), (0, 0)),)",
          "diag1.zeta",
          "1 - s does not have rank one with nonzero trace: "
          "s is not a reflection"),
@@ -417,6 +417,31 @@ class TestMolienAgainstInversion:
             assert got == LaurentPoly({k: 1 for k in range(0, 26, m)})
 
 
+# The groups of the benchmark's `molien` commands, and the cyclic group
+# of order 7 in its p = m form.
+MOLIEN_GROUPS = [(10, 1, 3), (10, 2, 3), (12, 4, 3), (3, 3, 5), (4, 1, 4),
+                 (5, 1, 4), (6, 2, 4), (6, 6, 4), (8, 8, 4), (7, 7, 1)]
+
+
+class TestSignatureCounts:
+    """The closed-form cycle-signature counts against the enumeration
+    they replaced (tests/linalg_oracle.py)."""
+
+    def test_matches_enumeration(self):
+        grid = (list(fd.configured_groups(max_order=50_000))
+                + [GroupSpec(*spec) for spec in MOLIEN_GROUPS])
+        assert len(grid) == 121
+        for g in grid:
+            counts = gr._signature_counts(g)
+            assert counts == oracle.signature_counts_by_enumeration(g), g
+            assert sum(counts.values()) == g.order, g
+
+    def test_order_bound_comes_before_the_count(self, monkeypatch):
+        monkeypatch.setattr(gr, "_signature_counts", None)
+        with pytest.raises(gr.GroupTooLargeError, match="> bound 47"):
+            gr.molien_series(GroupSpec(2, 1, 3), max_order=47)
+
+
 class TestMolienChecks:
     """The rationality and integrality checks raise VerificationError,
     so the CLI reports exit 1 and ``python -O`` keeps them."""
@@ -425,11 +450,12 @@ class TestMolienChecks:
 from cmscan import groups as gr
 from cmscan.fakedeg import GroupSpec
 from cmscan.polycore import VerificationError
-real = gr.elements
-def corrupted(g, max_order):
-    for w in real(g, max_order):
-        {corrupt}
-gr.elements = corrupted
+real = gr._signature_counts
+def corrupted(g):
+    counts = real(g)
+    {corrupt}
+    return counts
+gr._signature_counts = corrupted
 print("__debug__ =", __debug__)
 try:
     gr.molien_series(GroupSpec(3, 1, 2), truncate=4)
@@ -439,14 +465,13 @@ except VerificationError as exc:
 
     @pytest.mark.parametrize("corrupt, message", [
         # The identity counted twice: t^0 has coefficient 19/18.
-        ("yield w\n        if w.is_identity(): yield w",
+        ("counts[((1, 0), (1, 0))] += 1",
          "Molien coefficient at t^0 is not integral"),
-        # The identity replaced by diag(zeta, 1): the count stays |W| but
-        # the t^1 coefficient moves by (zeta - 1)/|W|.
-        ("yield gr.MonomialElement(3, (0, 1), (1, 0)) "
-         "if w.is_identity() else w",
+        # The identity's count moved to diag(zeta, 1): the count stays |W|
+        # but the t^1 coefficient moves by (zeta - 1)/|W|.
+        ("counts[((1, 0), (1, 0))] -= 1; counts[((1, 0), (1, 1))] += 1",
          "Molien coefficient at t^1 is not rational"),
-    ])
+    ], ids=["not-integral", "not-rational"])
     def test_corrupted_signatures_raise_under_optimize(self, corrupt, message):
         code = self.SCRIPT.format(corrupt=corrupt)
         proc = subprocess.run([sys.executable, "-O", "-c", code],

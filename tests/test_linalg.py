@@ -113,7 +113,7 @@ def oracle_form(s, m):
 @pytest.mark.parametrize("spec", GRID)
 def test_reflection_form_matches_generic_pipeline(spec):
     g = GroupSpec(*spec)
-    reflections = [w for w in groups.elements(g) if oracle.is_reflection(w)]
+    reflections = [w for w in oracle.elements(g) if oracle.is_reflection(w)]
     assert reflections
     for w in reflections:
         s = w.matrix()

@@ -219,3 +219,23 @@ class TestTextFormat:
             pt.parse_multipartition("2,|1")
         with pytest.raises(ValueError):
             pt.parse_multipartition("1,2|-")
+
+
+class TestBoundedCaches:
+    def test_partitions_cache_is_bounded(self):
+        for k in range(pt.PARTITIONS_CACHE_SIZE + 100):
+            assert pt.partitions(1, k) == (((1,),) if k else ())
+        info = pt.partitions.cache_info()
+        assert info.maxsize == pt.PARTITIONS_CACHE_SIZE
+        assert info.currsize <= pt.PARTITIONS_CACHE_SIZE
+        assert pt.partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1),
+                                    (1, 1, 1, 1))
+
+    def test_multipartitions_cache_is_bounded(self):
+        # Ascending m, so each call finds m - 1 cached and recurses once.
+        for m in range(1, pt.MULTIPARTITIONS_CACHE_SIZE + 100):
+            assert pt.multipartitions(m, 0) == (((),) * m,)
+        info = pt.multipartitions.cache_info()
+        assert info.maxsize == pt.MULTIPARTITIONS_CACHE_SIZE
+        assert info.currsize <= pt.MULTIPARTITIONS_CACHE_SIZE
+        assert len(pt.multipartitions(3, 3)) == pt._multipartition_count(3, 3)

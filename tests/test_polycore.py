@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmscan import polycore
 from cmscan.polycore import (
     CycloFactorisation, GradedProduct, LaurentPoly, NotPolynomialError,
     cyclotomic,
@@ -69,9 +70,6 @@ class TestArithmetic:
         assert p.content() == 2
         assert p.at_one() == 12
 
-    def test_evaluate(self):
-        assert P("t^2 + t + 1")(2) == 7
-
 
 class TestDivision:
     def test_frozen_indivisible_remainder(self):
@@ -127,6 +125,14 @@ class TestCyclotomic:
                 if a % k == 0:
                     product = product * cyclotomic(k)
             assert product == P(f"t^{a} - 1"), a
+
+    def test_cache_is_bounded(self):
+        for k in range(1, polycore.CYCLOTOMIC_CACHE_SIZE + 50):
+            assert cyclotomic(k).coeff(0) == (-1 if k == 1 else 1), k
+        info = cyclotomic.cache_info()
+        assert info.maxsize == polycore.CYCLOTOMIC_CACHE_SIZE
+        assert info.currsize <= polycore.CYCLOTOMIC_CACHE_SIZE
+        assert cyclotomic(12) == P("t^4 - t^2 + 1")
 
 
 class TestGradedProduct:
