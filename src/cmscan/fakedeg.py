@@ -14,11 +14,12 @@ exactly; reduction failure would be an internal invariant violation.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
 from . import partitions as pt
-from .polycore import GradedProduct, LaurentPoly, VerificationError
+from .polycore import GradedProduct, LaurentPoly, VerificationError, poincare_polynomial
 
 # Distinct groups whose shift orbits are kept.
 ORBITS_CACHE_SIZE = 64
@@ -47,7 +48,7 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        return self.m**self.n * functools.reduce(int.__mul__, range(1, self.n + 1), 1) // self.p
+        return self.m**self.n * math.factorial(self.n) // self.p
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -113,10 +114,9 @@ def irr_dimension(g: GroupSpec, label: IrrLabel | pt.MultipartitionOrbit) -> int
     divided by the stabiliser order."""
     orbit = label.orbit if isinstance(label, IrrLabel) else label
     mp = orbit.canonical
-    dim = functools.reduce(int.__mul__, range(1, g.n + 1), 1)
+    dim = math.factorial(g.n)
     for lam in mp:
-        k = sum(lam)
-        dim //= functools.reduce(int.__mul__, range(1, k + 1), 1)
+        dim //= math.factorial(sum(lam))
         dim *= pt.standard_tableau_count(lam)
     q, r = divmod(dim, orbit.stab_order)
     if r:
@@ -153,10 +153,7 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
 def coinvariant_poincare(g: GroupSpec) -> LaurentPoly:
     """Poincare polynomial of the coinvariant ring:
     prod (1 - t^degree) / (1 - t)^n."""
-    gp = GradedProduct.of(1, -g.n)
-    for deg in g.degrees:
-        gp = gp * GradedProduct.of(deg)
-    return gp.reduce()
+    return poincare_polynomial(g.degrees)
 
 
 # -- symmetric group oracle ----------------------------------------------

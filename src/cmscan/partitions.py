@@ -18,6 +18,7 @@ the scan path works on them through unchecked private helpers.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,10 +31,13 @@ Multipartition = tuple[Partition, ...]
 # 42,614 five times over, while G(20,1,8)'s 9,869,990 exhausts memory.
 MAX_MULTIPARTITIONS = 200_000
 
-# Distinct (n, max_part) and (m, n) arguments whose enumerations are kept.
-# One multipartitions(m, n) call recurses through m * n of them.
+# The most component slots (count * m) the enumerated multipartitions
+# hold: twice G(1000,1,1)'s 1,000,000, while G(300,1,2)'s 45,450 labels
+# hold 13,635,000 and exhaust memory below MAX_MULTIPARTITIONS.
+MAX_COMPONENT_SLOTS = 2_000_000
+
+# Distinct (n, max_part) arguments whose partitions are kept.
 PARTITIONS_CACHE_SIZE = 4096
-MULTIPARTITIONS_CACHE_SIZE = 1024
 
 
 def check_partition(parts: tuple[int, ...]) -> Partition:
@@ -93,11 +97,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for row in lam if row > j) for j in range(lam[0]))
 
 
-def hook_poly(lam: Partition) -> GradedProduct:
-    """prod over cells of (1 - t^hook)."""
-    return GradedProduct(factors=Counter(hook_lengths(lam)))
-
-
 def weighted_size(lam: Partition) -> int:
     """n(lam) = sum_i (i - 1) * lam_i.
 
@@ -111,13 +110,6 @@ def _weighted_size(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
 
 
-def t_factorial(n: int) -> GradedProduct:
-    """(t)_n = (1 - t)(1 - t^2)...(1 - t^n)."""
-    if n < 0:
-        raise ValueError("t-factorial needs n >= 0")
-    return GradedProduct(factors=dict.fromkeys(range(1, n + 1), 1))
-
-
 def standard_tableau_count(lam: Partition) -> int:
     """Number of standard Young tableaux, by the hook length formula;
     ``lam`` must be a valid partition (unchecked)."""
@@ -125,7 +117,7 @@ def standard_tableau_count(lam: Partition) -> int:
     denom = 1
     for h in _hook_lengths(lam):
         denom *= h
-    count, rem = divmod(functools.reduce(int.__mul__, range(1, n + 1), 1), denom)
+    count, rem = divmod(math.factorial(n), denom)
     if rem:
         raise VerificationError(f"hook product of {lam} does not divide {n}!")
     return count
@@ -177,31 +169,47 @@ def _multipartition_count(m: int, n: int) -> int:
     return a[-1]
 
 
-@functools.lru_cache(maxsize=MULTIPARTITIONS_CACHE_SIZE)
 def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
     """All m-multipartitions of n, deterministically ordered.
 
     The order sorts component 0 first (larger, lexicographically earlier
-    partitions first), then recurses on the remaining components, which
-    is ascending ``multipartition_key`` order:
+    partitions first), then the remaining components, which is
+    ascending ``multipartition_key`` order:
 
     >>> multipartitions(2, 2)[0]
     ((2,), ())
 
-    Refuses, before enumerating, more than MAX_MULTIPARTITIONS.
+    Refuses, before enumerating, more than MAX_MULTIPARTITIONS of them
+    or more than MAX_COMPONENT_SLOTS components in all.
     """
-    if _multipartition_count(m, n) > MAX_MULTIPARTITIONS:
+    count = _multipartition_count(m, n)
+    if count > MAX_MULTIPARTITIONS:
         raise ValueError(
             f"more than {MAX_MULTIPARTITIONS} {m}-multipartitions of {n}: "
             "too many labels to enumerate")
-    if m == 1:
-        return tuple((lam,) for lam in partitions(n))
+    if count * m > MAX_COMPONENT_SLOTS:
+        raise ValueError(
+            f"the {count} {m}-multipartitions of {n} hold {count * m} "
+            f"components; the limit is {MAX_COMPONENT_SLOTS}")
+    return tuple(_by_boxes(m, n))
+
+
+def _by_boxes(m: int, n: int) -> list[Multipartition]:
+    """The m-multipartitions of n in ``multipartitions`` order, as j
+    empty components, one nonempty partition of some size s, then the
+    (m - j - 1)-multipartitions of n - s; every level places at least
+    one box, so the recursion is at most n deep."""
+    if n == 0:
+        return [((),) * m]
     out: list[Multipartition] = []
-    for first_size in range(n, -1, -1):
-        for lam in partitions(first_size):
-            for rest in multipartitions(m - 1, n - first_size):
-                out.append((lam,) + rest)
-    return tuple(out)
+    for j in range(m):
+        head = ((),) * j
+        for size in range(n, 0, -1):
+            rest = _by_boxes(m - j - 1, n - size)
+            for lam in partitions(size):
+                first = head + (lam,)
+                out += [first + r for r in rest]
+    return out
 
 
 def shift(mp: Multipartition, d: int) -> Multipartition:
@@ -245,17 +253,15 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
 
 
 def _orbit(mp: Multipartition, p: int, d: int, key) -> MultipartitionOrbit:
-    """Orbit of a valid mp, its members sorted by ``key``."""
-    seen: list[Multipartition] = []
-    current = mp
-    for _ in range(p):
-        if current in seen:
-            break
+    """Orbit of a valid mp, its members sorted by ``key``; the action is
+    cyclic, so the first repeat is mp itself."""
+    seen = [mp]
+    current = shift(mp, d)
+    while current != mp and len(seen) < p:
         seen.append(current)
         current = shift(current, d)
-    size = len(seen)
-    stab, rem = divmod(p, size)
-    if rem:
+    stab, rem = divmod(p, len(seen))
+    if rem or current != mp:
         raise VerificationError("orbit size must divide p")
     members = tuple(sorted(seen, key=key))
     return MultipartitionOrbit(members, members[0], stab)

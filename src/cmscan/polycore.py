@@ -15,18 +15,18 @@ Two value types cover everything the higher layers need:
   exactly *before* anything is expanded.  Expansion takes one factor at
   a time: multiplying by 1 - t^a is a shift-and-subtract and dividing by
   it the recurrence q[i] = c[i] + q[i - a], each linear in the length.
-  The cyclotomic factorisation ``1 - t^a = -prod_{k | a} Phi_k(t)``
-  names the offending Phi_k when the product is not a polynomial.
+  ``poincare_polynomial`` expands the coinvariant Poincare polynomial
+  prod_i [d_i]_t = prod_i (1 - t^d_i)/(1 - t) with the same two
+  kernels, one degree at a time, with no factor left over to cancel.
 """
 from __future__ import annotations
 
 import functools
 import math
 import re
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Largest degree minus trailing degree a polynomial may have.  Storage
 # is dense, so this bounds the memory one value can take; it is checked
@@ -45,10 +45,22 @@ def _check_span(span: int) -> None:
                          f"the limit is {MAX_SPAN}")
 
 
+def _mul_one_minus(c: list[int], a: int) -> None:
+    """c *= 1 - t^a in place, truncated to len(c): c[i] -= c[i - a]."""
+    c[a:] = map(sub, c[a:], c[:-a])
+
+
+def _div_one_minus(c: list[int], a: int) -> None:
+    """c /= 1 - t^a as a power series in place, truncated to len(c):
+    q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
+    for j in range(min(a, len(c))):
+        c[j::a] = accumulate(c[j::a])
+
+
 class NotPolynomialError(ArithmeticError):
     """A graded product failed to reduce to a polynomial.
 
-    ``cyclotomic_index`` names the first Phi_k left with negative
+    ``cyclotomic_index`` names the largest Phi_k left with negative
     multiplicity after cancellation.
     """
 
@@ -401,19 +413,6 @@ def cyclotomic(k: int) -> LaurentPoly:
     return num
 
 
-@dataclass(frozen=True)
-class CycloFactorisation:
-    """Multiplicities of cyclotomic polynomials Phi_k, k >= 1."""
-
-    multiplicities: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.multiplicities)
-
-    def negative_indices(self) -> list[int]:
-        return [k for k, e in self.multiplicities if e < 0]
-
-
 class GradedProduct:
     """Formal product ``scalar * t^shift * prod_a (1 - t^a)^e(a)``.
 
@@ -438,10 +437,6 @@ class GradedProduct:
         self.factors = {a: e for a, e in sorted(clean.items()) if e}
 
     @classmethod
-    def one(cls) -> GradedProduct:
-        return cls()
-
-    @classmethod
     def of(cls, a: int, e: int = 1) -> GradedProduct:
         """The single factor (1 - t^a)^e."""
         return cls(factors={a: e})
@@ -462,48 +457,12 @@ class GradedProduct:
         return GradedProduct(self.scalar, -self.shift,
                              {a: -e for a, e in self.factors.items()})
 
-    def scaled(self, c: int) -> GradedProduct:
-        return GradedProduct(self.scalar * c, self.shift, self.factors)
-
-    def shifted(self, k: int) -> GradedProduct:
-        return GradedProduct(self.scalar, self.shift + k, self.factors)
-
     def substitute(self, k: int) -> GradedProduct:
         """Substitute t -> t^k (k >= 1): degrees and shift scale by k."""
         if k < 1:
             raise ValueError("substitution degree must be positive")
         return GradedProduct(self.scalar, self.shift * k,
                              {a * k: e for a, e in self.factors.items()})
-
-    def cyclotomic_factorisation(self) -> tuple[CycloFactorisation, int]:
-        """Phi_k multiplicities of the (1 - t^a) part, plus the sign.
-
-        Uses 1 - t^a = -(t^a - 1) = -prod_{k | a} Phi_k(t), so the
-        returned sign is (-1)^(sum of multiplicities).
-        """
-        mult: dict[int, int] = {}
-        sign_exp = 0
-        for a, e in self.factors.items():
-            sign_exp += e
-            for k in range(1, a + 1):
-                if a % k == 0:
-                    mult[k] = mult.get(k, 0) + e
-        sign = -1 if sign_exp % 2 else 1
-        pairs = tuple((k, e) for k, e in sorted(mult.items()) if e)
-        return CycloFactorisation(pairs), sign
-
-    def reduce(self) -> LaurentPoly:
-        """Expand to a LaurentPoly, or raise NotPolynomialError.
-
-        The verdict is exact: after cancelling cyclotomic factors, any
-        Phi_k left in the denominator proves the value is not a
-        polynomial, and the error names the first offender before
-        anything is expanded.
-        """
-        negatives = self.cyclotomic_factorisation()[0].negative_indices()
-        if negatives:
-            raise NotPolynomialError(negatives[0])
-        return self.reduce_with(LaurentPoly.one())
 
     def reduce_with(self, poly: LaurentPoly) -> LaurentPoly:
         """Expand ``poly * self`` when that product is a polynomial.
@@ -525,14 +484,13 @@ class GradedProduct:
         for a, e in self.factors.items():
             for _ in range(e):
                 c += [0] * a
-                c[a:] = map(sub, c[a:], c[:-a])
+                _mul_one_minus(c, a)
         for a, e in self.factors.items():
             for _ in range(-e):
-                for j in range(min(a, len(c))):
-                    c[j::a] = accumulate(c[j::a])
+                _div_one_minus(c, a)
                 if any(c[max(len(c) - a, 0):]):
-                    cf = self.cyclotomic_factorisation()[0]
-                    raise NotPolynomialError(max(cf.negative_indices(), default=1))
+                    raise NotPolynomialError(
+                        _largest_negative_cyclotomic(self.factors))
                 del c[len(c) - a:]
         if self.scalar != 1:
             c = map(mul, c, repeat(self.scalar))
@@ -550,3 +508,33 @@ class GradedProduct:
     def __repr__(self) -> str:
         body = " ".join(f"(1-t^{a})^{e}" for a, e in self.factors.items())
         return f"GradedProduct({self.scalar} * t^{self.shift} * {body or '1'})"
+
+
+def _largest_negative_cyclotomic(factors: Mapping[int, int]) -> int:
+    """The largest k whose Phi_k has negative multiplicity in
+    prod_a (1 - t^a)^e(a), by 1 - t^a = -prod_{k | a} Phi_k(t); 1 when
+    none has."""
+    return max((k for k in range(1, max(factors, default=0) + 1)
+                if sum(e for a, e in factors.items() if a % k == 0) < 0),
+               default=1)
+
+
+def poincare_polynomial(degrees: Sequence[int]) -> LaurentPoly:
+    """prod_i (1 - t^d_i)/(1 - t) = prod_i [d_i]_t for invariant degrees d_i.
+
+    Per degree d: pad d - 1 zeros, divide by 1 - t (running sums), then
+    multiply by 1 - t^d; truncating to the padded length is exact.
+    Refuses a degree below 1 and a span above MAX_SPAN before allocating.
+
+    >>> print(poincare_polynomial((2, 3)))
+    t^3 + 2*t^2 + 2*t + 1
+    """
+    if any(d < 1 for d in degrees):
+        raise ValueError(f"invariant degrees must be at least 1: {degrees}")
+    _check_span(sum(d - 1 for d in degrees))
+    c = [1]
+    for d in degrees:
+        c += [0] * (d - 1)
+        _div_one_minus(c, 1)
+        _mul_one_minus(c, d)
+    return LaurentPoly._dense(0, c)

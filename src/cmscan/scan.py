@@ -23,7 +23,7 @@ from .fakedeg import (
     GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
     isomorphism_note, reducibility_note,
 )
-from .polycore import MAX_SPAN, GradedProduct, LaurentPoly, VerificationError
+from .polycore import MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial
 
 
 class DatasetError(ValueError):
@@ -301,14 +301,12 @@ class ExceptionalGroupData:
     rows: tuple[DatasetRow, ...]
 
     def poincare(self) -> LaurentPoly:
-        gp = GradedProduct.one()
-        for deg in self.degrees:
-            gp = gp * GradedProduct.of(deg) * GradedProduct.of(1).inv()
-        return gp.reduce()
+        return poincare_polynomial(self.degrees)
 
-    def validate(self) -> None:
-        """Check the three consistency identities; raise DatasetError
-        naming the failing row and identity."""
+    def validate(self) -> LaurentPoly:
+        """Check the three consistency identities and return the
+        Poincaré polynomial checked against; raise DatasetError naming
+        the failing row and identity."""
         if len(self.degrees) != self.rank:
             raise DatasetError(f"{self.name}: {len(self.degrees)} degrees "
                                f"for rank {self.rank}")
@@ -328,10 +326,12 @@ class ExceptionalGroupData:
                     f"{self.name} row {row.ident}: fake degree has a "
                     "negative exponent")
             graded_sum = graded_sum + row.fake * LaurentPoly.monomial(row.dim)
-        if graded_sum != self.poincare():
+        poincare = self.poincare()
+        if graded_sum != poincare:
             raise DatasetError(
                 f"{self.name}: sum of dim * f differs from the coinvariant "
                 "Poincaré polynomial")
+        return poincare
 
 
 _GROUP_LINE = re.compile(
@@ -342,8 +342,8 @@ _IRREP_LINE = re.compile(r"^irrep\s+(\S+)\s+dim\s+(\d+)\s+fake\s+(.+)$")
 def _parse_degrees(text: str, lineno: int, name: str) -> tuple[int, ...]:
     """The degrees of a group header, each at least 1 and with
     sum(d_i - 1), the degree of the Poincaré polynomial, at most
-    polycore.MAX_SPAN, so no header can make the factorisation or the
-    expansion of the Poincaré polynomial run long."""
+    polycore.MAX_SPAN, so no header can make the expansion of the
+    Poincaré polynomial run long."""
     try:
         degrees = tuple(int(s) for s in text.split(","))
     except ValueError:
@@ -422,8 +422,7 @@ def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, 
             "counts are per row")
     reports = []
     for g in groups:
-        g.validate()
-        poincare = g.poincare()
+        poincare = g.validate()
         memo: dict[LaurentPoly, Division] = {}
         verdicts = tuple(divisibility_test(poincare, row.fake, row.dim,
                                            row.ident, memo)

@@ -5,7 +5,9 @@
 coefficients, with schoolbook multiplication and long division that
 finds the leading term with ``max`` on every step.  ``reduce`` and
 ``reduce_with`` expand a ``GradedProduct`` through its cyclotomic
-factorisation, multiplying out Phi_k^e and dividing once at the end.
+factorisation (``cyclotomic_factorisation``, the trial division of
+every degree into Phi_k multiplicities that ``GradedProduct`` used to
+carry), multiplying out Phi_k^e and dividing once at the end.
 ``series_quotient`` is the power-series division over ``Fraction`` that
 ``groups.degrees_series`` used before its integer prefix sums.  The code
 is kept as it was, so tests can compare the dense kernel, the
@@ -14,6 +16,7 @@ factor-at-a-time expansion and the degrees series against it.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -188,6 +191,37 @@ def cyclotomic(k: int) -> DictPoly:
     return num
 
 
+@dataclass(frozen=True)
+class CycloFactorisation:
+    """Multiplicities of cyclotomic polynomials Phi_k, k >= 1."""
+
+    multiplicities: tuple[tuple[int, int], ...]
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.multiplicities)
+
+    def negative_indices(self) -> list[int]:
+        return [k for k, e in self.multiplicities if e < 0]
+
+
+def cyclotomic_factorisation(gp: GradedProduct) -> tuple[CycloFactorisation, int]:
+    """Phi_k multiplicities of the (1 - t^a) part, plus the sign.
+
+    Uses 1 - t^a = -(t^a - 1) = -prod_{k | a} Phi_k(t), so the
+    returned sign is (-1)^(sum of multiplicities).
+    """
+    mult: dict[int, int] = {}
+    sign_exp = 0
+    for a, e in gp.factors.items():
+        sign_exp += e
+        for k in range(1, a + 1):
+            if a % k == 0:
+                mult[k] = mult.get(k, 0) + e
+    sign = -1 if sign_exp % 2 else 1
+    pairs = tuple((k, e) for k, e in sorted(mult.items()) if e)
+    return CycloFactorisation(pairs), sign
+
+
 def expand(multiplicities) -> DictPoly:
     """Product of the Phi_k^e; rejects negative multiplicities."""
     out = DictPoly.one()
@@ -199,8 +233,9 @@ def expand(multiplicities) -> DictPoly:
 
 
 def reduce(gp: GradedProduct) -> DictPoly:
-    """GradedProduct.reduce by cyclotomic expansion."""
-    cf, sign = gp.cyclotomic_factorisation()
+    """Expand a GradedProduct by cyclotomic expansion; the error names
+    the first Phi_k of negative multiplicity."""
+    cf, sign = cyclotomic_factorisation(gp)
     negatives = cf.negative_indices()
     if negatives:
         raise NotPolynomialError(negatives[0])
@@ -209,7 +244,7 @@ def reduce(gp: GradedProduct) -> DictPoly:
 
 def reduce_with(gp: GradedProduct, poly: DictPoly) -> DictPoly:
     """GradedProduct.reduce_with by cyclotomic expansion and one division."""
-    cf, sign = gp.cyclotomic_factorisation()
+    cf, sign = cyclotomic_factorisation(gp)
     num = poly
     den = DictPoly.one()
     for k, e in cf.multiplicities:

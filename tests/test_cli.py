@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -20,6 +21,22 @@ def run_cli(*argv, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "cmscan", *argv],
         capture_output=True, text=True, env=env)
+
+
+# Address space for children that would exhaust memory if a size bound
+# regressed; a regression then fails the test instead of the host.
+CHILD_ADDRESS_SPACE = 512 * 2**20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def run_limited(*argv, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "cmscan", *argv], capture_output=True,
+        text=True, timeout=timeout, preexec_fn=_limit_address_space)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +238,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert ("cmscan: error: more than 200000 20-multipartitions of 8"
                 in proc.stderr)
+
+    @pytest.mark.parametrize("group, labels", [("G(1000,1000,1)", 1),
+                                               ("G(1000,1,1)", 1000)])
+    def test_large_m_scans(self, group, labels):
+        # One recursion level per component used to overflow the stack.
+        proc = run_limited("scan", group, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.startswith(f"scan {group}: {labels} labels, 0 failures")
+
+    def test_too_many_components_is_refused_before_enumeration(self):
+        # 45,450 labels, below the label bound, in 13,635,000 components.
+        proc = run_limited("scan", "G(300,1,2)", timeout=30)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr == (
+            "cmscan: error: the 45450 300-multipartitions of 2 hold 13635000 "
+            "components; the limit is 2000000\n")
+        assert proc.stdout == ""
 
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
         def broken(g):

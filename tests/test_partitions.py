@@ -1,5 +1,6 @@
 import pytest
 
+import partitions_oracle
 from cmscan import fakedeg as fd
 from cmscan import partitions as pt
 from cmscan.polycore import LaurentPoly
@@ -54,18 +55,11 @@ class TestHooksAndStatistics:
         assert pt.weighted_size((1, 1, 1)) == 3
         assert pt.weighted_size((5,)) == 0
 
-    def test_hook_poly(self):
-        assert pt.hook_poly((1, 1)).reduce() == P("1 - t") * P("1 - t^2")
-
     def test_tableau_counts(self):
         assert pt.standard_tableau_count((2, 1)) == 2
         assert pt.standard_tableau_count((2, 2)) == 2
         assert pt.standard_tableau_count((3, 2)) == 5
         assert pt.standard_tableau_count(()) == 1
-
-    def test_t_factorial(self):
-        assert pt.t_factorial(3).reduce() == (
-            P("1 - t") * P("1 - t^2") * P("1 - t^3"))
 
 
 class TestMultipartitions:
@@ -122,15 +116,42 @@ class TestMultipartitions:
         with pytest.raises(ValueError, match="more than"):
             pt.multipartitions(1, 10**9)
 
+    @pytest.mark.parametrize("m, n", [
+        *((m, n) for m in range(1, 7) for n in range(7)),
+        # The shapes of the benchmark's scan and dataset groups.
+        (2, 12), (2, 13), (2, 14), (8, 6), (6, 7), (10, 6), (3, 9),
+        (5, 6), (10, 5), (12, 5), (6, 5), (12, 6)])
+    def test_matches_recursive_oracle(self, m, n):
+        assert pt.multipartitions(m, n) == partitions_oracle.multipartitions(m, n)
+
+    def test_recursion_is_bounded_by_the_boxes(self):
+        # One level per component would pass the interpreter's default
+        # recursion limit of 1000 here.
+        mps = pt.multipartitions(1200, 1)
+        assert len(mps) == 1200
+        assert all(mp == ((),) * i + ((1,),) + ((),) * (1199 - i)
+                   for i, mp in enumerate(mps))
+
+    def test_refuses_too_many_components(self):
+        # G(300,1,2): 45,450 labels, below MAX_MULTIPARTITIONS, but
+        # 13,635,000 components.
+        with pytest.raises(ValueError, match="the 45450 300-multipartitions "
+                           "of 2 hold 13635000 components; the limit is"):
+            pt.multipartitions(300, 2)
+        assert len(pt.multipartitions(1000, 1)) * 1000 <= pt.MAX_COMPONENT_SLOTS
+
+    def test_component_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pt, "MAX_COMPONENT_SLOTS", 27)
+        assert len(pt.multipartitions(3, 2)) == 9
+        monkeypatch.setattr(pt, "MAX_COMPONENT_SLOTS", 26)
+        with pytest.raises(ValueError, match="hold 27 components; the limit is 26"):
+            pt.multipartitions(3, 2)
+
     def test_limit_is_inclusive(self, monkeypatch):
-        pt.multipartitions.cache_clear()
         monkeypatch.setattr(pt, "MAX_MULTIPARTITIONS", 9)
-        try:
-            assert len(pt.multipartitions(3, 2)) == 9
-            with pytest.raises(ValueError, match="more than 9 3-multipartitions of 3"):
-                pt.multipartitions(3, 3)
-        finally:
-            pt.multipartitions.cache_clear()
+        assert len(pt.multipartitions(3, 2)) == 9
+        with pytest.raises(ValueError, match="more than 9 3-multipartitions of 3"):
+            pt.multipartitions(3, 3)
 
 
 class TestShiftOrbits:
@@ -179,6 +200,15 @@ class TestShiftOrbits:
         with pytest.raises(ValueError):
             pt.MultipartitionOrbit((canonical,), canonical, 1)
 
+    @pytest.mark.parametrize("p, d", [(300, 1), (60, 4)])
+    def test_long_orbits(self, p, d):
+        free = ((1,),) + ((),) * (p * d - 1)
+        orbit = pt.orbit_of(free, p, d)
+        assert (orbit.size(), orbit.stab_order) == (p, 1)
+        assert orbit.canonical == free
+        fixed = ((1,),) * (p * d)
+        assert pt.orbit_of(fixed, p, d).members == (fixed,)
+
     def test_shift_preserves_size(self):
         for mp in pt.multipartitions(3, 3):
             assert pt.multipartition_size(pt.shift(mp, 1)) == 3
@@ -198,7 +228,7 @@ class TestWeightPolynomials:
 
     def test_hook_quotient(self):
         gp = pt.hook_quotient(((1,), (1, 1), ()))
-        assert gp.reduce() == P("t + t^2 + t^3")
+        assert gp.reduce_with(LaurentPoly.one()) == P("t + t^2 + t^3")
 
 
 class TestTextFormat:
@@ -230,12 +260,3 @@ class TestBoundedCaches:
         assert info.currsize <= pt.PARTITIONS_CACHE_SIZE
         assert pt.partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1),
                                     (1, 1, 1, 1))
-
-    def test_multipartitions_cache_is_bounded(self):
-        # Ascending m, so each call finds m - 1 cached and recurses once.
-        for m in range(1, pt.MULTIPARTITIONS_CACHE_SIZE + 100):
-            assert pt.multipartitions(m, 0) == (((),) * m,)
-        info = pt.multipartitions.cache_info()
-        assert info.maxsize == pt.MULTIPARTITIONS_CACHE_SIZE
-        assert info.currsize <= pt.MULTIPARTITIONS_CACHE_SIZE
-        assert len(pt.multipartitions(3, 3)) == pt._multipartition_count(3, 3)

@@ -1,11 +1,16 @@
-"""Differential tests: the dense LaurentPoly kernel and the factor-at-a-time
-GradedProduct expansion against the dict-based reference in polyoracle."""
+"""Differential tests: the dense LaurentPoly kernel, the factor-at-a-time
+GradedProduct expansion and poincare_polynomial against the dict-based
+reference in polyoracle."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmscan.fakedeg import coinvariant_poincare, configured_groups
 from cmscan.polycore import (
     MAX_SPAN, GradedProduct, LaurentPoly, NotPolynomialError,
+    poincare_polynomial,
 )
 from cmscan.scan import DatasetError, parse_dataset
 from polyoracle import DictPoly
@@ -143,7 +148,7 @@ class TestSpanLimit:
         lambda: LaurentPoly.parse(f"t^{MAX_SPAN + 1} + 1"),
         lambda: LaurentPoly.t(MAX_SPAN) + LaurentPoly.t(-1),
         lambda: LaurentPoly({0: 1, MAX_SPAN: 1}) * LaurentPoly.parse("t + 1"),
-        lambda: GradedProduct.of(MAX_SPAN + 1).reduce(),
+        lambda: GradedProduct.of(MAX_SPAN + 1).reduce_with(LaurentPoly.one()),
     ])
     def test_wide_results_are_refused(self, make):
         with pytest.raises(ValueError, match="limit"):
@@ -169,16 +174,6 @@ def reference(call):
 
 
 class TestGradedProduct:
-    @given(graded_products())
-    @settings(max_examples=300, deadline=None)
-    def test_reduce(self, gp):
-        want = reference(lambda: polyoracle.reduce(gp))
-        got = reference(gp.reduce)
-        if isinstance(want, DictPoly):
-            assert same(got, want)
-        else:
-            assert got == want
-
     @given(graded_products(), small_maps,
            st.lists(st.integers(1, 12), max_size=4))
     @settings(max_examples=400, deadline=None)
@@ -187,7 +182,7 @@ class TestGradedProduct:
         # divide, so both the quotient and the error path are exercised.
         poly = LaurentPoly(pc)
         for b in extra:
-            poly = poly * GradedProduct.of(b).reduce()
+            poly = poly * GradedProduct.of(b).reduce_with(LaurentPoly.one())
         want = reference(lambda: polyoracle.reduce_with(gp, DictPoly.of(poly)))
         got = reference(lambda: gp.reduce_with(poly))
         if isinstance(want, DictPoly):
@@ -215,6 +210,41 @@ class TestGradedProduct:
                     polyoracle.reduce_with(gp, DictPoly.of(poly)))
 
     def test_zero_poly(self):
-        gp = GradedProduct.of(4).inv().scaled(3)
+        gp = GradedProduct(3, 0, {4: -1})
         assert gp.reduce_with(LaurentPoly.zero()).is_zero()
         assert polyoracle.reduce_with(gp, DictPoly.zero()).is_zero()
+
+
+def expanded_poincare(degrees) -> DictPoly:
+    """prod (1 - t^d) / (1 - t)^n through the oracle's cyclotomic expansion."""
+    gp = GradedProduct(factors=Counter(degrees)) * GradedProduct.of(1, -len(degrees))
+    return polyoracle.reduce(gp)
+
+
+class TestPoincarePolynomial:
+    def test_configured_groups(self):
+        groups = configured_groups(max_order=10**9, max_m=12, max_n=8)
+        assert len(groups) == 204
+        for g in groups:
+            p = coinvariant_poincare(g)
+            assert same(p, expanded_poincare(g.degrees)), g
+            assert p.at_one() == g.order, g
+
+    @given(st.lists(st.integers(1, 30), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_degree_tuples(self, degrees):
+        assert same(poincare_polynomial(degrees), expanded_poincare(degrees))
+
+    @pytest.mark.parametrize("degrees", [(0,), (2, -3), (4, 0, 6)])
+    def test_degrees_below_one_are_refused(self, degrees):
+        with pytest.raises(ValueError, match="at least 1"):
+            poincare_polynomial(degrees)
+
+    def test_span_limit_is_inclusive(self):
+        # sum(d - 1) is the degree of P; MAX_SPAN itself is allowed.
+        p = poincare_polynomial((MAX_SPAN // 2 + 1, MAX_SPAN - MAX_SPAN // 2 + 1))
+        assert (p.trailing_degree(), p.degree()) == (0, MAX_SPAN)
+        assert p.coeff(MAX_SPAN // 2) == MAX_SPAN // 2 + 1
+        for degrees in [(MAX_SPAN + 2,), (2,) * (MAX_SPAN + 1), (10**18, 3)]:
+            with pytest.raises(ValueError, match="the limit is"):
+                poincare_polynomial(degrees)

@@ -8,7 +8,9 @@ from cmscan import scan
 from cmscan.fakedeg import (
     GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
 )
-from cmscan.polycore import MAX_SPAN, LaurentPoly, VerificationError
+from cmscan.polycore import (
+    MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial,
+)
 
 P = LaurentPoly.parse
 
@@ -400,6 +402,21 @@ class TestDatasetScan:
         (report,) = scan.scan_dataset((scan.synthetic_dataset(
             GroupSpec(3, 3, 3)),))
         assert report.failures == scan.scan_group(GroupSpec(3, 3, 3)).failures
+
+    def test_each_poincare_is_built_once(self, monkeypatch):
+        groups = (scan.synthetic_dataset(GroupSpec(3, 3, 2)),
+                  scan.synthetic_dataset(GroupSpec(4, 2, 3)))
+        built = []
+
+        def counting(degrees):
+            built.append(tuple(degrees))
+            return poincare_polynomial(degrees)
+
+        monkeypatch.setattr(scan, "poincare_polynomial", counting)
+        reports = scan.scan_dataset(groups)
+        assert built == [g.degrees for g in groups]
+        assert [r.labels for r in reports] == [len(g.rows) for g in groups]
+        assert groups[1].validate() == coinvariant_poincare(GroupSpec(4, 2, 3))
 
     def test_invalid_data_is_refused(self):
         bad = scan.parse_dataset(SAMPLE.replace("order 2", "order 3"))
