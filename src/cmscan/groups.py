@@ -19,7 +19,7 @@ from . import linalg
 from .cyclo import CycloNumber
 from .fakedeg import GroupSpec, natural_is_reducible
 from .partitions import partitions
-from .polycore import MAX_SPAN, LaurentPoly, VerificationError, _div_one_minus
+from .polycore import MAX_SPAN, LaurentPoly, VerificationError, div_one_minus
 
 DEFAULT_MAX_ORDER = 10**6
 
@@ -253,5 +253,5 @@ def degrees_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
         raise ValueError(f"truncation order must be in [0, {MAX_SPAN}]")
     q = [1] + [0] * truncate
     for d in g.degrees:
-        _div_one_minus(q, d)
+        div_one_minus(q, d)
     return LaurentPoly._dense(0, q)

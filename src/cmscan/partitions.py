@@ -32,9 +32,12 @@ Multipartition = tuple[Partition, ...]
 MAX_MULTIPARTITIONS = 200_000
 
 # The most component slots (count * m) the enumerated multipartitions
-# hold: twice G(1000,1,1)'s 1,000,000, while G(300,1,2)'s 45,450 labels
-# hold 13,635,000 and exhaust memory below MAX_MULTIPARTITIONS.
-MAX_COMPONENT_SLOTS = 2_000_000
+# hold.  The labels and their shift orbits take about 10 bytes a slot:
+# G(300,1,2)'s 45,450 labels hold 13,635,000 slots and peak at 132 MB
+# RSS, and scanning them runs out of a 512 MB address space.  Below
+# MAX_MULTIPARTITIONS this admits G(16,p,6) (2,489,344 slots) and
+# G(200,1,2) (4,060,000) and refuses G(300,1,2).
+MAX_COMPONENT_SLOTS = 10_000_000
 
 # Distinct (n, max_part) arguments whose partitions are kept.
 PARTITIONS_CACHE_SIZE = 4096

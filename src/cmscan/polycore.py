@@ -45,12 +45,12 @@ def _check_span(span: int) -> None:
                          f"the limit is {MAX_SPAN}")
 
 
-def _mul_one_minus(c: list[int], a: int) -> None:
+def mul_one_minus(c: list[int], a: int) -> None:
     """c *= 1 - t^a in place, truncated to len(c): c[i] -= c[i - a]."""
     c[a:] = map(sub, c[a:], c[:-a])
 
 
-def _div_one_minus(c: list[int], a: int) -> None:
+def div_one_minus(c: list[int], a: int) -> None:
     """c /= 1 - t^a as a power series in place, truncated to len(c):
     q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
     for j in range(min(a, len(c))):
@@ -484,10 +484,10 @@ class GradedProduct:
         for a, e in self.factors.items():
             for _ in range(e):
                 c += [0] * a
-                _mul_one_minus(c, a)
+                mul_one_minus(c, a)
         for a, e in self.factors.items():
             for _ in range(-e):
-                _div_one_minus(c, a)
+                div_one_minus(c, a)
                 if any(c[max(len(c) - a, 0):]):
                     raise NotPolynomialError(
                         _largest_negative_cyclotomic(self.factors))
@@ -535,6 +535,6 @@ def poincare_polynomial(degrees: Sequence[int]) -> LaurentPoly:
     c = [1]
     for d in degrees:
         c += [0] * (d - 1)
-        _div_one_minus(c, 1)
-        _mul_one_minus(c, d)
+        div_one_minus(c, 1)
+        mul_one_minus(c, d)
     return LaurentPoly._dense(0, c)

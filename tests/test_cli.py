@@ -240,9 +240,11 @@ class TestExitCodes:
                 in proc.stderr)
 
     @pytest.mark.parametrize("group, labels", [("G(1000,1000,1)", 1),
-                                               ("G(1000,1,1)", 1000)])
+                                               ("G(1000,1,1)", 1000),
+                                               ("G(2000,2000,1)", 1)])
     def test_large_m_scans(self, group, labels):
-        # One recursion level per component used to overflow the stack.
+        # One recursion level per component used to overflow the stack;
+        # G(2000,2000,1)'s labels hold 4,000,000 components.
         proc = run_limited("scan", group, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.startswith(f"scan {group}: {labels} labels, 0 failures")
@@ -253,7 +255,7 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert proc.stderr == (
             "cmscan: error: the 45450 300-multipartitions of 2 hold 13635000 "
-            "components; the limit is 2000000\n")
+            "components; the limit is 10000000\n")
         assert proc.stdout == ""
 
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):

@@ -140,6 +140,19 @@ class TestMultipartitions:
             pt.multipartitions(300, 2)
         assert len(pt.multipartitions(1000, 1)) * 1000 <= pt.MAX_COMPONENT_SLOTS
 
+    @pytest.mark.parametrize("m, n, count", [
+        (16, 6, 155_584), (57, 3, 35_815), (200, 2, 20_300), (2000, 1, 2000)])
+    def test_admits_large_m_below_the_label_bound(self, m, n, count):
+        # Each holds more than 2,000,000 components, an earlier value of
+        # the bound, and has fewer than MAX_MULTIPARTITIONS labels.
+        assert pt._multipartition_count(m, n) == count
+        assert 2_000_000 < count * m <= pt.MAX_COMPONENT_SLOTS
+
+    def test_enumerates_above_two_million_components(self):
+        mps = pt.multipartitions(57, 3)
+        assert len(mps) == 35_815
+        assert len(set(mps)) == len(mps)
+
     def test_component_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(pt, "MAX_COMPONENT_SLOTS", 27)
         assert len(pt.multipartitions(3, 2)) == 9
