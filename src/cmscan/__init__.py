@@ -23,7 +23,7 @@ from .partitions import (
     Multipartition, MultipartitionOrbit, Partition, multipartitions,
     parse_multipartition, render_multipartition,
 )
-from .polycore import GradedProduct, LaurentPoly
+from .polycore import LaurentPoly
 from .scan import (
     DivisibilityVerdict, ExceptionalGroupData, ScanReport,
     divisibility_test, expected_failure_counts, parse_dataset,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycloNumber", "DivisibilityVerdict", "ExceptionalGroupData",
-    "GradedProduct", "GroupSpec", "IrrLabel", "LaurentPoly",
+    "GroupSpec", "IrrLabel", "LaurentPoly",
     "MonomialElement", "Multipartition", "MultipartitionOrbit",
     "Partition", "ReflectionClass", "ScanReport", "coinvariant_poincare",
     "configured_groups", "divisibility_test", "expected_failure_counts",

@@ -5,21 +5,28 @@ m-multipartitions of n together with an abstract label epsilon in
 {0, ..., stab_order - 1}; all labels of one orbit share the same fake
 degree
 
-    f(t) = (1 - t^(dn)) / (1 - t^(mn)) * R(t) * I(t^m),
+    f(t) = t^b * R'(t) * (1 - t^(dn)) * prod_{i<n} (1 - t^(mi))
+                       / prod_h (1 - t^(mh)),
 
-where d = m/p, R is the orbit weight polynomial and I the hook
-quotient.  Everything is assembled as a graded product and reduced
-exactly; reduction failure would be an internal invariant violation.
+where d = m/p, R' is the orbit weight polynomial R divided by its
+lowest monomial t^k, h runs over the hook lengths of the nonempty
+components and b = k + m * sum n(lambda).  Equal degrees cancel first;
+the rest is expanded one (1 - t^a) factor at a time, and a division
+that leaves a remainder is an internal invariant violation.
 """
 from __future__ import annotations
 
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from . import partitions as pt
-from .polycore import GradedProduct, LaurentPoly, VerificationError, poincare_polynomial
+from .polycore import (
+    LaurentPoly, VerificationError, div_one_minus, mul_one_minus,
+    poincare_polynomial,
+)
 
 # Distinct groups whose shift orbits are kept.
 ORBITS_CACHE_SIZE = 64
@@ -109,45 +116,66 @@ def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
     return tuple(out)
 
 
+def _hooks(mp: pt.Multipartition) -> tuple[int, ...]:
+    """Hook lengths of all nonempty components, ascending."""
+    return tuple(sorted(h for lam in mp if lam for h in pt._hook_lengths(lam)))
+
+
 def irr_dimension(g: GroupSpec, label: IrrLabel | pt.MultipartitionOrbit) -> int:
-    """Dimension: multinomial(n; component sizes) * prod SYT counts,
-    divided by the stabiliser order."""
+    """Dimension: n! / (stabiliser order * prod of all hook lengths)."""
     orbit = label.orbit if isinstance(label, IrrLabel) else label
-    mp = orbit.canonical
-    dim = math.factorial(g.n)
-    for lam in mp:
-        dim //= math.factorial(sum(lam))
-        dim *= pt.standard_tableau_count(lam)
-    q, r = divmod(dim, orbit.stab_order)
+    q, r = divmod(math.factorial(g.n),
+                  orbit.stab_order * math.prod(_hooks(orbit.canonical)))
     if r:
-        raise VerificationError("stabiliser order must divide the ambient dimension")
+        raise VerificationError(
+            f"stabiliser order times hook product of {orbit.canonical} "
+            f"does not divide {g.n}!")
     return q
 
 
-def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> LaurentPoly:
+def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
+                memo: dict[tuple, LaurentPoly] | None = None) -> LaurentPoly:
     """Fake degree polynomial shared by every label of the orbit.
 
-    The monomial part t^k of R is split off so the graded product
-    carries the full trailing shift; the identity
-
-        trailing degree == k + m * sum weighted_size(component)
-
-    is checked on the reduced result.
+    The shape t^-b * f depends only on the group and on the key (hook
+    multiset, coefficients of R'); ``memo``, when given, maps the keys
+    of this same group to their shapes, so each shape is expanded once.
     """
     weight = pt.orbit_weight_poly(orbit)
     k = weight.trailing_degree()
-    reduced_weight = weight.shift(-k)
-    gp = GradedProduct.of(g.d * g.n) * GradedProduct.of(g.m * g.n).inv()
-    gp = gp * pt.hook_quotient(orbit.canonical).substitute(g.m)
-    f = gp.reduce_with(reduced_weight).shift(k)
-    hooks_shift = sum(pt._weighted_size(lam) for lam in orbit.canonical)
-    if f.trailing_degree() != k + g.m * hooks_shift:
-        raise VerificationError(
-            f"fake degree of {orbit.canonical} has trailing degree "
-            f"{f.trailing_degree()}, not {k + g.m * hooks_shift}")
-    if not all(c > 0 for _, c in f.items()):
+    b = k + g.m * sum(pt._weighted_size(lam) for lam in orbit.canonical if lam)
+    key = (_hooks(orbit.canonical),
+           tuple(weight.coeff(e) for e in range(k, weight.degree() + 1)))
+    shape = None if memo is None else memo.get(key)
+    if shape is None:
+        shape = _expand_shape(g, *key)
+        if memo is not None:
+            memo[key] = shape
+    return shape.shift(b)
+
+
+def _expand_shape(g: GroupSpec, hooks: tuple[int, ...],
+                  reduced_weight: tuple[int, ...]) -> LaurentPoly:
+    """R' * (1 - t^(dn)) * prod_{i<n} (1 - t^(mi)) / prod_h (1 - t^(mh))."""
+    num = Counter([g.d * g.n] + [g.m * i for i in range(1, g.n)])
+    den = Counter(g.m * h for h in hooks)
+    common = num & den
+    num -= common
+    den -= common
+    c = list(reduced_weight)
+    for a in num.elements():
+        c += [0] * a
+        mul_one_minus(c, a)
+    for a in den.elements():
+        div_one_minus(c, a)
+        if any(c[max(len(c) - a, 0):]):
+            raise VerificationError(
+                f"fake degree with hooks {hooks} is not a polynomial: "
+                f"dividing by 1 - t^{a} leaves a remainder")
+        del c[len(c) - a:]
+    if any(x < 0 for x in c):
         raise VerificationError("fake degree has a negative coefficient")
-    return f
+    return LaurentPoly(dict(enumerate(c)))
 
 
 def coinvariant_poincare(g: GroupSpec) -> LaurentPoly:

@@ -18,11 +18,9 @@ the scan path works on them through unchecked private helpers.
 from __future__ import annotations
 
 import functools
-import math
-from collections import Counter
 from dataclasses import dataclass
 
-from .polycore import GradedProduct, LaurentPoly, VerificationError
+from .polycore import LaurentPoly, VerificationError
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -111,19 +109,6 @@ def weighted_size(lam: Partition) -> int:
 
 def _weighted_size(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
-
-
-def standard_tableau_count(lam: Partition) -> int:
-    """Number of standard Young tableaux, by the hook length formula;
-    ``lam`` must be a valid partition (unchecked)."""
-    n = sum(lam)
-    denom = 1
-    for h in _hook_lengths(lam):
-        denom *= h
-    count, rem = divmod(math.factorial(n), denom)
-    if rem:
-        raise VerificationError(f"hook product of {lam} does not divide {n}!")
-    return count
 
 
 # -- multipartitions ----------------------------------------------------
@@ -285,19 +270,6 @@ def orbit_weight_poly(orbit: MultipartitionOrbit) -> LaurentPoly:
     for member in orbit.members:
         out = out + LaurentPoly.t(index_weight(member))
     return out
-
-
-def hook_quotient(mp: Multipartition) -> GradedProduct:
-    """(t)_n * t^(sum weighted_size) / prod hook polynomials, unexpanded.
-
-    n is the total size of the multipartition; the monomial shift keeps
-    the trailing-degree bookkeeping exact.  ``mp`` must be valid, as
-    every orbit member is (unchecked).
-    """
-    factors = Counter(range(1, multipartition_size(mp) + 1))
-    factors.subtract(h for lam in mp for h in _hook_lengths(lam))
-    return GradedProduct(shift=sum(_weighted_size(lam) for lam in mp),
-                         factors=factors)
 
 
 # -- text format ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact Laurent polynomial arithmetic over the integers.
 
-Two value types cover everything the higher layers need:
+One value type and two kernels cover everything the higher layers need:
 
 * ``LaurentPoly`` stores a Laurent polynomial densely, as its trailing
   exponent and the tuple of integer coefficients from there up to its
@@ -9,15 +9,12 @@ Two value types cover everything the higher layers need:
   coefficient.  All arithmetic is exact; there is no floating point
   anywhere in this package.
 
-* ``GradedProduct`` is a formal product ``scalar * t^shift *
-  prod_a (1 - t^a)^e(a)`` with multiplicities of either sign.  Graded
-  dimension formulas are assembled in this shape so that factors cancel
-  exactly *before* anything is expanded.  Expansion takes one factor at
-  a time: multiplying by 1 - t^a is a shift-and-subtract and dividing by
-  it the recurrence q[i] = c[i] + q[i - a], each linear in the length.
+* ``mul_one_minus`` and ``div_one_minus`` multiply a coefficient list
+  by 1 - t^a (a shift-and-subtract) and divide it by 1 - t^a (the
+  recurrence q[i] = c[i] + q[i - a]), each linear in the length.
   ``poincare_polynomial`` expands the coinvariant Poincare polynomial
-  prod_i [d_i]_t = prod_i (1 - t^d_i)/(1 - t) with the same two
-  kernels, one degree at a time, with no factor left over to cancel.
+  prod_i [d_i]_t = prod_i (1 - t^d_i)/(1 - t) with them, one degree at
+  a time; fake degrees are expanded with them too.
 """
 from __future__ import annotations
 
@@ -55,20 +52,6 @@ def div_one_minus(c: list[int], a: int) -> None:
     q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
     for j in range(min(a, len(c))):
         c[j::a] = accumulate(c[j::a])
-
-
-class NotPolynomialError(ArithmeticError):
-    """A graded product failed to reduce to a polynomial.
-
-    ``cyclotomic_index`` names the largest Phi_k left with negative
-    multiplicity after cancellation.
-    """
-
-    def __init__(self, cyclotomic_index: int):
-        self.cyclotomic_index = cyclotomic_index
-        super().__init__(
-            f"not a polynomial: Phi_{cyclotomic_index} has negative multiplicity"
-        )
 
 
 class VerificationError(AssertionError):
@@ -411,112 +394,6 @@ def cyclotomic(k: int) -> LaurentPoly:
         if k % d == 0:
             num = num / cyclotomic(d)
     return num
-
-
-class GradedProduct:
-    """Formal product ``scalar * t^shift * prod_a (1 - t^a)^e(a)``.
-
-    Instances are immutable by convention; every operation returns a new
-    value.  Equality is on the normalised data, so two products that
-    differ only by cancelled factors compare equal.
-    """
-
-    __slots__ = ("scalar", "shift", "factors")
-
-    def __init__(self, scalar: int = 1, shift: int = 0,
-                 factors: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if factors:
-            for a, e in factors.items():
-                if a < 1:
-                    raise ValueError("factor degrees must be positive")
-                if e:
-                    clean[a] = clean.get(a, 0) + e
-        self.scalar = scalar
-        self.shift = shift
-        self.factors = {a: e for a, e in sorted(clean.items()) if e}
-
-    @classmethod
-    def of(cls, a: int, e: int = 1) -> GradedProduct:
-        """The single factor (1 - t^a)^e."""
-        return cls(factors={a: e})
-
-    def __mul__(self, other: GradedProduct) -> GradedProduct:
-        if not isinstance(other, GradedProduct):
-            return NotImplemented
-        factors = dict(self.factors)
-        for a, e in other.factors.items():
-            factors[a] = factors.get(a, 0) + e
-        return GradedProduct(self.scalar * other.scalar,
-                             self.shift + other.shift, factors)
-
-    def inv(self) -> GradedProduct:
-        """Formal reciprocal; only unit scalars are invertible over Z."""
-        if self.scalar not in (1, -1):
-            raise ValueError("only products with scalar +-1 are invertible")
-        return GradedProduct(self.scalar, -self.shift,
-                             {a: -e for a, e in self.factors.items()})
-
-    def substitute(self, k: int) -> GradedProduct:
-        """Substitute t -> t^k (k >= 1): degrees and shift scale by k."""
-        if k < 1:
-            raise ValueError("substitution degree must be positive")
-        return GradedProduct(self.scalar, self.shift * k,
-                             {a * k: e for a, e in self.factors.items()})
-
-    def reduce_with(self, poly: LaurentPoly) -> LaurentPoly:
-        """Expand ``poly * self`` when that product is a polynomial.
-
-        Negative multiplicities are allowed here as long as the
-        denominator divides ``poly`` times the numerator exactly;
-        fake-degree assembly relies on this cancellation.  First each
-        factor (1 - t^a) of the numerator multiplies in, then each one
-        of the denominator divides out by q[i] = c[i] + q[i - a].  When
-        the whole quotient is a polynomial every one of these divisions
-        is exact, so a remainder proves it is not, and the error names
-        the largest Phi_k of negative multiplicity.
-        """
-        c = list(poly._c)
-        if not c:
-            return LaurentPoly()
-        grow = sum(a * e for a, e in self.factors.items() if e > 0)
-        _check_span(len(c) - 1 + grow)
-        for a, e in self.factors.items():
-            for _ in range(e):
-                c += [0] * a
-                mul_one_minus(c, a)
-        for a, e in self.factors.items():
-            for _ in range(-e):
-                div_one_minus(c, a)
-                if any(c[max(len(c) - a, 0):]):
-                    raise NotPolynomialError(
-                        _largest_negative_cyclotomic(self.factors))
-                del c[len(c) - a:]
-        if self.scalar != 1:
-            c = map(mul, c, repeat(self.scalar))
-        return LaurentPoly._dense(poly._lo + self.shift, c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedProduct):
-            return NotImplemented
-        return (self.scalar, self.shift, self.factors) == \
-            (other.scalar, other.shift, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.scalar, self.shift, tuple(self.factors.items())))
-
-    def __repr__(self) -> str:
-        body = " ".join(f"(1-t^{a})^{e}" for a, e in self.factors.items())
-        return f"GradedProduct({self.scalar} * t^{self.shift} * {body or '1'})"
-
-
-def _largest_negative_cyclotomic(factors: Mapping[int, int]) -> int:
-    """The largest k whose Phi_k has negative multiplicity in
-    prod_a (1 - t^a)^e(a), by 1 - t^a = -prod_{k | a} Phi_k(t); 1 when
-    none has."""
-    return max((k for k in range(1, max(factors, default=0) + 1)
-                if sum(e for a, e in factors.items() if a % k == 0) < 0),
-               default=1)
 
 
 def poincare_polynomial(degrees: Sequence[int]) -> LaurentPoly:

@@ -156,9 +156,10 @@ def _series_notes(g: GroupSpec) -> tuple[str, ...]:
 def scan_group(g: GroupSpec) -> ScanReport:
     """Run the divisibility test over every irreducible label of G(m,p,n).
 
-    Each fake degree is dropped once its label is tested, and each
-    distinct primitive divisor is divided into P once; the graded sum
-    rule sum(dim * f) == P is checked after the last label.
+    Each distinct fake-degree shape is expanded once, each fake degree
+    is dropped once its label is tested, and each distinct primitive
+    divisor is divided into P once; the graded sum rule
+    sum(dim * f) == P is checked after the last label.
     """
     labels = irr_labels(g)  # refuses too many labels before other work
     poincare = coinvariant_poincare(g)
@@ -166,9 +167,10 @@ def scan_group(g: GroupSpec) -> ScanReport:
         raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
     verdicts = []
     memo: dict[LaurentPoly, Division] = {}
+    shapes: dict = {}
     graded_sum = LaurentPoly.zero()
     for label in labels:
-        f = fake_degree(g, label.orbit)
+        f = fake_degree(g, label.orbit, shapes)
         dim = irr_dimension(g, label)
         verdicts.append(divisibility_test(poincare, f, dim, label.render(),
                                           memo))
@@ -482,9 +484,10 @@ def compare_with_expected(reports: tuple[ScanReport, ...]) -> tuple[CountCompari
 def synthetic_dataset(g: GroupSpec) -> ExceptionalGroupData:
     """Express a G(m,p,n) scan's inputs in the dataset format; useful as a
     round-trip fixture (its scan must agree with scan_group)."""
+    shapes: dict = {}
     rows = tuple(
         DatasetRow(label.render().replace(" ", "_"), irr_dimension(g, label),
-                   fake_degree(g, label.orbit))
+                   fake_degree(g, label.orbit, shapes))
         for label in irr_labels(g))
     return ExceptionalGroupData(
         g.render().replace(" ", ""), g.order, g.n, g.degrees, rows)

@@ -5,14 +5,25 @@ used before it recursed on boxes: it places component 0 and recurses
 on the other m - 1 components, one level per component, caching every
 intermediate (m, n) enumeration.  The code is kept as it was, so tests
 can compare the order and the members of the two.
+
+``standard_tableau_count``, ``irr_dimension`` and ``hook_quotient`` are
+the per-component formulas ``fakedeg`` used before its closed form: the
+dimension as a multinomial times one hook-length count per component,
+and the hook quotient as an unexpanded ``polyoracle.GradedProduct``.
 """
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 
 from cmscan.partitions import (
-    MAX_MULTIPARTITIONS, Multipartition, _multipartition_count, partitions,
+    MAX_MULTIPARTITIONS, Multipartition, MultipartitionOrbit, Partition,
+    _hook_lengths, _multipartition_count, _weighted_size,
+    multipartition_size, partitions,
 )
+from cmscan.polycore import VerificationError
+from polyoracle import GradedProduct
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,3 +48,42 @@ def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
             for rest in multipartitions(m - 1, n - first_size):
                 out.append((lam,) + rest)
     return tuple(out)
+
+
+def standard_tableau_count(lam: Partition) -> int:
+    """Number of standard Young tableaux, by the hook length formula;
+    ``lam`` must be a valid partition (unchecked)."""
+    n = sum(lam)
+    denom = 1
+    for h in _hook_lengths(lam):
+        denom *= h
+    count, rem = divmod(math.factorial(n), denom)
+    if rem:
+        raise VerificationError(f"hook product of {lam} does not divide {n}!")
+    return count
+
+
+def irr_dimension(n: int, orbit: MultipartitionOrbit) -> int:
+    """Dimension: multinomial(n; component sizes) * prod SYT counts,
+    divided by the stabiliser order."""
+    dim = math.factorial(n)
+    for lam in orbit.canonical:
+        dim //= math.factorial(sum(lam))
+        dim *= standard_tableau_count(lam)
+    q, r = divmod(dim, orbit.stab_order)
+    if r:
+        raise VerificationError("stabiliser order must divide the ambient dimension")
+    return q
+
+
+def hook_quotient(mp: Multipartition) -> GradedProduct:
+    """(t)_n * t^(sum weighted_size) / prod hook polynomials, unexpanded.
+
+    n is the total size of the multipartition; the monomial shift keeps
+    the trailing-degree bookkeeping exact.  ``mp`` must be valid, as
+    every orbit member is (unchecked).
+    """
+    factors = Counter(range(1, multipartition_size(mp) + 1))
+    factors.subtract(h for lam in mp for h in _hook_lengths(lam))
+    return GradedProduct(shift=sum(_weighted_size(lam) for lam in mp),
+                         factors=factors)

@@ -12,6 +12,12 @@ carry), multiplying out Phi_k^e and dividing once at the end.
 ``groups.degrees_series`` used before its integer prefix sums.  The code
 is kept as it was, so tests can compare the dense kernel, the
 factor-at-a-time expansion and the degrees series against it.
+
+``GradedProduct`` is the formal product that ``fakedeg.fake_degree``
+was assembled as before its closed form, and ``NotPolynomialError`` the
+error its expansion raises; its ``reduce_with`` cancels equal degrees
+and expands one (1 - t^a) factor at a time with the ``polycore``
+kernels, reading ``LaurentPoly`` through its public methods only.
 """
 from __future__ import annotations
 
@@ -20,7 +26,128 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from cmscan.polycore import GradedProduct, LaurentPoly, NotPolynomialError
+from cmscan.polycore import MAX_SPAN, LaurentPoly, div_one_minus, mul_one_minus
+
+
+class NotPolynomialError(ArithmeticError):
+    """A graded product failed to reduce to a polynomial.
+
+    ``cyclotomic_index`` names the largest Phi_k left with negative
+    multiplicity after cancellation.
+    """
+
+    def __init__(self, cyclotomic_index: int):
+        self.cyclotomic_index = cyclotomic_index
+        super().__init__(
+            f"not a polynomial: Phi_{cyclotomic_index} has negative multiplicity"
+        )
+
+
+class GradedProduct:
+    """Formal product ``scalar * t^shift * prod_a (1 - t^a)^e(a)``.
+
+    Instances are immutable by convention; every operation returns a new
+    value.  Equality is on the normalised data, so two products that
+    differ only by cancelled factors compare equal.
+    """
+
+    __slots__ = ("scalar", "shift", "factors")
+
+    def __init__(self, scalar: int = 1, shift: int = 0,
+                 factors: Mapping[int, int] | None = None):
+        clean: dict[int, int] = {}
+        if factors:
+            for a, e in factors.items():
+                if a < 1:
+                    raise ValueError("factor degrees must be positive")
+                if e:
+                    clean[a] = clean.get(a, 0) + e
+        self.scalar = scalar
+        self.shift = shift
+        self.factors = {a: e for a, e in sorted(clean.items()) if e}
+
+    @classmethod
+    def of(cls, a: int, e: int = 1) -> GradedProduct:
+        """The single factor (1 - t^a)^e."""
+        return cls(factors={a: e})
+
+    def __mul__(self, other: GradedProduct) -> GradedProduct:
+        if not isinstance(other, GradedProduct):
+            return NotImplemented
+        factors = dict(self.factors)
+        for a, e in other.factors.items():
+            factors[a] = factors.get(a, 0) + e
+        return GradedProduct(self.scalar * other.scalar,
+                             self.shift + other.shift, factors)
+
+    def inv(self) -> GradedProduct:
+        """Formal reciprocal; only unit scalars are invertible over Z."""
+        if self.scalar not in (1, -1):
+            raise ValueError("only products with scalar +-1 are invertible")
+        return GradedProduct(self.scalar, -self.shift,
+                             {a: -e for a, e in self.factors.items()})
+
+    def substitute(self, k: int) -> GradedProduct:
+        """Substitute t -> t^k (k >= 1): degrees and shift scale by k."""
+        if k < 1:
+            raise ValueError("substitution degree must be positive")
+        return GradedProduct(self.scalar, self.shift * k,
+                             {a * k: e for a, e in self.factors.items()})
+
+    def reduce_with(self, poly: LaurentPoly) -> LaurentPoly:
+        """Expand ``poly * self`` when that product is a polynomial.
+
+        Negative multiplicities are allowed here as long as the
+        denominator divides ``poly`` times the numerator exactly.  First
+        each factor (1 - t^a) of the numerator multiplies in, then each
+        one of the denominator divides out by q[i] = c[i] + q[i - a].
+        When the whole quotient is a polynomial every one of these
+        divisions is exact, so a remainder proves it is not, and the
+        error names the largest Phi_k of negative multiplicity.
+        """
+        if poly.is_zero():
+            return LaurentPoly()
+        lo = poly.trailing_degree()
+        c = [poly.coeff(e) for e in range(lo, poly.degree() + 1)]
+        span = len(c) - 1 + sum(a * e for a, e in self.factors.items() if e > 0)
+        if span > MAX_SPAN:
+            raise ValueError(f"polynomial would span {span} exponents; "
+                             f"the limit is {MAX_SPAN}")
+        for a, e in self.factors.items():
+            for _ in range(e):
+                c += [0] * a
+                mul_one_minus(c, a)
+        for a, e in self.factors.items():
+            for _ in range(-e):
+                div_one_minus(c, a)
+                if any(c[max(len(c) - a, 0):]):
+                    raise NotPolynomialError(
+                        _largest_negative_cyclotomic(self.factors))
+                del c[len(c) - a:]
+        return LaurentPoly({lo + self.shift + i: self.scalar * x
+                            for i, x in enumerate(c)})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedProduct):
+            return NotImplemented
+        return (self.scalar, self.shift, self.factors) == \
+            (other.scalar, other.shift, other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.scalar, self.shift, tuple(self.factors.items())))
+
+    def __repr__(self) -> str:
+        body = " ".join(f"(1-t^{a})^{e}" for a, e in self.factors.items())
+        return f"GradedProduct({self.scalar} * t^{self.shift} * {body or '1'})"
+
+
+def _largest_negative_cyclotomic(factors: Mapping[int, int]) -> int:
+    """The largest k whose Phi_k has negative multiplicity in
+    prod_a (1 - t^a)^e(a), by 1 - t^a = -prod_{k | a} Phi_k(t); 1 when
+    none has."""
+    return max((k for k in range(1, max(factors, default=0) + 1)
+                if sum(e for a, e in factors.items() if a % k == 0) < 0),
+               default=1)
 
 
 class DictPoly:

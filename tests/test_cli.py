@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cmscan import cli, groups, scan
+from cmscan import cli, fakedeg, groups, scan
 from cmscan.fakedeg import GroupSpec
 
 DATASET = """\
@@ -269,6 +269,18 @@ class TestExitCodes:
         assert "Traceback" in captured.err
         assert captured.err.splitlines()[-1] == (
             "cmscan: internal error: KeyError: 'boom'")
+
+    def test_non_polynomial_fake_degree_is_exit_1(self, monkeypatch, capsys):
+        # A hook of length n + 1 = 4 makes a division leave a remainder:
+        # a broken identity, not a crash.
+        real = fakedeg._hooks
+        monkeypatch.setattr(fakedeg, "_hooks", lambda mp: real(mp) + (4,))
+        assert cli.main(["scan", "G(4,2,3)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cmscan: verification mismatch: ")
+        assert "leaves a remainder" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_threads_option_is_gone(self, synthetic_file):
         for argv in (("scan", "G(3,3,3)"),

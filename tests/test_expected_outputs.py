@@ -11,6 +11,10 @@ here, in process, and not only in the benchmark's gate.  The dataset
 files are rebuilt in a temporary directory from their recorded groups
 and checked against the recorded sha256 first.  The file is read, never
 written.
+
+PINNED holds, in the same form, `fake-degrees` and `witness` commands
+the benchmark does not run.  They were recorded before fake degrees
+were expanded in closed form, from the graded-product assembly.
 """
 import hashlib
 import json
@@ -23,6 +27,24 @@ from cmscan.fakedeg import GroupSpec
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 COMMANDS = ("g4", "verify-omega", "molien", "scan", "table1")
+
+
+PINNED = {
+    "fake-degrees G(10,5,6)": (0, "3a52e4353d39432a3f649c5b4bc51f34"
+                                  "7b61df98ffcfc118f3fda37e9bab1ec5"),
+    "fake-degrees G(10,5,6) --json": (0, "2ccf15972aed9018c8c4d9ddd58fc43a"
+                                         "51de3ca12c1d21aa2b9d2da97bf4db62"),
+    "fake-degrees G(2,2,8)": (0, "5601943c49a976aa79aadc90007e3a53"
+                                 "cc0df0eb1df4696c7318a607cebc937d"),
+    "fake-degrees G(5,1,4) --json": (0, "720a55a1a802fdd3ba8e3afb6dfdc0b5"
+                                        "52b4ca6918df518f3f0991fb244ea965"),
+    "witness G(6,3,4)": (0, "a96223953e45178973ebef0c1134c3f8"
+                            "95bbf4ba1e9f45372b3845b48b0e51ec"),
+    "witness G(12,4,3) --json": (0, "7f9f038ab1b0ae96089f0c32efd8d54e"
+                                    "c095ed22a18e6f743bafcefe7a0fc9f5"),
+    "witness G(3,3,3)": (1, "c428f87e8d219e155de52078007667e8"
+                            "919ccc78c78b239392c09ce0c9e9a188"),
+}
 
 
 def _expected():
@@ -76,3 +98,14 @@ def test_output_matches_recording(key, capsys, request, monkeypatch):
     out = capsys.readouterr().out
     assert code == want["exit"]
     assert _sha256(out.encode("utf-8")) == want["sha256"]
+
+
+def test_pinned_commands_are_not_benchmark_invocations():
+    assert not set(PINNED) & set(_expected()["outputs"])
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_output_matches_pin(key, capsys):
+    code = cli.main(key.split())
+    out = capsys.readouterr().out
+    assert (code, _sha256(out.encode("utf-8"))) == PINNED[key]

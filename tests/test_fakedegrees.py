@@ -1,8 +1,11 @@
 import pytest
 
+import partitions_oracle
+import polyoracle
 from cmscan import fakedeg as fd
 from cmscan import partitions as pt
-from cmscan.polycore import GradedProduct, LaurentPoly, VerificationError
+from cmscan.polycore import LaurentPoly, VerificationError
+from polyoracle import DictPoly, GradedProduct
 
 P = LaurentPoly.parse
 
@@ -124,18 +127,59 @@ class TestGlobalIdentities:
             hooks = sum(pt.weighted_size(lam) for lam in orbit.canonical)
             assert f.trailing_degree() == k + g.m * hooks
 
-    def test_wrong_hook_quotient_shift_is_caught(self, monkeypatch):
-        # The trailing-degree check recomputes the shift independently.
-        real = pt.hook_quotient
 
-        def shifted(mp):
-            gp = real(mp)
-            return GradedProduct(gp.scalar, gp.shift + 1, gp.factors)
 
-        monkeypatch.setattr(pt, "hook_quotient", shifted)
-        g = fd.GroupSpec(3, 3, 2)
-        with pytest.raises(VerificationError, match="trailing degree"):
-            fd.fake_degree(g, fd.group_orbits(g)[0])
+class TestClosedForm:
+    """fake_degree and irr_dimension against the per-component formulas
+    they replaced, kept in the test oracles."""
+
+    FAKE_DEGREE_GROUPS = fd.configured_groups(max_order=2000) + (
+        fd.GroupSpec(10, 5, 6),)
+
+    @staticmethod
+    def graded_product(g, orbit):
+        """The old assembly (1 - t^(dn)) / (1 - t^(mn)) * I(t^m), with I
+        the hook quotient of the canonical member."""
+        return (GradedProduct.of(g.d * g.n) * GradedProduct.of(g.m * g.n).inv()
+                * partitions_oracle.hook_quotient(orbit.canonical).substitute(g.m))
+
+    @pytest.mark.parametrize("g", FAKE_DEGREE_GROUPS, ids=str)
+    def test_fake_degree_matches_graded_product_oracle(self, g):
+        # The oracle expands through cyclotomic factorisations; it is
+        # cached on its whole input, never on fake_degree's shape key.
+        expanded = {}
+        memo = {}
+        for orbit in fd.group_orbits(g):
+            weight = pt.orbit_weight_poly(orbit)
+            k = weight.trailing_degree()
+            args = (self.graded_product(g, orbit), weight.shift(-k))
+            if args not in expanded:
+                expanded[args] = polyoracle.reduce_with(
+                    args[0], DictPoly.of(args[1]))
+            want = list(expanded[args].shift(k).items())
+            assert list(fd.fake_degree(g, orbit).items()) == want, orbit
+            assert list(fd.fake_degree(g, orbit, memo).items()) == want, orbit
+
+    @pytest.mark.parametrize("g", fd.configured_groups(max_order=2000), ids=str)
+    def test_irr_dimension_matches_multinomial_oracle(self, g):
+        for orbit in fd.group_orbits(g):
+            assert fd.irr_dimension(g, orbit) == \
+                partitions_oracle.irr_dimension(g.n, orbit), orbit
+
+    @pytest.mark.parametrize("change, message", [
+        # A hook of length n + 1 leaves a remainder in a division.
+        (lambda hooks: hooks + (4,), "leaves a remainder"),
+        # Without the largest hook the quotient is a polynomial again,
+        # but not a nonnegative one.
+        (lambda hooks: hooks[:-1], "negative coefficient"),
+    ], ids=["extra-hook", "missing-hook"])
+    def test_wrong_hook_multiset_is_caught(self, monkeypatch, change, message):
+        real = fd._hooks
+        monkeypatch.setattr(fd, "_hooks", lambda mp: change(real(mp)))
+        g = fd.GroupSpec(4, 2, 3)
+        with pytest.raises(VerificationError, match=message):
+            for orbit in fd.group_orbits(g):
+                fd.fake_degree(g, orbit)
 
 
 class TestConfiguredBattery:

@@ -3,10 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmscan import polycore
-from cmscan.polycore import (
-    GradedProduct, LaurentPoly, NotPolynomialError, cyclotomic,
-)
-from polyoracle import series_quotient
+from cmscan.polycore import LaurentPoly, cyclotomic
+from polyoracle import GradedProduct, NotPolynomialError, series_quotient
 
 P = LaurentPoly.parse
 
