@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 
 from . import g4 as g4mod
 from . import scan as scanmod
@@ -28,7 +27,6 @@ from .groups import (
     degrees_series, molien_series, omega_class_sum, reflection_classes,
 )
 from .partitions import render_multipartition
-from .polycore import VerificationError
 
 
 def _nonnegative_int(text: str) -> int:
@@ -104,11 +102,6 @@ def cmd_verify_omega(args) -> int:
     entries = []
     for idx, cls in enumerate(classes, start=1):
         lam = omega_class_sum(g, cls)
-        expected = Fraction(cls.size, g.n)
-        if lam != expected:
-            raise VerificationError(
-                f"class {idx} of {g}: sum of forms is {lam} * omega, "
-                f"not {expected} * omega")
         entries.append({
             "class": idx,
             "size": cls.size,

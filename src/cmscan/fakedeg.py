@@ -8,15 +8,16 @@ degree
     f(t) = t^b * R'(t) * (1 - t^(dn)) * prod_{i<n} (1 - t^(mi))
                        / prod_h (1 - t^(mh)),
 
-where d = m/p, R' is the orbit weight polynomial R divided by its
-lowest monomial t^k, h runs over the hook lengths of the nonempty
-components and b = k + m * sum n(lambda).  Equal degrees cancel first;
-the rest is expanded one (1 - t^a) factor at a time, and a division
-that leaves a remainder is an internal invariant violation.
+where d = m/p, R' is the orbit weight polynomial R, the sum of
+t^index_weight over the orbit's members, divided by its lowest monomial
+t^k and kept as a list of member counts, h runs over the hook lengths
+of the nonempty components and b = k + m * sum n(lambda).  Equal
+degrees cancel first; the rest is expanded one (1 - t^a) factor at a
+time, and a division that leaves a remainder is an internal invariant
+violation.
 """
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections import Counter
@@ -27,9 +28,6 @@ from .polycore import (
     LaurentPoly, VerificationError, div_one_minus, mul_one_minus,
     poincare_polynomial,
 )
-
-# Distinct groups whose shift orbits are kept.
-ORBITS_CACHE_SIZE = 64
 
 _GROUP_RE = re.compile(r"^G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
@@ -90,7 +88,6 @@ class IrrLabel:
         return f"{base} eps={self.eps}"
 
 
-@functools.lru_cache(maxsize=ORBITS_CACHE_SIZE)
 def group_orbits(g: GroupSpec) -> tuple[pt.MultipartitionOrbit, ...]:
     """Shift orbits of m-multipartitions of n, in enumeration order."""
     mps = pt.multipartitions(g.m, g.n)
@@ -141,11 +138,13 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
     multiset, coefficients of R'); ``memo``, when given, maps the keys
     of this same group to their shapes, so each shape is expanded once.
     """
-    weight = pt.orbit_weight_poly(orbit)
-    k = weight.trailing_degree()
+    weights = [pt.index_weight(member) for member in orbit.members]
+    k = min(weights)
+    reduced_weight = [0] * (max(weights) - k + 1)
+    for w in weights:
+        reduced_weight[w - k] += 1
     b = k + g.m * sum(pt._weighted_size(lam) for lam in orbit.canonical if lam)
-    key = (_hooks(orbit.canonical),
-           tuple(weight.coeff(e) for e in range(k, weight.degree() + 1)))
+    key = (_hooks(orbit.canonical), tuple(reduced_weight))
     shape = None if memo is None else memo.get(key)
     if shape is None:
         shape = _expand_shape(g, *key)
@@ -182,44 +181,6 @@ def coinvariant_poincare(g: GroupSpec) -> LaurentPoly:
     """Poincare polynomial of the coinvariant ring:
     prod (1 - t^degree) / (1 - t)^n."""
     return poincare_polynomial(g.degrees)
-
-
-# -- symmetric group oracle ----------------------------------------------
-
-def standard_tableaux(lam: pt.Partition) -> tuple[tuple[int, ...], ...]:
-    """All standard Young tableaux of shape lam, each encoded as the
-    tuple row_of(1), ..., row_of(n)."""
-    lam = pt.check_partition(lam)
-    n = sum(lam)
-    out: list[tuple[int, ...]] = []
-
-    def grow(fill_counts: list[int], rows: list[int]):
-        if len(rows) == n:
-            out.append(tuple(rows))
-            return
-        for i, row_len in enumerate(lam):
-            if fill_counts[i] < row_len and (i == 0 or fill_counts[i - 1] > fill_counts[i]):
-                fill_counts[i] += 1
-                rows.append(i)
-                grow(fill_counts, rows)
-                rows.pop()
-                fill_counts[i] -= 1
-
-    grow([0] * len(lam), [])
-    return tuple(out)
-
-
-def major_index_poly(lam: pt.Partition) -> LaurentPoly:
-    """sum over SYT of t^maj, where maj adds i whenever i + 1 sits in a
-    strictly lower row; independent oracle for G(1,1,n) fake degrees."""
-    n = sum(lam)
-    if n > 8:
-        raise ValueError("tableau enumeration is limited to n <= 8")
-    out = LaurentPoly.zero()
-    for rows in standard_tableaux(lam):
-        maj = sum(i + 1 for i in range(n - 1) if rows[i + 1] > rows[i])
-        out = out + LaurentPoly.t(maj)
-    return out
 
 
 # -- configured battery ---------------------------------------------------

@@ -120,40 +120,35 @@ def is_irreducible_natural(g: GroupSpec) -> bool:
 
 
 def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
-    """Scalar lambda with sum_{s in class} omega_s == lambda * omega.
+    """Scalar lambda = k/n with sum_{s in class} omega_s == lambda * omega,
+    for a class of k reflections.
 
-    Verified entrywise on the standard basis, and checked equal to the
-    exact closed form (k/n)(1-zeta)^-1(1-zeta^-1)^-1(2-zeta-zeta^-1).
-    That is k/n for any root of unity zeta != 1, so the class's zeta is
-    checked against its members' too.  Refuses reducible natural
-    representations, where the Schur argument does not apply.
+    By ``linalg.reflection_sum`` that identity is sum (1 - s) =
+    lambda * t * I on h, with t = 1 - zeta; its trace k * t holds
+    member by member, so the claim is that the sum is scalar.  Checked
+    in order: the class's zeta is its members' eigenvalue; the closed
+    form (k/n)(1-zeta)^-1(1-zeta^-1)^-1(2-zeta-zeta^-1) is k/n,
+    cross-multiplied so no inverse is taken (it holds for every root of
+    unity zeta != 1); and the sum is (k/n) * t * I.  Refuses reducible
+    natural representations, where the Schur argument does not apply.
     """
     if not is_irreducible_natural(g):
         raise ReducibleRepresentationError(
             f"natural representation of {g} is reducible")
     m = g.m
-    total, t = linalg.reflection_form_sum(
+    total, t = linalg.reflection_sum(
         (s.matrix() for s in refl_class.elements), m)
-    j = linalg.symplectic_form_matrix(g.n, m)
-    lam = linalg.proportionality_scalar(total, j)
-    if lam is None:
-        raise VerificationError(f"class sum for {g} is not proportional to omega")
     zeta = refl_class.zeta
-    zinv = zeta.conj()
     one = CycloNumber.one(m)
-    closed = (
-        ((one - zeta) * (one - zinv)).inverse()
-        * (CycloNumber.from_rational(m, 2) - zeta - zinv)
-        * Fraction(refl_class.size, g.n)
-    )
-    if lam != closed:
-        raise VerificationError("closed form disagrees with the computed scalar")
-    if not lam.is_rational():
-        raise VerificationError(f"class sum scalar for {g} is not rational")
     if t != one - zeta:
         raise VerificationError(
             f"class eigenvalue of {g} is not the eigenvalue of its members")
-    return lam.as_rational()
+    if 2 - zeta - zeta.conj() != (one - zeta) * (one - zeta.conj()):
+        raise VerificationError("closed form disagrees with the computed scalar")
+    lam = Fraction(refl_class.size, g.n)
+    if total != linalg.scalar_mul(t * lam, linalg.identity(g.n, m)):
+        raise VerificationError(f"class sum for {g} is not proportional to omega")
+    return lam
 
 
 # -- Molien series --------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exact linear algebra over cyclotomic fields.
 
 Matrices are tuples of row tuples of CycloNumber, all sharing one
-modulus.  The only nontrivial matrix a check needs is a sum of
-restricted symplectic forms of reflections, in closed form as 1 - s has
-rank one; the generic projection pipeline it replaces is the test
-oracle in tests/linalg_oracle.py.
+modulus.  The only nontrivial matrix a check needs is the sum of 1 - s
+over a class of reflections s: as 1 - s has rank one, the class's sum
+of restricted symplectic forms on h + h* is a multiple of omega exactly
+when that sum is scalar (``reflection_sum``), and no field inverse is
+taken.  The generic projection pipeline and the Gram matrices it
+replaces are the test oracle in tests/linalg_oracle.py.
 """
 from __future__ import annotations
 
@@ -48,40 +50,23 @@ def scalar_mul(c: CycloNumber, a: Matrix) -> Matrix:
     return tuple(tuple(x if x.is_zero() else c * x for x in row) for row in a)
 
 
-def symplectic_form_matrix(n: int, m: int) -> Matrix:
-    """Gram matrix of omega on h + h*: omega(x, y) = x^T J y with
-    J = [[0, -I], [I, 0]] in the (h coords, h* coords) basis."""
-    zero, one = CycloNumber.zero(m), CycloNumber.one(m)
-    rows = []
-    for i in range(2 * n):
-        row = [zero] * (2 * n)
-        if i < n:
-            row[n + i] = -one
-        else:
-            row[i - n] = one
-        rows.append(tuple(row))
-    return tuple(rows)
+def reflection_sum(reflections: Iterable[Matrix],
+                   m: int) -> tuple[Matrix, CycloNumber]:
+    """(sum of M = 1 - s, t = 1 - zeta) for reflections s of h that
+    share one eigenvalue zeta.
 
-
-def reflection_form(s: Matrix, m: int) -> Matrix:
-    """Gram matrix on h + h* of the restricted form omega_s of a
-    reflection s of h: the one-member case of reflection_form_sum."""
-    return reflection_form_sum((s,), m)[0]
-
-
-def reflection_form_sum(reflections: Iterable[Matrix],
-                        m: int) -> tuple[Matrix, CycloNumber]:
-    """(sum of the Gram matrices of omega_s on h + h*, t = 1 - zeta) for
-    reflections s of h that share one eigenvalue zeta.
-
+    This is all a class sum of restricted symplectic forms needs.
     omega_s = omega(pi ., pi .), where pi projects onto Im(1 - S) along
     Ker(1 - S) for the action S = diag(s, (s^-1)^T) on h + h*.  With
     M = 1 - s of rank one and t = tr M = 1 - zeta, M^2 = t M, so M / t is
     that projection on h; on h* it is N / (1 - zeta^-1) for
     N = 1 - (s^-1)^T, and N^T M = -zeta^-1 M^2 because s^-1 acts on
     Im M by zeta^-1.  Both cross blocks of pi^T J pi then reduce to
-    M / t, giving t^-1 [[0, -M^T], [M, 0]] with no inverse matrix, and
-    as t is shared the sum is t^-1 [[0, -sum M^T], [sum M, 0]].
+    M / t, giving omega_s = t^-1 [[0, -M^T], [M, 0]], and as t is shared
+    the class sum is t^-1 [[0, -sum M^T], [sum M, 0]].  That equals
+    lambda * omega = lambda [[0, -I], [I, 0]] exactly when
+    sum M = lambda * t * I, so a caller checks sum M against a scalar
+    matrix and never forms the Gram matrix on h + h*.
 
     Raises VerificationError unless each s has the same t, t != 0 and
     M M == t M, which in characteristic 0 holds exactly when s is a
@@ -106,27 +91,4 @@ def reflection_form_sum(reflections: Iterable[Matrix],
                           for rx, ry in zip(total, b))
     if t is None:
         raise ValueError("no reflections to sum")
-    scaled = scalar_mul(t.inverse(), total)
-    zero = (CycloNumber.zero(m),) * n
-    form = (tuple(zero + tuple(-scaled[j][i] for j in range(n))
-                  for i in range(n))
-            + tuple(row + zero for row in scaled))
-    return form, t
-
-
-def proportionality_scalar(a: Matrix, b: Matrix) -> CycloNumber | None:
-    """The exact scalar c with a == c * b, or None if there is none."""
-    c = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if y.is_zero():
-                if not x.is_zero():
-                    return None
-                continue
-            if c is None:
-                c = x / y
-            elif x != c * y:
-                return None
-    if c is None:
-        c = CycloNumber.zero(a[0][0].m)
-    return c
+    return total, t

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .polycore import LaurentPoly, VerificationError
+from .polycore import VerificationError
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -261,15 +261,7 @@ def index_weight(mp: Multipartition) -> int:
     >>> index_weight(((1,), (1,), ()))
     1
     """
-    return sum(i * sum(lam) for i, lam in enumerate(mp))
-
-
-def orbit_weight_poly(orbit: MultipartitionOrbit) -> LaurentPoly:
-    """R(t) = sum over orbit members of t^index_weight."""
-    out = LaurentPoly.zero()
-    for member in orbit.members:
-        out = out + LaurentPoly.t(index_weight(member))
-    return out
+    return sum(i * sum(lam) for i, lam in enumerate(mp) if lam)
 
 
 # -- text format ---------------------------------------------------------

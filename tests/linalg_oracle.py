@@ -32,9 +32,7 @@ from cmscan.fakedeg import GroupSpec
 from cmscan.groups import (
     DEFAULT_MAX_ORDER, MonomialElement, ReflectionClass, _check_order,
 )
-from cmscan.linalg import (
-    Matrix, _dot, identity, mat_mul, mat_sub, symplectic_form_matrix,
-)
+from cmscan.linalg import Matrix, _dot, identity, mat_mul, mat_sub, scalar_mul
 from cmscan.polycore import LaurentPoly, VerificationError
 
 Vector = tuple[CycloNumber, ...]
@@ -266,6 +264,33 @@ def symplectic_extension(a: Matrix, m: int) -> Matrix:
     for i in range(n):
         rows.append((zero,) * n + tuple(dual[i]))
     return tuple(rows)
+
+
+def symplectic_form_matrix(n: int, m: int) -> Matrix:
+    """Gram matrix of omega on h + h*: omega(x, y) = x^T J y with
+    J = [[0, -I], [I, 0]] in the (h coords, h* coords) basis."""
+    zero, one = CycloNumber.zero(m), CycloNumber.one(m)
+    rows = []
+    for i in range(2 * n):
+        row = [zero] * (2 * n)
+        if i < n:
+            row[n + i] = -one
+        else:
+            row[i - n] = one
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def gram(total: Matrix, t: CycloNumber) -> Matrix:
+    """t^-1 [[0, -total^T], [total, 0]]: the Gram matrix on h + h* of
+    the sum of restricted forms whose ``linalg.reflection_sum`` is
+    (total, t)."""
+    n = len(total)
+    scaled = scalar_mul(t.inverse(), total)
+    zero = (CycloNumber.zero(t.m),) * n
+    return (tuple(zero + tuple(-scaled[j][i] for j in range(n))
+                  for i in range(n))
+            + tuple(row + zero for row in scaled))
 
 
 def restricted_form_matrix(s: Matrix, m: int) -> Matrix:

@@ -10,6 +10,12 @@ can compare the order and the members of the two.
 the per-component formulas ``fakedeg`` used before its closed form: the
 dimension as a multinomial times one hook-length count per component,
 and the hook quotient as an unexpanded ``polyoracle.GradedProduct``.
+``orbit_weight_poly`` is the orbit weight polynomial as a LaurentPoly,
+which ``fakedeg.fake_degree`` now keeps as a list of member counts.
+
+``standard_tableaux`` and ``major_index_poly`` enumerate standard Young
+tableaux and their major indices: the G(1,1,n) fake degrees, by a route
+independent of the hook formulas.
 """
 from __future__ import annotations
 
@@ -19,10 +25,10 @@ from collections import Counter
 
 from cmscan.partitions import (
     MAX_MULTIPARTITIONS, Multipartition, MultipartitionOrbit, Partition,
-    _hook_lengths, _multipartition_count, _weighted_size,
-    multipartition_size, partitions,
+    _hook_lengths, _multipartition_count, _weighted_size, check_partition,
+    index_weight, multipartition_size, partitions,
 )
-from cmscan.polycore import VerificationError
+from cmscan.polycore import LaurentPoly, VerificationError
 from polyoracle import GradedProduct
 
 
@@ -87,3 +93,47 @@ def hook_quotient(mp: Multipartition) -> GradedProduct:
     factors.subtract(h for lam in mp for h in _hook_lengths(lam))
     return GradedProduct(shift=sum(_weighted_size(lam) for lam in mp),
                          factors=factors)
+
+
+def orbit_weight_poly(orbit: MultipartitionOrbit) -> LaurentPoly:
+    """R(t) = sum over orbit members of t^index_weight."""
+    out = LaurentPoly.zero()
+    for member in orbit.members:
+        out = out + LaurentPoly.t(index_weight(member))
+    return out
+
+
+def standard_tableaux(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """All standard Young tableaux of shape lam, each encoded as the
+    tuple row_of(1), ..., row_of(n)."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    out: list[tuple[int, ...]] = []
+
+    def grow(fill_counts: list[int], rows: list[int]):
+        if len(rows) == n:
+            out.append(tuple(rows))
+            return
+        for i, row_len in enumerate(lam):
+            if fill_counts[i] < row_len and (i == 0 or fill_counts[i - 1] > fill_counts[i]):
+                fill_counts[i] += 1
+                rows.append(i)
+                grow(fill_counts, rows)
+                rows.pop()
+                fill_counts[i] -= 1
+
+    grow([0] * len(lam), [])
+    return tuple(out)
+
+
+def major_index_poly(lam: Partition) -> LaurentPoly:
+    """sum over SYT of t^maj, where maj adds i whenever i + 1 sits in a
+    strictly lower row; independent oracle for G(1,1,n) fake degrees."""
+    n = sum(lam)
+    if n > 8:
+        raise ValueError("tableau enumeration is limited to n <= 8")
+    out = LaurentPoly.zero()
+    for rows in standard_tableaux(lam):
+        maj = sum(i + 1 for i in range(n - 1) if rows[i + 1] > rows[i])
+        out = out + LaurentPoly.t(maj)
+    return out

@@ -12,9 +12,11 @@ files are rebuilt in a temporary directory from their recorded groups
 and checked against the recorded sha256 first.  The file is read, never
 written.
 
-PINNED holds, in the same form, `fake-degrees` and `witness` commands
-the benchmark does not run.  They were recorded before fake degrees
-were expanded in closed form, from the graded-product assembly.
+PINNED holds, in the same form, commands the benchmark does not run.
+The `fake-degrees` and `witness` ones were recorded before fake degrees
+were expanded in closed form, from the graded-product assembly; the
+`verify-omega` and text `g4` ones while the restricted-form sums were
+still checked as Gram matrices on h + h*.
 """
 import hashlib
 import json
@@ -44,6 +46,12 @@ PINNED = {
                                     "c095ed22a18e6f743bafcefe7a0fc9f5"),
     "witness G(3,3,3)": (1, "c428f87e8d219e155de52078007667e8"
                             "919ccc78c78b239392c09ce0c9e9a188"),
+    "verify-omega G(105,1,1)": (0, "5e9d9384635fdf16eea8756cae12693e"
+                                   "90e98d7327fffeb78a33ededc83797b7"),
+    "verify-omega G(24,1,2) --json": (0, "a5768b70d7964ecd21d8869a8ab05211"
+                                         "21ff39cf45b9a9566c37a2da2232338e"),
+    "g4": (0, "35295c76871d535576e7a6566a4d02eb"
+              "6783a24fb2e460ca688cf1aac43130c3"),
 }
 
 

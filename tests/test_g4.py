@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from cmscan import g4
 from cmscan.cyclo import CycloNumber
+from cmscan.polycore import VerificationError
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,38 @@ class TestReflectionRepresentation:
     def test_form_sums_are_twice_omega(self, group):
         assert g4.reflection_form_check(group) == {
             "Cl3": Fraction(2), "Cl4": Fraction(2)}
+
+    @staticmethod
+    def conjugate_matrices(monkeypatch, members):
+        """Patch reflection_matrix to conjugate the matrices of
+        ``members``, which turns eigenvalue omega into omega^2."""
+        real = g4.reflection_matrix
+
+        def patched(grp, q):
+            rho = real(grp, q)
+            if q not in members:
+                return rho
+            return tuple(tuple(x.conj() for x in row) for row in rho)
+        monkeypatch.setattr(g4, "reflection_matrix", patched)
+
+    def check_fails(self, group, message):
+        with pytest.raises(VerificationError) as info:
+            g4.reflection_form_check(group)
+        assert str(info.value) == message
+
+    def test_wrong_eigenvalue_is_caught(self, group, monkeypatch):
+        self.conjugate_matrices(monkeypatch, group.elements)
+        self.check_fails(group, "Cl3 members do not have eigenvalue omega^1")
+
+    def test_mixed_eigenvalues_are_caught(self, group, monkeypatch):
+        self.conjugate_matrices(monkeypatch, group.classes[3][:1])
+        self.check_fails(
+            group, "Cl4: reflections summed together must share their eigenvalue")
+
+    def test_partial_class_is_caught(self, group):
+        classes = group.classes[:3] + (group.classes[3][:2],) + group.classes[4:]
+        self.check_fails(dataclasses.replace(group, classes=classes),
+                         "Cl4 sum is not proportional to omega")
 
 
 class TestBattery:

@@ -244,7 +244,7 @@ def vec(m, h, hstar):
 
 class TestOmega:
     def test_pairing_and_antisymmetry(self):
-        j = linalg.symplectic_form_matrix(2, 4)
+        j = oracle.symplectic_form_matrix(2, 4)
         x = vec(4, (1, 0), (0, 0))
         y = vec(4, (0, 0), (1, 0))
         one = CycloNumber.one(4)
@@ -254,7 +254,7 @@ class TestOmega:
 
     def test_restricted_form_projects_out_fixed_space(self):
         s = gr.MonomialElement(2, (0, 1), (1, 0))  # diag(-1, 1)
-        form = linalg.reflection_form(s.matrix(), 2)
+        form = oracle.gram(*linalg.reflection_sum((s.matrix(),), 2))
         x = vec(2, (1, 1), (0, 0))
         y = vec(2, (0, 0), (1, 1))
         fixed = vec(2, (0, 1), (0, 0))
@@ -264,7 +264,7 @@ class TestOmega:
     def test_restricted_form_requires_reflection(self):
         w = gr.MonomialElement(2, (0, 1), (1, 1))  # diag(-1, -1)
         with pytest.raises(VerificationError):
-            linalg.reflection_form(w.matrix(), 2)
+            linalg.reflection_sum((w.matrix(),), 2)
 
 
 class TestClassSums:
@@ -327,6 +327,10 @@ except VerificationError as exc:
          "class eigenvalue of G(5,1,2) is not the eigenvalue of its members"),
         ("swaps.elements", "diag1.zeta",
          "class eigenvalue of G(5,1,2) is not the eigenvalue of its members"),
+        # Part of a class: diag(zeta, 1) alone sums to diag(t, 0), which
+        # is not scalar.
+        ("diag1.elements[:1]", "diag1.zeta",
+         "class sum for G(5,1,2) is not proportional to omega"),
     ])
     def test_bad_class_raises_under_optimize(self, members, zeta, message):
         code = self.SCRIPT.format(members=members, zeta=zeta)
@@ -482,8 +486,9 @@ except VerificationError as exc:
 
     def test_non_rational_class_scalar_raises(self, monkeypatch):
         # A ReflectionClass whose zeta is 2*zeta_5, not a root of unity,
-        # makes the closed form irrational; the computed scalar is
-        # patched to agree with it, so only the rationality check fails.
+        # makes the closed form irrational.  Its members' eigenvalue
+        # check fails first; with the members' t patched to 1 - zeta the
+        # closed-form check fails next, before the class sum is looked at.
         g = GroupSpec(5, 1, 2)
         cls = gr.reflection_classes(g)[0]
         zeta = CycloNumber.zeta(5) * 2
@@ -493,7 +498,10 @@ except VerificationError as exc:
                   * (CycloNumber.from_rational(5, 2) - zeta - zeta.conj())
                   * Fraction(bad.size, g.n))
         assert not closed.is_rational()
-        monkeypatch.setattr(gr.linalg, "proportionality_scalar",
-                            lambda total, j: closed)
-        with pytest.raises(VerificationError, match="is not rational"):
+        with pytest.raises(VerificationError, match="class eigenvalue"):
+            gr.omega_class_sum(g, bad)
+        real = gr.linalg.reflection_sum
+        monkeypatch.setattr(gr.linalg, "reflection_sum",
+                            lambda mats, m: (real(mats, m)[0], one - zeta))
+        with pytest.raises(VerificationError, match="^closed form disagrees"):
             gr.omega_class_sum(g, bad)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import linalg_oracle as oracle
+from cmscan import fakedeg as fd
 from cmscan import g4, groups, linalg
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
@@ -69,7 +70,7 @@ def test_projection_properties():
 
 def test_symplectic_form_matrix_pairing():
     m = 2
-    j = linalg.symplectic_form_matrix(2, m)
+    j = oracle.symplectic_form_matrix(2, m)
     # x^T J y with x in h, y in h*: omega(e_i, e*_i) = -1, omega(e*_i, e_i) = 1
     x = (c(m, 1), c(m, 0), c(m, 0), c(m, 0))
     y = (c(m, 0), c(m, 0), c(m, 1), c(m, 0))
@@ -83,7 +84,7 @@ def test_symplectic_extension_preserves_form():
     z = CycloNumber.zeta(m, 1)
     a = zmat(m, [[1, z], [0, z * z]])
     s = oracle.symplectic_extension(a, m)
-    j = linalg.symplectic_form_matrix(2, m)
+    j = oracle.symplectic_form_matrix(2, m)
     assert linalg.mat_mul(oracle.transpose(s), linalg.mat_mul(j, s)) == j
 
 
@@ -94,7 +95,7 @@ def test_restricted_form_of_diagonal_reflection():
     s = zmat(m, [[-1, 0], [0, 1]])
     expected = zmat(m, [[0, 0, -1, 0], [0, 0, 0, 0],
                         [1, 0, 0, 0], [0, 0, 0, 0]])
-    assert linalg.reflection_form(s, m) == expected
+    assert oracle.gram(*linalg.reflection_sum((s,), m)) == expected
     ext = oracle.symplectic_extension(s, m)
     assert oracle.restricted_form_matrix(ext, m) == expected
 
@@ -110,6 +111,15 @@ def oracle_form(s, m):
     return oracle.restricted_form_matrix(oracle.symplectic_extension(s, m), m)
 
 
+def reflection_form(s, m):
+    """omega_s as the Gram matrix built from ``reflection_sum``."""
+    return oracle.gram(*linalg.reflection_sum((s,), m))
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(rx, ry)) for rx, ry in zip(a, b))
+
+
 @pytest.mark.parametrize("spec", GRID)
 def test_reflection_form_matches_generic_pipeline(spec):
     g = GroupSpec(*spec)
@@ -117,7 +127,7 @@ def test_reflection_form_matches_generic_pipeline(spec):
     assert reflections
     for w in reflections:
         s = w.matrix()
-        assert linalg.reflection_form(s, g.m) == oracle_form(s, g.m), w
+        assert reflection_form(s, g.m) == oracle_form(s, g.m), w
 
 
 def test_reflection_form_matches_generic_pipeline_on_g4():
@@ -125,7 +135,7 @@ def test_reflection_form_matches_generic_pipeline_on_g4():
     for index in (2, 3):  # Cl3 and Cl4
         for q in group.classes[index]:
             rho = g4.reflection_matrix(group, q)
-            assert linalg.reflection_form(rho, 12) == oracle_form(rho, 12), q
+            assert reflection_form(rho, 12) == oracle_form(rho, 12), q
 
 
 @pytest.mark.parametrize("rows", [
@@ -135,7 +145,7 @@ def test_reflection_form_matches_generic_pipeline_on_g4():
 ])
 def test_reflection_form_rejects_non_reflections(rows):
     with pytest.raises(VerificationError, match="not a reflection"):
-        linalg.reflection_form(zmat(2, rows), 2)
+        linalg.reflection_sum((zmat(2, rows),), 2)
 
 
 def test_reflection_form_rejects_non_reflection_under_optimize():
@@ -145,7 +155,7 @@ from cmscan.cyclo import CycloNumber
 from cmscan.polycore import VerificationError
 minus, zero = CycloNumber.from_rational(2, -1), CycloNumber.zero(2)
 try:
-    linalg.reflection_form(((minus, zero), (zero, minus)), 2)
+    linalg.reflection_sum((((minus, zero), (zero, minus)),), 2)
 except VerificationError as exc:
     print("VerificationError:", exc)
 print("__debug__ =", __debug__)
@@ -199,12 +209,11 @@ def test_reflection_form_sum_is_the_sum_of_oracle_forms(spec):
     one = CycloNumber.one(g.m)
     for cls in groups.reflection_classes(g):
         mats = [w.matrix() for w in cls.elements]
-        total, t = linalg.reflection_form_sum(mats, g.m)
+        total, t = linalg.reflection_sum(mats, g.m)
         want = oracle_form(mats[0], g.m)
         for s in mats[1:]:
-            want = tuple(tuple(x + y for x, y in zip(rx, ry))
-                         for rx, ry in zip(want, oracle_form(s, g.m)))
-        assert total == want, (g, cls.zeta)
+            want = mat_add(want, oracle_form(s, g.m))
+        assert oracle.gram(total, t) == want, (g, cls.zeta)
         assert t == one - cls.zeta
 
 
@@ -212,31 +221,53 @@ def test_reflection_form_sum_on_g4_classes():
     group = g4.build_g4()
     for index in (2, 3):  # Cl3 and Cl4
         mats = [g4.reflection_matrix(group, q) for q in group.classes[index]]
-        total, _ = linalg.reflection_form_sum(mats, 12)
-        want = linalg.reflection_form(mats[0], 12)
+        want = oracle_form(mats[0], 12)
         for s in mats[1:]:
-            want = tuple(tuple(x + y for x, y in zip(rx, ry)) for rx, ry in
-                         zip(want, linalg.reflection_form(s, 12)))
-        assert total == want
+            want = mat_add(want, oracle_form(s, 12))
+        assert oracle.gram(*linalg.reflection_sum(mats, 12)) == want
 
 
 def test_reflection_form_sum_rejects_mixed_eigenvalues_and_no_members():
     minus = zmat(3, [[-1, 0], [0, 1]])
     zeta = zmat(3, [[1, 0], [0, CycloNumber.zeta(3)]])
     with pytest.raises(VerificationError, match="share their eigenvalue"):
-        linalg.reflection_form_sum([minus, zeta], 3)
+        linalg.reflection_sum([minus, zeta], 3)
     with pytest.raises(ValueError, match="no reflections"):
-        linalg.reflection_form_sum([], 3)
+        linalg.reflection_sum([], 3)
 
 
-def test_proportionality_scalar():
-    m = 3
-    j = linalg.symplectic_form_matrix(1, m)
-    doubled = linalg.scalar_mul(c(m, 2), j)
-    assert linalg.proportionality_scalar(doubled, j) == c(m, 2)
-    zero = linalg.scalar_mul(c(m, 0), j)
-    assert linalg.proportionality_scalar(zero, j) == c(m, 0)
-    skewed = zmat(m, [[0, 1], [1, 0]])
-    assert linalg.proportionality_scalar(skewed, j) is None
-    offset = zmat(m, [[1, -1], [1, 0]])
-    assert linalg.proportionality_scalar(offset, j) is None
+@pytest.mark.parametrize("spec", [(3, 1, 2), (4, 2, 3), (6, 6, 2), (2, 2, 4)])
+def test_scalar_sum_is_exactly_a_multiple_of_omega(spec):
+    # The Gram matrix of a sum of forms is lambda * J exactly when the
+    # sum of 1 - s is lambda * t * I: on every class (lambda = k/n) and
+    # on every proper part of one (the sum is not scalar there).
+    g = GroupSpec(*spec)
+    j = oracle.symplectic_form_matrix(g.n, g.m)
+    ident = linalg.identity(g.n, g.m)
+    for cls in groups.reflection_classes(g):
+        mats = [w.matrix() for w in cls.elements]
+        for k in range(1, len(mats) + 1):
+            total, t = linalg.reflection_sum(mats[:k], g.m)
+            lam = Fraction(k, g.n)
+            form = oracle.gram(total, t)
+            scalar = total == linalg.scalar_mul(t * lam, ident)
+            assert scalar == (k == len(mats)), (g, cls.zeta, k)
+            assert (form == linalg.scalar_mul(c(g.m, lam), j)) == scalar
+
+
+def test_class_sums_take_no_field_inverse(monkeypatch):
+    # The criterion-4 battery and the G4 form sums run with division in
+    # Q(zeta_m) disabled: every check is a product or a comparison.
+    battery = [g for g in fd.configured_groups(max_order=2000)
+               if groups.is_irreducible_natural(g)]
+    group = g4.build_g4()
+
+    def refuse(*args):
+        raise AssertionError("a class-sum check divided in Q(zeta_m)")
+    monkeypatch.setattr(CycloNumber, "inverse", refuse)
+    monkeypatch.setattr(CycloNumber, "__truediv__", refuse)
+    for g in battery:
+        for cls in groups.reflection_classes(g):
+            assert groups.omega_class_sum(g, cls) == Fraction(cls.size, g.n)
+    assert g4.reflection_form_check(group) == {
+        "Cl3": Fraction(2), "Cl4": Fraction(2)}

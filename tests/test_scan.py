@@ -1,16 +1,20 @@
+import math
 import subprocess
 import sys
 
 import pytest
 
+import partitions_oracle
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
-    GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
+    GroupSpec, coinvariant_poincare, configured_groups, fake_degree,
+    irr_dimension, irr_labels,
 )
 from cmscan.polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial,
 )
+from polyoracle import DictPoly
 
 P = LaurentPoly.parse
 
@@ -184,6 +188,58 @@ class TestDivisionMemo:
             "  " + v.render() for v in report.verdicts]
         assert report.to_dict()["verdicts"] == [
             v.to_dict() for v in report.verdicts]
+
+
+def _hook_product(mp, m):
+    """prod over the hook lengths h of mp of [m*h]_t = 1 + t + ... + t^(mh-1)."""
+    out = DictPoly.one()
+    for lam in mp:
+        if lam:
+            for h in pt.hook_lengths(lam):
+                out = out * DictPoly({e: 1 for e in range(m * h)})
+    return out
+
+
+def _primitive_weight(orbit):
+    """primitive(R'): the orbit weight polynomial over its lowest
+    monomial and its content."""
+    weight = DictPoly.of(partitions_oracle.orbit_weight_poly(orbit))
+    coeffs = dict(weight.shift(-weight.trailing_degree()).items())
+    content = math.gcd(*coeffs.values())
+    return DictPoly({e: c // content for e, c in coeffs.items()})
+
+
+# Every group of order <= 2000, and larger ones where p > 1 leaves a
+# nontrivial R' and both verdicts occur.
+QUOTIENT_GROUPS = configured_groups(max_order=2000) + tuple(
+    GroupSpec(*spec) for spec in [(12, 6, 4), (12, 4, 4), (6, 3, 5),
+                                  (4, 2, 6)])
+
+
+class TestQuotientOracle:
+    """P / primitive(t^-b f) = prod_h [m h]_t / primitive(R'), since
+    P = prod_i [d_i]_t and f = t^b R' prod_i (1 - t^(d_i)) / prod_h
+    (1 - t^(mh)) with n hooks; so a label divides exactly when
+    primitive(R') divides the hook product, with that quotient."""
+
+    @pytest.mark.parametrize("g", QUOTIENT_GROUPS, ids=str)
+    def test_verdicts_match_hook_product_division(self, g):
+        report = scan.scan_group(g)
+        expected = {}
+        for label, verdict in zip(irr_labels(g), report.verdicts):
+            orbit = label.orbit
+            if orbit not in expected:
+                expected[orbit] = divmod(_hook_product(orbit.canonical, g.m),
+                                         _primitive_weight(orbit))
+            quotient, remainder = expected[orbit]
+            assert verdict.divides == remainder.is_zero(), verdict.label
+            if verdict.divides:
+                assert DictPoly.of(verdict.poly) == quotient, verdict.label
+
+    def test_larger_groups_have_both_verdicts(self):
+        for g in QUOTIENT_GROUPS[-4:]:
+            report = scan.scan_group(g)
+            assert 0 < report.failures < report.labels, g
 
 
 class TestChecksUnderOptimize:
