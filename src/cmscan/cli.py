@@ -12,16 +12,15 @@ document carrying the same content.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import g4 as g4mod
 from . import scan as scanmod
 from .cyclo import CycloNumber
-from .fakedeg import (
-    GroupSpec, fake_degree, irr_dimension, irr_labels,
-)
+from .fakedeg import GroupSpec, label_rows
 from .groups import (
     DEFAULT_MAX_ORDER, GroupTooLargeError, ReducibleRepresentationError,
     degrees_series, molien_series, omega_class_sum, reflection_classes,
@@ -39,12 +38,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> None:
-    """Print the JSON document or the text report, building only that one."""
+def _emit(args, doc: Callable[[], dict],
+          lines: Callable[[], Iterable[str]]) -> None:
+    """Stream the JSON document, in batches of 1,024 encoder chunks, or
+    the text report, a line at a time, building only that one."""
     if args.json:
-        print(json.dumps(doc(), indent=2, sort_keys=True))
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc())
+        while batch := "".join(itertools.islice(chunks, 1024)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
-        print(text())
+        sys.stdout.writelines(line + "\n" for line in lines())
 
 
 def _root_of_unity_label(z: CycloNumber) -> str:
@@ -60,38 +64,35 @@ def _root_of_unity_label(z: CycloNumber) -> str:
 
 def cmd_fake_degrees(args) -> int:
     g = GroupSpec.parse(args.group)
-    rows = []
-    shapes: dict = {}
-    for label in irr_labels(g):
-        f = fake_degree(g, label.orbit, shapes)
-        rows.append({
-            "label": label.render(),
-            "orbit": [render_multipartition(mp) for mp in label.orbit.members],
-            "stabiliser": label.orbit.stab_order,
-            "dim": irr_dimension(g, label),
-            "b": f.trailing_degree(),
-            "fake_degree": f.render(),
-        })
-    lines = [f"fake degrees for {g}: {len(rows)} labels"]
-    for row in rows:
-        lines.append(f"  {row['label']}  dim={row['dim']} b={row['b']} "
-                     f"f={row['fake_degree']}  "
-                     f"orbit[{len(row['orbit'])}]: {', '.join(row['orbit'])}")
-    _emit(args, lambda: {"group": g.render(), "labels": rows},
-          lambda: "\n".join(lines))
+    rows = label_rows(g)
+
+    def entries():
+        for label, dim, f in rows:
+            orbit = [render_multipartition(mp) for mp in label.orbit.members]
+            yield {"label": label.render(), "orbit": orbit,
+                   "stabiliser": label.orbit.stab_order, "dim": dim,
+                   "b": f.trailing_degree(), "fake_degree": f.render()}
+
+    def lines():
+        yield f"fake degrees for {g}: {len(rows)} labels"
+        for e in entries():
+            yield (f"  {e['label']}  dim={e['dim']} b={e['b']} "
+                   f"f={e['fake_degree']}  "
+                   f"orbit[{len(e['orbit'])}]: {', '.join(e['orbit'])}")
+
+    _emit(args, lambda: {"group": g.render(), "labels": list(entries())},
+          lines)
     return 0
 
 
 def cmd_scan(args) -> int:
-    g = GroupSpec.parse(args.group)
-    report = scanmod.scan_group(g)
+    report = scanmod.scan_group(GroupSpec.parse(args.group))
     _emit(args, report.to_dict, report.render)
     return 0
 
 
 def cmd_witness(args) -> int:
-    g = GroupSpec.parse(args.group)
-    report = scanmod.witness_check(g)
+    report = scanmod.witness_check(GroupSpec.parse(args.group))
     _emit(args, report.to_dict, report.render)
     return 0 if report.matches_prediction else 1
 
@@ -99,15 +100,10 @@ def cmd_witness(args) -> int:
 def cmd_verify_omega(args) -> int:
     g = GroupSpec.parse(args.group)
     classes = reflection_classes(g, args.max_order)
-    entries = []
-    for idx, cls in enumerate(classes, start=1):
-        lam = omega_class_sum(g, cls)
-        entries.append({
-            "class": idx,
-            "size": cls.size,
-            "zeta": _root_of_unity_label(cls.zeta),
-            "lambda": str(lam),
-        })
+    entries = [{"class": idx, "size": cls.size,
+                "zeta": _root_of_unity_label(cls.zeta),
+                "lambda": str(omega_class_sum(g, cls))}
+               for idx, cls in enumerate(classes, start=1)]
     lines = [f"restricted form sums for {g}: "
              f"{len(classes)} reflection class(es)"]
     for e in entries:
@@ -115,7 +111,7 @@ def cmd_verify_omega(args) -> int:
             f"  class {e['class']}: size {e['size']}, zeta = {e['zeta']}, "
             f"sum of forms = {e['lambda']} * omega (= k/n, closed form agrees)")
     doc = {"group": g.render(), "classes": entries, "verified": True}
-    _emit(args, lambda: doc, lambda: "\n".join(lines))
+    _emit(args, lambda: doc, lambda: lines)
     return 0
 
 
@@ -125,19 +121,14 @@ def cmd_molien(args) -> int:
     computed = molien_series(g, n, args.max_order)
     oracle = degrees_series(g, n)
     match = computed == oracle
-    doc = {
-        "group": g.render(),
-        "truncate": n,
-        "molien": computed.render(),
-        "degrees": list(g.degrees),
-        "degrees_product": oracle.render(),
-        "match": match,
-    }
+    doc = {"group": g.render(), "truncate": n, "molien": computed.render(),
+           "degrees": list(g.degrees), "degrees_product": oracle.render(),
+           "match": match}
     lines = [f"Molien series for {g} up to t^{n}:",
              f"  computed: {computed.render()}",
              f"  degrees {g.degrees} product: {oracle.render()}",
              f"  agreement: {'OK' if match else 'MISMATCH'}"]
-    _emit(args, lambda: doc, lambda: "\n".join(lines))
+    _emit(args, lambda: doc, lambda: lines)
     return 0 if match else 1
 
 
@@ -147,7 +138,7 @@ def cmd_g4(args) -> int:
            "passed": True}
     lines = [f"PASS {name}: {detail}" for name, detail in checks]
     lines.append(f"all {len(checks)} checks passed")
-    _emit(args, lambda: doc, lambda: "\n".join(lines))
+    _emit(args, lambda: doc, lambda: lines)
     return 0
 
 
@@ -164,17 +155,16 @@ def cmd_table1(args) -> int:
     checked = [c for c in comparisons if c.matches is not None]
     mismatched = [c for c in checked if not c.matches]
 
-    def text() -> str:
-        lines = [f"dataset: {len(groups)} group(s) from {args.data}"]
+    def lines():
+        yield f"dataset: {len(groups)} group(s) from {args.data}"
         for report, comp in zip(reports, comparisons):
-            lines.append("  " + comp.render())
+            yield "  " + comp.render()
             failing = [v.label for v in report.verdicts if not v.divides]
             if failing:
-                lines.append(f"    failing rows: {', '.join(failing)}")
+                yield f"    failing rows: {', '.join(failing)}"
         if checked:
-            lines.append(f"  expected-count comparison: "
-                         f"{len(checked) - len(mismatched)}/{len(checked)} match")
-        return "\n".join(lines)
+            yield (f"  expected-count comparison: "
+                   f"{len(checked) - len(mismatched)}/{len(checked)} match")
 
     def doc() -> dict:
         return {
@@ -184,7 +174,7 @@ def cmd_table1(args) -> int:
             "mismatches": len(mismatched),
         }
 
-    _emit(args, doc, text)
+    _emit(args, doc, lines)
     return 1 if mismatched else 0
 
 

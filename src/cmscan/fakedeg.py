@@ -113,14 +113,30 @@ def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
     return tuple(out)
 
 
+def label_rows(g: GroupSpec) -> tuple[tuple[IrrLabel, int, LaurentPoly], ...]:
+    """(label, dim, fake degree) for every irreducible label, in label
+    order.  dim and f are evaluated once per shift orbit, with one shape
+    memo; equal fake degrees are one object, held once by the rows."""
+    shapes: dict[tuple, LaurentPoly] = {}
+    fakes: dict[LaurentPoly, LaurentPoly] = {}  # each distinct f, by value
+    rows, orbit = [], None
+    for label in irr_labels(g):
+        if label.orbit is not orbit:
+            orbit = label.orbit
+            f = fake_degree(g, orbit, shapes)
+            dim, f = irr_dimension(g, orbit), fakes.setdefault(f, f)
+        rows.append((label, dim, f))
+    return tuple(rows)
+
+
 def _hooks(mp: pt.Multipartition) -> tuple[int, ...]:
     """Hook lengths of all nonempty components, ascending."""
     return tuple(sorted(h for lam in mp if lam for h in pt._hook_lengths(lam)))
 
 
-def irr_dimension(g: GroupSpec, label: IrrLabel | pt.MultipartitionOrbit) -> int:
-    """Dimension: n! / (stabiliser order * prod of all hook lengths)."""
-    orbit = label.orbit if isinstance(label, IrrLabel) else label
+def irr_dimension(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> int:
+    """Dimension of each label of the orbit:
+    n! / (stabiliser order * prod of all hook lengths)."""
     q, r = divmod(math.factorial(g.n),
                   orbit.stab_order * math.prod(_hooks(orbit.canonical)))
     if r:

@@ -14,11 +14,11 @@ One value type and two kernels cover everything the higher layers need:
   recurrence q[i] = c[i] + q[i - a]), each linear in the length.
   ``poincare_polynomial`` expands the coinvariant Poincare polynomial
   prod_i [d_i]_t = prod_i (1 - t^d_i)/(1 - t) with them, one degree at
-  a time; fake degrees are expanded with them too.
+  a time; fake degrees and ``cyclotomic``'s closed form are expanded
+  with them too.
 """
 from __future__ import annotations
 
-import functools
 import math
 import re
 from itertools import accumulate, repeat
@@ -29,11 +29,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # is dense, so this bounds the memory one value can take; it is checked
 # before anything is allocated.
 MAX_SPAN = 1 << 20
-
-# Distinct cyclotomic polynomials kept.  Phi_k is built from Phi_d for
-# every d | k, and no k below 10^6 has more than 240 divisors, so one
-# call's working set fits.
-CYCLOTOMIC_CACHE_SIZE = 256
 
 
 def _check_span(span: int) -> None:
@@ -378,9 +373,11 @@ class LaurentPoly:
         return f"LaurentPoly.parse({self.render()!r})"
 
 
-@functools.lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic(k: int) -> LaurentPoly:
-    """The k-th cyclotomic polynomial Phi_k, computed by exact division.
+    """The k-th cyclotomic polynomial: Phi_1 = t - 1 and, for k > 1,
+    Phi_k = prod_{d | k} (1 - t^d)^mu(k/d), over d = k/s for the products
+    s of distinct primes of k, expanded as a power series on phi(k) + 1
+    coefficients; that is exact, since deg Phi_k = phi(k).
 
     >>> print(cyclotomic(1))
     t - 1
@@ -389,11 +386,23 @@ def cyclotomic(k: int) -> LaurentPoly:
     """
     if k < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = LaurentPoly({k: 1, 0: -1})
-    for d in range(1, k):
-        if k % d == 0:
-            num = num / cyclotomic(d)
-    return num
+    if k == 1:
+        return LaurentPoly({1: 1, 0: -1})
+    totient, rest, p = k, k, 2
+    squarefree = [(1, 1)]  # (s, mu(s)) over the products s of the primes
+    while rest > 1:  # trial division
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            totient = totient // p * (p - 1)
+            squarefree += [(s * p, -mu) for s, mu in squarefree]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    c = [1] + [0] * totient
+    for s, mu in squarefree:
+        (mul_one_minus if mu == 1 else div_one_minus)(c, k // s)
+    return LaurentPoly._dense(0, c)
 
 
 def poincare_polynomial(degrees: Sequence[int]) -> LaurentPoly:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from . import partitions as pt
 from .fakedeg import (
-    GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
-    isomorphism_note, reducibility_note,
+    GroupSpec, coinvariant_poincare, fake_degree, irr_dimension,
+    isomorphism_note, label_rows, reducibility_note,
 )
 from .polycore import MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial
 
@@ -62,18 +62,16 @@ class DivisibilityVerdict:
                 f"{self.verdict}  {kind}={render_poly(self.poly)}")
 
 
+@dataclass(frozen=True)
+class DatasetRow:
+    """One row of a scan: an irreducible's name, dimension and fake degree."""
+
+    ident: str
+    dim: int
+    fake: LaurentPoly
+
+
 Division = tuple[bool, LaurentPoly]
-
-
-def _divide(poincare: LaurentPoly, primitive: LaurentPoly,
-            label: str) -> Division:
-    """(True, quotient) or (False, remainder) of P by a primitive divisor."""
-    quotient, remainder = divmod(poincare, primitive)
-    if remainder.is_zero():
-        if quotient.at_one() * primitive.at_one() != poincare.at_one():
-            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
-        return True, quotient
-    return False, remainder
 
 
 def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
@@ -102,7 +100,12 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
         memo = {}
     division = memo.get(primitive)
     if division is None:
-        division = memo[primitive] = _divide(poincare, primitive, label)
+        quotient, remainder = divmod(poincare, primitive)
+        divides = remainder.is_zero()
+        if divides and (quotient.at_one() * primitive.at_one()
+                        != poincare.at_one()):
+            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
+        division = memo[primitive] = (divides, quotient if divides else remainder)
     return DivisibilityVerdict(label, b, dim, *division)
 
 
@@ -125,16 +128,18 @@ class ScanReport:
             "verdicts": [v.to_dict(render_poly) for v in self.verdicts],
         }
 
-    def render(self) -> str:
+    def render(self) -> Iterator[str]:
+        """The text report, one line at a time."""
         conclusion = ("no obstruction found" if self.failures == 0
                       else f"{self.failures} failing label(s): "
                            "Calogero-Moser space is singular for all parameters")
-        lines = [f"scan {self.group}: {self.labels} labels, "
-                 f"{self.failures} failures -- {conclusion}"]
-        lines += [f"  note: {n}" for n in self.notes]
+        yield (f"scan {self.group}: {self.labels} labels, "
+               f"{self.failures} failures -- {conclusion}")
+        for n in self.notes:
+            yield f"  note: {n}"
         render_poly = functools.cache(LaurentPoly.render)
-        lines += ["  " + v.render(render_poly) for v in self.verdicts]
-        return "\n".join(lines)
+        for v in self.verdicts:
+            yield "  " + v.render(render_poly)
 
 
 _CONVENTION_NOTES = (
@@ -146,40 +151,46 @@ _CONVENTION_NOTES = (
 
 
 def _series_notes(g: GroupSpec) -> tuple[str, ...]:
-    notes = list(_CONVENTION_NOTES)
-    for extra in (reducibility_note(g), isomorphism_note(g)):
-        if extra:
-            notes.append(extra)
-    return tuple(notes)
+    extra = (reducibility_note(g), isomorphism_note(g))
+    return _CONVENTION_NOTES + tuple(note for note in extra if note)
+
+
+def graded_sum(rows: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
+    """sum(dim * f) over (dim, f) rows.  The dims of equal fake degrees
+    are added first, so each distinct f is scaled and added once."""
+    weights: dict[LaurentPoly, int] = {}
+    for dim, f in rows:
+        weights[f] = weights.get(f, 0) + dim
+    return sum((f * dim for f, dim in weights.items()), LaurentPoly.zero())
+
+
+def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
+               notes: tuple[str, ...]) -> ScanReport:
+    """Test every row in order, dividing each distinct primitive divisor
+    into P once, and count the failing rows."""
+    memo: dict[LaurentPoly, Division] = {}
+    verdicts = tuple(divisibility_test(poincare, row.fake, row.dim, row.ident,
+                                       memo)
+                     for row in rows)
+    failures = sum(1 for v in verdicts if not v.divides)
+    return ScanReport(name, len(verdicts), failures, verdicts, notes)
 
 
 def scan_group(g: GroupSpec) -> ScanReport:
-    """Run the divisibility test over every irreducible label of G(m,p,n).
-
-    Each distinct fake-degree shape is expanded once, each fake degree
-    is dropped once its label is tested, and each distinct primitive
-    divisor is divided into P once; the graded sum rule
-    sum(dim * f) == P is checked after the last label.
-    """
-    labels = irr_labels(g)  # refuses too many labels before other work
+    """Run the divisibility test over every irreducible label of G(m,p,n):
+    the dataset scan of the group's own label rows, followed by the
+    graded sum rule sum(dim * f) == P."""
+    rows = label_rows(g)  # refuses too many labels before other work
     poincare = coinvariant_poincare(g)
     if poincare.at_one() != g.order:
         raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
-    verdicts = []
-    memo: dict[LaurentPoly, Division] = {}
-    shapes: dict = {}
-    graded_sum = LaurentPoly.zero()
-    for label in labels:
-        f = fake_degree(g, label.orbit, shapes)
-        dim = irr_dimension(g, label)
-        verdicts.append(divisibility_test(poincare, f, dim, label.render(),
-                                          memo))
-        graded_sum = graded_sum + f * LaurentPoly.monomial(dim)
-    if graded_sum != poincare:
+    report = _scan_rows(g.render(), poincare,
+                        (DatasetRow(label.render(), dim, f)
+                         for label, dim, f in rows),
+                        _series_notes(g))
+    if graded_sum((dim, f) for _, dim, f in rows) != poincare:
         raise VerificationError("graded sum rule violated")
-    failures = sum(1 for v in verdicts if not v.divides)
-    return ScanReport(g.render(), len(verdicts), failures,
-                      tuple(verdicts), _series_notes(g))
+    return report
 
 
 # -- the three designated witness families --------------------------------
@@ -256,16 +267,16 @@ class WitnessReport:
             "verdict": self.verdict.to_dict(),
         }
 
-    def render(self) -> str:
+    def render(self) -> Iterator[str]:
         status = ("matches the predicted failure" if self.matches_prediction
                   else "does NOT fail; the predicted failure relies on a "
                        "no-wraparound assumption")
-        lines = [f"witness {self.group}: label {self.multipartition}, "
-                 f"f = {self.fake.render()}",
-                 f"  {self.verdict.render()}",
-                 f"  {status}"]
-        lines += [f"  note: {n}" for n in self.notes]
-        return "\n".join(lines)
+        yield (f"witness {self.group}: label {self.multipartition}, "
+               f"f = {self.fake.render()}")
+        yield f"  {self.verdict.render()}"
+        yield f"  {status}"
+        for n in self.notes:
+            yield f"  note: {n}"
 
 
 def witness_check(g: GroupSpec) -> WitnessReport:
@@ -286,13 +297,6 @@ def witness_check(g: GroupSpec) -> WitnessReport:
 
 
 # -- exceptional groups via ingested fake-degree data ----------------------
-
-@dataclass(frozen=True)
-class DatasetRow:
-    ident: str
-    dim: int
-    fake: LaurentPoly
-
 
 @dataclass(frozen=True)
 class ExceptionalGroupData:
@@ -317,7 +321,6 @@ class ExceptionalGroupData:
             raise DatasetError(
                 f"{self.name}: sum of dim^2 is {square_sum}, "
                 f"order is {self.order}")
-        graded_sum = LaurentPoly.zero()
         for row in self.rows:
             if row.fake.at_one() != row.dim:
                 raise DatasetError(
@@ -327,9 +330,8 @@ class ExceptionalGroupData:
                 raise DatasetError(
                     f"{self.name} row {row.ident}: fake degree has a "
                     "negative exponent")
-            graded_sum = graded_sum + row.fake * LaurentPoly.monomial(row.dim)
         poincare = self.poincare()
-        if graded_sum != poincare:
+        if graded_sum((row.dim, row.fake) for row in self.rows) != poincare:
             raise DatasetError(
                 f"{self.name}: sum of dim * f differs from the coinvariant "
                 "Poincaré polynomial")
@@ -369,39 +371,31 @@ def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
     group; each following ``irrep <id> dim <int> fake <poly>`` adds a row.
     Blank lines and ``#`` comments are ignored.
     """
-    groups: list[ExceptionalGroupData] = []
-    current: list | None = None  # [name, order, rank, degrees, rows]
-
-    def close():
-        if current is not None:
-            groups.append(ExceptionalGroupData(
-                current[0], current[1], current[2], current[3],
-                tuple(current[4])))
-
+    blocks: list[tuple[tuple, list[DatasetRow]]] = []  # (header, rows)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         mg = _GROUP_LINE.match(line)
         if mg:
-            close()
-            current = [mg.group(1), int(mg.group(2)), int(mg.group(3)),
-                       _parse_degrees(mg.group(4), lineno, mg.group(1)), []]
+            blocks.append(((mg.group(1), int(mg.group(2)), int(mg.group(3)),
+                            _parse_degrees(mg.group(4), lineno, mg.group(1))),
+                           []))
             continue
         mi = _IRREP_LINE.match(line)
         if mi:
-            if current is None:
+            if not blocks:
                 raise DatasetError(
                     f"line {lineno}: irrep row before any group header")
             try:
                 fake = LaurentPoly.parse(mi.group(3))
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from exc
-            current[4].append(DatasetRow(mi.group(1), int(mi.group(2)), fake))
+            blocks[-1][1].append(DatasetRow(mi.group(1), int(mi.group(2)), fake))
             continue
         raise DatasetError(f"line {lineno}: unrecognized line {line!r}")
-    close()
-    return tuple(groups)
+    return tuple(ExceptionalGroupData(*header, tuple(rows))
+                 for header, rows in blocks)
 
 
 def render_dataset(groups: tuple[ExceptionalGroupData, ...]) -> str:
@@ -422,17 +416,8 @@ def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, 
     distinct primitive divisor into the group's P once."""
     note = ("row identities follow the source tabulation; verdicts and "
             "counts are per row")
-    reports = []
-    for g in groups:
-        poincare = g.validate()
-        memo: dict[LaurentPoly, Division] = {}
-        verdicts = tuple(divisibility_test(poincare, row.fake, row.dim,
-                                           row.ident, memo)
-                         for row in g.rows)
-        failures = sum(1 for v in verdicts if not v.divides)
-        reports.append(ScanReport(g.name, len(verdicts), failures,
-                                  verdicts, (note,)))
-    return tuple(reports)
+    return tuple(_scan_rows(g.name, g.validate(), g.rows, (note,))
+                 for g in groups)
 
 
 def expected_failure_counts() -> dict[int, int]:
@@ -484,10 +469,6 @@ def compare_with_expected(reports: tuple[ScanReport, ...]) -> tuple[CountCompari
 def synthetic_dataset(g: GroupSpec) -> ExceptionalGroupData:
     """Express a G(m,p,n) scan's inputs in the dataset format; useful as a
     round-trip fixture (its scan must agree with scan_group)."""
-    shapes: dict = {}
-    rows = tuple(
-        DatasetRow(label.render().replace(" ", "_"), irr_dimension(g, label),
-                   fake_degree(g, label.orbit, shapes))
-        for label in irr_labels(g))
-    return ExceptionalGroupData(
-        g.render().replace(" ", ""), g.order, g.n, g.degrees, rows)
+    rows = tuple(DatasetRow(label.render().replace(" ", "_"), dim, f)
+                 for label, dim, f in label_rows(g))
+    return ExceptionalGroupData(g.render(), g.order, g.n, g.degrees, rows)

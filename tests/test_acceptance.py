@@ -58,7 +58,7 @@ def test_criterion_1_fake_degree_consistency_battery(capsys):
             square_sum = 0
             for label in fd.irr_labels(g):
                 f = fd.fake_degree(g, label.orbit)
-                dim = fd.irr_dimension(g, label)
+                dim = fd.irr_dimension(g, label.orbit)
                 assert f.at_one() == dim
                 k = min(pt.index_weight(mp) for mp in label.orbit.members)
                 hooks = sum(pt.weighted_size(lam)

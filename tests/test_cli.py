@@ -3,6 +3,8 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
+import threading
 
 import pytest
 
@@ -37,6 +39,25 @@ def run_limited(*argv, timeout):
     return subprocess.run(
         [sys.executable, "-m", "cmscan", *argv], capture_output=True,
         text=True, timeout=timeout, preexec_fn=_limit_address_space)
+
+
+def run_limited_drained(*argv, timeout):
+    """run_limited for a report too large to hold: stdout is drained in
+    1 MB chunks, keeping its first 200 and last 8 bytes."""
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+            [sys.executable, "-m", "cmscan", *argv], stdout=subprocess.PIPE,
+            stderr=err, preexec_fn=_limit_address_space) as proc:
+        timer = threading.Timer(timeout, proc.kill)
+        timer.start()
+        try:
+            head = tail = proc.stdout.read(200)
+            while chunk := proc.stdout.read(1 << 20):
+                tail = (tail + chunk)[-8:]
+        finally:
+            timer.cancel()
+        proc.wait()
+        err.seek(0)
+        return proc.returncode, head.decode(), tail.decode(), err.read().decode()
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +269,21 @@ class TestExitCodes:
         proc = run_limited("scan", group, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.startswith(f"scan {group}: {labels} labels, 0 failures")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_large_reports_are_streamed(self, json_flag):
+        # 155,584 labels and about 280 MB of report: joining the report
+        # into one string used to exhaust the address space.
+        code, head, tail, err = run_limited_drained(
+            "scan", "G(16,1,6)", *json_flag, timeout=180)
+        assert code == 0, err[-2000:]
+        if json_flag:
+            assert head.startswith('{\n  "failures": 0,\n  "group": '
+                                   '"G(16,1,6)",\n  "labels": 155584,\n')
+            assert tail.endswith("\n  ]\n}\n")
+        else:
+            assert head.startswith("scan G(16,1,6): 155584 labels, 0 failures")
+            assert tail.endswith("\n")
 
     def test_too_many_components_is_refused_before_enumeration(self):
         # 45,450 labels, below the label bound, in 13,635,000 components.

@@ -64,7 +64,7 @@ class TestSmallGroups:
         total = LaurentPoly.zero()
         for label in fd.irr_labels(g):
             f = fd.fake_degree(g, label.orbit)
-            total = total + f * fd.irr_dimension(g, label)
+            total = total + f * fd.irr_dimension(g, label.orbit)
         assert total == P("1 + 2*t + t^2")
 
     def test_g552_degenerate_family_member(self):
@@ -74,10 +74,26 @@ class TestSmallGroups:
 
     def test_dimensions(self):
         g = fd.GroupSpec(3, 1, 2)
-        dims = sorted(fd.irr_dimension(g, lab) for lab in fd.irr_labels(g))
+        dims = sorted(fd.irr_dimension(g, lab.orbit)
+                      for lab in fd.irr_labels(g))
         assert dims == [1, 1, 1, 1, 1, 1, 2, 2, 2]
         g = fd.GroupSpec(2, 2, 2)
-        assert all(fd.irr_dimension(g, lab) == 1 for lab in fd.irr_labels(g))
+        assert all(fd.irr_dimension(g, lab.orbit) == 1
+                   for lab in fd.irr_labels(g))
+
+
+class TestLabelRows:
+    @pytest.mark.parametrize("spec", [(2, 2, 4), (4, 2, 3), (6, 3, 4),
+                                      (3, 1, 3), (12, 4, 3)])
+    def test_rows_match_per_label_evaluation(self, spec):
+        g = fd.GroupSpec(*spec)
+        rows = fd.label_rows(g)
+        assert [label for label, _, _ in rows] == list(fd.irr_labels(g))
+        for label, dim, f in rows:
+            assert dim == fd.irr_dimension(g, label.orbit)
+            assert f == fd.fake_degree(g, label.orbit)
+        # Equal fake degrees are one object.
+        assert len({id(f) for _, _, f in rows}) == len({f for _, _, f in rows})
 
 
 class TestSymmetricGroupOracle:
@@ -106,11 +122,11 @@ class TestGlobalIdentities:
     def test_value_at_one_is_dimension(self, g):
         for label in fd.irr_labels(g):
             f = fd.fake_degree(g, label.orbit)
-            assert f.at_one() == fd.irr_dimension(g, label)
+            assert f.at_one() == fd.irr_dimension(g, label.orbit)
 
     @pytest.mark.parametrize("g", GROUPS, ids=str)
     def test_sum_of_squares_is_group_order(self, g):
-        assert sum(fd.irr_dimension(g, lab)**2
+        assert sum(fd.irr_dimension(g, lab.orbit)**2
                    for lab in fd.irr_labels(g)) == g.order
 
     @pytest.mark.parametrize("g", GROUPS, ids=str)
@@ -118,7 +134,7 @@ class TestGlobalIdentities:
         total = LaurentPoly.zero()
         for label in fd.irr_labels(g):
             f = fd.fake_degree(g, label.orbit)
-            total = total + f * fd.irr_dimension(g, label)
+            total = total + f * fd.irr_dimension(g, label.orbit)
         poincare = fd.coinvariant_poincare(g)
         assert total == poincare
         assert poincare.at_one() == g.order

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmscan import polycore
 from cmscan.polycore import LaurentPoly, cyclotomic
-from polyoracle import GradedProduct, NotPolynomialError, series_quotient
+import polyoracle
+from polyoracle import (
+    DictPoly, GradedProduct, NotPolynomialError, series_quotient,
+)
 
 P = LaurentPoly.parse
 
@@ -123,13 +125,11 @@ class TestCyclotomic:
                     product = product * cyclotomic(k)
             assert product == P(f"t^{a} - 1"), a
 
-    def test_cache_is_bounded(self):
-        for k in range(1, polycore.CYCLOTOMIC_CACHE_SIZE + 50):
-            assert cyclotomic(k).coeff(0) == (-1 if k == 1 else 1), k
-        info = cyclotomic.cache_info()
-        assert info.maxsize == polycore.CYCLOTOMIC_CACHE_SIZE
-        assert info.currsize <= polycore.CYCLOTOMIC_CACHE_SIZE
-        assert cyclotomic(12) == P("t^4 - t^2 + 1")
+    def test_closed_form_matches_oracle(self):
+        # 210 = 2*3*5*7 and 1155 = 3*5*7*11 take 16 squarefree factors
+        # (1 - t^d)^mu each.
+        for k in [*range(1, 256), 1155]:
+            assert DictPoly.of(cyclotomic(k)) == polyoracle.cyclotomic(k), k
 
 
 class TestGradedProduct:

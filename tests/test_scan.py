@@ -9,7 +9,7 @@ from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
     GroupSpec, coinvariant_poincare, configured_groups, fake_degree,
-    irr_dimension, irr_labels,
+    irr_dimension, irr_labels, label_rows,
 )
 from cmscan.polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial,
@@ -67,13 +67,13 @@ class TestScanGroup:
         report = scan.scan_group(g)
         assert report.failures == 0
         assert report.labels == len(report.verdicts)
-        assert "no obstruction" in report.render()
+        assert "no obstruction" in "\n".join(report.render())
 
     @pytest.mark.parametrize("g", sorted(SINGULAR, key=str), ids=str)
     def test_failure_counts(self, g):
         report = scan.scan_group(g)
         assert report.failures == SINGULAR[g]
-        assert "singular for all parameters" in report.render()
+        assert "singular for all parameters" in "\n".join(report.render())
 
     def test_g224_failing_orbit(self):
         report = scan.scan_group(GroupSpec(2, 2, 4))
@@ -137,7 +137,8 @@ class TestDivisionMemo:
         g = GroupSpec(*spec)
         poincare = coinvariant_poincare(g)
         fakes = [fake_degree(g, label.orbit) for label in irr_labels(g)]
-        oracle = [scan.divisibility_test(poincare, f, irr_dimension(g, label),
+        oracle = [scan.divisibility_test(poincare, f,
+                                         irr_dimension(g, label.orbit),
                                          label.render())
                   for label, f in zip(irr_labels(g), fakes)]
         report = scan.scan_group(g)
@@ -183,11 +184,52 @@ class TestDivisionMemo:
     @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 6)])
     def test_reports_render_each_verdict_as_before(self, spec):
         report = scan.scan_group(GroupSpec(*spec))
-        lines = report.render().splitlines()
+        lines = list(report.render())
         assert lines[-len(report.verdicts):] == [
             "  " + v.render() for v in report.verdicts]
         assert report.to_dict()["verdicts"] == [
             v.to_dict() for v in report.verdicts]
+
+
+def _per_row_sum(rows):
+    """sum(dim * f) one row at a time."""
+    total = LaurentPoly.zero()
+    for dim, f in rows:
+        total = total + f * LaurentPoly.monomial(dim)
+    return total
+
+
+class TestGradedSum:
+    """graded_sum adds the dims of equal fake degrees before scaling;
+    the oracle is the per-row sum."""
+
+    @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
+    def test_label_rows(self, g):
+        rows = [(dim, f) for _, dim, f in label_rows(g)]
+        assert scan.graded_sum(rows) == _per_row_sum(rows)
+        assert scan.graded_sum(rows) == coinvariant_poincare(g)
+
+    def test_repeated_and_distinct_rows(self):
+        rows = [(1, P("1")), (2, P("t + t^2")), (3, P("t^2 + t")),
+                (1, P("2*t^3")), (2, P("t^3")), (0, P("t^9")),
+                (4, P("t^-1 - 1")), (2, P("t + t^2")), (1, P("1 - t^-1"))]
+        assert scan.graded_sum(rows) == _per_row_sum(rows) == P(
+            "4*t^3 + 7*t^2 + 7*t - 2 + 3*t^-1")
+        assert scan.graded_sum([]) == LaurentPoly.zero()
+
+
+class TestGroupScanIsDatasetScan:
+    """scan_group is the dataset scan of the group's own label rows."""
+
+    @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
+    def test_same_verdicts(self, g):
+        report = scan.scan_group(g)
+        (dataset,) = scan.scan_dataset((scan.synthetic_dataset(g),))
+        assert report.failures == dataset.failures
+        assert [(v.b, v.dim, v.divides, v.poly) for v in report.verdicts] == [
+            (v.b, v.dim, v.divides, v.poly) for v in dataset.verdicts]
+        assert [v.label.replace(" ", "_") for v in report.verdicts] == [
+            v.label for v in dataset.verdicts]
 
 
 def _hook_product(mp, m):
@@ -346,7 +388,7 @@ class TestWitness:
         assert not report.matches_prediction
         assert report.verdict.divides
         assert any("wrap" in n for n in report.notes)
-        assert "does NOT fail" in report.render()
+        assert "does NOT fail" in "\n".join(report.render())
 
     @pytest.mark.parametrize("spec", [(3, 3, 3), (4, 4, 3), (4, 2, 3)])
     def test_wraparound_groups_still_fail_elsewhere(self, spec):
