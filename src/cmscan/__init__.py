@@ -9,38 +9,49 @@ reflection-class sums of restricted symplectic forms on exact monomial
 scans ingested fake-degree datasets for the exceptional groups.  All
 arithmetic is over the integers, the rationals or cyclotomic fields;
 nothing is floating point.
+
+Importing the package loads none of its modules: each name below is
+imported from its module on first use (PEP 562), so a command line
+compiles only the modules its subcommand runs.
 """
-from .cyclo import CycloNumber
-from .fakedeg import (
-    GroupSpec, IrrLabel, coinvariant_poincare, configured_groups,
-    fake_degree, irr_dimension, irr_labels,
-)
-from .groups import (
-    MonomialElement, ReflectionClass, molien_series, omega_class_sum,
-    reflection_classes,
-)
-from .partitions import (
-    Multipartition, MultipartitionOrbit, Partition, multipartitions,
-    parse_multipartition, render_multipartition,
-)
-from .polycore import LaurentPoly
-from .scan import (
-    DivisibilityVerdict, ExceptionalGroupData, ScanReport,
-    divisibility_test, expected_failure_counts, parse_dataset,
-    render_dataset, scan_dataset, scan_group, witness_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycloNumber", "DivisibilityVerdict", "ExceptionalGroupData",
-    "GroupSpec", "IrrLabel", "LaurentPoly",
-    "MonomialElement", "Multipartition", "MultipartitionOrbit",
-    "Partition", "ReflectionClass", "ScanReport", "coinvariant_poincare",
-    "configured_groups", "divisibility_test", "expected_failure_counts",
-    "fake_degree", "irr_dimension", "irr_labels", "molien_series",
-    "multipartitions", "omega_class_sum", "parse_dataset",
-    "parse_multipartition", "reflection_classes", "render_dataset",
-    "render_multipartition", "scan_dataset", "scan_group", "witness_check",
-    "__version__",
-]
+# The largest group order the element-wise commands accept by default,
+# here so that the command-line parser can read it without loading
+# `cmscan.groups`.
+DEFAULT_MAX_ORDER = 10**6
+
+_EXPORTS = {
+    "cyclo": ("CycloNumber",),
+    "fakedeg": ("GroupSpec", "IrrLabel", "coinvariant_poincare",
+                "configured_groups", "fake_degree", "irr_dimension",
+                "irr_labels"),
+    "groups": ("MonomialElement", "ReflectionClass", "molien_series",
+               "omega_class_sum", "reflection_classes"),
+    "partitions": ("Multipartition", "MultipartitionOrbit", "Partition",
+                   "multipartitions", "parse_multipartition",
+                   "render_multipartition"),
+    "polycore": ("LaurentPoly",),
+    "scan": ("DivisibilityVerdict", "ExceptionalGroupData", "ScanReport",
+             "divisibility_test", "expected_failure_counts", "parse_dataset",
+             "render_dataset", "scan_dataset", "scan_group", "witness_check"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

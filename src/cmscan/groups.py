@@ -15,13 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import DEFAULT_MAX_ORDER, linalg
 from .cyclo import CycloNumber
 from .fakedeg import GroupSpec, natural_is_reducible
 from .partitions import partitions
 from .polycore import MAX_SPAN, LaurentPoly, VerificationError, div_one_minus
-
-DEFAULT_MAX_ORDER = 10**6
 
 
 class GroupTooLargeError(ValueError):

@@ -37,7 +37,8 @@ MAX_MULTIPARTITIONS = 200_000
 # G(200,1,2) (4,060,000) and refuses G(300,1,2).
 MAX_COMPONENT_SLOTS = 10_000_000
 
-# Distinct (n, max_part) arguments whose partitions are kept.
+# Distinct (n, max_part) arguments whose partitions are kept, and
+# distinct partitions whose hook lengths are kept.
 PARTITIONS_CACHE_SIZE = 4096
 
 
@@ -81,6 +82,7 @@ def hook_lengths(lam: Partition) -> tuple[int, ...]:
     return _hook_lengths(check_partition(lam))
 
 
+@functools.lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def _hook_lengths(lam: Partition) -> tuple[int, ...]:
     conj = conjugate(lam)
     hooks = []

@@ -9,12 +9,17 @@ changed.
 """
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cmscan
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(cmscan.__file__).resolve().parent.parent
 
 # Targets already gone from cmscan, by tracer name; the benchmark still
 # lists them (see ROADMAP, item 4).
@@ -55,3 +60,25 @@ def test_every_traced_target_resolves(bench):
 def test_micro_operands_are_the_recorded_ones(bench):
     expected = json.loads((PERFBENCH / "expected.json").read_text("utf-8"))
     assert bench("record").micro_operands() == expected["micro"]
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (("scan", "G(3,3,3)"), ("cli.main", "scan.scan_group",
+                            "fakedeg.fake_degree")),
+    (("g4", "--json"), ("cli.main", "g4.run_battery")),
+])
+def test_tracer_records_lazily_imported_callers(argv, spans, tmp_path):
+    # The subcommands import their modules when they run; the shims the
+    # tracer installed beforehand must still be what they call.
+    out = tmp_path / "trace.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "tracer.py"), str(out), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(out.read_text("utf-8"))
+    assert result["exit"] == 0
+    for span in spans:
+        assert result["spans"][span]["calls"] > 0, span

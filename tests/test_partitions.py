@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import partitions_oracle
@@ -274,3 +276,17 @@ class TestBoundedCaches:
         assert info.currsize <= pt.PARTITIONS_CACHE_SIZE
         assert pt.partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1),
                                     (1, 1, 1, 1))
+
+    def test_hook_lengths_cache_is_bounded(self):
+        # Two-row shapes (a, b): (a + b)! / prod hooks counts their
+        # standard tableaux, C(a + b, b) - C(a + b, b - 1).
+        shapes = [(a, b) for a in range(1, 100) for b in range(1, a + 1)]
+        assert len(shapes) > pt.PARTITIONS_CACHE_SIZE + 100
+        for a, b in shapes:
+            hooks = pt.hook_lengths((a, b))
+            assert math.factorial(a + b) // math.prod(hooks) == (
+                math.comb(a + b, b) - math.comb(a + b, b - 1))
+        info = pt._hook_lengths.cache_info()
+        assert info.maxsize == pt.PARTITIONS_CACHE_SIZE
+        assert info.currsize <= pt.PARTITIONS_CACHE_SIZE
+        assert pt.hook_lengths((3, 2)) == (4, 3, 2, 1, 1)
