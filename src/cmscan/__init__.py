@@ -18,11 +18,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The largest group order the element-wise commands accept by default,
-# here so that the command-line parser can read it without loading
-# `cmscan.groups`.
-DEFAULT_MAX_ORDER = 10**6
-
 _EXPORTS = {
     "cyclo": ("CycloNumber",),
     "fakedeg": ("GroupSpec", "IrrLabel", "coinvariant_poincare",

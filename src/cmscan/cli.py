@@ -19,8 +19,6 @@ import itertools
 import sys
 from collections.abc import Callable, Iterable
 
-from . import DEFAULT_MAX_ORDER
-
 
 def _nonnegative_int(text: str) -> int:
     try:
@@ -46,15 +44,9 @@ def _emit(args, doc: Callable[[], dict],
         sys.stdout.writelines(line + "\n" for line in lines())
 
 
-def _root_of_unity_label(z) -> str:
-    for e in range(z.m):
-        if z == type(z).zeta(z.m, e):
-            if e == 0:
-                return "1"
-            if 2 * e == z.m:
-                return "-1"
-            return f"zeta_{z.m}^{e}" if e != 1 else f"zeta_{z.m}"
-    return repr(z)
+def _root_of_unity_label(m: int, e: int) -> str:
+    return ("1" if e == 0 else "-1" if 2 * e == m
+            else f"zeta_{m}" if e == 1 else f"zeta_{m}^{e}")
 
 
 def cmd_fake_degrees(args) -> int:
@@ -99,12 +91,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify_omega(args) -> int:
+    from .cyclo import CycloNumber
     from .fakedeg import GroupSpec
     from .groups import omega_class_sum, reflection_classes
     g = GroupSpec.parse(args.group)
-    classes = reflection_classes(g, args.max_order)
+    classes = reflection_classes(g)
+    labels = {CycloNumber.zeta(g.m, e): _root_of_unity_label(g.m, e)
+              for e in range(g.m)}
     entries = [{"class": idx, "size": cls.size,
-                "zeta": _root_of_unity_label(cls.zeta),
+                "zeta": labels.get(cls.zeta) or repr(cls.zeta),
                 "lambda": str(omega_class_sum(g, cls))}
                for idx, cls in enumerate(classes, start=1)]
     lines = [f"restricted form sums for {g}: "
@@ -123,7 +118,7 @@ def cmd_molien(args) -> int:
     from .groups import degrees_series, molien_series
     g = GroupSpec.parse(args.group)
     n = args.truncate
-    computed = molien_series(g, n, args.max_order)
+    computed = molien_series(g, n)
     oracle = degrees_series(g, n)
     match = computed == oracle
     doc = {"group": g.render(), "truncate": n, "molien": computed.render(),
@@ -192,15 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "checks for complex reflection groups G(m,p,n) and G4.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, group_arg=True, elementwise=False):
+    def add(name, func, help_text, group_arg=True):
         p = sub.add_parser(name, help=help_text)
         if group_arg:
             p.add_argument("group", help='group spec, e.g. "G(3,3,2)"')
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
-        if elementwise:
-            p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                           help="refuse groups with more elements than this")
         p.set_defaults(func=func)
         return p
 
@@ -214,10 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "predicted failure")
     add("verify-omega", cmd_verify_omega,
         "sum restricted symplectic forms over each reflection class and "
-        "verify the k/n scaling", elementwise=True)
+        "verify the k/n scaling")
     molien = add("molien", cmd_molien,
-                 "compare the Molien series against the degrees product",
-                 elementwise=True)
+                 "compare the Molien series against the degrees product")
     molien.add_argument("--truncate", type=_nonnegative_int, default=30,
                         help="series truncation order (default 30)")
     add("g4", cmd_g4,
@@ -236,8 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # DatasetError, GroupTooLargeError and ReducibleRepresentationError are
-    # ValueErrors.
+    # DatasetError and ReducibleRepresentationError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"cmscan: error: {exc}", file=sys.stderr)
         return 2

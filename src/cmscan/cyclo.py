@@ -29,6 +29,8 @@ from .polycore import VerificationError, cyclotomic
 # roots of unity kept as CycloNumbers.
 FIELD_CACHE_SIZE = 64
 ZETA_CACHE_SIZE = 1024
+# Largest power table m * phi(m), in ints, one field may build.
+MAX_FIELD_TABLE = 1 << 22
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -36,11 +38,15 @@ def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...],
                                  tuple[tuple[int, ...], ...]]:
     """The degree phi(m), the integer coordinates of zeta^e for e in
     [0, m), and those of zeta^k for k in [degree, 2*degree - 2] (the
-    range reachable by products)."""
+    range reachable by products).  A table of more than MAX_FIELD_TABLE
+    ints is refused with ValueError before it is built."""
     if m < 1:
         raise ValueError("cyclotomic modulus must be positive")
     phi = cyclotomic(m)
     deg = phi.degree()
+    if m * deg > MAX_FIELD_TABLE:
+        raise ValueError(f"the powers of zeta_{m} need {m * deg} coordinates; "
+                         f"the limit is {MAX_FIELD_TABLE}")
     dense = [0] * (deg + 1)
     for e, c in phi.items():
         dense[e] = c

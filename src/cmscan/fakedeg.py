@@ -190,7 +190,7 @@ def _expand_shape(g: GroupSpec, hooks: tuple[int, ...],
         del c[len(c) - a:]
     if any(x < 0 for x in c):
         raise VerificationError("fake degree has a negative coefficient")
-    return LaurentPoly(dict(enumerate(c)))
+    return LaurentPoly._dense(0, c)
 
 
 def coinvariant_poincare(g: GroupSpec) -> LaurentPoly:

@@ -15,15 +15,19 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import DEFAULT_MAX_ORDER, linalg
+from . import linalg
 from .cyclo import CycloNumber
 from .fakedeg import GroupSpec, natural_is_reducible
 from .partitions import partitions
 from .polycore import MAX_SPAN, LaurentPoly, VerificationError, div_one_minus
 
 
-class GroupTooLargeError(ValueError):
-    pass
+# Largest cost of the reflection classes: members times n^3 (each member's
+# rank check multiplies two n x n matrices) times phi(m) coordinates.
+MAX_REFLECTION_COST = 1 << 25
+# Largest number of table entries the Molien series may expand: its
+# signature terms times (truncate + 1) * m.
+MAX_MOLIEN_TERMS = 1 << 28
 
 
 class ReducibleRepresentationError(ValueError):
@@ -61,16 +65,6 @@ class MonomialElement:
         return (self.perm, self.exps)
 
 
-def _check_order(g: GroupSpec, max_order: int) -> None:
-    # |W| = m^n n!/p, multiplied up only until past the bound: huge n is cheap.
-    order = 1
-    for k in range(1, g.n + 1):
-        order *= g.m * k
-        if order > max_order * g.p:
-            size = f" {order // g.p}" if k == g.n else ""
-            raise GroupTooLargeError(f"{g} has order{size} > bound {max_order}")
-
-
 @dataclass(frozen=True)
 class ReflectionClass:
     """A conjugacy class of reflections with its nontrivial eigenvalue."""
@@ -83,8 +77,7 @@ class ReflectionClass:
         return len(self.elements)
 
 
-def reflection_classes(g: GroupSpec,
-                       max_order: int = DEFAULT_MAX_ORDER) -> tuple[ReflectionClass, ...]:
+def reflection_classes(g: GroupSpec) -> tuple[ReflectionClass, ...]:
     """Conjugacy classes of reflections, in closed form.
 
     One class of the n matrices diag(..., zeta^k, ...) per k in pZ/m,
@@ -92,10 +85,16 @@ def reflection_classes(g: GroupSpec,
     exponents a at i and -a at j, split by the parity of a for n = 2
     with p even (conjugation moves a only by even steps there).  That is
     the (perm, exps) order of first members, as an enumeration meets
-    them; members are sorted the same way.  |W| > max_order is refused.
+    them; members are sorted the same way.  Once the field Q(zeta_m) is
+    built, a cost count * n^3 * phi(m) above MAX_REFLECTION_COST is
+    refused with ValueError before any member is.
     """
-    _check_order(g, max_order)
     m, n = g.m, g.n
+    count = n * (g.d - 1) + m * n * (n - 1) // 2
+    cost = count * n**3 * len(CycloNumber.zero(m).num)
+    if cost > MAX_REFLECTION_COST:
+        raise ValueError(f"the {count} reflections of {g} cost count * n^3 * "
+                         f"phi(m) = {cost}; the limit is {MAX_REFLECTION_COST}")
     ident = tuple(range(n))
     classes = [([MonomialElement(m, ident, tuple(k if x == i else 0 for x in ident))
                  for i in ident], CycloNumber.zeta(m, k)) for k in range(g.p, m, g.p)]
@@ -175,8 +174,7 @@ def _signature_counts(g: GroupSpec) -> dict[tuple[tuple[int, int], ...], int]:
     return counts
 
 
-def molien_series(g: GroupSpec, truncate: int = 30,
-                  max_order: int = DEFAULT_MAX_ORDER) -> LaurentPoly:
+def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     """(1/|W|) sum_w 1/det(1 - t w) to order ``truncate``, exactly.
 
     det(1 - t w) = prod over the cycles of w of (1 - zeta^E t^L), with L
@@ -191,9 +189,10 @@ def molien_series(g: GroupSpec, truncate: int = 30,
     be rational and integral (else VerificationError).  The series are
     expanded term by term, never summed in closed form: that sum
     collapses to the degrees product this series is checked against.
-    A table of (truncate + 1) * m ints above polycore.MAX_SPAN is refused
-    with ValueError before any work, then |W| > max_order with
-    GroupTooLargeError.
+    Refused with ValueError before any work: a table of (truncate + 1) * m
+    ints above polycore.MAX_SPAN, that width times (m/p)(m+1)^(n-1), which
+    bounds the signature terms, above MAX_MOLIEN_TERMS, and a field over
+    cyclo.MAX_FIELD_TABLE.
     """
     m = g.m
     n_terms = truncate + 1
@@ -201,7 +200,18 @@ def molien_series(g: GroupSpec, truncate: int = 30,
         raise ValueError(
             f"molien series of {g} to t^{truncate} needs {n_terms * m} "
             f"coefficients; the limit is {MAX_SPAN}")
-    _check_order(g, max_order)
+    # (m+1)^(n-1) >= 2^(n-1), so capping n - 1 at the limit's bit length
+    # refuses the same groups and keeps a huge n cheap.
+    cap = MAX_MOLIEN_TERMS.bit_length()
+    terms = g.d * n_terms * m * (m + 1) ** min(g.n - 1, cap)
+    if terms > MAX_MOLIEN_TERMS:
+        raise ValueError(
+            f"molien series of {g} to t^{truncate} may expand more than "
+            f"{MAX_MOLIEN_TERMS} signature-table entries")
+    # Phi_m is monic over Z, so zeta^e has integer power-basis coordinates
+    # (its numerators, over denominator 1) and so has each reduced
+    # coefficient sum_e a_e zeta^e.
+    zetas = [CycloNumber.zeta(m, e).num for e in range(m)]
     signatures = _signature_counts(g)
 
     table = [[0] * m for _ in range(n_terms)]
@@ -218,10 +228,6 @@ def molien_series(g: GroupSpec, truncate: int = 30,
         for k, row in enumerate(series):
             table[k] = [a + count * b for a, b in zip(table[k], row)]
 
-    # Phi_m is monic over Z, so zeta^e has integer power-basis coordinates
-    # (its numerators, over denominator 1) and so has each reduced
-    # coefficient sum_e a_e zeta^e.
-    zetas = [CycloNumber.zeta(m, e).num for e in range(m)]
     order = g.order
     out: dict[int, int] = {}
     for k, row in enumerate(table):

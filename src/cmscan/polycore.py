@@ -377,7 +377,8 @@ def cyclotomic(k: int) -> LaurentPoly:
     """The k-th cyclotomic polynomial: Phi_1 = t - 1 and, for k > 1,
     Phi_k = prod_{d | k} (1 - t^d)^mu(k/d), over d = k/s for the products
     s of distinct primes of k, expanded as a power series on phi(k) + 1
-    coefficients; that is exact, since deg Phi_k = phi(k).
+    coefficients; that is exact, since deg Phi_k = phi(k).  A degree
+    above MAX_SPAN is refused before they are allocated.
 
     >>> print(cyclotomic(1))
     t - 1
@@ -399,6 +400,7 @@ def cyclotomic(k: int) -> LaurentPoly:
             while rest % p == 0:
                 rest //= p
         p += 1
+    _check_span(totient)
     c = [1] + [0] * totient
     for s, mu in squarefree:
         (mul_one_minus if mu == 1 else div_one_minus)(c, k // s)

@@ -69,6 +69,24 @@ def synthetic_file(tmp_path_factory):
     return path
 
 
+# Groups that verify-omega and molien refuse by the size of what they
+# would build, with the start of each refusal.
+REFUSED_PROBES = [
+    ("verify-omega", "G(20000,1,1)", "the powers of zeta_20000 need"),
+    ("verify-omega", "G(100000,1,1)", "the powers of zeta_100000 need"),
+    ("verify-omega", "G(1000000000,1,1)",
+     "polynomial would span 400000000 exponents;"),
+    ("verify-omega", "G(3,1,1000)", "the 1500500 reflections of G(3,1,1000)"),
+    ("verify-omega", "G(2,1,10000000)",
+     "the 100000000000000 reflections of G(2,1,10000000)"),
+    ("molien", "G(300,1,2)", "molien series of G(300,1,2) to t^30 may"),
+    ("molien", "G(700,1,2)", "molien series of G(700,1,2) to t^30 may"),
+    ("molien", "G(20000,1,1)", "molien series of G(20000,1,1) to t^30 may"),
+    ("molien", "G(2,1,10000000)",
+     "molien series of G(2,1,10000000) to t^30 may"),
+]
+
+
 class TestExitCodes:
     def test_fake_degrees_ok(self):
         proc = run_cli("fake-degrees", "G(3,3,2)")
@@ -110,21 +128,16 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "reducible" in proc.stderr
 
-    def test_verify_omega_order_bound_is_exit_2(self):
-        proc = run_cli("verify-omega", "G(3,1,2)", "--max-order", "5")
+    def test_verify_omega_field_bound_is_exit_2(self):
+        # The 4098 reflections of G(4099,1,1) are within their bound, but
+        # the powers of zeta_4099 would take 16,797,702 ints: refused
+        # before they are built, although the group has 4099 elements.
+        proc = run_limited("verify-omega", "G(4099,1,1)", timeout=30)
         assert proc.returncode == 2
-        assert "order" in proc.stderr
-
-    @pytest.mark.parametrize("bound, code", [(15551, 2), (15552, 0)])
-    def test_verify_omega_max_order_is_the_group_order(self, bound, code,
-                                                        capsys):
-        # |G(6,2,4)| = 15552; the classes are built in closed form, but
-        # --max-order still bounds the group's order, inclusively.
-        assert cli.main(["verify-omega", "G(6,2,4)",
-                         "--max-order", str(bound)]) == code
-        err = capsys.readouterr().err
-        assert err == ("" if code == 0 else "cmscan: error: G(6,2,4) has "
-                       "order 15552 > bound 15551\n")
+        assert proc.stderr == (
+            "cmscan: error: the powers of zeta_4099 need 16797702 "
+            "coordinates; the limit is 4194304\n")
+        assert proc.stdout == ""
 
     def test_verify_omega_never_enumerates_the_group(self, monkeypatch,
                                                      capsys):
@@ -292,6 +305,32 @@ class TestExitCodes:
         assert proc.stderr == (
             "cmscan: error: the 45450 300-multipartitions of 2 hold 13635000 "
             "components; the limit is 10000000\n")
+        assert proc.stdout == ""
+
+    # verify-omega and molien are bounded by what they build, not by the
+    # group order: these run although four of them have more than 10^9
+    # elements, and the REFUSED_PROBES stop at once.
+    @pytest.mark.parametrize("argv", [
+        ("verify-omega", "G(2,1,10)"), ("verify-omega", "G(4,2,12)"),
+        ("verify-omega", "G(2000,1,1)"), ("molien", "G(2,1,12)"),
+        ("molien", "G(4,1,8)"), ("molien", "G(100,1,2)"),
+    ], ids=" ".join)
+    def test_size_probe_is_accepted(self, argv, capsys):
+        assert cli.main(list(argv)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith("closed form agrees)\n" if argv[0] == "verify-omega"
+                            else "agreement: OK\n")
+
+    @pytest.mark.parametrize("command, group, message", REFUSED_PROBES,
+                             ids=[f"{c} {g}" for c, g, _ in REFUSED_PROBES])
+    def test_size_probe_is_refused_at_once(self, command, group, message):
+        # Under the 512 MB address space: a check that regressed would
+        # exhaust memory or exit 3 instead.
+        proc = run_limited(command, group, timeout=30)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr.startswith(f"cmscan: error: {message} ")
+        assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):

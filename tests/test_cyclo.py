@@ -302,6 +302,40 @@ def test_constructor_accepts_ints_and_fractions():
         CycloNumber(0, [])
 
 
+# -- size bounds -----------------------------------------------------------
+
+def test_field_table_bound_is_inclusive(monkeypatch):
+    # The powers of zeta_97 take 97 * phi(97) = 9312 coordinates.
+    monkeypatch.setattr(cyclo, "MAX_FIELD_TABLE", 9312)
+    assert cyclo._field_data.__wrapped__(97)[0] == 96
+    monkeypatch.setattr(cyclo, "MAX_FIELD_TABLE", 9311)
+    with pytest.raises(ValueError, match="need 9312 coordinates; the limit is 9311$"):
+        cyclo._field_data.__wrapped__(97)
+
+
+def test_huge_moduli_are_refused_before_allocation():
+    # Phi_(10^9) would take 4 * 10^8 coefficients and the powers of
+    # zeta_20000 160,000,000 ints.  Under a 512 MB address space a
+    # regression fails the test instead of exhausting memory.
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+from cmscan.cyclo import CycloNumber
+for m in (10**9, 20000):
+    try:
+        CycloNumber.zero(m)
+    except ValueError as exc:
+        print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "polynomial would span 400000000 exponents; the limit is 1048576",
+        "the powers of zeta_20000 need 160000000 coordinates; "
+        "the limit is 4194304"]
+
+
 # -- bounded caches ---------------------------------------------------------
 
 def test_zeta_reduces_the_exponent_before_caching():

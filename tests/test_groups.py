@@ -78,10 +78,16 @@ class TestEnumeration:
         assert all(oracle.mul(x, y) in els for x in els for y in els)
 
     def test_order_bound(self):
-        with pytest.raises(gr.GroupTooLargeError):
+        with pytest.raises(oracle.GroupTooLargeError):
             list(oracle.elements(GroupSpec(12, 1, 5)))
-        with pytest.raises(gr.GroupTooLargeError):
+        with pytest.raises(oracle.GroupTooLargeError):
             list(oracle.elements(GroupSpec(2, 1, 3), max_order=10))
+        # |G(2, 1, 10^7)| has tens of millions of digits: the bound stops
+        # multiplying it up once it is passed, so this is refused at once.
+        for g in (GroupSpec(2, 1, 10**7), GroupSpec(10**4, 1, 1000)):
+            with pytest.raises(oracle.GroupTooLargeError,
+                               match=rf"^{re.escape(str(g))} has order > bound"):
+                next(oracle.elements(g))
 
     def test_elements_equal_validated_elements(self):
         # The enumerator skips MonomialElement's validation; every element
@@ -202,19 +208,24 @@ class TestClosedFormClasses:
         swaps = [c for c in classes if c.elements[0].perm != tuple(range(n))]
         assert [c.size for c in swaps] == [m * n * (n - 1) // 2]
 
-    def test_order_bound_before_any_work(self):
-        with pytest.raises(gr.GroupTooLargeError, match="> bound 10"):
-            gr.reflection_classes(GroupSpec(2, 1, 3), max_order=10)
-        # |G(2, 1, 10^7)| has tens of millions of digits: the bound stops
-        # multiplying it up once it is passed, so this is refused at once.
-        for g in (GroupSpec(2, 1, 10**7), GroupSpec(10**4, 1, 1000)):
-            with pytest.raises(gr.GroupTooLargeError,
-                               match=rf"^{re.escape(str(g))} has order > bound"):
+    def test_reflection_bound_before_any_work(self, monkeypatch):
+        # G(2,1,3) has 3 diagonal reflections and 6 transpositions: a cost
+        # of 9 * 3^3 * phi(2) = 243, and the bound is inclusive.
+        monkeypatch.setattr(gr, "MAX_REFLECTION_COST", 243)
+        assert sum(c.size for c in gr.reflection_classes(GroupSpec(2, 1, 3))) == 9
+        monkeypatch.setattr(gr, "MAX_REFLECTION_COST", 242)
+        monkeypatch.setattr(gr, "MonomialElement", None)
+        with pytest.raises(ValueError, match=re.escape(
+                "the 9 reflections of G(2,1,3) cost count * n^3 * phi(m) = 243; "
+                "the limit is 242")):
+            gr.reflection_classes(GroupSpec(2, 1, 3))
+        # A huge n or m is refused at once, by this bound or the field's.
+        monkeypatch.undo()
+        monkeypatch.setattr(gr, "MonomialElement", None)
+        for g in (GroupSpec(2, 1, 10**7), GroupSpec(10**4, 1, 1000),
+                  GroupSpec(10**9, 1, 1), GroupSpec(2, 1, 33)):
+            with pytest.raises(ValueError, match="the limit is"):
                 gr.reflection_classes(g)
-            with pytest.raises(gr.GroupTooLargeError, match="has order > bound"):
-                next(oracle.elements(g))
-        # The bound is inclusive.
-        assert gr.reflection_classes(GroupSpec(2, 1, 3), max_order=48)
 
 
 class TestNaturalCharacter:
@@ -359,9 +370,17 @@ class TestMolien:
         got = gr.degrees_series(GroupSpec(3, 3, 2), truncate=7)
         assert got == P("1 + t^2 + t^3 + t^4 + t^5 + 2*t^6 + t^7")
 
-    def test_respects_order_bound(self):
-        with pytest.raises(gr.GroupTooLargeError):
-            gr.molien_series(GroupSpec(2, 1, 3), max_order=10)
+    def test_signature_bound(self, monkeypatch):
+        # (m/p)(m+1)^(n-1) signature terms times (truncate + 1) * m:
+        # 2 * 3^2 * 31 * 2 = 1116 for G(2,1,3); the bound is inclusive.
+        monkeypatch.setattr(gr, "MAX_MOLIEN_TERMS", 1116)
+        assert gr.molien_series(GroupSpec(2, 1, 3)) == (
+            gr.degrees_series(GroupSpec(2, 1, 3)))
+        monkeypatch.setattr(gr, "MAX_MOLIEN_TERMS", 1115)
+        with pytest.raises(ValueError, match=re.escape(
+                "molien series of G(2,1,3) to t^30 may expand more than 1115 "
+                "signature-table entries")):
+            gr.molien_series(GroupSpec(2, 1, 3))
 
     def test_truncate_bounded_before_any_work(self, monkeypatch):
         with pytest.raises(ValueError, match=f"the limit is {MAX_SPAN}"):
@@ -440,10 +459,18 @@ class TestSignatureCounts:
             assert counts == oracle.signature_counts_by_enumeration(g), g
             assert sum(counts.values()) == g.order, g
 
-    def test_order_bound_comes_before_the_count(self, monkeypatch):
+    def test_signature_bound_comes_before_the_count(self, monkeypatch):
         monkeypatch.setattr(gr, "_signature_counts", None)
-        with pytest.raises(gr.GroupTooLargeError, match="> bound 47"):
-            gr.molien_series(GroupSpec(2, 1, 3), max_order=47)
+        # Within this bound, but 2053 * phi(2053) is over the field's.
+        with pytest.raises(ValueError, match="powers of zeta_2053 need"):
+            gr.molien_series(GroupSpec(2053, 1, 1))
+        monkeypatch.setattr(gr, "CycloNumber", None)
+        # A huge n or m costs a product of at most 28 factors m + 1.
+        for g in (GroupSpec(2, 1, 10**7), GroupSpec(10**4, 1, 1000),
+                  GroupSpec(300, 1, 2), GroupSpec(20000, 1, 1)):
+            with pytest.raises(ValueError, match=(
+                    f"may expand more than {gr.MAX_MOLIEN_TERMS} ")):
+                gr.molien_series(g)
 
 
 class TestMolienChecks:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmscan import polycore
 from cmscan.polycore import LaurentPoly, cyclotomic
 import polyoracle
 from polyoracle import (
@@ -130,6 +131,15 @@ class TestCyclotomic:
         # (1 - t^d)^mu each.
         for k in [*range(1, 256), 1155]:
             assert DictPoly.of(cyclotomic(k)) == polyoracle.cyclotomic(k), k
+
+    def test_degree_bound_comes_before_the_expansion(self, monkeypatch):
+        # deg Phi_23 = phi(23) = 22, and the bound is inclusive.
+        monkeypatch.setattr(polycore, "MAX_SPAN", 22)
+        assert cyclotomic(23).degree() == 22
+        monkeypatch.setattr(polycore, "MAX_SPAN", 21)
+        monkeypatch.setattr(polycore, "mul_one_minus", None)
+        with pytest.raises(ValueError, match="would span 22 exponents"):
+            cyclotomic(23)
 
 
 class TestGradedProduct:
