@@ -44,11 +44,6 @@ def _emit(args, doc: Callable[[], dict],
         sys.stdout.writelines(line + "\n" for line in lines())
 
 
-def _root_of_unity_label(m: int, e: int) -> str:
-    return ("1" if e == 0 else "-1" if 2 * e == m
-            else f"zeta_{m}" if e == 1 else f"zeta_{m}^{e}")
-
-
 def cmd_fake_degrees(args) -> int:
     from .fakedeg import GroupSpec, label_rows
     from .partitions import render_multipartition
@@ -95,9 +90,10 @@ def cmd_verify_omega(args) -> int:
     from .fakedeg import GroupSpec
     from .groups import omega_class_sum, reflection_classes
     g = GroupSpec.parse(args.group)
-    classes = reflection_classes(g)
-    labels = {CycloNumber.zeta(g.m, e): _root_of_unity_label(g.m, e)
-              for e in range(g.m)}
+    classes, m = reflection_classes(g), g.m
+    labels = {CycloNumber.zeta(m, e): "1" if e == 0 else "-1" if 2 * e == m
+              else f"zeta_{m}" if e == 1 else f"zeta_{m}^{e}"
+              for e in range(m if classes else 0)}  # no field for G(m,m,1)
     entries = [{"class": idx, "size": cls.size,
                 "zeta": labels.get(cls.zeta) or repr(cls.zeta),
                 "lambda": str(omega_class_sum(g, cls))}

@@ -39,9 +39,13 @@ def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...],
     """The degree phi(m), the integer coordinates of zeta^e for e in
     [0, m), and those of zeta^k for k in [degree, 2*degree - 2] (the
     range reachable by products).  A table of more than MAX_FIELD_TABLE
-    ints is refused with ValueError before it is built."""
+    ints is refused with ValueError before it is built, and an m above
+    that limit (m * phi(m) >= m) before m is factored."""
     if m < 1:
         raise ValueError("cyclotomic modulus must be positive")
+    if m > MAX_FIELD_TABLE:
+        raise ValueError(f"the powers of zeta_{m} need at least {m} "
+                         f"coordinates; the limit is {MAX_FIELD_TABLE}")
     phi = cyclotomic(m)
     deg = phi.degree()
     if m * deg > MAX_FIELD_TABLE:

@@ -85,13 +85,13 @@ def reflection_classes(g: GroupSpec) -> tuple[ReflectionClass, ...]:
     exponents a at i and -a at j, split by the parity of a for n = 2
     with p even (conjugation moves a only by even steps there).  That is
     the (perm, exps) order of first members, as an enumeration meets
-    them; members are sorted the same way.  Once the field Q(zeta_m) is
-    built, a cost count * n^3 * phi(m) above MAX_REFLECTION_COST is
-    refused with ValueError before any member is.
+    them; members are sorted the same way.  Unless count is 0 (G(m,m,1)),
+    Q(zeta_m) is built, then a cost count * n^3 * phi(m) above
+    MAX_REFLECTION_COST is refused with ValueError before any member is.
     """
     m, n = g.m, g.n
     count = n * (g.d - 1) + m * n * (n - 1) // 2
-    cost = count * n**3 * len(CycloNumber.zero(m).num)
+    cost = count and count * n**3 * len(CycloNumber.zero(m).num)
     if cost > MAX_REFLECTION_COST:
         raise ValueError(f"the {count} reflections of {g} cost count * n^3 * "
                          f"phi(m) = {cost}; the limit is {MAX_REFLECTION_COST}")

@@ -75,7 +75,9 @@ REFUSED_PROBES = [
     ("verify-omega", "G(20000,1,1)", "the powers of zeta_20000 need"),
     ("verify-omega", "G(100000,1,1)", "the powers of zeta_100000 need"),
     ("verify-omega", "G(1000000000,1,1)",
-     "polynomial would span 400000000 exponents;"),
+     "the powers of zeta_1000000000 need at least 1000000000 coordinates;"),
+    ("verify-omega", "G(618970019642690137449562111,1,1)",
+     "the powers of zeta_618970019642690137449562111 need at least"),
     ("verify-omega", "G(3,1,1000)", "the 1500500 reflections of G(3,1,1000)"),
     ("verify-omega", "G(2,1,10000000)",
      "the 100000000000000 reflections of G(2,1,10000000)"),
@@ -321,6 +323,14 @@ class TestExitCodes:
         assert err == ""
         assert out.endswith("closed form agrees)\n" if argv[0] == "verify-omega"
                             else "agreement: OK\n")
+
+    def test_group_without_reflections_runs_for_any_m(self, capsys):
+        # G(m,m,1) is trivial, so Q(zeta_m) is never built, even for
+        # the prime m = 2^89 - 1.
+        g = f"G({2**89 - 1},{2**89 - 1},1)"
+        assert cli.main(["verify-omega", g]) == 0
+        assert capsys.readouterr() == (
+            f"restricted form sums for {g}: 0 reflection class(es)\n", "")
 
     @pytest.mark.parametrize("command, group, message", REFUSED_PROBES,
                              ids=[f"{c} {g}" for c, g, _ in REFUSED_PROBES])

@@ -313,9 +313,24 @@ def test_field_table_bound_is_inclusive(monkeypatch):
         cyclo._field_data.__wrapped__(97)
 
 
+def test_modulus_over_the_limit_is_refused_before_factoring(monkeypatch):
+    # m * phi(m) >= m, so m = 2^89 - 1, a prime whose trial division
+    # would take about 2.5e13 steps, is refused without calling cyclotomic.
+    def never(k):
+        raise AssertionError("cyclotomic called")
+
+    monkeypatch.setattr(cyclo, "cyclotomic", never)
+    m = 2**89 - 1
+    with pytest.raises(ValueError, match=f"need at least {m} coordinates"):
+        cyclo._field_data.__wrapped__(m)
+    monkeypatch.setattr(cyclo, "MAX_FIELD_TABLE", 96)
+    with pytest.raises(ValueError, match="need at least 97 coordinates"):
+        cyclo._field_data.__wrapped__(97)
+
+
 def test_huge_moduli_are_refused_before_allocation():
-    # Phi_(10^9) would take 4 * 10^8 coefficients and the powers of
-    # zeta_20000 160,000,000 ints.  Under a 512 MB address space a
+    # The powers of zeta_(10^9) would take at least 10^9 ints and those
+    # of zeta_20000 160,000,000.  Under a 512 MB address space a
     # regression fails the test instead of exhausting memory.
     code = """
 import resource
@@ -331,7 +346,8 @@ for m in (10**9, 20000):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "polynomial would span 400000000 exponents; the limit is 1048576",
+        "the powers of zeta_1000000000 need at least 1000000000 coordinates; "
+        "the limit is 4194304",
         "the powers of zeta_20000 need 160000000 coordinates; "
         "the limit is 4194304"]
 

@@ -223,9 +223,16 @@ class TestClosedFormClasses:
         monkeypatch.undo()
         monkeypatch.setattr(gr, "MonomialElement", None)
         for g in (GroupSpec(2, 1, 10**7), GroupSpec(10**4, 1, 1000),
-                  GroupSpec(10**9, 1, 1), GroupSpec(2, 1, 33)):
+                  GroupSpec(10**9, 1, 1), GroupSpec(2**89 - 1, 1, 1),
+                  GroupSpec(2, 1, 33)):
             with pytest.raises(ValueError, match="the limit is"):
                 gr.reflection_classes(g)
+
+    def test_no_reflections_builds_no_field(self, monkeypatch):
+        # G(m,m,1) is trivial: no class, for any m, and Q(zeta_m) is not built.
+        monkeypatch.setattr(gr, "CycloNumber", None)
+        for m in (1, 7, 10**7, 2**89 - 1):
+            assert gr.reflection_classes(GroupSpec(m, m, 1)) == ()
 
 
 class TestNaturalCharacter:
