@@ -3,9 +3,10 @@
 Subcommands: fake-degrees, scan, witness, verify-omega, molien, g4,
 table1.  Exit status 0 means the command ran and any findings are in the
 report (scan failures are findings, not errors); 1 means a verification
-mismatch (an exact identity that should hold did not, or a comparison
-against expected values differed); 2 means bad usage or bad input data;
-3 means an internal error (an unexpected exception, a bug in cmscan).
+mismatch (a VerificationError: an exact identity that should hold did
+not, or a comparison the command reports differed); 2 means bad usage
+or bad input data; 3 means an internal error (an unexpected exception,
+a bug in cmscan).
 Output is deterministic; --json replaces the text report with a JSON
 document carrying the same content.
 
@@ -140,10 +141,6 @@ def cmd_g4(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if not args.data:
-        print("cmscan: table1 requires --data <file> with fake-degree rows",
-              file=sys.stderr)
-        return 2
     from .scan import compare_with_expected, parse_dataset, scan_dataset
     with open(args.data, encoding="utf-8") as handle:
         text = handle.read()
@@ -214,20 +211,22 @@ def _build_parser() -> argparse.ArgumentParser:
                  "scan an exceptional-group fake-degree dataset and diff "
                  "failure counts against the published values",
                  group_arg=False)
-    table1.add_argument("--data", help="dataset file path")
+    table1.add_argument("--data", required=True,
+                        help="fake-degree dataset file path")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    from .polycore import VerificationError
     try:
         return args.func(args)
     # DatasetError and ReducibleRepresentationError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"cmscan: error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except VerificationError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"cmscan: verification mismatch{detail}", file=sys.stderr)
         return 1

@@ -25,10 +25,8 @@ from fractions import Fraction
 
 from .polycore import VerificationError, cyclotomic
 
-# Distinct moduli whose integer tables are kept, and distinct (m, e mod m)
-# roots of unity kept as CycloNumbers.
+# Distinct moduli whose integer tables are kept.
 FIELD_CACHE_SIZE = 64
-ZETA_CACHE_SIZE = 1024
 # Largest power table m * phi(m), in ints, one field may build.
 MAX_FIELD_TABLE = 1 << 22
 
@@ -67,11 +65,6 @@ def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...],
     return deg, tuple(powers), tails
 
 
-@functools.lru_cache(maxsize=ZETA_CACHE_SIZE)
-def _zeta(m: int, e: int) -> CycloNumber:
-    return CycloNumber._raw(m, _field_data(m)[1][e], 1)
-
-
 class CycloNumber:
     """An element of Q(zeta_m), exact and immutable."""
 
@@ -79,8 +72,9 @@ class CycloNumber:
 
     def __init__(self, m: int, coords):
         deg = _field_data(m)[0]
-        coords = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-                  for c in coords]
+        coords = list(coords)
+        if not all(isinstance(c, (int, Fraction)) for c in coords):
+            raise TypeError("coordinates must be ints or Fractions")
         if len(coords) != deg:
             raise ValueError(f"need {deg} coordinates for Q(zeta_{m})")
         # Each coordinate is in lowest terms, so for each prime p | lcm the
@@ -126,16 +120,15 @@ class CycloNumber:
     @classmethod
     def from_rational(cls, m: int, value) -> CycloNumber:
         deg = _field_data(m)[0]
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("a rational must be an int or a Fraction")
         return cls._raw(m, (value.numerator,) + (0,) * (deg - 1),
                         value.denominator)
 
     @classmethod
     def zeta(cls, m: int, e: int = 1) -> CycloNumber:
         """zeta_m^e."""
-        if m < 1:
-            raise ValueError("cyclotomic modulus must be positive")
-        return _zeta(m, e % m)
+        return cls._raw(m, _field_data(m)[1][e % m], 1)
 
     # -- ring structure ----------------------------------------------
 

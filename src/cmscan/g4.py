@@ -483,31 +483,15 @@ def reflection_matrix(group: G4, q: Quaternion) -> linalg.Matrix:
 
 
 def reflection_form_check(group: G4) -> dict[str, Fraction]:
-    """Sum the restricted symplectic forms over Cl3 and over Cl4 on
-    h + h*; each sum must equal exactly 2 times the standard form.
-
-    As in ``groups.omega_class_sum``, that is sum (1 - s) = (k/n) t I on
-    h with t = 1 - z (``linalg.reflection_sum``), checked after the
-    class's eigenvalue z (omega on Cl3, omega^2 on Cl4) and the closed
-    form (k/n)(1-z)^-1(1-z^-1)^-1(2-z-z^-1) = k/n, cross-multiplied."""
-    m = 12
-    one = CycloNumber.one(m)
+    """Sum the restricted symplectic forms over Cl3 (eigenvalue omega)
+    and over Cl4 (omega^2) on h + h*; each sum must equal exactly 2 times
+    the standard form (``linalg.class_form_scalar``)."""
     results: dict[str, Fraction] = {}
     for label, index, power in (("Cl3", 2, 1), ("Cl4", 3, 2)):
         members = group.classes[index]
-        try:
-            total, t = linalg.reflection_sum(
-                (reflection_matrix(group, q) for q in members), m)
-        except VerificationError as exc:
-            raise VerificationError(f"{label}: {exc}") from exc
-        zeta = CycloNumber.zeta(m, 4 * power)
-        _require(t == one - zeta,
-                 f"{label} members do not have eigenvalue omega^{power}")
-        _require(2 - zeta - zeta.conj() == (one - zeta) * (one - zeta.conj()),
-                 "closed form disagrees")
-        scalar = Fraction(len(members), 2)
-        _require(total == linalg.scalar_mul(t * scalar, linalg.identity(2, m)),
-                 f"{label} sum is not proportional to omega")
+        scalar = linalg.class_form_scalar(
+            (reflection_matrix(group, q) for q in members), len(members),
+            CycloNumber.zeta(12, 4 * power), label)
         _require(scalar == 2, f"{label} scalar is {scalar}, expected 2")
         results[label] = scalar
     return results

@@ -118,34 +118,15 @@ def is_irreducible_natural(g: GroupSpec) -> bool:
 
 def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
     """Scalar lambda = k/n with sum_{s in class} omega_s == lambda * omega,
-    for a class of k reflections.
-
-    By ``linalg.reflection_sum`` that identity is sum (1 - s) =
-    lambda * t * I on h, with t = 1 - zeta; its trace k * t holds
-    member by member, so the claim is that the sum is scalar.  Checked
-    in order: the class's zeta is its members' eigenvalue; the closed
-    form (k/n)(1-zeta)^-1(1-zeta^-1)^-1(2-zeta-zeta^-1) is k/n,
-    cross-multiplied so no inverse is taken (it holds for every root of
-    unity zeta != 1); and the sum is (k/n) * t * I.  Refuses reducible
-    natural representations, where the Schur argument does not apply.
+    for a class of k reflections, verified by ``linalg.class_form_scalar``.
+    Refuses reducible natural representations, where the Schur argument
+    does not apply.
     """
     if not is_irreducible_natural(g):
         raise ReducibleRepresentationError(
             f"natural representation of {g} is reducible")
-    m = g.m
-    total, t = linalg.reflection_sum(
-        (s.matrix() for s in refl_class.elements), m)
-    zeta = refl_class.zeta
-    one = CycloNumber.one(m)
-    if t != one - zeta:
-        raise VerificationError(
-            f"class eigenvalue of {g} is not the eigenvalue of its members")
-    if 2 - zeta - zeta.conj() != (one - zeta) * (one - zeta.conj()):
-        raise VerificationError("closed form disagrees with the computed scalar")
-    lam = Fraction(refl_class.size, g.n)
-    if total != linalg.scalar_mul(t * lam, linalg.identity(g.n, m)):
-        raise VerificationError(f"class sum for {g} is not proportional to omega")
-    return lam
+    return linalg.class_form_scalar((s.matrix() for s in refl_class.elements),
+                                    refl_class.size, refl_class.zeta, str(g))
 
 
 # -- Molien series --------------------------------------------------------

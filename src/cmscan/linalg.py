@@ -5,11 +5,13 @@ modulus.  The only nontrivial matrix a check needs is the sum of 1 - s
 over a class of reflections s: as 1 - s has rank one, the class's sum
 of restricted symplectic forms on h + h* is a multiple of omega exactly
 when that sum is scalar (``reflection_sum``), and no field inverse is
-taken.  The generic projection pipeline and the Gram matrices it
-replaces are the test oracle in tests/linalg_oracle.py.
+taken; ``class_form_scalar`` makes that check for groups and g4 alike.
+The generic projection pipeline and the Gram matrices it replaces are
+the test oracle in tests/linalg_oracle.py.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .cyclo import CycloNumber
@@ -92,3 +94,37 @@ def reflection_sum(reflections: Iterable[Matrix],
     if t is None:
         raise ValueError("no reflections to sum")
     return total, t
+
+
+def class_form_scalar(reflections: Iterable[Matrix], k: int,
+                      zeta: CycloNumber, name: str) -> Fraction:
+    """lambda = k/n with the restricted symplectic forms of k reflections
+    s of h = C^n, eigenvalue zeta, summing to lambda * omega.
+
+    By ``reflection_sum`` that identity is sum (1 - s) = lambda * t * I
+    with t = 1 - zeta; its trace k * t holds member by member, so the
+    claim is that the sum is scalar.  Checked in order: the members' t
+    is 1 - zeta; the closed form (k/n)(1-zeta)^-1(1-zeta^-1)^-1
+    (2-zeta-zeta^-1) is k/n, cross-multiplied so no inverse is taken (it
+    holds for every root of unity zeta != 1); and the sum is
+    (k/n) * t * I, which also fails unless k counts the reflections.
+    Every failure raises VerificationError with a message starting with
+    name.
+    """
+    m = zeta.m
+    try:
+        total, t = reflection_sum(reflections, m)
+    except VerificationError as exc:
+        raise VerificationError(f"{name}: {exc}") from exc
+    one = CycloNumber.one(m)
+    if t != one - zeta:
+        raise VerificationError(
+            f"{name}: members do not have the class's eigenvalue")
+    if 2 - zeta - zeta.conj() != (one - zeta) * (one - zeta.conj()):
+        raise VerificationError(
+            f"{name}: closed form disagrees with the computed scalar")
+    n = len(total)
+    lam = Fraction(k, n)
+    if total != scalar_mul(t * lam, identity(n, m)):
+        raise VerificationError(f"{name}: class sum is not proportional to omega")
+    return lam

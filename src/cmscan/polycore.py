@@ -49,11 +49,11 @@ def div_one_minus(c: list[int], a: int) -> None:
         c[j::a] = accumulate(c[j::a])
 
 
-class VerificationError(AssertionError):
+class VerificationError(Exception):
     """An exact identity that must hold did not.
 
-    Raised explicitly, so the check also runs under ``python -O``; it
-    subclasses AssertionError so existing handlers treat it as before.
+    Raised explicitly, so the check also runs under ``python -O``; the
+    CLI maps it to exit status 1, and no other exception.
     """
 
 

@@ -167,17 +167,29 @@ class TestReflectionRepresentation:
 
     def test_wrong_eigenvalue_is_caught(self, group, monkeypatch):
         self.conjugate_matrices(monkeypatch, group.elements)
-        self.check_fails(group, "Cl3 members do not have eigenvalue omega^1")
+        self.check_fails(group, "Cl3: members do not have the class's eigenvalue")
 
     def test_mixed_eigenvalues_are_caught(self, group, monkeypatch):
         self.conjugate_matrices(monkeypatch, group.classes[3][:1])
         self.check_fails(
             group, "Cl4: reflections summed together must share their eigenvalue")
 
+    def test_closed_form_is_checked(self, group, monkeypatch):
+        # Label Cl3 by 2 * omega, no root of unity, with the members' t
+        # patched to match it: only the closed form can fail.
+        real_zeta, real_sum = CycloNumber.zeta, g4.linalg.reflection_sum
+        bad = real_zeta(12, 4) * 2
+        monkeypatch.setattr(CycloNumber, "zeta", staticmethod(
+            lambda m, e=1: bad if (m, e) == (12, 4) else real_zeta(m, e)))
+        monkeypatch.setattr(g4.linalg, "reflection_sum", lambda mats, m: (
+            real_sum(mats, m)[0], CycloNumber.one(12) - bad))
+        self.check_fails(
+            group, "Cl3: closed form disagrees with the computed scalar")
+
     def test_partial_class_is_caught(self, group):
         classes = group.classes[:3] + (group.classes[3][:2],) + group.classes[4:]
         self.check_fails(dataclasses.replace(group, classes=classes),
-                         "Cl4 sum is not proportional to omega")
+                         "Cl4: class sum is not proportional to omega")
 
 
 class TestBattery:

@@ -255,6 +255,19 @@ def test_scalar_sum_is_exactly_a_multiple_of_omega(spec):
             assert (form == linalg.scalar_mul(c(g.m, lam), j)) == scalar
 
 
+def test_class_form_scalar_checks_the_count():
+    # k/n * t * I has trace k * t while the sum has trace (members) * t,
+    # so a k that does not count the reflections fails the last check.
+    g = GroupSpec(5, 1, 2)
+    cls = groups.reflection_classes(g)[0]
+    mats = [w.matrix() for w in cls.elements]
+    assert linalg.class_form_scalar(mats, 2, cls.zeta, "G") == 1
+    for k in (1, 3):
+        with pytest.raises(VerificationError, match="^G: class sum is not "
+                           "proportional to omega$"):
+            linalg.class_form_scalar(mats, k, cls.zeta, "G")
+
+
 def test_class_sums_take_no_field_inverse(monkeypatch):
     # The criterion-4 battery and the G4 form sums run with division in
     # Q(zeta_m) disabled: every check is a product or a comparison.

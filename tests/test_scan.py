@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import partitions_oracle
+from cmscan import cli
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
@@ -314,9 +315,22 @@ except VerificationError as exc:
         assert proc.stdout.splitlines() == [
             "__debug__ = False", f"VerificationError: {message}"]
 
-    def test_is_an_assertion_error(self):
-        # The CLI maps AssertionError to exit status 1.
-        assert issubclass(VerificationError, AssertionError)
+    def test_only_verification_error_is_exit_1(self, monkeypatch, capsys):
+        # A stray AssertionError is a bug, not a finding: exit 3 with its
+        # traceback, where a VerificationError is a mismatch (exit 1).
+        for error, code, last in (
+                (VerificationError("boom"), 1,
+                 "cmscan: verification mismatch: boom"),
+                (AssertionError("boom"), 3,
+                 "cmscan: internal error: AssertionError: boom")):
+            def broken(g):
+                raise error
+
+            monkeypatch.setattr(scan, "scan_group", broken)
+            assert cli.main(["scan", "G(3,3,3)"]) == code
+            err = capsys.readouterr().err
+            assert ("Traceback" in err) == (code == 3)
+            assert err.splitlines()[-1] == last
 
 
 class TestWitness:
