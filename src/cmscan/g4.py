@@ -3,10 +3,11 @@ table, and the trace/form identities behind generic smoothness of its
 Calogero-Moser space.
 
 The 24 elements are +-1, +-i, +-j, +-k and the sixteen half-quaternions
-(+-1 +- i +- j +- k)/2.  Class functions live over Q(omega); the
-reflection representation h is realized as the V1-twist of the
-quaternionic 2x2 matrices, with entries in Q(zeta_12) where Q(i) and
-Q(omega) must mix.
+(+-1 +- i +- j +- k)/2, the units of the Hurwitz integers; each is
+stored as four ints, twice its coordinates.  Class functions live over
+Q(omega); the reflection representation h is realized as the V1-twist
+of the quaternionic 2x2 matrices, with entries in Q(zeta_12) where Q(i)
+and Q(omega) must mix.
 """
 from __future__ import annotations
 
@@ -34,25 +35,30 @@ def _require(ok: bool, detail: str) -> None:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """a + b i + c j + d k with rational components."""
+    """The Hurwitz quaternion (a + b i + c j + d k)/2: a, b, c, d are
+    ints of one parity, twice the real coordinates."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    a: int
+    b: int
+    c: int
+    d: int
 
-    @classmethod
-    def of(cls, a, b=0, c=0, d=0) -> Quaternion:
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+    def __post_init__(self):
+        if not self.a % 2 == self.b % 2 == self.c % 2 == self.d % 2:
+            raise ValueError(f"{(self.a, self.b, self.c, self.d)} mixes "
+                             "parities: not a Hurwitz quaternion")
 
     def __mul__(self, other: Quaternion) -> Quaternion:
+        # Stored x = 2p and y = 2q multiply to x*y = 2 * (2pq), and 2pq has
+        # int coordinates because the Hurwitz quaternions are closed under
+        # multiplication: the halving is exact.
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
+            (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
+            (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
+            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2,
         )
 
     def __neg__(self) -> Quaternion:
@@ -60,14 +66,6 @@ class Quaternion:
 
     def conjugate(self) -> Quaternion:
         return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm(self) -> Fraction:
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-
-    def inv(self) -> Quaternion:
-        n = self.norm()
-        conj = self.conjugate()
-        return Quaternion(conj.a / n, conj.b / n, conj.c / n, conj.d / n)
 
     def order(self) -> int:
         power = self
@@ -77,53 +75,42 @@ class Quaternion:
             power = power * self
         raise VerificationError("element order exceeds 24")
 
-    def matrix(self, m: int = 12) -> linalg.Matrix:
-        """2x2 matrix [[a+bi, c+di], [-c+di, a-bi]] over Q(zeta_m), 4|m."""
-        if m % 4:
-            raise ValueError("need a field containing i")
-        i = CycloNumber.zeta(m, m // 4)
-        rat = lambda q: CycloNumber.from_rational(m, q)
-        return (
-            (rat(self.a) + rat(self.b) * i, rat(self.c) + rat(self.d) * i),
-            (rat(-self.c) + rat(self.d) * i, rat(self.a) - rat(self.b) * i),
-        )
+    def matrix(self) -> linalg.Matrix:
+        """2x2 matrix [[x+yi, z+wi], [-z+wi, x-yi]] of x + y i + z j + w k,
+        over Q(zeta_12)."""
+        i = CycloNumber.zeta(12, 3)
+        a, b, c, d = (CycloNumber.from_rational(12, Fraction(x, 2))
+                      for x in (self.a, self.b, self.c, self.d))
+        return ((a + b * i, c + d * i), (-c + d * i, a - b * i))
 
     def render(self) -> str:
-        if self.a.denominator == 1:
-            parts = []
-            for coef, sym in zip((self.a, self.b, self.c, self.d),
-                                 ("1", "i", "j", "k")):
-                if coef == 0:
-                    continue
-                sign = "-" if coef < 0 else ("+" if parts else "")
-                mag = abs(coef)
-                body = sym if (mag == 1 and sym != "1") else str(mag)
-                parts.append(f"{sign}{body}")
-            return "".join(parts) or "0"
-        inner = "".join(
-            ("-" if coef < 0 else ("+" if idx else "")) + sym
-            for idx, (coef, sym) in enumerate(
-                zip((self.a, self.b, self.c, self.d), ("1", "i", "j", "k"))))
-        return f"({inner})/2"
+        scale = 1 if self.a % 2 else 2
+        terms: list[str] = []
+        for x, sym in zip((self.a, self.b, self.c, self.d), ("", "i", "j", "k")):
+            if x:
+                mag = abs(x) // scale
+                body = ("" if mag == 1 and sym else str(mag)) + sym
+                terms.append(("-" if x < 0 else "+" if terms else "") + body)
+        text = "".join(terms) or "0"
+        return text if scale == 2 else f"({text})/2"
 
     def __str__(self) -> str:
         return self.render()
 
 
-ONE = Quaternion.of(1)
-I = Quaternion.of(0, 1)
-J = Quaternion.of(0, 0, 1)
-K = Quaternion.of(0, 0, 0, 1)
-HALF = Fraction(1, 2)
+ONE = Quaternion(2, 0, 0, 0)
+I = Quaternion(0, 2, 0, 0)
+J = Quaternion(0, 0, 2, 0)
+K = Quaternion(0, 0, 0, 2)
 
-S1 = Quaternion(-HALF, HALF, HALF, -HALF)
-S2 = Quaternion(-HALF, HALF, -HALF, HALF)
-S3 = Quaternion(-HALF, -HALF, HALF, HALF)
-S4 = Quaternion(-HALF, -HALF, -HALF, -HALF)
-T1 = Quaternion(-HALF, -HALF, -HALF, HALF)
-T2 = Quaternion(-HALF, HALF, -HALF, -HALF)
-T3 = Quaternion(-HALF, -HALF, HALF, -HALF)
-T4 = Quaternion(-HALF, HALF, HALF, HALF)
+S1 = Quaternion(-1, 1, 1, -1)
+S2 = Quaternion(-1, 1, -1, 1)
+S3 = Quaternion(-1, -1, 1, 1)
+S4 = Quaternion(-1, -1, -1, -1)
+T1 = Quaternion(-1, -1, -1, 1)
+T2 = Quaternion(-1, 1, -1, -1)
+T3 = Quaternion(-1, -1, 1, -1)
+T4 = Quaternion(-1, 1, 1, 1)
 
 CLASS_SIZES = (1, 1, 4, 4, 6, 4, 4)
 # Element orders per class; Cl2 = {-1} is the central involution, so its
@@ -161,23 +148,14 @@ CHARACTER_TABLE: dict[str, ClassFunction] = {
 
 @dataclass(frozen=True)
 class G4:
-    """The group with its conjugacy classes labeled Cl1..Cl7.
-
-    ``table[i][j]`` is the index in ``elements`` of the product
-    elements[i] * elements[j]; ``orders[i]`` is the order of elements[i].
-    """
+    """The group with its conjugacy classes labeled Cl1..Cl7."""
 
     elements: tuple[Quaternion, ...]
     classes: tuple[tuple[Quaternion, ...], ...]
-    table: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
-    _index: dict[Quaternion, int] = field(init=False, repr=False, compare=False)
     _class_of: dict[Quaternion, int] = field(init=False, repr=False,
                                              compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {q: i for i, q in enumerate(self.elements)})
         object.__setattr__(self, "_class_of", {
             q: idx for idx, cls in enumerate(self.classes) for q in cls})
 
@@ -187,23 +165,16 @@ class G4:
         except KeyError:
             raise ValueError(f"{q} is not a group element") from None
 
-    def index(self, q: Quaternion) -> int:
-        """Position of q in ``elements``."""
-        try:
-            return self._index[q]
-        except KeyError:
-            raise ValueError(f"{q} is not a group element") from None
 
-
-def _generated(table: tuple[tuple[int, ...], ...], gens) -> set[int]:
-    """Indices of the closure of gens under the multiplication table."""
+def _generated(gens) -> set[Quaternion]:
+    """The closure of gens under multiplication."""
     group = set(gens)
     frontier = list(gens)
     while frontier:
         fresh = []
         for x in frontier:
             for g in gens:
-                y = table[x][g]
+                y = x * g
                 if y not in group:
                     group.add(y)
                     fresh.append(y)
@@ -214,97 +185,68 @@ def _generated(table: tuple[tuple[int, ...], ...], gens) -> set[int]:
 def build_g4() -> G4:
     """Construct the 24 elements and label the seven conjugacy classes.
 
-    The 24 x 24 Cayley table of the listed elements is built once (576
-    quaternion products); closure, generation by s1 and s2, the
-    conjugation orbits and the element orders are read off it.  Labels
-    are pinned by representatives (1, -1, s1, t1, i, t1*t2, s1*s2):
-    element order and quaternionic trace alone cannot separate Cl3 from
-    Cl4 or Cl6 from Cl7.  Sizes, orders and the explicit
-    reflection-class element lists are checked during construction.
+    The listed elements are checked to be closed under all 576 products,
+    generated by s1 and s2, and units (x * conj(x) = 1), so the class of
+    q is its orbit {x q conj(x)}.  Labels are pinned by representatives
+    (1, -1, s1, t1, i, t1*t2, s1*s2): element order and quaternionic
+    trace alone cannot separate Cl3 from Cl4 or Cl6 from Cl7.  Sizes,
+    orders and the explicit element lists of Cl3, Cl4 and Cl5 are
+    checked during construction.
     """
-    listed = [ONE, -ONE, I, -I, J, -J, K, -K] + [
-        Quaternion(sa * HALF, sb * HALF, sc * HALF, sd * HALF)
-        for sa, sb, sc, sd in itertools.product((1, -1), repeat=4)]
-    _require(len(set(listed)) == 24, "the listed elements must be distinct")
-    index = {q: i for i, q in enumerate(listed)}
-    products = [[index.get(x * y) for y in listed] for x in listed]
-    _require(all(k is not None for row in products for k in row), "not closed")
-    table = tuple(tuple(row) for row in products)
-    _require(_generated(table, (index[S1], index[S2])) == set(range(24)),
+    # +-1, +-i, +-j, +-k, then the sixteen (+-1 +- i +- j +- k)/2.
+    listed = [Quaternion(*(2 * sign if k == axis else 0 for k in range(4)))
+              for axis in range(4) for sign in (1, -1)]
+    listed += [Quaternion(*signs)
+               for signs in itertools.product((1, -1), repeat=4)]
+    members = set(listed)
+    _require(all(x * y in members for x in listed for y in listed), "not closed")
+    _require(_generated((S1, S2)) == members,
              "s1, s2 must generate all 24 elements")
+    _require(all(x * x.conjugate() == ONE for x in listed),
+             "every element times its conjugate must be 1")
 
-    # x of order k has the inverse x^(k-1), so once every order is
-    # found, every row of the table holds the identity.
-    e = index[ONE]
-    orders = []
-    for x in range(24):
-        power, k = x, 1
-        while power != e and k < 24:
-            power, k = table[power][x], k + 1
-        _require(power == e, f"order of {listed[x]} exceeds 24")
-        orders.append(k)
-    inverse = [row.index(e) for row in table]
-
-    elements = tuple(listed)
-    remaining = set(range(24))
-    raw_classes = []
-    for q in range(24):
-        if q not in remaining:
-            continue
-        orbit = frozenset(table[table[x][q]][inverse[x]] for x in range(24))
-        remaining -= orbit
-        raw_classes.append(orbit)
-
-    def class_of(rep: Quaternion) -> tuple[Quaternion, ...]:
-        for orbit in raw_classes:
-            if index[rep] in orbit:
-                return tuple(sorted(
-                    (elements[x] for x in orbit),
-                    key=lambda q: (q.a, q.b, q.c, q.d), reverse=True))
-        raise VerificationError(f"no class contains {rep}")
-
-    classes = tuple(class_of(rep)
+    orbit_of: dict[Quaternion, tuple[Quaternion, ...]] = {}
+    for q in listed:
+        if q not in orbit_of:
+            orbit = tuple(sorted({x * q * x.conjugate() for x in listed},
+                                 key=lambda p: (p.a, p.b, p.c, p.d),
+                                 reverse=True))
+            orbit_of.update((p, orbit) for p in orbit)
+    classes = tuple(orbit_of[rep]
                     for rep in (ONE, -ONE, S1, T1, I, T1 * T2, S1 * S2))
-    _require(len(raw_classes) == 7, f"{len(raw_classes)} classes, not 7")
+    _require(len(set(classes)) == 7,
+             "the representatives must lie in 7 distinct classes")
     _require(tuple(len(c) for c in classes) == CLASS_SIZES,
              "class sizes differ from CLASS_SIZES")
-    _require(tuple(orders[index[c[0]]] for c in classes) == CLASS_ORDERS,
+    _require(all(q.order() == order
+                 for cls, order in zip(classes, CLASS_ORDERS) for q in cls),
              "element orders differ from CLASS_ORDERS")
-    for cls in classes:
-        _require(len({orders[index[q]] for q in cls}) == 1,
-                 f"class of {cls[0]} mixes element orders")
     _require(set(classes[2]) == {S1, S2, S3, S4}, "Cl3 is not {s1..s4}")
     _require(set(classes[3]) == {T1, T2, T3, T4}, "Cl4 is not {t1..t4}")
     _require(set(classes[4]) == {I, -I, J, -J, K, -K}, "Cl5 is not {+-i, +-j, +-k}")
-    _require(T1 * T1 in classes[2], "t1^2 must land in Cl3")
-    return G4(elements, classes, table, tuple(orders))
+    return G4(tuple(listed), classes)
 
 
 def presentation_check(group: G4) -> None:
     """s1^3 = s2^3 = (s1 s2)^6 = 1, with the intermediate powers != 1."""
-    s1, s2 = group.index(S1), group.index(S2)
-    _require(group.orders[s1] == 3 and group.orders[s2] == 3,
-             "s1, s2 must have order 3")
-    _require(group.orders[group.table[s1][s2]] == 6, "s1*s2 must have order 6")
+    _require(S1.order() == 3 and S2.order() == 3, "s1, s2 must have order 3")
+    _require((S1 * S2).order() == 6, "s1*s2 must have order 6")
     _require(I * J == K, "i*j must be k")
     _require(S1 * T1 == ONE, "t1 must invert s1")
-    _require(_generated(group.table, (s1, s2)) == set(range(len(group.elements))),
+    _require(_generated((S1, S2)) == set(group.elements),
              "s1, s2 must generate the group")
 
 
 def class_product_check(group: G4) -> None:
     """Membership facts used by the trace argument: products of the two
     reflection classes land in prescribed classes."""
-    def product(x: Quaternion, y: Quaternion) -> Quaternion:
-        return group.elements[group.table[group.index(x)][group.index(y)]]
-
     for t in (S2, S3, S4):
-        _require(group.class_index(product(S1, t)) == 6, f"s1*{t} not in Cl7")
+        _require(group.class_index(S1 * t) == 6, f"s1*{t} not in Cl7")
     for t in (T2, T3, T4):
-        _require(group.class_index(product(S1, t)) == 4, f"s1*{t} not in Cl5")
+        _require(group.class_index(S1 * t) == 4, f"s1*{t} not in Cl5")
     for t in (T2, T3, T4):
-        _require(group.class_index(product(T1, t)) == 5, f"t1*{t} not in Cl6")
-    _require(group.class_index(product(T1, T1)) == 2, "t1^2 not in Cl3")
+        _require(group.class_index(T1 * t) == 5, f"t1*{t} not in Cl6")
+    _require(group.class_index(T1 * T1) == 2, "t1^2 not in Cl3")
 
 
 # -- character arithmetic over Q(omega) ------------------------------------
@@ -386,7 +328,7 @@ def trace_consistency_check(group: G4) -> None:
     w_row = CHARACTER_TABLE["W"]
     for q in group.elements:
         value = w_row[group.class_index(q)].lift(12)
-        mat = q.matrix(12)
+        mat = q.matrix()
         _require(mat[0][0] + mat[1][1] == value,
                  f"trace of {q} differs from the W row")
 
@@ -479,7 +421,7 @@ def reflection_matrix(group: G4, q: Quaternion) -> linalg.Matrix:
     so those classes act by genuine reflections (the untwisted quaternionic
     matrices do not)."""
     twist = CHARACTER_TABLE["V1"][group.class_index(q)].lift(12)
-    return linalg.scalar_mul(twist, q.matrix(12))
+    return linalg.scalar_mul(twist, q.matrix())
 
 
 def reflection_form_check(group: G4) -> dict[str, Fraction]:

@@ -80,18 +80,21 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
                       ) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
-    ``dim`` must equal f(1).  The divisor is normalized to its primitive
-    part, so the verdict is divisibility in C[t]; when it divides, the
-    quotient satisfies quotient(1) * primitive(1) = P(1) = |W|.
+    f must be nonzero and ``dim`` must equal f(1).  Both are identities
+    of the fake degrees, so a violation raises VerificationError;
+    ``ExceptionalGroupData.validate`` refuses such dataset rows first, as
+    a DatasetError.  The divisor is normalized to its primitive part, so
+    the verdict is divisibility in C[t]; when it divides, the quotient
+    satisfies quotient(1) * primitive(1) = P(1) = |W|.
 
     ``memo``, when given, maps primitive divisors of this same ``poincare``
     to their division, so labels sharing a primitive part share one
     division and one quotient or remainder object.
     """
     if f.is_zero():
-        raise ValueError("fake degree must be nonzero")
+        raise VerificationError(f"fake degree of {label} must be nonzero")
     if f.at_one() != dim:
-        raise ValueError(f"dim {dim} != f(1) = {f.at_one()} for {label}")
+        raise VerificationError(f"dim {dim} != f(1) = {f.at_one()} for {label}")
     b = f.trailing_degree()
     shifted = f.shift(-b)
     content = shifted.content()
@@ -310,9 +313,9 @@ class ExceptionalGroupData:
         return poincare_polynomial(self.degrees)
 
     def validate(self) -> LaurentPoly:
-        """Check the three consistency identities and return the
-        Poincaré polynomial checked against; raise DatasetError naming
-        the failing row and identity."""
+        """Check that every dim is positive and the three consistency
+        identities, and return the Poincaré polynomial checked against;
+        raise DatasetError naming the failing row and identity."""
         if len(self.degrees) != self.rank:
             raise DatasetError(f"{self.name}: {len(self.degrees)} degrees "
                                f"for rank {self.rank}")
@@ -322,6 +325,10 @@ class ExceptionalGroupData:
                 f"{self.name}: sum of dim^2 is {square_sum}, "
                 f"order is {self.order}")
         for row in self.rows:
+            if row.dim < 1:
+                raise DatasetError(
+                    f"{self.name} row {row.ident}: dim {row.dim} is not "
+                    "positive")
             if row.fake.at_one() != row.dim:
                 raise DatasetError(
                     f"{self.name} row {row.ident}: f(1) = "

@@ -248,6 +248,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "cmscan: error:" in proc.stderr
 
+    @pytest.mark.parametrize("rows, message", [
+        ("sgn dim 1 fake t\nirrep z dim 0 fake t - 1",
+         "G5 row z: dim 0 is not positive"),
+        ("sgn dim 1 fake t\nirrep z dim 0 fake 0",
+         "G5 row z: dim 0 is not positive"),
+        # validate refuses f(1) != dim before the divisibility test sees it.
+        ("sgn dim 1 fake t + t^2", "G5 row sgn: f(1) = 2 != dim 1"),
+    ], ids=["dim-0", "dim-0-zero-f", "f1-not-dim"])
+    def test_table1_bad_row_is_exit_2(self, tmp_path, rows, message):
+        path = tmp_path / "bad-row.fd"
+        path.write_text("group G5 order 2 rank 1 degrees 2\n"
+                        f"irrep triv dim 1 fake 1\nirrep {rows}\n",
+                        encoding="utf-8")
+        proc = run_cli("table1", "--data", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"cmscan: error: {message}\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("degrees, message", [
         ("6,,12", "line 2: group G4: bad degree list"),
         ("0,4", "line 2: group G4: degrees must be at least 1"),
@@ -366,6 +384,20 @@ class TestExitCodes:
         assert captured.err.startswith("cmscan: verification mismatch: ")
         assert "leaves a remainder" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, owner", [
+        ("scan", fakedeg), ("witness", scan)], ids=["scan", "witness"])
+    def test_dimension_mismatch_is_exit_1(self, monkeypatch, capsys,
+                                          command, owner):
+        # f(1) = dim is an identity of the computed fake degrees, so its
+        # failure is a mismatch, not a usage or data error.
+        real = fakedeg.irr_dimension
+        monkeypatch.setattr(owner, "irr_dimension",
+                            lambda g, orbit: real(g, orbit) + 1)
+        assert cli.main([command, "G(3,3,2)"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cmscan: verification mismatch: dim ")
+        assert "Traceback" not in err
 
     def test_threads_option_is_gone(self, synthetic_file):
         for argv in (("scan", "G(3,3,3)"),

@@ -8,6 +8,7 @@ import pytest
 from cmscan import g4
 from cmscan.cyclo import CycloNumber
 from cmscan.polycore import VerificationError
+from quaternion_oracle import FracQuaternion
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +25,7 @@ class TestQuaternions:
 
     def test_inverse_and_norm(self):
         for q in (g4.I, g4.S1, g4.T3):
-            assert q.norm() == 1
-            assert q * q.inv() == g4.ONE
+            assert q * q.conjugate() == g4.ONE == q.conjugate() * q
 
     def test_orders(self):
         assert g4.ONE.order() == 1
@@ -34,12 +34,20 @@ class TestQuaternions:
         assert g4.T1.order() == 3
         assert g4.I.order() == 4
         assert (-g4.T1).order() == 6
+        with pytest.raises(VerificationError, match="exceeds 24"):
+            g4.Quaternion(4, 0, 0, 0).order()
+
+    def test_mixed_parity_is_refused(self):
+        for coords in ((1, 0, 0, 0), (2, 1, 1, 1), (0, 0, 0, 1)):
+            with pytest.raises(ValueError, match="mixes parities"):
+                g4.Quaternion(*coords)
+        assert g4.Quaternion(3, 1, -1, 1).render() == "(3+i-j+k)/2"
+        assert g4.Quaternion(0, 4, 0, -2).render() == "2i-k"
 
     def test_matrix_is_homomorphic(self):
         a, b = g4.S1, g4.T2
         import cmscan.linalg as linalg
-        assert (a * b).matrix(12) == linalg.mat_mul(a.matrix(12),
-                                                    b.matrix(12))
+        assert (a * b).matrix() == linalg.mat_mul(a.matrix(), b.matrix())
 
     def test_render(self):
         assert g4.I.render() == "i"
@@ -73,7 +81,7 @@ class TestGroupStructure:
     def test_class_index_is_conjugation_invariant(self, group):
         for q in group.elements:
             k = group.class_index(g4.S1)
-            assert group.class_index(q * g4.S1 * q.inv()) == k
+            assert group.class_index(q * g4.S1 * q.conjugate()) == k
 
 
 class TestCharacterTable:
@@ -226,32 +234,33 @@ else:
 
 
 class TestCayleyTable:
-    def test_table_matches_quaternion_products(self, group):
-        els = group.elements
-        assert len(group.table) == 24
-        for i, x in enumerate(els):
-            assert len(group.table[i]) == 24
-            for j, y in enumerate(els):
-                assert els[group.table[i][j]] == x * y
+    """The group's multiplication, read from quaternion products."""
+
+    def test_products_match_fraction_oracle(self, group):
+        # All 576 products and every rendering agree with the
+        # Fraction-coordinate quaternions.
+        frac = {q: FracQuaternion.from_hurwitz(q) for q in group.elements}
+        for x in group.elements:
+            assert x.render() == frac[x].render()
+            for y in group.elements:
+                assert FracQuaternion.from_hurwitz(x * y) == frac[x] * frac[y]
 
     def test_orders_match_powers(self, group):
-        assert group.orders == tuple(q.order() for q in group.elements)
+        for cls, order in zip(group.classes, g4.CLASS_ORDERS):
+            assert {q.order() for q in cls} == {order}
 
     def test_class_index_matches_membership(self, group):
         for q in group.elements:
             want = [idx for idx, cls in enumerate(group.classes) if q in cls]
             assert [group.class_index(q)] == want
-            assert group.elements[group.index(q)] == q
-        outsider = g4.Quaternion.of(2)
+        outsider = g4.Quaternion(4, 0, 0, 0)
         with pytest.raises(ValueError, match="not a group element"):
             group.class_index(outsider)
-        with pytest.raises(ValueError, match="not a group element"):
-            group.index(outsider)
 
     def test_classes_are_conjugation_orbits(self, group):
         for cls in group.classes:
             q = cls[0]
-            assert set(cls) == {x * q * x.inv() for x in group.elements}
+            assert set(cls) == {x * q * x.conjugate() for x in group.elements}
 
     def test_checks_raise_under_optimize(self):
         # Each corruption trips one _require of build_g4,
@@ -262,42 +271,56 @@ import dataclasses
 from cmscan import g4
 from cmscan.polycore import VerificationError
 
-def attempt(label, fn):
+def attempt(label, fn, *patches):
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, value in patches:
+        setattr(owner, name, value)
     try:
         fn()
     except VerificationError as exc:
         print(label, "VerificationError:", exc)
     else:
         print(label, "passed")
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+
+def product(pair, value):
+    real = g4.Quaternion.__mul__
+    return (g4.Quaternion, "__mul__",
+            lambda a, b: value if (a, b) == pair else real(a, b))
+
+def swapped(group, i, j):
+    classes = list(group.classes)
+    classes[i], classes[j] = classes[j], classes[i]
+    return dataclasses.replace(group, classes=tuple(classes))
 
 print("__debug__ =", __debug__)
-real = g4.Quaternion.__mul__
-def off_group(a, b):
-    return g4.Quaternion.of(2) if (a, b) == (g4.I, g4.J) else real(a, b)
-g4.Quaternion.__mul__ = off_group
-attempt("closure", g4.build_g4)
-g4.Quaternion.__mul__ = real
-
-s2 = g4.S2
-g4.S2 = g4.S1
-attempt("generation", g4.build_g4)
-g4.S2 = s2
-
-orders = g4.CLASS_ORDERS
-g4.CLASS_ORDERS = orders[:-1] + (3,)
-attempt("orders", g4.build_g4)
-g4.CLASS_ORDERS = orders
+Q = g4.Quaternion
+attempt("closure", g4.build_g4, product((g4.I, g4.J), Q(4, 0, 0, 0)))
+attempt("generation", g4.build_g4, (g4, "S2", g4.S1))
+attempt("units", g4.build_g4, (Q, "conjugate", lambda q: q))
+attempt("representatives", g4.build_g4, (g4, "T2", g4.T1))
+attempt("sizes", g4.build_g4, (g4, "CLASS_SIZES", (1, 1, 4, 4, 4, 6, 4)))
+attempt("orders", g4.build_g4,
+        (g4, "CLASS_ORDERS", g4.CLASS_ORDERS[:-1] + (3,)))
+attempt("Cl3", g4.build_g4, (g4, "S3", g4.T3))
+attempt("Cl4", g4.build_g4, (g4, "T3", g4.S3))
+attempt("Cl5", g4.build_g4, (g4, "K", g4.I))
 
 group = g4.build_g4()
-bad = dataclasses.replace(group, orders=(1,) * 24)
-attempt("presentation", lambda: g4.presentation_check(bad))
-s1s2 = group.index(g4.S1 * g4.S2)
-orders = group.orders[:s1s2] + (3,) + group.orders[s1s2 + 1:]
-bad = dataclasses.replace(group, orders=orders)
-attempt("presentation", lambda: g4.presentation_check(bad))
-swapped = group.classes[:5] + (group.classes[6], group.classes[5])
-bad = dataclasses.replace(group, classes=swapped)
-attempt("products", lambda: g4.class_product_check(bad))
+s1s2 = g4.S1 * g4.S2
+real_order = Q.order
+present = lambda grp=group: g4.presentation_check(grp)
+attempt("presentation", present, (Q, "order", lambda q: 1))
+attempt("presentation", present,
+        (Q, "order", lambda q: 3 if q == s1s2 else real_order(q)))
+attempt("presentation", present, product((g4.I, g4.J), -g4.K))
+attempt("presentation", present, product((g4.S1, g4.T1), -g4.ONE))
+attempt("presentation", lambda: present(
+    dataclasses.replace(group, elements=group.elements[:-1])))
+for i, j in ((5, 6), (1, 4), (1, 5), (2, 3)):
+    attempt("products", lambda: g4.class_product_check(swapped(group, i, j)))
 attempt("clean", lambda: (g4.presentation_check(group),
                           g4.class_product_check(group)))
 """
@@ -308,8 +331,21 @@ attempt("clean", lambda: (g4.presentation_check(group),
             "__debug__ = False",
             "closure VerificationError: not closed",
             "generation VerificationError: s1, s2 must generate all 24 elements",
+            "units VerificationError: every element times its conjugate must be 1",
+            "representatives VerificationError: the representatives must lie "
+            "in 7 distinct classes",
+            "sizes VerificationError: class sizes differ from CLASS_SIZES",
             "orders VerificationError: element orders differ from CLASS_ORDERS",
+            "Cl3 VerificationError: Cl3 is not {s1..s4}",
+            "Cl4 VerificationError: Cl4 is not {t1..t4}",
+            "Cl5 VerificationError: Cl5 is not {+-i, +-j, +-k}",
             "presentation VerificationError: s1, s2 must have order 3",
             "presentation VerificationError: s1*s2 must have order 6",
+            "presentation VerificationError: i*j must be k",
+            "presentation VerificationError: t1 must invert s1",
+            "presentation VerificationError: s1, s2 must generate the group",
             "products VerificationError: s1*(-1+i-j+k)/2 not in Cl7",
+            "products VerificationError: s1*(-1+i-j-k)/2 not in Cl5",
+            "products VerificationError: t1*(-1+i-j-k)/2 not in Cl6",
+            "products VerificationError: t1^2 not in Cl3",
             "clean passed"]

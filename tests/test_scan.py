@@ -43,9 +43,11 @@ class TestDivisibilityTest:
         assert v.poly == P("2 + 2*t")
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        # A zero f or f(1) != dim breaks an identity: a mismatch, not a
+        # usage error.
+        with pytest.raises(VerificationError, match="of x must be nonzero"):
             scan.divisibility_test(P("1 + t"), LaurentPoly.zero(), 0, "x")
-        with pytest.raises(ValueError):
+        with pytest.raises(VerificationError, match="dim 2 != f\\(1\\) = 1"):
             scan.divisibility_test(P("1 + t"), P("t"), 2, "x")
 
     def test_to_dict_keys(self):
@@ -177,9 +179,10 @@ class TestDivisionMemo:
         memo = {}
         scan.divisibility_test(poincare, P("1 + t"), 2, "x", memo)
         assert P("1 + t") in memo
-        with pytest.raises(ValueError, match="dim 3 != f\\(1\\) = 2 for y"):
+        with pytest.raises(VerificationError,
+                           match="dim 3 != f\\(1\\) = 2 for y"):
             scan.divisibility_test(poincare, P("t + t^2"), 3, "y", memo)
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(VerificationError, match="nonzero"):
             scan.divisibility_test(poincare, LaurentPoly.zero(), 0, "z", memo)
 
     @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 6)])
@@ -490,6 +493,16 @@ class TestDatasetFormat:
         text = SAMPLE.replace("fake t", "fake t^-1")
         with pytest.raises(scan.DatasetError, match="negative"):
             scan.parse_dataset(text)[0].validate()
+
+    @pytest.mark.parametrize("fake", ["t - 1", "0"])
+    def test_validate_positive_dim(self, fake):
+        # Both rows pass the three identities; a dim-0 row would count as
+        # a failing label, or reach the divisibility test with f = 0.
+        text = SAMPLE + f"irrep z dim 0 fake {fake}\n"
+        (g,) = scan.parse_dataset(text)
+        with pytest.raises(scan.DatasetError,
+                           match="^C2 row z: dim 0 is not positive$"):
+            g.validate()
 
     def test_validate_rank(self):
         text = SAMPLE.replace("rank 1", "rank 2")
