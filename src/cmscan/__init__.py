@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cyclo": ("CycloNumber",),
     "fakedeg": ("GroupSpec", "IrrLabel", "coinvariant_poincare",
-                "configured_groups", "fake_degree", "irr_dimension",
-                "irr_labels"),
+                "fake_degree", "irr_dimension", "irr_labels"),
     "groups": ("MonomialElement", "ReflectionClass", "molien_series",
                "omega_class_sum", "reflection_classes"),
     "partitions": ("Multipartition", "MultipartitionOrbit", "Partition",

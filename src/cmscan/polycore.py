@@ -305,47 +305,32 @@ class LaurentPoly:
 
     # -- text format -------------------------------------------------
 
+    # One term: its sign (optional only at the start of the text), then
+    # c*t^e, t^e or c, where ``c*`` may be ``c`` and ``^e`` may be left
+    # out.  The groups are (sign, coefficient, t, exponent, constant).  A
+    # term starts with its sign, and no two optional parts share a
+    # whitespace run, so ``sub`` and ``findall`` take time linear in the
+    # text.  Neither keeps state per term, as one match of the whole text
+    # with a repeated group would.
     _TERM = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>\d+)\s*\*?\s*t(?:\^(?P<cexp>-?\d+))?"
-        r"|t(?:\^(?P<exp>-?\d+))?"
-        r"|(?P<const>\d+)"
-        r")\s*"
-    )
+        r"([+-]|^)\s*(?:(?:(\d+)\s*(?:\*\s*)?)?(t)(?:\^(-?\d+))?|(\d+))")
 
     @classmethod
     def parse(cls, text: str) -> LaurentPoly:
         """Parse sparse ``c*t^e`` terms in either exponent order.
 
-        Accepts ``"t^8 + 2*t^5"`` and ``"2*t^5 + 1*t^8"`` alike.
+        Accepts ``"t^8 + 2*t^5"`` and ``"2*t^5 + 1*t^8"`` alike: the
+        text must be terms and the whitespace between them.
         """
         s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
+        if not s or cls._TERM.sub("", s).strip():
+            shown = s if len(s) <= 40 else s[:37] + "..."
+            raise ValueError(f"bad polynomial text {shown!r}")
         out: dict[int, int] = {}
-        pos = 0
-        first = True
-        while pos < len(s):
-            m = cls._TERM.match(s, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"bad polynomial text {text!r} at offset {pos}")
-            if not first and m.group("sign") is None:
-                raise ValueError(f"missing +/- between terms in {text!r}")
-            if m.group("const") is not None:
-                coeff, exp = int(m.group("const")), 0
-            elif m.group("coeff") is not None:
-                coeff = int(m.group("coeff"))
-                exp = int(m.group("cexp")) if m.group("cexp") is not None else 1
-            else:
-                coeff = 1
-                exp = int(m.group("exp")) if m.group("exp") is not None else 1
-            if m.group("sign") == "-":
-                coeff = -coeff
-            out[exp] = out.get(exp, 0) + coeff
-            pos = m.end()
-            first = False
+        for sign, coeff, t, exp, const in cls._TERM.findall(s):
+            c = int(const or coeff or 1)
+            e = int(exp) if exp else 1 if t else 0
+            out[e] = out.get(e, 0) + (-c if sign == "-" else c)
         return cls(out)
 
     def render(self) -> str:

@@ -350,7 +350,7 @@ _GROUP_LINE = re.compile(
 _IRREP_LINE = re.compile(r"^irrep\s+(\S+)\s+dim\s+(\d+)\s+fake\s+(.+)$")
 
 
-def _parse_degrees(text: str, lineno: int, name: str) -> tuple[int, ...]:
+def _parse_degrees(text: str, name: str) -> tuple[int, ...]:
     """The degrees of a group header, each at least 1 and with
     sum(d_i - 1), the degree of the Poincaré polynomial, at most
     polycore.MAX_SPAN, so no header can make the expansion of the
@@ -358,16 +358,15 @@ def _parse_degrees(text: str, lineno: int, name: str) -> tuple[int, ...]:
     try:
         degrees = tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise DatasetError(f"line {lineno}: group {name}: bad degree list "
+        raise DatasetError(f"group {name}: bad degree list "
                            f"{text.strip()!r}") from None
     if min(degrees) < 1:
-        raise DatasetError(f"line {lineno}: group {name}: degrees must be "
-                           "at least 1")
+        raise DatasetError(f"group {name}: degrees must be at least 1")
     span = sum(d - 1 for d in degrees)
     if span > MAX_SPAN:
-        raise DatasetError(f"line {lineno}: group {name}: the degrees give a "
-                           f"Poincaré polynomial of degree {span}, above the "
-                           f"limit {MAX_SPAN}")
+        raise DatasetError(f"group {name}: the degrees give a Poincaré "
+                           f"polynomial of degree {span}, above the limit "
+                           f"{MAX_SPAN}")
     return degrees
 
 
@@ -376,31 +375,43 @@ def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
 
     ``group <name> order <int> rank <n> degrees <d1,...,dn>`` opens a
     group; each following ``irrep <id> dim <int> fake <poly>`` adds a row.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  The fake degrees of a
+    file hold at most polycore.MAX_SPAN coefficients in all, counted
+    densely (degree - trailing degree + 1 each), so no file can make
+    the rows exhaust memory.  Every error is a DatasetError that names
+    its line.
     """
     blocks: list[tuple[tuple, list[DatasetRow]]] = []  # (header, rows)
+    coefficients = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        mg = _GROUP_LINE.match(line)
-        if mg:
-            blocks.append(((mg.group(1), int(mg.group(2)), int(mg.group(3)),
-                            _parse_degrees(mg.group(4), lineno, mg.group(1))),
-                           []))
-            continue
-        mi = _IRREP_LINE.match(line)
-        if mi:
+        try:
+            mg = _GROUP_LINE.match(line)
+            if mg:
+                name, order, rank, degrees = mg.groups()
+                blocks.append(((name, int(order), int(rank),
+                                _parse_degrees(degrees, name)), []))
+                continue
+            mi = _IRREP_LINE.match(line)
+            if not mi:
+                raise DatasetError(f"unrecognized line {line!r}")
             if not blocks:
+                raise DatasetError("irrep row before any group header")
+            ident, dim, poly = mi.groups()
+            fake = LaurentPoly.parse(poly)
+            if fake:
+                coefficients += fake.degree() - fake.trailing_degree() + 1
+            if coefficients > MAX_SPAN:
                 raise DatasetError(
-                    f"line {lineno}: irrep row before any group header")
-            try:
-                fake = LaurentPoly.parse(mi.group(3))
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: {exc}") from exc
-            blocks[-1][1].append(DatasetRow(mi.group(1), int(mi.group(2)), fake))
-            continue
-        raise DatasetError(f"line {lineno}: unrecognized line {line!r}")
+                    f"the fake degrees so far hold {coefficients} "
+                    f"coefficients; the limit for a file is {MAX_SPAN}")
+            blocks[-1][1].append(DatasetRow(ident, int(dim), fake))
+        # Besides DatasetError: LaurentPoly.parse's errors, and int()'s
+        # refusal of more than sys.get_int_max_str_digits() digits.
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
     return tuple(ExceptionalGroupData(*header, tuple(rows))
                  for header, rows in blocks)
 

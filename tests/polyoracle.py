@@ -9,9 +9,11 @@ factorisation (``cyclotomic_factorisation``, the trial division of
 every degree into Phi_k multiplicities that ``GradedProduct`` used to
 carry), multiplying out Phi_k^e and dividing once at the end.
 ``series_quotient`` is the power-series division over ``Fraction`` that
-``groups.degrees_series`` used before its integer prefix sums.  The code
-is kept as it was, so tests can compare the dense kernel, the
-factor-at-a-time expansion and the degrees series against it.
+``groups.degrees_series`` used before its integer prefix sums, and
+``parse`` the term-at-a-time scanner that ``LaurentPoly.parse`` was
+before its single grammar.  The code is kept as it was, so tests can
+compare the dense kernel, the factor-at-a-time expansion, the degrees
+series and the parser against it.
 
 ``GradedProduct`` is the formal product that ``fakedeg.fake_degree``
 was assembled as before its closed form, and ``NotPolynomialError`` the
@@ -22,6 +24,7 @@ kernels, reading ``LaurentPoly`` through its public methods only.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -414,4 +417,46 @@ def series_quotient(num: LaurentPoly, den: LaurentPoly, n: int) -> LaurentPoly:
             raise ValueError(f"series coefficient at t^{k} is not an integer: {c}")
         if c.numerator:
             out[k] = c.numerator
+    return LaurentPoly(out)
+
+
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:"
+    r"(?P<coeff>\d+)\s*\*?\s*t(?:\^(?P<cexp>-?\d+))?"
+    r"|t(?:\^(?P<exp>-?\d+))?"
+    r"|(?P<const>\d+)"
+    r")\s*"
+)
+
+
+def parse(text: str) -> LaurentPoly:
+    """Parse sparse ``c*t^e`` terms in either exponent order, one
+    ``_TERM`` match at a time (quadratic on a long whitespace run)."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return LaurentPoly.zero()
+    out: dict[int, int] = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"bad polynomial text {text!r} at offset {pos}")
+        if not first and m.group("sign") is None:
+            raise ValueError(f"missing +/- between terms in {text!r}")
+        if m.group("const") is not None:
+            coeff, exp = int(m.group("const")), 0
+        elif m.group("coeff") is not None:
+            coeff = int(m.group("coeff"))
+            exp = int(m.group("cexp")) if m.group("cexp") is not None else 1
+        else:
+            coeff = 1
+            exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        if m.group("sign") == "-":
+            coeff = -coeff
+        out[exp] = out.get(exp, 0) + coeff
+        pos = m.end()
+        first = False
     return LaurentPoly(out)

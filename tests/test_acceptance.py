@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import partitions_oracle
+from battery import configured_groups
 from cmscan import fakedeg as fd
 from cmscan import g4
 from cmscan import groups as gr
@@ -90,7 +91,7 @@ def test_criterion_2_symmetric_group_oracle(capsys):
 
 def test_criterion_3_molien_equals_degrees_product(capsys):
     with criterion(capsys, 3, bound=60.0) as info:
-        groups = fd.configured_groups(max_order=2000)
+        groups = configured_groups(max_order=2000)
         for g in groups:
             assert gr.molien_series(g, truncate=30) == gr.degrees_series(
                 g, truncate=30)
@@ -100,7 +101,7 @@ def test_criterion_3_molien_equals_degrees_product(capsys):
 
 def test_criterion_4_restricted_form_class_sums(capsys):
     with criterion(capsys, 4, bound=60.0) as info:
-        groups = [g for g in fd.configured_groups(max_order=2000)
+        groups = [g for g in configured_groups(max_order=2000)
                   if gr.is_irreducible_natural(g)]
         classes = 0
         for g in groups:

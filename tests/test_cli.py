@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -279,6 +280,33 @@ class TestExitCodes:
         proc = run_cli("table1", "--data", str(path))
         assert proc.returncode == 2
         assert message in proc.stderr
+
+    def test_table1_whitespace_run_is_refused_quickly(self, tmp_path):
+        # The term-at-a-time scanner took about 10 s on this 64 KB row.
+        path = tmp_path / "spaces.fd"
+        path.write_text("group G4 order 24 rank 2 degrees 4,6\n"
+                        "irrep phi dim 1 fake 2" + " " * 64_000 + "x\n",
+                        encoding="utf-8")
+        start = time.perf_counter()
+        proc = run_cli("table1", "--data", str(path))
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("cmscan: error: line 2: ")
+        assert len(proc.stderr) < 200
+
+    def test_table1_fake_degrees_are_bounded_per_file(self, tmp_path):
+        # Each row fits MAX_SPAN, but 200 dense rows of about 2**20
+        # coefficients used to exhaust memory (exit 3, MemoryError).
+        rows = "".join(f"irrep r{k} dim 2 fake t^{2**20 - k} + 1\n"
+                       for k in range(1, 201))
+        path = tmp_path / "dense.fd"
+        path.write_text(f"group X order {2**20 + 1} rank 1 degrees "
+                        f"{2**20 + 1}\n" + rows, encoding="utf-8")
+        assert path.stat().st_size < 8_000
+        proc = run_limited("table1", "--data", str(path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("cmscan: error: line 3: the fake "
+                                      "degrees so far hold")
 
     def test_unknown_command_is_exit_2(self):
         proc = run_cli("frobnicate")

@@ -5,6 +5,7 @@ import pytest
 
 import partitions_oracle
 import polyoracle
+from battery import configured_groups
 from cmscan import fakedeg as fd
 from cmscan import partitions as pt
 from cmscan.polycore import LaurentPoly, VerificationError
@@ -153,7 +154,7 @@ class TestClosedForm:
     """fake_degree and irr_dimension against the per-component formulas
     they replaced, kept in the test oracles."""
 
-    FAKE_DEGREE_GROUPS = fd.configured_groups(max_order=2000) + (
+    FAKE_DEGREE_GROUPS = configured_groups(max_order=2000) + (
         fd.GroupSpec(10, 5, 6),)
 
     @staticmethod
@@ -180,7 +181,7 @@ class TestClosedForm:
             assert list(fd.fake_degree(g, orbit).items()) == want, orbit
             assert list(fd.fake_degree(g, orbit, memo).items()) == want, orbit
 
-    @pytest.mark.parametrize("g", fd.configured_groups(max_order=2000), ids=str)
+    @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
     def test_irr_dimension_matches_multinomial_oracle(self, g):
         for orbit in fd.group_orbits(g):
             assert fd.irr_dimension(g, orbit) == \
@@ -204,14 +205,14 @@ class TestClosedForm:
 
 class TestConfiguredBattery:
     def test_size_and_bounds(self):
-        groups = fd.configured_groups(max_order=2000)
+        groups = configured_groups(max_order=2000)
         assert len(groups) == 80
         assert all(g.order <= 2000 for g in groups)
         assert fd.GroupSpec(2, 1, 4) in groups
         assert fd.GroupSpec(12, 12, 2) in groups
 
     def test_no_duplicate_rank_one_groups(self):
-        groups = fd.configured_groups(max_order=2000)
+        groups = configured_groups(max_order=2000)
         assert all(g.p == 1 for g in groups if g.n == 1)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import linalg_oracle as oracle
 import polyoracle
-from cmscan import fakedeg as fd
+from battery import configured_groups
 from cmscan import groups as gr
 from cmscan import linalg
 from cmscan.cyclo import CycloNumber
@@ -92,7 +92,7 @@ class TestEnumeration:
     def test_elements_equal_validated_elements(self):
         # The enumerator skips MonomialElement's validation; every element
         # must still be the validated one, in (perm, exps) order.
-        for g in fd.configured_groups(max_order=2000):
+        for g in configured_groups(max_order=2000):
             els = list(oracle.elements(g))
             assert len(els) == g.order, g
             assert els == sorted(els, key=gr.MonomialElement.sort_key), g
@@ -407,7 +407,7 @@ class TestDegreesSeries:
 
     @pytest.mark.parametrize("truncate", [0, 1, 30, 500])
     def test_configured_groups(self, truncate):
-        for g in fd.configured_groups(max_order=200):
+        for g in configured_groups(max_order=200):
             den = LaurentPoly.one()
             for d in g.degrees:
                 den = den * LaurentPoly({0: 1, d: -1})
@@ -427,7 +427,7 @@ class TestMolienAgainstInversion:
 
     @pytest.mark.parametrize("truncate", [0, 1, 30])
     def test_configured_groups(self, truncate):
-        groups = fd.configured_groups(max_order=200)
+        groups = configured_groups(max_order=200)
         assert len(groups) > 30
         for g in groups:
             assert gr.molien_series(g, truncate) == (
@@ -459,7 +459,7 @@ class TestSignatureCounts:
     they replaced (tests/linalg_oracle.py)."""
 
     def test_matches_enumeration(self):
-        grid = (list(fd.configured_groups(max_order=50_000))
+        grid = (list(configured_groups(max_order=50_000))
                 + [GroupSpec(*spec) for spec in MOLIEN_GROUPS])
         assert len(grid) == 121
         for g in grid:

@@ -44,8 +44,7 @@ G4 = {"g4", "linalg", "cyclo", "polycore"}
 HOMES = {
     "cyclo": ["CycloNumber"],
     "fakedeg": ["GroupSpec", "IrrLabel", "coinvariant_poincare",
-                "configured_groups", "fake_degree", "irr_dimension",
-                "irr_labels"],
+                "fake_degree", "irr_dimension", "irr_labels"],
     "groups": ["MonomialElement", "ReflectionClass", "molien_series",
                "omega_class_sum", "reflection_classes"],
     "partitions": ["Multipartition", "MultipartitionOrbit", "Partition",

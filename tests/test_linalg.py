@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import linalg_oracle as oracle
-from cmscan import fakedeg as fd
+from battery import configured_groups
 from cmscan import g4, groups, linalg
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
@@ -271,7 +271,7 @@ def test_class_form_scalar_checks_the_count():
 def test_class_sums_take_no_field_inverse(monkeypatch):
     # The criterion-4 battery and the G4 form sums run with division in
     # Q(zeta_m) disabled: every check is a product or a comparison.
-    battery = [g for g in fd.configured_groups(max_order=2000)
+    battery = [g for g in configured_groups(max_order=2000)
                if groups.is_irreducible_natural(g)]
     group = g4.build_g4()
 

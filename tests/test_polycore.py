@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,10 +39,43 @@ class TestParseRender:
         assert LaurentPoly.zero().render() == "0"
 
     @pytest.mark.parametrize("bad", ["", "t +", "t^^2", "t^2 t", "x + 1",
-                                     "1 2", "+ + t"])
+                                     "1 2", "+ + t", "*t", "t^", "2*",
+                                     "t ^2", "--t", "t2", "1+", "+", "-",
+                                     " "])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             P(bad)
+
+    # Each of these took the term-at-a-time scanner quadratic time; a
+    # 1 MB line would have taken it minutes to hours.
+    @pytest.mark.parametrize("text", [
+        "2" + " " * 10**6 + "x",
+        "+" + " " * 10**6 + "x",
+        "t" + " " * 10**6 + "+ 1",
+        "1" * 10**6 + "x",
+        "t + " * 200_000 + "x",
+    ], ids=["coefficient-spaces", "sign-spaces", "term-spaces", "digits",
+            "many-terms"])
+    def test_parse_time_is_linear(self, text):
+        start = time.perf_counter()
+        try:
+            P(text)
+        except ValueError as exc:
+            assert len(str(exc)) < 80  # the text is quoted short
+        assert time.perf_counter() - start < 5
+
+    @given(st.lists(st.sampled_from(list("t^*+- 0123456789\t")
+                                    + ["t^", " + ", " - "]), max_size=16))
+    @settings(max_examples=1000, deadline=None)
+    def test_parse_matches_scanner_oracle(self, pieces):
+        text = "".join(pieces)
+        try:
+            expected = polyoracle.parse(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                P(text)
+        else:
+            assert P(text) == expected
 
     @given(st.dictionaries(st.integers(-6, 30), st.integers(-9, 9),
                            max_size=8))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmscan.fakedeg import coinvariant_poincare, configured_groups
+from battery import configured_groups
+from cmscan.fakedeg import coinvariant_poincare
 from cmscan.polycore import MAX_SPAN, LaurentPoly, poincare_polynomial
 from cmscan.scan import DatasetError, parse_dataset
 from polyoracle import DictPoly, GradedProduct, NotPolynomialError

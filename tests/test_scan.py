@@ -5,11 +5,12 @@ import sys
 import pytest
 
 import partitions_oracle
+from battery import configured_groups
 from cmscan import cli
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
-    GroupSpec, coinvariant_poincare, configured_groups, fake_degree,
+    GroupSpec, coinvariant_poincare, fake_degree,
     irr_dimension, irr_labels, label_rows,
 )
 from cmscan.polycore import (
@@ -472,6 +473,29 @@ class TestDatasetFormat:
                 f"group X order 1 rank 2 degrees {top},2\n")
         with pytest.raises(scan.DatasetError, match="line 1: group X"):
             scan.parse_dataset("group X order 1 rank 1 degrees 1000000000\n")
+
+    def test_fake_degrees_share_one_budget_per_file(self):
+        # Two rows of MAX_SPAN / 2 coefficients fill the budget; one more
+        # coefficient is refused, naming its line.
+        head = "group X order 9 rank 1 degrees 2\n"
+        rows = f"irrep r dim 2 fake t^{MAX_SPAN // 2 - 1} + 1\n" * 2
+        (g,) = scan.parse_dataset(head + rows)
+        assert len(g.rows) == 2
+        with pytest.raises(scan.DatasetError,
+                           match="^line 4: .* the limit for a file is"):
+            scan.parse_dataset(head + rows + "irrep s dim 1 fake 1\n")
+
+    @pytest.mark.parametrize("field, lineno", [("order", 1), ("rank", 1),
+                                               ("dim", 2)])
+    def test_oversized_integer_names_its_line(self, field, lineno):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts ints of any length")
+        text = ("group C1 order 1 rank 1 degrees 1\n"
+                "irrep triv dim 1 fake 1\n").replace(
+                    f"{field} 1", f"{field} {'9' * (limit + 1)}")
+        with pytest.raises(scan.DatasetError, match=f"^line {lineno}: "):
+            scan.parse_dataset(text)
 
     def test_validate_square_sum(self):
         text = SAMPLE.replace("order 2", "order 3")
