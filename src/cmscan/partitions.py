@@ -11,9 +11,10 @@ Text format: components joined by "|", parts by ",", empty component
 
 Partitions are validated where they enter from outside (the public
 ``check_*``, ``hook_lengths``, ``weighted_size``, ``orbit_of``,
-``parse_multipartition`` and the canonical member of every
-``MultipartitionOrbit``); the enumerators only produce valid ones, so
-the scan path works on them through unchecked private helpers.
+``parse_multipartition`` and the canonical member of a
+``MultipartitionOrbit`` built by hand); the enumerators only produce
+valid ones, so the scan path, orbits included, works on them through
+unchecked private helpers.
 """
 from __future__ import annotations
 
@@ -226,9 +227,20 @@ class MultipartitionOrbit:
     stab_order: int
 
     def __post_init__(self):
-        # Once per orbit: fake_degree and irr_dimension read canonical
-        # through unchecked helpers, and an orbit may be built by hand.
+        # fake_degree and irr_dimension read canonical through unchecked
+        # helpers, so an orbit built by hand is checked here.
         check_multipartition(self.canonical)
+
+    @classmethod
+    def _of_valid(cls, members: tuple[Multipartition, ...],
+                  canonical: Multipartition,
+                  stab_order: int) -> MultipartitionOrbit:
+        """The orbit of enumerated or checked members, built without
+        ``__post_init__``'s check."""
+        orbit = object.__new__(cls)
+        orbit.__dict__.update(members=members, canonical=canonical,
+                              stab_order=stab_order)
+        return orbit
 
     def size(self) -> int:
         return len(self.members)
@@ -254,7 +266,7 @@ def _orbit(mp: Multipartition, p: int, d: int, key) -> MultipartitionOrbit:
     if rem or current != mp:
         raise VerificationError("orbit size must divide p")
     members = tuple(sorted(seen, key=key))
-    return MultipartitionOrbit(members, members[0], stab)
+    return MultipartitionOrbit._of_valid(members, members[0], stab)
 
 
 def index_weight(mp: Multipartition) -> int:

@@ -5,9 +5,12 @@ One value type and two kernels cover everything the higher layers need:
 * ``LaurentPoly`` stores a Laurent polynomial densely, as its trailing
   exponent and the tuple of integer coefficients from there up to its
   degree, trimmed so that both ends are nonzero.  Products are list
-  convolutions and long division runs by index from the top
-  coefficient.  All arithmetic is exact; there is no floating point
-  anywhere in this package.
+  convolutions.  Long division by a divisor with leading coefficient
+  +-1 is one big-integer division of the coefficient lists packed at
+  64 bits a slot, certified by a size bound; any other division runs by
+  index from the top coefficient.  ``weighted_sum`` adds scaled
+  polynomials into one buffer.  All arithmetic is exact; there is no
+  floating point anywhere in this package.
 
 * ``mul_one_minus`` and ``div_one_minus`` multiply a coefficient list
   by 1 - t^a (a shift-and-subtract) and divide it by 1 - t^a (the
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,6 +42,12 @@ def _check_span(span: int) -> None:
                          f"the limit is {MAX_SPAN}")
 
 
+def clip(text: str) -> str:
+    """``text`` cut to at most 40 characters, for quoting input in an
+    error message."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def mul_one_minus(c: list[int], a: int) -> None:
     """c *= 1 - t^a in place, truncated to len(c): c[i] -= c[i - a]."""
     c[a:] = map(sub, c[a:], c[:-a])
@@ -47,6 +58,82 @@ def div_one_minus(c: list[int], a: int) -> None:
     q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
     for j in range(min(a, len(c))):
         c[j::a] = accumulate(c[j::a])
+
+
+# Packed division reads a coefficient list c as the integer
+# sum_i c[i] * X^i at X = 2^64, one signed 64-bit slot per coefficient.
+# Results are certified only while every coefficient involved stays
+# below _PACKED_BOUND = X / 4 in absolute value (see _packed_divmod).
+_PACKED_BOUND = 1 << 62
+_HALF_SLOT = (1 << 63).to_bytes(8, sys.byteorder)
+
+
+def _slot_bias(n: int) -> int:
+    """sum_{i<n} 2^63 X^i: flipping the top bit of a slot maps its two's
+    complement digit c to c + 2^63, a digit in [0, X)."""
+    return int.from_bytes(_HALF_SLOT * n, sys.byteorder)
+
+
+def _pack(c: Sequence[int]) -> int:
+    """sum_i c[i] X^i for |c[i]| < 2^63."""
+    bias = _slot_bias(len(c))
+    return (int.from_bytes(array("q", c), sys.byteorder) ^ bias) - bias
+
+
+def _unpack(v: int, n: int) -> list[int] | None:
+    """The digits c[0..n) in [-2^63, 2^63) with sum_i c[i] X^i == v, or
+    None when v has no such n digits."""
+    bias = _slot_bias(n)
+    w = v + bias
+    if w < 0 or w.bit_length() > 64 * n:
+        return None
+    return memoryview((w ^ bias).to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
+
+
+def _packed_divmod(num: Sequence[int], terms: Sequence[int], step: int
+                   ) -> tuple[list[int], list[int]] | None:
+    """Quotient and remainder coefficients of num by the divisor
+    den = sum_i terms[i] t^(i * step), whose leading coefficient is +-1
+    and whose degree d is below len(num), or None when the operands are
+    too large for the result to be certified.
+
+    Each residue class of num mod step is divided by the terms on its
+    own, as the long division does.  For each class, q = round(num(X) /
+    den(X)) and r = num(X) - q * den(X) come from one big-integer
+    division and are read back as digits: q with len(num) - deg(den) of
+    them and r with deg(den).  If then every coefficient of
+    q*den + r - num is below X/2, which the bound checked here ensures,
+    that polynomial vanishes at X and so is zero: num = q*den + r with
+    deg r < deg den, and with a unit leading coefficient that is the
+    long division's (q, r).
+    """
+    den_max = max(map(abs, terms))
+    if den_max >= _PACKED_BOUND:
+        return None
+    dv = _pack(terms)
+    d = (len(terms) - 1) * step
+    quot, rem = [0] * (len(num) - d), [0] * d
+    for j in range(step):
+        part = num[j::step]
+        if len(part) < len(terms):  # q = 0 and r = part
+            rem[j::step] = part
+            continue
+        num_max = max(map(abs, part))
+        if num_max >= _PACKED_BOUND:
+            return None
+        nv = _pack(part)
+        # Rounds num(X) / den(X) to the nearest integer for either sign
+        # of den(X); the remainder gives num(X) - q * den(X).
+        qv, rv = divmod(2 * nv + dv, 2 * dv)
+        q = _unpack(qv, len(part) - len(terms) + 1)
+        r = _unpack((rv - dv) >> 1, len(terms) - 1)
+        if q is None or r is None:
+            return None
+        if (min(len(q), len(terms)) * max(map(abs, q)) * den_max
+                + max(map(abs, r), default=0) + num_max >= _PACKED_BOUND):
+            return None
+        quot[j::step], rem[j::step] = q, r
+    return quot, rem
 
 
 class VerificationError(Exception):
@@ -251,7 +338,9 @@ class LaurentPoly:
         as soon as the leading coefficient of ``other`` fails to divide the
         current leading coefficient, so the remainder is canonical and the
         quotient is always integral; ``r == 0`` iff ``other`` divides
-        ``self`` in Z[t, t^-1].
+        ``self`` in Z[t, t^-1].  A leading coefficient +-1 never stops
+        it, so that division is the packed one, when its operands are
+        within the bound that certifies it (``_packed_divmod``).
         """
         other = self._coerce(other)
         if other is None:
@@ -270,6 +359,11 @@ class LaurentPoly:
         den_lead = den[-1]
         step = math.gcd(*(i for i, c in enumerate(den) if c)) or 1
         den_terms = den[::step]
+        if den_lead in (1, -1) and len(self._c) > den_deg:
+            packed = _packed_divmod(self._c, den_terms, step)
+            if packed is not None:
+                return (LaurentPoly._dense(self._lo - other._lo, packed[0]),
+                        LaurentPoly._dense(self._lo, packed[1]))
         rem = list(self._c)
         quot = [0] * max(len(rem) - den_deg, 0)
         top = len(rem) - 1
@@ -324,8 +418,7 @@ class LaurentPoly:
         """
         s = text.strip()
         if not s or cls._TERM.sub("", s).strip():
-            shown = s if len(s) <= 40 else s[:37] + "..."
-            raise ValueError(f"bad polynomial text {shown!r}")
+            raise ValueError(f"bad polynomial text {clip(s)!r}")
         out: dict[int, int] = {}
         for sign, coeff, t, exp, const in cls._TERM.findall(s):
             c = int(const or coeff or 1)
@@ -356,6 +449,29 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly.parse({self.render()!r})"
+
+
+def weighted_sum(terms: Iterable[tuple[LaurentPoly, int]]) -> LaurentPoly:
+    """sum(w * f) over (f, w) pairs, each added, scaled, into one dense
+    buffer spanning all of them; a span above MAX_SPAN is refused before
+    the buffer is allocated.
+
+    >>> print(weighted_sum([(LaurentPoly.parse("t + 1"), 2),
+    ...                     (LaurentPoly.parse("t^-1 - 1"), 3)]))
+    2*t - 1 + 3*t^-1
+    """
+    terms = [(f, w) for f, w in terms if f._c and w]
+    if not terms:
+        return LaurentPoly()
+    lo = min(f._lo for f, _ in terms)
+    end = max(f._lo + len(f._c) for f, _ in terms)
+    _check_span(end - 1 - lo)
+    out = [0] * (end - lo)
+    for f, w in terms:
+        i = f._lo - lo
+        j = i + len(f._c)
+        out[i:j] = map(add, out[i:j], map(mul, f._c, repeat(w)))
+    return LaurentPoly._dense(lo, out)
 
 
 def cyclotomic(k: int) -> LaurentPoly:

@@ -23,7 +23,10 @@ from .fakedeg import (
     GroupSpec, coinvariant_poincare, fake_degree, irr_dimension,
     isomorphism_note, label_rows, reducibility_note,
 )
-from .polycore import MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial
+from .polycore import (
+    MAX_SPAN, LaurentPoly, VerificationError, clip, poincare_polynomial,
+    weighted_sum,
+)
 
 
 class DatasetError(ValueError):
@@ -160,11 +163,12 @@ def _series_notes(g: GroupSpec) -> tuple[str, ...]:
 
 def graded_sum(rows: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
     """sum(dim * f) over (dim, f) rows.  The dims of equal fake degrees
-    are added first, so each distinct f is scaled and added once."""
+    are added first, so each distinct f is scaled and added once, into
+    one buffer."""
     weights: dict[LaurentPoly, int] = {}
     for dim, f in rows:
         weights[f] = weights.get(f, 0) + dim
-    return sum((f * dim for f, dim in weights.items()), LaurentPoly.zero())
+    return weighted_sum(weights.items())
 
 
 def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
@@ -359,14 +363,14 @@ def _parse_degrees(text: str, name: str) -> tuple[int, ...]:
         degrees = tuple(int(s) for s in text.split(","))
     except ValueError:
         raise DatasetError(f"group {name}: bad degree list "
-                           f"{text.strip()!r}") from None
+                           f"{clip(text.strip())!r}") from None
     if min(degrees) < 1:
         raise DatasetError(f"group {name}: degrees must be at least 1")
     span = sum(d - 1 for d in degrees)
     if span > MAX_SPAN:
         raise DatasetError(f"group {name}: the degrees give a Poincaré "
-                           f"polynomial of degree {span}, above the limit "
-                           f"{MAX_SPAN}")
+                           f"polynomial of degree {clip(str(span))}, above "
+                           f"the limit {MAX_SPAN}")
     return degrees
 
 
@@ -396,7 +400,7 @@ def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
                 continue
             mi = _IRREP_LINE.match(line)
             if not mi:
-                raise DatasetError(f"unrecognized line {line!r}")
+                raise DatasetError(f"unrecognized line {clip(line)!r}")
             if not blocks:
                 raise DatasetError("irrep row before any group header")
             ident, dim, poly = mi.groups()

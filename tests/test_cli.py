@@ -294,6 +294,22 @@ class TestExitCodes:
         assert proc.stderr.startswith("cmscan: error: line 2: ")
         assert len(proc.stderr) < 200
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("group G4 order 24 rank 2 degrees 4,6\n"
+         "irrep x dim 1 fak " + "y" * 10**6 + "\n", 2),
+        ("group G4 order 24 rank 2 degrees 4," + "9" * 5000 + "\n", 1),
+        ("group G4 order 24 rank 2 degrees 4," + "9" * 4000 + "\n", 1),
+    ], ids=["unrecognized-line", "long-degree", "huge-degree"])
+    def test_table1_quotes_a_long_line_briefly(self, tmp_path, text, lineno):
+        # These errors used to quote the whole line, the degree list
+        # past int()'s digit limit, or the degree sum below it.
+        path = tmp_path / "long.fd"
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("table1", "--data", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"cmscan: error: line {lineno}: ")
+        assert len(proc.stderr.encode()) < 200
+
     def test_table1_fake_degrees_are_bounded_per_file(self, tmp_path):
         # Each row fits MAX_SPAN, but 200 dense rows of about 2**20
         # coefficients used to exhaust memory (exit 3, MemoryError).

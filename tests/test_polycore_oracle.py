@@ -1,6 +1,7 @@
-"""Differential tests: the dense LaurentPoly kernel, the factor-at-a-time
-GradedProduct expansion (an oracle itself, in polyoracle) and
-poincare_polynomial against the dict-based reference in polyoracle."""
+"""Differential tests: the dense LaurentPoly kernel, its packed division,
+weighted_sum, the factor-at-a-time GradedProduct expansion (an oracle
+itself, in polyoracle) and poincare_polynomial against the dict-based
+reference in polyoracle."""
 from collections import Counter
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from battery import configured_groups
-from cmscan.fakedeg import coinvariant_poincare
-from cmscan.polycore import MAX_SPAN, LaurentPoly, poincare_polynomial
+from cmscan import polycore
+from cmscan.fakedeg import coinvariant_poincare, label_rows
+from cmscan.polycore import MAX_SPAN, LaurentPoly, poincare_polynomial, weighted_sum
 from cmscan.scan import DatasetError, parse_dataset
 from polyoracle import DictPoly, GradedProduct, NotPolynomialError
 import polyoracle
@@ -30,6 +32,40 @@ def same(p: LaurentPoly, o: DictPoly) -> bool:
 
 def pair(coeffs):
     return LaurentPoly(coeffs), DictPoly(coeffs)
+
+
+def check_divmod(a: LaurentPoly, b: LaurentPoly) -> None:
+    q, r = divmod(a, b)
+    oq, orem = divmod(DictPoly.of(a), DictPoly.of(b))
+    assert same(q, oq) and same(r, orem)
+    assert q * b + r == a
+
+
+@pytest.fixture
+def packed_results(monkeypatch):
+    """What each call of polycore._packed_divmod returned, None where
+    division fell back to the loop."""
+    results = []
+    packed = polycore._packed_divmod
+
+    def spy(*args):
+        results.append(packed(*args))
+        return results[-1]
+
+    monkeypatch.setattr(polycore, "_packed_divmod", spy)
+    return results
+
+
+def primitive(f: LaurentPoly) -> LaurentPoly:
+    shifted = f.shift(-f.trailing_degree())
+    return shifted / LaurentPoly.monomial(shifted.content())
+
+
+# Coefficients around the packed division's bounds: 2^62 on every
+# coefficient involved, and 2^63 for a signed 64-bit slot.
+BOUNDARY = [2**k + e for k in (60, 61, 62, 63, 64) for e in (-1, 0, 1)]
+big_coeffs = st.one_of(st.integers(-2**65, 2**65),
+                       st.sampled_from(BOUNDARY + [-c for c in BOUNDARY]))
 
 
 class TestRing:
@@ -111,6 +147,97 @@ class TestDivision:
         oq, orem = divmod(DictPoly.of(a), DictPoly.of(b))
         assert same(q, oq) and same(r, orem)
 
+    @given(st.dictionaries(st.integers(-6, 12), big_coeffs, max_size=8),
+           st.dictionaries(st.integers(0, 5), big_coeffs, max_size=4),
+           st.sampled_from([1, -1]), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_lead_near_the_packed_bounds(self, ac, bc, lead, step):
+        # Some operands are within the bound that certifies the packed
+        # result and some are past it, so both sides of __divmod__ run.
+        b = LaurentPoly({step * e: c for e, c in bc.items()}) + \
+            LaurentPoly.monomial(lead, 6 * step)
+        check_divmod(LaurentPoly(ac), b)
+
+    @given(coeff_maps, small_maps, st.sampled_from([1, -1]),
+           st.integers(1, 5), st.integers(-9, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_lead_laurent_and_step_divisors(self, ac, bc, lead, step, k):
+        # A unit lead at any offset, in t^step, and dividends both longer
+        # and shorter than the divisor.
+        b = (LaurentPoly({step * e: c for e, c in bc.items() if e < 8})
+             + LaurentPoly.monomial(lead, 8 * step)).shift(k)
+        check_divmod(LaurentPoly(ac), b)
+
+    @pytest.mark.parametrize("a, b, packed", [
+        ("t^5 + 3*t^2 - 7", "t^2 + 2*t - 1", True),
+        ("t^5 + 3*t^2 - 7", "-t^3 + 4*t + 2", True),
+        ("t^-4 + 5*t^3 - t^7", "t^-2 - t^3", True),
+        ("t^11 + 2*t^7 - t^4 + t + 9", "t^6 - 2*t^3 + 1", True),
+        ("-3", "-1", True),
+        (f"{2**60}*t^2 + 1", "t^2 + 1", True),
+        # q*b + r - a may reach 2^62 in a coefficient: not certified.
+        (f"{2**61}*t^2 + 1", "t^2 + 1", False),
+        (f"{2**62}*t^3 + t", "t - 1", False),
+        (f"t^3 - {2**63}", "t^2 + 1", False),
+        (f"{2**64}*t^3 + 1", "t - 1", False),
+        ("t^3 + 1", f"t - {2**62}", False),
+        # The quotient t^2 + 2^40*t + 2^80 has no 64-bit digits.
+        ("t^3 + 1", f"t - {2**40}", False),
+        # Rounded at X, the remainder needs a digit past 2^63 (or below
+        # -2^63) where the polynomial remainder is about 2^123.
+        (f"{2**62 - 1}*t - {2**62 - 1}", f"t + {2**61}", False),
+        (f"{2**62 - 1}*t - {2**62 - 1}", f"t + {3 * 2**60}", False),
+    ])
+    def test_packed_or_loop(self, packed_results, a, b, packed):
+        check_divmod(LaurentPoly.parse(a), LaurentPoly.parse(b))
+        assert len(packed_results) == 1
+        assert (packed_results[0] is not None) == packed
+
+    @pytest.mark.parametrize("a, b", [("t^2 + 1", "t^5 + 1"),
+                                      ("3*t^4 - t", "2*t^2 + 1"),
+                                      ("t^3 + 1", "t^5 - 1")])
+    def test_short_dividend_or_other_lead_skips_packing(self, packed_results,
+                                                        a, b):
+        check_divmod(LaurentPoly.parse(a), LaurentPoly.parse(b))
+        assert packed_results == []
+
+    def test_configured_group_divisors(self, packed_results):
+        # Every distinct primitive divisor of the battery's scans; each
+        # one with a unit lead gets a packed result.
+        pairs = [(coinvariant_poincare(g), d) for g in configured_groups()
+                 for d in {primitive(f): None for _, _, f in label_rows(g)}]
+        packed_results.clear()
+        for poincare, d in pairs:
+            check_divmod(poincare, d)
+        assert len(packed_results) == sum(
+            abs(d.coeff(d.degree())) == 1 and d.degree() <= poincare.degree()
+            for poincare, d in pairs)
+        assert None not in packed_results
+
+
+class TestWeightedSum:
+    @staticmethod
+    def oracle(terms):
+        return sum((f * w for f, w in terms), LaurentPoly.zero())
+
+    @given(st.lists(st.tuples(coeff_maps, st.integers(-60, 60)), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sum_of_products(self, terms):
+        terms = [(LaurentPoly(c), w) for c, w in terms]
+        total = weighted_sum(terms)
+        assert total == self.oracle(terms)
+        # Minus the total, the sum cancels to zero.
+        assert weighted_sum(terms + [(total, -1)]).is_zero()
+
+    def test_edge_cases(self):
+        f = LaurentPoly.parse("t^3 - 2*t^-2")
+        assert weighted_sum([]) == LaurentPoly.zero()
+        assert weighted_sum([(LaurentPoly.zero(), 5)]) == LaurentPoly.zero()
+        assert weighted_sum([(f, 0), (LaurentPoly.t(9), 1)]) == LaurentPoly.t(9)
+        assert weighted_sum([(f, 3), (f, -3)]).is_zero()
+        assert weighted_sum([(f, 2), (-f, 1), (LaurentPoly.t(-7), 4)]) == (
+            f + LaurentPoly.monomial(4, -7))
+
 
 class TestCanonicalForm:
     def test_far_explicit_zero_is_dropped(self):
@@ -147,6 +274,8 @@ class TestSpanLimit:
         lambda: LaurentPoly.t(MAX_SPAN) + LaurentPoly.t(-1),
         lambda: LaurentPoly({0: 1, MAX_SPAN: 1}) * LaurentPoly.parse("t + 1"),
         lambda: GradedProduct.of(MAX_SPAN + 1).reduce_with(LaurentPoly.one()),
+        lambda: weighted_sum([(LaurentPoly.t(MAX_SPAN), 1),
+                              (LaurentPoly.t(-1), 2)]),
     ])
     def test_wide_results_are_refused(self, make):
         with pytest.raises(ValueError, match="limit"):

@@ -6,7 +6,7 @@ import pytest
 
 import partitions_oracle
 from battery import configured_groups
-from cmscan import cli
+from cmscan import cli, polycore
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
@@ -165,6 +165,26 @@ class TestDivisionMemo:
         assert repeats.failures == 0
         assert len({id(v.poly) for v in repeats.verdicts}) == 1
         assert [(v.b, v.dim) for v in repeats.verdicts][:2] == [(0, 1), (1, 2)]
+
+    def test_unit_lead_divisors_take_the_packed_path(self, monkeypatch):
+        # A fallback to the loop gives the same output, so only the
+        # packed division's own results show that it ran.
+        results = []
+        packed = polycore._packed_divmod
+
+        def spy(*args):
+            results.append(packed(*args))
+            return results[-1]
+
+        g = GroupSpec(2, 2, 14)
+        degree = coinvariant_poincare(g).degree()
+        divisors = {_primitive(f) for _, _, f in label_rows(g)}
+        monkeypatch.setattr(polycore, "_packed_divmod", spy)
+        scan.scan_group(g)
+        assert len(results) == sum(
+            abs(d.coeff(d.degree())) == 1 and d.degree() <= degree
+            for d in divisors) > 400
+        assert None not in results
 
     def test_memo_entries_are_shared(self):
         poincare = P("1 + 2*t + t^2")
