@@ -7,12 +7,15 @@ positive int denominator, in lowest terms: the gcd of the numerators
 and the denominator is 1, so each value has exactly one representation
 and equality and hashing compare (m, num, den).
 
-Phi_m is monic over Z, so every zeta^e has integer coordinates.  Sums
-cross-multiply the numerators (not at all when the denominators agree),
-products are an integer convolution folded down by the integer
-coordinates of zeta^k, and complex conjugation and lifts along
-Q(zeta_m) -> Q(zeta_M) for m | M substitute those coordinates directly;
-each result is divided once by its content gcd.  An inverse is the
+Phi_m is monic over Z, so every zeta^e has integer coordinates, and
+one fold adds sum_i c_i * zeta^(e + i * step) onto a coordinate list
+from the cached table of them.  Sums cross-multiply the numerators (not
+at all when the denominators agree), and a difference adds the
+negation.  A product is an integer convolution whose top coefficients
+are folded down; complex conjugation and lifts along
+Q(zeta_m) -> Q(zeta_M) for m | M fold the numerators with step -1 and
+M/m; ``from_powers`` folds an element of the group ring Z[C_m].  Each
+result is divided once by its content gcd.  An inverse is the
 product of the other Galois conjugates over the norm, a rational.  The
 Fraction-coordinate kernel this replaces is the test oracle in
 tests/cyclo_oracle.py.
@@ -32,13 +35,11 @@ MAX_FIELD_TABLE = 1 << 22
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
-def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...],
-                                 tuple[tuple[int, ...], ...]]:
-    """The degree phi(m), the integer coordinates of zeta^e for e in
-    [0, m), and those of zeta^k for k in [degree, 2*degree - 2] (the
-    range reachable by products).  A table of more than MAX_FIELD_TABLE
-    ints is refused with ValueError before it is built, and an m above
-    that limit (m * phi(m) >= m) before m is factored."""
+def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The degree phi(m) and the integer coordinates of zeta^e for e in
+    [0, m).  A table of more than MAX_FIELD_TABLE ints is refused with
+    ValueError before it is built, and an m above that limit
+    (m * phi(m) >= m) before m is factored."""
     if m < 1:
         raise ValueError("cyclotomic modulus must be positive")
     if m > MAX_FIELD_TABLE:
@@ -61,8 +62,20 @@ def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...],
         coords = [0] + coords[:-1]
         if top:
             coords = [c - top * p for c, p in zip(coords, dense)]
-    tails = tuple(powers[k % m] for k in range(deg, 2 * deg - 1))
-    return deg, tuple(powers), tails
+    return deg, tuple(powers)
+
+
+def _fold(num: list[int], m: int, coeffs, first: int, step: int = 1) -> list[int]:
+    """num + sum_i coeffs[i] * zeta_m^(first + i * step), on the power
+    basis: each nonzero coefficient adds a multiple of one row of the
+    table of powers."""
+    powers = _field_data(m)[1]
+    e = first
+    for c in coeffs:
+        if c:
+            num = [n + c * z for n, z in zip(num, powers[e % m])]
+        e += step
+    return num
 
 
 class CycloNumber:
@@ -130,6 +143,15 @@ class CycloNumber:
         """zeta_m^e."""
         return cls._raw(m, _field_data(m)[1][e % m], 1)
 
+    @classmethod
+    def from_powers(cls, m: int, counts) -> CycloNumber:
+        """sum_e counts[e] * zeta_m^e for int counts, any number of them:
+        an element of the group ring Z[C_m] reduced into Q(zeta_m)."""
+        counts = list(counts)
+        if not all(isinstance(c, int) for c in counts):
+            raise TypeError("counts must be ints")
+        return cls._raw(m, tuple(_fold([0] * _field_data(m)[0], m, counts, 0)), 1)
+
     # -- ring structure ----------------------------------------------
 
     def _coerce(self, other) -> CycloNumber | None:
@@ -161,12 +183,7 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return CycloNumber._reduced(
-                self.m, [a - b for a, b in zip(self.num, other.num)], da)
-        return CycloNumber._reduced(
-            self.m, [a * db - b * da for a, b in zip(self.num, other.num)], da * db)
+        return self + (-other)
 
     def __rsub__(self, other) -> CycloNumber:
         return -(self - other)
@@ -187,10 +204,7 @@ class CycloNumber:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        num = prod[:deg]
-        for c, tail in zip(prod[deg:], _field_data(self.m)[2]):
-            if c:
-                num = [n + c * t for n, t in zip(num, tail)]
+        num = _fold(prod[:deg], self.m, prod[deg:], deg)
         return CycloNumber._reduced(self.m, num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -239,11 +253,7 @@ class CycloNumber:
 
     def _substitute(self, big_m: int, step: int) -> CycloNumber:
         """Image in Q(zeta_M) under zeta_m^i -> zeta_M^(i * step)."""
-        deg, powers, _ = _field_data(big_m)
-        out = [0] * deg
-        for i, c in enumerate(self.num):
-            if c:
-                out = [o + c * z for o, z in zip(out, powers[i * step % big_m])]
+        out = _fold([0] * _field_data(big_m)[0], big_m, self.num, 0, step)
         return CycloNumber._reduced(big_m, out, self.den)
 
     def conj(self) -> CycloNumber:

@@ -166,10 +166,10 @@ def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     count * prod_cycles sum_j zeta^(E j) t^(L j).  Those products are
     summed in the group ring Z[C_m]: each t-coefficient is a list of m
     ints indexed by the exponent of zeta.  Each coefficient is reduced
-    into Q(zeta_m) once, on the power basis, and divided by |W|; it must
-    be rational and integral (else VerificationError).  The series are
-    expanded term by term, never summed in closed form: that sum
-    collapses to the degrees product this series is checked against.
+    into Q(zeta_m) once (``CycloNumber.from_powers``) and divided by
+    |W|; it must be rational and integral (else VerificationError).  The
+    series are expanded term by term, never summed in closed form: that
+    sum collapses to the degrees product this series is checked against.
     Refused with ValueError before any work: a table of (truncate + 1) * m
     ints above polycore.MAX_SPAN, that width times (m/p)(m+1)^(n-1), which
     bounds the signature terms, above MAX_MOLIEN_TERMS, and a field over
@@ -189,10 +189,7 @@ def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
         raise ValueError(
             f"molien series of {g} to t^{truncate} may expand more than "
             f"{MAX_MOLIEN_TERMS} signature-table entries")
-    # Phi_m is monic over Z, so zeta^e has integer power-basis coordinates
-    # (its numerators, over denominator 1) and so has each reduced
-    # coefficient sum_e a_e zeta^e.
-    zetas = [CycloNumber.zeta(m, e).num for e in range(m)]
+    CycloNumber.zero(m)  # builds the field, or refuses it, before the count
     signatures = _signature_counts(g)
 
     table = [[0] * m for _ in range(n_terms)]
@@ -212,13 +209,10 @@ def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     order = g.order
     out: dict[int, int] = {}
     for k, row in enumerate(table):
-        coords = [0] * len(zetas[0])
-        for z, a in zip(zetas, row):
-            if a:
-                coords = [c + a * zc for c, zc in zip(coords, z)]
-        if any(coords[1:]):
+        total = CycloNumber.from_powers(m, row)
+        if not total.is_rational():
             raise VerificationError(f"Molien coefficient at t^{k} is not rational")
-        coeff, rem = divmod(coords[0], order)
+        coeff, rem = divmod(total.num[0], order)
         if rem:
             raise VerificationError(f"Molien coefficient at t^{k} is not integral")
         if coeff:

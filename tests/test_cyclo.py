@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclo_oracle as oracle
@@ -223,6 +223,45 @@ def test_conj_and_lift_match_oracle(case):
             a.lift(m + 1)
 
 
+def test_degree_48_field_matches_oracle():
+    # Phi_105 (phi = 48) is the first cyclotomic polynomial with a
+    # coefficient -2.  Sampling m = 105 in the ring test above took
+    # about 40 s on a 2-core host, nearly all of it in the oracle's
+    # inverses; this case covers the product's fold, the difference,
+    # conjugation and a lift.
+    m = 105
+    a, oa = _pair(m, [Fraction(i % 7 - 3, i % 4 + 1) for i in range(48)])
+    b, ob = _pair(m, [Fraction(5 * i % 11 - 5, i % 3 + 2) for i in range(48)])
+    assert_agrees(a - b, oa - ob)
+    assert_agrees(a * b, oa * ob)
+    assert_agrees(a.conj(), oa.conj())
+    assert_agrees(b.lift(210), ob.lift(210))
+
+
+@st.composite
+def power_counts(draw):
+    """(m, counts) with up to 2m + 3 int counts, zeros drawn on purpose,
+    so that exponents wrap past m and most lists are longer than phi(m)."""
+    m = draw(st.sampled_from((1, 2, 12, 105)))
+    count = st.one_of(st.just(0), st.integers(-50, 50))
+    return m, draw(st.lists(count, max_size=2 * m + 3))
+
+
+@given(power_counts())
+@example((105, [1] * 105))  # the 105th roots of unity sum to 0
+@example((12, [0] * 36))
+@example((1, [3, -1, 0, 2]))
+@example((2, []))
+@settings(max_examples=100, deadline=None)
+def test_from_powers_matches_oracle(case):
+    m, counts = case
+    want = oracle.CycloNumber.zero(m)
+    for e, c in enumerate(counts):
+        if c:
+            want = want + oracle.CycloNumber.zeta(m, e) * c
+    assert_agrees(CycloNumber.from_powers(m, counts), want)
+
+
 @pytest.mark.parametrize("m", MODULI)
 def test_roots_of_unity_match_oracle(m):
     for e in range(-m, 2 * m + 1):
@@ -312,6 +351,13 @@ def test_constructors_refuse_inexact_values(value):
         CycloNumber(3, [Fraction(1, 3), value])
     with pytest.raises(TypeError):
         CycloNumber.from_rational(3, value)
+    with pytest.raises(TypeError):
+        CycloNumber.from_powers(3, [1, value])
+
+
+def test_from_powers_refuses_fraction_counts():
+    with pytest.raises(TypeError):
+        CycloNumber.from_powers(12, [1, Fraction(1, 2)])
 
 
 # -- size bounds -----------------------------------------------------------

@@ -5,7 +5,7 @@ reference in polyoracle."""
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from battery import configured_groups
@@ -70,6 +70,10 @@ big_coeffs = st.one_of(st.integers(-2**65, 2**65),
 
 class TestRing:
     @given(coeff_maps, coeff_maps)
+    @example({}, {-3: 1, 0: 5})  # a zero operand
+    @example({-3: 2, 5: -1}, {-3: -2, 5: 1})  # a + b cancels to zero
+    @example({4: 7, 9: -1}, {4: 7, 9: -1})  # a - b cancels to zero
+    @example({-15: 3, -9: -1}, {-12: 4, -1: 2})  # negative exponents only
     @settings(max_examples=300, deadline=None)
     def test_add_sub_mul(self, ac, bc):
         (a, oa), (b, ob) = pair(ac), pair(bc)
@@ -79,6 +83,9 @@ class TestRing:
         assert same(-a, -oa)
         assert same(a * b, oa * ob)
         assert same(a * 3 + 2, oa * 3 + 2)
+        for k in (0, 1, -4):  # an int operand, on either side
+            assert same(a + k, oa + k) and same(k + a, oa + k)
+            assert same(a - k, oa - k) and same(k - a, -(oa - k))
 
     @given(small_maps, st.integers(0, 4), st.integers(-30, 30))
     @settings(max_examples=150, deadline=None)
@@ -276,9 +283,15 @@ class TestSpanLimit:
         lambda: GradedProduct.of(MAX_SPAN + 1).reduce_with(LaurentPoly.one()),
         lambda: weighted_sum([(LaurentPoly.t(MAX_SPAN), 1),
                               (LaurentPoly.t(-1), 2)]),
+        lambda: LaurentPoly.t(-1) - LaurentPoly.t(MAX_SPAN),
+        # A buffer of 10**18 coefficients cannot be allocated, so only a
+        # check made before it gives this ValueError.
+        lambda: LaurentPoly.t(10 ** 18) + 1,
+        lambda: 1 - LaurentPoly.t(-10 ** 18),
     ])
     def test_wide_results_are_refused(self, make):
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(ValueError, match=r"^polynomial would span \d+ "
+                           f"exponents; the limit is {MAX_SPAN}$"):
             make()
 
     def test_wide_dataset_row_is_a_dataset_error(self):
