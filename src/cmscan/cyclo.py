@@ -231,12 +231,6 @@ class CycloNumber:
             raise VerificationError("inverse computation failed")
         return result
 
-    def __truediv__(self, other) -> CycloNumber:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNumber):
             return (self.m == other.m and self.den == other.den

@@ -12,7 +12,7 @@ and Q(omega) must mix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -152,18 +152,12 @@ class G4:
 
     elements: tuple[Quaternion, ...]
     classes: tuple[tuple[Quaternion, ...], ...]
-    _class_of: dict[Quaternion, int] = field(init=False, repr=False,
-                                             compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_class_of", {
-            q: idx for idx, cls in enumerate(self.classes) for q in cls})
 
     def class_index(self, q: Quaternion) -> int:
-        try:
-            return self._class_of[q]
-        except KeyError:
-            raise ValueError(f"{q} is not a group element") from None
+        for idx, cls in enumerate(self.classes):
+            if q in cls:
+                return idx
+        raise ValueError(f"{q} is not a group element")
 
 
 def _generated(gens) -> set[Quaternion]:

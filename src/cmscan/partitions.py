@@ -10,11 +10,10 @@ Text format: components joined by "|", parts by ",", empty component
 "-", e.g. ``"2,2|-|1"`` for ((2,2), (), (1)).
 
 Partitions are validated where they enter from outside (the public
-``check_*``, ``hook_lengths``, ``weighted_size``, ``orbit_of``,
-``parse_multipartition`` and the canonical member of a
-``MultipartitionOrbit`` built by hand); the enumerators only produce
-valid ones, so the scan path, orbits included, works on them through
-unchecked private helpers.
+``check_*``, ``orbit_of``, ``parse_multipartition`` and the canonical
+member of a ``MultipartitionOrbit`` built by hand); the enumerators
+only produce valid ones, so the scan path, orbits included, works on
+them through unchecked private helpers.
 """
 from __future__ import annotations
 
@@ -74,17 +73,13 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def hook_lengths(lam: Partition) -> tuple[int, ...]:
-    """Hook length multiset as a descending tuple.
-
-    >>> hook_lengths((2, 2))
-    (3, 2, 2, 1)
-    """
-    return _hook_lengths(check_partition(lam))
-
-
 @functools.lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def _hook_lengths(lam: Partition) -> tuple[int, ...]:
+    """Hook length multiset of a valid partition, as a descending tuple.
+
+    >>> _hook_lengths((2, 2))
+    (3, 2, 2, 1)
+    """
     conj = conjugate(lam)
     hooks = []
     for i, row in enumerate(lam):
@@ -101,16 +96,12 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for row in lam if row > j) for j in range(lam[0]))
 
 
-def weighted_size(lam: Partition) -> int:
-    """n(lam) = sum_i (i - 1) * lam_i.
+def _weighted_size(lam: Partition) -> int:
+    """n(lam) = sum_i (i - 1) * lam_i of a valid partition.
 
-    >>> weighted_size((2, 2, 1))
+    >>> _weighted_size((2, 2, 1))
     4
     """
-    return _weighted_size(check_partition(lam))
-
-
-def _weighted_size(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
 
 
@@ -118,10 +109,6 @@ def _weighted_size(lam: Partition) -> int:
 
 def check_multipartition(mp: Multipartition) -> Multipartition:
     return tuple(check_partition(lam) for lam in mp)
-
-
-def multipartition_size(mp: Multipartition) -> int:
-    return sum(sum(lam) for lam in mp)
 
 
 def _partition_key(lam: Partition) -> tuple:
@@ -241,9 +228,6 @@ class MultipartitionOrbit:
         orbit.__dict__.update(members=members, canonical=canonical,
                               stab_order=stab_order)
         return orbit
-
-    def size(self) -> int:
-        return len(self.members)
 
 
 def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:

@@ -219,10 +219,6 @@ class LaurentPoly:
     def monomial(cls, coeff: int, exp: int = 0) -> LaurentPoly:
         return cls({exp: coeff})
 
-    @classmethod
-    def t(cls, exp: int = 1) -> LaurentPoly:
-        return cls({exp: 1})
-
     # -- inspection --------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -230,10 +226,6 @@ class LaurentPoly:
         increasing exponent order."""
         lo = self._lo
         return ((lo + i, c) for i, c in enumerate(self._c) if c)
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self._lo
-        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def is_zero(self) -> bool:
         return not self._c
@@ -310,18 +302,6 @@ class LaurentPoly:
         return LaurentPoly._dense(self._lo + other._lo, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""

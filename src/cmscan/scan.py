@@ -14,6 +14,7 @@ let `table1` diff a dataset scan against the published values.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -80,6 +81,7 @@ Division = tuple[bool, LaurentPoly]
 def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
                       label: str,
                       memo: dict[LaurentPoly, Division] | None = None,
+                      charge: Callable[[LaurentPoly, str], None] | None = None,
                       ) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
@@ -92,7 +94,10 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
 
     ``memo``, when given, maps primitive divisors of this same ``poincare``
     to their division, so labels sharing a primitive part share one
-    division and one quotient or remainder object.
+    division and one quotient or remainder object.  ``charge``, when
+    given, is called with each primitive divisor the memo does not hold
+    yet and the label, before that division starts; it may refuse it by
+    raising.
     """
     if f.is_zero():
         raise VerificationError(f"fake degree of {label} must be nonzero")
@@ -106,6 +111,8 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
         memo = {}
     division = memo.get(primitive)
     if division is None:
+        if charge is not None:
+            charge(primitive, label)
         quotient, remainder = divmod(poincare, primitive)
         divides = remainder.is_zero()
         if divides and (quotient.at_one() * primitive.at_one()
@@ -172,12 +179,14 @@ def graded_sum(rows: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
 
 
 def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
-               notes: tuple[str, ...]) -> ScanReport:
+               notes: tuple[str, ...],
+               charge: Callable[[LaurentPoly, str], None] | None = None,
+               ) -> ScanReport:
     """Test every row in order, dividing each distinct primitive divisor
     into P once, and count the failing rows."""
     memo: dict[LaurentPoly, Division] = {}
     verdicts = tuple(divisibility_test(poincare, row.fake, row.dim, row.ident,
-                                       memo)
+                                       memo, charge)
                      for row in rows)
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(name, len(verdicts), failures, verdicts, notes)
@@ -454,13 +463,44 @@ def render_dataset(groups: tuple[ExceptionalGroupData, ...]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+# Largest division cost of a dataset file: the sum, over each group's
+# distinct primitive divisors g of its P, a polynomial in t^step, of
+# (len P - deg g) * (deg g / step + 1) * ceil(bit_length(max |P_i|) / 64),
+# the quotient steps times the divisor's terms times the words of P's
+# largest coefficient.  At 2^25 the packed division takes about 0.22 s
+# on a 2-core x86-64 host (CPython 3.11), 6.7 ns a unit.  The long-
+# division loop, which runs once a coefficient reaches 2^62, took
+# 25-50 ns a unit on three-term divisors.
+MAX_DIVISION_COST = 1 << 25
+
+
 def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, ...]:
     """Validate then scan each dataset group row by row, dividing each
-    distinct primitive divisor into the group's P once."""
+    distinct primitive divisor into the group's P once.  The cost of
+    each new division (see MAX_DIVISION_COST) is added to the file's
+    total before it starts, and the row that takes the total past the
+    limit is refused, as a DatasetError, without running it."""
     note = ("row identities follow the source tabulation; verdicts and "
             "counts are per row")
-    return tuple(_scan_rows(g.name, g.validate(), g.rows, (note,))
-                 for g in groups)
+    reports = []
+    spent = 0
+    for g in groups:
+        poincare = g.validate()
+        length = poincare.degree() + 1
+        words = -(-max(abs(c) for _, c in poincare.items()).bit_length() // 64)
+
+        def charge(divisor: LaurentPoly, row: str) -> None:
+            nonlocal spent
+            degree = divisor.degree()
+            step = math.gcd(*(e for e, _ in divisor.items())) or 1
+            spent += max(length - degree, 0) * (degree // step + 1) * words
+            if spent > MAX_DIVISION_COST:
+                raise DatasetError(
+                    f"{clip(g.name)} row {clip(row)}: the file's divisions "
+                    f"would cost {spent}; the limit is {MAX_DIVISION_COST}")
+
+        reports.append(_scan_rows(g.name, poincare, g.rows, (note,), charge))
+    return tuple(reports)
 
 
 def expected_failure_counts() -> dict[int, int]:

@@ -202,11 +202,11 @@ def sparse_rank(rows: list[dict[int, CycloNumber]], stop_at: int | None = None) 
         if stop_at is not None and rnk >= stop_at:
             return rnk
         p = min(row)
-        pv = row[p]
+        pv_inv = row[p].inverse()
         nxt = []
         for r in pending:
             if p in r:
-                f = r[p] / pv
+                f = r[p] * pv_inv
                 merged = dict(r)
                 for c, v in row.items():
                     w = merged.get(c, None)

@@ -26,7 +26,7 @@ from collections import Counter
 from cmscan.partitions import (
     MAX_MULTIPARTITIONS, Multipartition, MultipartitionOrbit, Partition,
     _hook_lengths, _multipartition_count, _weighted_size, check_partition,
-    index_weight, multipartition_size, partitions,
+    index_weight, partitions,
 )
 from cmscan.polycore import LaurentPoly, VerificationError
 from polyoracle import GradedProduct
@@ -89,7 +89,7 @@ def hook_quotient(mp: Multipartition) -> GradedProduct:
     the trailing-degree bookkeeping exact.  ``mp`` must be valid, as
     every orbit member is (unchecked).
     """
-    factors = Counter(range(1, multipartition_size(mp) + 1))
+    factors = Counter(range(1, sum(map(sum, mp)) + 1))
     factors.subtract(h for lam in mp for h in _hook_lengths(lam))
     return GradedProduct(shift=sum(_weighted_size(lam) for lam in mp),
                          factors=factors)
@@ -99,7 +99,7 @@ def orbit_weight_poly(orbit: MultipartitionOrbit) -> LaurentPoly:
     """R(t) = sum over orbit members of t^index_weight."""
     out = LaurentPoly.zero()
     for member in orbit.members:
-        out = out + LaurentPoly.t(index_weight(member))
+        out = out + LaurentPoly.monomial(1, index_weight(member))
     return out
 
 
@@ -135,5 +135,5 @@ def major_index_poly(lam: Partition) -> LaurentPoly:
     out = LaurentPoly.zero()
     for rows in standard_tableaux(lam):
         maj = sum(i + 1 for i in range(n - 1) if rows[i + 1] > rows[i])
-        out = out + LaurentPoly.t(maj)
+        out = out + LaurentPoly.monomial(1, maj)
     return out

@@ -111,7 +111,8 @@ class GradedProduct:
         if poly.is_zero():
             return LaurentPoly()
         lo = poly.trailing_degree()
-        c = [poly.coeff(e) for e in range(lo, poly.degree() + 1)]
+        terms = dict(poly.items())
+        c = [terms.get(e, 0) for e in range(lo, poly.degree() + 1)]
         span = len(c) - 1 + sum(a * e for a, e in self.factors.items() if e > 0)
         if span > MAX_SPAN:
             raise ValueError(f"polynomial would span {span} exponents; "
@@ -403,10 +404,11 @@ def series_quotient(num: LaurentPoly, den: LaurentPoly, n: int) -> LaurentPoly:
         raise ValueError("series numerator must not have negative exponents")
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
-    d0 = Fraction(den.coeff(0))
+    num_terms = dict(num.items())
+    d0 = Fraction(dict(den.items())[0])
     coeffs: list[Fraction] = []
     for k in range(n + 1):
-        acc = Fraction(num.coeff(k))
+        acc = Fraction(num_terms.get(k, 0))
         for j, c in den.items():
             if 1 <= j <= k:
                 acc -= c * coeffs[k - j]

@@ -62,7 +62,7 @@ def test_criterion_1_fake_degree_consistency_battery(capsys):
                 dim = fd.irr_dimension(g, label.orbit)
                 assert f.at_one() == dim
                 k = min(pt.index_weight(mp) for mp in label.orbit.members)
-                hooks = sum(pt.weighted_size(lam)
+                hooks = sum(pt._weighted_size(lam)
                             for lam in label.orbit.canonical)
                 assert f.trailing_degree() == k + g.m * hooks
                 graded = graded + f * dim

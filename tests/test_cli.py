@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -24,6 +25,34 @@ def run_cli(*argv, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "cmscan", *argv],
         capture_output=True, text=True, env=env)
+
+
+def crafted_division_dataset(n: int) -> str:
+    """A valid file whose one division is quadratic in its size: P =
+    [3]_t [n]_t, dim-1 monomial rows for P - 3f, and last the row
+    f = t^2 + t^3 + t^(n/2 + 2) of dim 3, for an even n >= 8."""
+    counts = [1, 2] + [3] * (n - 2) + [2, 1]  # the coefficients of P
+    for e in (2, 3, n // 2 + 2):
+        counts[e] -= 3
+    rows = [f"irrep r{e}_{k} dim 1 fake t^{e}\n"
+            for e, count in enumerate(counts) for k in range(count)]
+    return (f"group X order {3 * n} rank 2 degrees 3,{n}\n" + "".join(rows)
+            + f"irrep f dim 3 fake t^2 + t^3 + t^{n // 2 + 2}\n")
+
+
+def wide_division_dataset() -> str:
+    """A valid file for degrees 2 (70 times): P = (1 + t)^70, a row
+    P - (2^70 - 1) of dim 1, then rows of constant f = dim whose squares
+    add up to 2^70 - 1."""
+    rest = 2**70 - 1
+    terms = " + ".join(f"{math.comb(70, e)}*t^{e}" for e in range(70, 0, -1))
+    rows = [f"irrep p dim 1 fake {terms} - {rest - 1}\n"]
+    while rest:
+        dim = math.isqrt(rest)
+        rows.append(f"irrep c{len(rows) - 1} dim {dim} fake {dim}\n")
+        rest -= dim * dim
+    return (f"group X order {2**70} rank 70 degrees {','.join(['2'] * 70)}\n"
+            + "".join(rows))
 
 
 # Address space for children that would exhaust memory if a size bound
@@ -347,6 +376,57 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("cmscan: error: " + start)
         assert len(proc.stderr.encode()) < 200
+
+    def test_table1_division_work_is_bounded(self, tmp_path):
+        # The least even N whose crafted file passes scan.MAX_DIVISION_COST
+        # = 2^25: the monomials' divisor 1 costs N + 2 and f's
+        # (N/2 + 2)(N/2 + 1), 33,564,640 in all (33,553,054 at N - 2).
+        # Without the limit the file ran in 0.57 s on a 2-core x86-64
+        # host, 0.22 s of it f's division, which is now never started.
+        path = tmp_path / "crafted.fd"
+        path.write_text(crafted_division_dataset(11_582), encoding="utf-8")
+        proc = run_cli("table1", "--data", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == ("cmscan: error: X row f: the file's divisions "
+                               "would cost 33564640; the limit is 33554432\n")
+        assert len(proc.stderr.encode()) < 200
+
+    # crafted_division_dataset(16): P has 18 coefficients of one word.
+    # The monomial rows share the divisor 1, 18 steps of one term: 18,
+    # charged at the first row.  f = t^2 + t^3 + t^10 divides by
+    # 1 + t + t^8, 10 steps of 9 terms: 90, so the file costs 108.
+    # STEP: P = 1 + 2t + 2t^2 + 2t^3 + t^4, and f = t + t^3 divides by
+    # 1 + t^2, a polynomial in t^2: 3 steps of 2 terms, 6.  Then the
+    # divisor 1 costs 5.
+    STEP = ("group X order 8 rank 2 degrees 2,4\n"
+            "irrep f dim 2 fake t + t^3\nirrep a dim 1 fake 1\n"
+            "irrep b dim 1 fake t^2\nirrep c dim 1 fake t^2\n"
+            "irrep d dim 1 fake t^4\n")
+
+    # WIDE: P = (1 + t)^70, whose largest coefficient takes two words.
+    # p = P - (2^70 - 1) divides in 1 step of 71 terms: 142.  The rows of
+    # constant f, whose squared dims add up to 2^70 - 1, share the
+    # divisor 1, 71 steps of 1 term: 142.
+    WIDE = wide_division_dataset()
+
+    @pytest.mark.parametrize("text, limit, refused", [
+        (crafted_division_dataset(16), 108, None),
+        (crafted_division_dataset(16), 107, "f"),
+        (crafted_division_dataset(16), 17, "r0_0"),
+        (STEP, 11, None), (STEP, 10, "a"), (STEP, 5, "f"),
+        (WIDE, 284, None), (WIDE, 283, "c0"), (WIDE, 141, "p"),
+    ], ids=["n16-108", "n16-107", "n16-17", "step-11", "step-10", "step-5",
+            "wide-284", "wide-283", "wide-141"])
+    def test_division_cost_is_charged_per_new_divisor(self, monkeypatch, text,
+                                                      limit, refused):
+        monkeypatch.setattr(scan, "MAX_DIVISION_COST", limit)
+        groups = scan.parse_dataset(text)
+        if refused is None:
+            scan.scan_dataset(groups)
+        else:
+            with pytest.raises(scan.DatasetError, match=f"^X row {refused}: "
+                               "the file's divisions would cost "):
+                scan.scan_dataset(groups)
 
     def test_table1_fake_degrees_are_bounded_per_file(self, tmp_path):
         # Each row fits MAX_SPAN, but 200 dense rows of about 2**20

@@ -52,12 +52,6 @@ def test_inverse(m, coords):
     assert x * x.inverse() == CycloNumber.one(m)
 
 
-def test_division():
-    a = CycloNumber.zeta(8, 1) + 1
-    b = CycloNumber.zeta(8, 3) - 2
-    assert (a / b) * b == a
-
-
 def test_conjugation_is_inversion_on_roots():
     for m in (3, 4, 5, 12):
         for e in range(m):
@@ -184,13 +178,10 @@ def test_ring_operations_match_oracle(case):
     assert_agrees(-a, -oa)
     assert (a == b) == (oa == ob)
     if not ob.is_zero():
-        assert_agrees(a / b, oa / ob)
         assert_agrees(b.inverse(), ob.inverse())
     else:
         with pytest.raises(ZeroDivisionError):
             b.inverse()
-        with pytest.raises(ZeroDivisionError):
-            a / b
 
 
 @given(operands(count=1), SMALL, st.integers(-5, 5))
@@ -206,8 +197,6 @@ def test_mixed_rational_operations_match_oracle(case, r, k):
         assert_agrees(a * s, oa * s)
         assert_agrees(s * a, s * oa)
         assert (a == s) == (oa == s)
-        if s:
-            assert_agrees(a / s, oa / s)
 
 
 @given(operands(count=1))
@@ -280,14 +269,16 @@ def test_equal_values_have_one_representation():
         CycloNumber(6, [Fraction(2, 4), 0]),
         CycloNumber(6, [Fraction(1, 2), Fraction(0, 3)]),
         CycloNumber.from_rational(6, Fraction(3, 6)),
-        CycloNumber.one(6) / 2,
+        CycloNumber.one(6) * CycloNumber.from_rational(6, 2).inverse(),
         CycloNumber.one(6) * Fraction(1, 2),
         CycloNumber.from_rational(6, Fraction(1, 6)) * 3,
         CycloNumber.from_rational(6, Fraction(1, 4)) + Fraction(1, 4),
         CycloNumber(6, [Fraction(1, 3), Fraction(1, 3)])
         + CycloNumber(6, [Fraction(1, 6), Fraction(-1, 3)]),
-        CycloNumber.zeta(6, 2) * Fraction(-1, 2) + CycloNumber.zeta(6, 1) / 2,
-        (CycloNumber.zeta(6, 1) + 1) * (CycloNumber.zeta(6, 1) + 1).inverse() / 2,
+        (CycloNumber.zeta(6, 2) * Fraction(-1, 2)
+         + CycloNumber.zeta(6, 1) * Fraction(1, 2)),
+        (CycloNumber.zeta(6, 1) + 1)
+        * (2 * CycloNumber.zeta(6, 1) + 2).inverse(),
     ]
     for x in routes:
         assert_normal(x)
@@ -322,7 +313,7 @@ def test_every_result_is_in_lowest_terms(case):
     results = [a, b, a + b, a - b, b - a, -a, a * b, a.conj(), a.lift(2 * m),
                a.lift(3 * m), a + Fraction(1, 3), a * Fraction(-2, 3), 2 - a]
     if not b.is_zero():
-        results += [a / b, b.inverse()]
+        results += [a * b.inverse(), b.inverse()]
     for x in results:
         assert_normal(x)
     # Equal values built by different routes hash alike.

@@ -26,12 +26,12 @@ class TestParseRender:
 
     def test_negative_exponents(self):
         p = P("t^-2 + 3")
-        assert p.coeff(-2) == 1 and p.coeff(0) == 3
+        assert dict(p.items()) == {-2: 1, 0: 3}
         assert p.render() == "3 + t^-2"
 
     def test_signs(self):
         p = P("-t^2 + 4*t - 1")
-        assert p.coeff(2) == -1 and p.coeff(1) == 4 and p.coeff(0) == -1
+        assert dict(p.items()) == {0: -1, 1: 4, 2: -1}
         assert p.render() == "-t^2 + 4*t - 1"
 
     def test_zero(self):
@@ -93,7 +93,7 @@ class TestArithmetic:
         assert a - b == P("2")
         assert a * 0 == LaurentPoly.zero()
         assert (a + 2) == P("t + 3")
-        assert a ** 3 == P("t^3 + 3*t^2 + 3*t + 1")
+        assert a * a * a == P("t^3 + 3*t^2 + 3*t + 1")
 
     def test_shift_and_degrees(self):
         p = P("t^5 + t^2")
@@ -115,7 +115,7 @@ class TestDivision:
 
     def test_frozen_divisible(self):
         num = P("1 + t") * P("1 + t + t^2 + t^3")
-        assert num / P("1 + t^2") == P("1 + t") ** 2
+        assert num / P("1 + t^2") == P("1 + t") * P("1 + t")
 
     def test_truediv_raises_on_inexact(self):
         with pytest.raises(ValueError):
@@ -204,7 +204,8 @@ class TestGradedProduct:
         num = GradedProduct.of(6) * GradedProduct.of(4)
         den = GradedProduct.of(2) * GradedProduct.of(2)
         both = num * den.inv()
-        expanded = (P("1 - t^6") * P("1 - t^4")) / (P("1 - t^2") ** 2)
+        den = P("1 - t^2") * P("1 - t^2")
+        expanded = (P("1 - t^6") * P("1 - t^4")) / den
         assert both.reduce_with(LaurentPoly.one()) == expanded
 
     def test_inverse_of_nonunit_scalar_rejected(self):
@@ -217,7 +218,7 @@ class TestSeriesQuotient:
         assert series_quotient(P("1 - t^2"), P("1 - t"), 4) == P("1 + t")
 
     def test_geometric_square(self):
-        got = series_quotient(LaurentPoly.one(), P("1 - t") ** 2, 3)
+        got = series_quotient(LaurentPoly.one(), P("1 - t") * P("1 - t"), 3)
         assert got == P("1 + 2*t + 3*t^2 + 4*t^3")
 
     def test_rejects_nonintegral(self):

@@ -182,7 +182,7 @@ class TestDivisionMemo:
         monkeypatch.setattr(polycore, "_packed_divmod", spy)
         scan.scan_group(g)
         assert len(results) == sum(
-            abs(d.coeff(d.degree())) == 1 and d.degree() <= degree
+            abs(dict(d.items())[d.degree()]) == 1 and d.degree() <= degree
             for d in divisors) > 400
         assert None not in results
 
@@ -262,7 +262,7 @@ def _hook_product(mp, m):
     out = DictPoly.one()
     for lam in mp:
         if lam:
-            for h in pt.hook_lengths(lam):
+            for h in pt._hook_lengths(lam):
                 out = out * DictPoly({e: 1 for e in range(m * h)})
     return out
 
@@ -437,6 +437,45 @@ class TestWitness:
         assert report.fake == P("t^3 + t^6")
 
 
+class TestDichotomySweep:
+    """The paper's dichotomy on every small imprimitive group: no label
+    fails exactly for G(m,1,n), for the cyclic G(m,p,1) = G(m/p,1,1), and
+    for the p > 1 groups below, which are not in the singular class."""
+
+    # Typed by hand from the theorem, not read from the code under test.
+    NOT_SINGULAR = {
+        (2, 2, 2): "reducible: the Klein four-group on C^2",
+        (2, 2, 3): "isomorphic to G(1,1,4), the symmetric group S_4",
+        (3, 3, 2): "isomorphic to G(1,1,3), the symmetric group S_3",
+        (4, 4, 2): "isomorphic to G(2,1,2), type B_2",
+    }
+    # README's wraparound cases: singular groups whose designated
+    # witness label divides P.
+    WITNESS_DIVIDES = {(3, 3, 3), (4, 2, 3), (4, 4, 3)}
+
+    GROUPS = [g for g in (GroupSpec(m, p, n) for m in range(1, 13)
+                          for p in range(1, m + 1) if m % p == 0
+                          for n in range(1, 7))
+              if g.order <= 10**6]
+
+    def test_scan_verdicts_follow_the_dichotomy(self):
+        assert len(self.GROUPS) == 164
+        failing = {(g.m, g.p, g.n): scan.scan_group(g).failures > 0
+                   for g in self.GROUPS}
+        for key, fails in failing.items():
+            _, p, n = key
+            smooth = p == 1 or n == 1 or key in self.NOT_SINGULAR
+            assert fails != smooth, (key, self.NOT_SINGULAR.get(key))
+
+    def test_witness_pins_the_other_singular_groups(self):
+        singular = [g for g in self.GROUPS if g.p > 1 and g.n > 1
+                    and (g.m, g.p, g.n) not in self.NOT_SINGULAR]
+        assert len(singular) == 80
+        missed = {(g.m, g.p, g.n) for g in singular
+                  if not scan.witness_check(g).matches_prediction}
+        assert missed == self.WITNESS_DIVIDES
+
+
 SAMPLE = """\
 group C2 order 2 rank 1 degrees 2
 irrep triv dim 1 fake 1
@@ -555,6 +594,17 @@ class TestDatasetFormat:
 
 
 class TestDatasetScan:
+    def test_configured_groups_stay_far_below_the_division_limit(
+            self, monkeypatch):
+        # Scanned as one file, the 117 groups up to order 10^5 cost
+        # 358,082, under a tenth of scan.MAX_DIVISION_COST.
+        groups = tuple(scan.synthetic_dataset(g)
+                       for g in configured_groups(max_order=10**5))
+        monkeypatch.setattr(scan, "MAX_DIVISION_COST",
+                            scan.MAX_DIVISION_COST // 10)
+        reports = scan.scan_dataset(groups)
+        assert len(reports) == len(groups) == 117
+
     def test_sample_scan(self):
         (report,) = scan.scan_dataset(scan.parse_dataset(SAMPLE))
         assert report.failures == 0 and report.labels == 2
