@@ -6,7 +6,9 @@ report (scan failures are findings, not errors); 1 means a verification
 mismatch (a VerificationError: an exact identity that should hold did
 not, or a comparison the command reports differed); 2 means bad usage
 or bad input data; 3 means an internal error (an unexpected exception,
-a bug in cmscan).
+a bug in cmscan); 141 (128 + SIGPIPE) means stdout was closed before
+the report was written, as by ``cmscan scan ... | head -1``, and
+prints nothing.
 Output is deterministic; --json replaces the text report with a JSON
 document carrying the same content.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from collections.abc import Callable, Iterable
 
@@ -221,7 +224,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from .polycore import VerificationError
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, as the signal
+        # module's docs advise for SIGPIPE, so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     # DatasetError and ReducibleRepresentationError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"cmscan: error: {exc}", file=sys.stderr)

@@ -377,30 +377,49 @@ class LaurentPoly:
 
     # One term: its sign (optional only at the start of the text), then
     # c*t^e, t^e or c, where ``c*`` may be ``c`` and ``^e`` may be left
-    # out.  The groups are (sign, coefficient, t, exponent, constant).  A
-    # term starts with its sign, and no two optional parts share a
-    # whitespace run, so ``sub`` and ``findall`` take time linear in the
-    # text.  Neither keeps state per term, as one match of the whole text
-    # with a repeated group would.
-    _TERM = re.compile(
-        r"([+-]|^)\s*(?:(?:(\d+)\s*(?:\*\s*)?)?(t)(?:\^(-?\d+))?|(\d+))")
+    # out.  The last alternative takes a stray character, one that starts
+    # no term and is not whitespace, with the rest of the text.  The
+    # groups are (sign, coefficient, t, exponent, constant, stray).  The
+    # text is terms and whitespace exactly when no match fills ``stray``;
+    # only the last match can, as it ends the text.  A term starts with
+    # its sign, and no two optional parts share a whitespace run, so
+    # ``findall`` takes time linear in the text.  It keeps no state per
+    # term, as one match of the whole text with a repeated group would,
+    # and a bad text adds one match of one character.
+    _TERM = re.compile(r"([+-]|^)\s*(?:(?:(\d+)\s*(?:\*\s*)?)?(t)(?:\^(-?\d+))?"
+                       r"|(\d+))|(\S)[\s\S]*")
 
     @classmethod
     def parse(cls, text: str) -> LaurentPoly:
         """Parse sparse ``c*t^e`` terms in either exponent order.
 
         Accepts ``"t^8 + 2*t^5"`` and ``"2*t^5 + 1*t^8"`` alike: the
-        text must be terms and the whitespace between them.
+        text must be terms and the whitespace between them.  Equal
+        exponents add up.
         """
         s = text.strip()
-        if not s or cls._TERM.sub("", s).strip():
+        terms = cls._TERM.findall(s)
+        if not terms or terms[-1][5]:
             raise ValueError(f"bad polynomial text {clip(s)!r}")
-        out: dict[int, int] = {}
-        for sign, coeff, t, exp, const in cls._TERM.findall(s):
-            c = int(const or coeff or 1)
-            e = int(exp) if exp else 1 if t else 0
-            out[e] = out.get(e, 0) + (-c if sign == "-" else c)
-        return cls(out)
+        exps: list[int] = []
+        coeffs: list[int] = []
+        # In text order, so int()'s digit-limit error names the first
+        # over-long number.
+        for sign, coeff, t, exp, const, _ in terms:
+            coeffs.append(int(sign + (const or coeff or "1")))
+            exps.append(int(exp) if exp else 1 if t else 0)
+        if 0 in coeffs or len(set(exps)) < len(exps):
+            # Zero and cancelling terms must not widen the span.
+            out: dict[int, int] = {}
+            for e, c in zip(exps, coeffs):
+                out[e] = out.get(e, 0) + c
+            return cls(out)
+        lo, hi = min(exps), max(exps)
+        _check_span(hi - lo)
+        dense = [0] * (hi - lo + 1)
+        for e, c in zip(exps, coeffs):
+            dense[e - lo] = c
+        return cls._dense(lo, dense)
 
     def render(self) -> str:
         """Canonical text: descending exponents, unit coefficients elided."""

@@ -409,13 +409,15 @@ def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
 
     ``group <name> order <int> rank <n> degrees <d1,...,dn>`` opens a
     group; each following ``irrep <id> dim <int> fake <poly>`` adds a row.
-    Blank lines and ``#`` comments are ignored.  The fake degrees of a
-    file hold at most polycore.MAX_SPAN coefficients in all, counted
-    densely (degree - trailing degree + 1 each), so no file can make
-    the rows exhaust memory.  Every error is a DatasetError that names
-    its line.
+    Blank lines and ``#`` comments are ignored.  Each distinct fake-degree
+    text is parsed once, so rows with equal text share one LaurentPoly.
+    The fake degrees of a file hold at most polycore.MAX_SPAN
+    coefficients in all, counted densely (degree - trailing degree + 1
+    each) for every row, repeated or not, so no file can make the rows
+    exhaust memory.  Every error is a DatasetError that names its line.
     """
     blocks: list[tuple[tuple, list[DatasetRow]]] = []  # (header, rows)
+    fakes: dict[str, LaurentPoly] = {}
     coefficients = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -434,7 +436,9 @@ def parse_dataset(text: str) -> tuple[ExceptionalGroupData, ...]:
             if not blocks:
                 raise DatasetError("irrep row before any group header")
             ident, dim, poly = mi.groups()
-            fake = LaurentPoly.parse(poly)
+            fake = fakes.get(poly)
+            if fake is None:
+                fake = fakes[poly] = LaurentPoly.parse(poly)
             if fake:
                 coefficients += fake.degree() - fake.trailing_degree() + 1
             if coefficients > MAX_SPAN:
@@ -469,8 +473,11 @@ def render_dataset(groups: tuple[ExceptionalGroupData, ...]) -> str:
 # the quotient steps times the divisor's terms times the words of P's
 # largest coefficient.  At 2^25 the packed division takes about 0.22 s
 # on a 2-core x86-64 host (CPython 3.11), 6.7 ns a unit.  The long-
-# division loop, which runs once a coefficient reaches 2^62, took
-# 25-50 ns a unit on three-term divisors.
+# division loop, which runs once a coefficient reaches 2^62, is outside
+# this model: it took 25-50 ns a unit on three-term divisors but
+# 120-300 ns on one- and two-term ones, and a divisor whose remainder's
+# coefficients grow (t^2 - 3t + 3) makes it quadratic in len P however
+# small the count.
 MAX_DIVISION_COST = 1 << 25
 
 

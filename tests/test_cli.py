@@ -130,6 +130,22 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "singular for all parameters" in proc.stdout
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)],
+                             ids=["text", "json"])
+    def test_closed_stdout_is_exit_141_and_quiet(self, json_flag):
+        # The report is megabytes long, so the first line is read and
+        # the pipe closed while the command is still writing.
+        with subprocess.Popen(
+                [sys.executable, "-m", "cmscan", "scan", "G(10,5,6)",
+                 *json_flag],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_witness_match(self):
         proc = run_cli("witness", "G(5,5,2)")
         assert proc.returncode == 0

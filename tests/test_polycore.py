@@ -1,4 +1,6 @@
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,24 @@ class TestParseRender:
         assert P("0").is_zero()
         assert LaurentPoly.zero().render() == "0"
 
+    @pytest.mark.parametrize("text", ["1 + t^2000000 - t^2000000",
+                                      "0*t^5000000 + 1", "1 - 0*t^-9000000"])
+    def test_zero_and_cancelling_terms_do_not_widen_the_span(self, text):
+        assert P(text) == LaurentPoly.one()
+
+    def test_digit_limit_names_the_first_long_number(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts ints of any length")
+        text = f"t^{'9' * (limit + 2)} + {'9' * (limit + 1)}"
+        with pytest.raises(ValueError, match=f"value has {limit + 2} digits"):
+            P(text)
+
+    def test_repeated_exponents_add_up(self):
+        assert P("t + 2*t + 3 - 1 + t^2 - t^2") == P("3*t + 2")
+        assert P("t^4 - 2*t + t^4") == P("2*t^4 - 2*t")
+        assert P("5*t^3 - 5*t^3").is_zero()
+
     @pytest.mark.parametrize("bad", ["", "t +", "t^^2", "t^2 t", "x + 1",
                                      "1 2", "+ + t", "*t", "t^", "2*",
                                      "t ^2", "--t", "t2", "1+", "+", "-",
@@ -54,8 +74,9 @@ class TestParseRender:
         "t" + " " * 10**6 + "+ 1",
         "1" * 10**6 + "x",
         "t + " * 200_000 + "x",
+        "x" * 10**6,
     ], ids=["coefficient-spaces", "sign-spaces", "term-spaces", "digits",
-            "many-terms"])
+            "many-terms", "garbage"])
     def test_parse_time_is_linear(self, text):
         start = time.perf_counter()
         try:
@@ -64,7 +85,24 @@ class TestParseRender:
             assert len(str(exc)) < 80  # the text is quoted short
         assert time.perf_counter() - start < 5
 
-    @given(st.lists(st.sampled_from(list("t^*+- 0123456789\t")
+    # A bad text costs one match of one character, not a copy of the
+    # text or a match per character; a text that fails late costs its
+    # terms, as a good one does.
+    @pytest.mark.parametrize("text, bytes_per_char", [
+        ("x" * 10**6, 1),
+        ("t + " * 200_000 + "x", 64),
+    ], ids=["garbage", "many-terms"])
+    def test_parse_memory_is_linear(self, text, bytes_per_char):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^bad polynomial text"):
+                P(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_per_char * len(text)
+
+    @given(st.lists(st.sampled_from(list("t^*+- 0123456789\tx")
                                     + ["t^", " + ", " - "]), max_size=16))
     @settings(max_examples=1000, deadline=None)
     def test_parse_matches_scanner_oracle(self, pieces):

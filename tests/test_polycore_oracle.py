@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from battery import configured_groups
 from cmscan import polycore
-from cmscan.fakedeg import coinvariant_poincare, label_rows
+from cmscan.fakedeg import GroupSpec, coinvariant_poincare, label_rows
 from cmscan.polycore import MAX_SPAN, LaurentPoly, poincare_polynomial, weighted_sum
-from cmscan.scan import DatasetError, parse_dataset
+from cmscan.scan import (
+    DatasetError, parse_dataset, render_dataset, synthetic_dataset,
+)
 from polyoracle import DictPoly, GradedProduct, NotPolynomialError
 import polyoracle
 
@@ -271,6 +273,18 @@ class TestCanonicalForm:
                      (a.shift(k).shift(-k), a), (b - b, LaurentPoly.zero())):
             assert p == q
             assert hash(p) == hash(q)
+
+
+class TestParse:
+    @pytest.mark.parametrize("spec", ["G(2,2,12)", "G(10,5,5)", "G(6,1,5)"])
+    def test_dataset_rows_match_the_scanner_oracle(self, spec):
+        # Rows of real fake degrees, up to 45 terms for G(2,2,12), which
+        # the 16 pieces of test_parse_matches_scanner_oracle never reach.
+        text = render_dataset((synthetic_dataset(GroupSpec.parse(spec)),))
+        rows = [line.split(" fake ", 1)[1] for line in text.splitlines()
+                if line.startswith("irrep ")]
+        for row in rows:
+            assert LaurentPoly.parse(row) == polyoracle.parse(row), row
 
 
 class TestSpanLimit:

@@ -544,6 +544,29 @@ class TestDatasetFormat:
                            match="^line 4: .* the limit for a file is"):
             scan.parse_dataset(head + rows + "irrep s dim 1 fake 1\n")
 
+    def test_repeated_rows_are_each_charged(self):
+        # Four equal rows of MAX_SPAN / 4 coefficients fill the budget;
+        # a fifth, whose text was parsed before, is refused at its line.
+        head = "group X order 9 rank 1 degrees 2\n"
+        row = f"irrep r dim 2 fake t^{MAX_SPAN // 4 - 1} + 1\n"
+        (g,) = scan.parse_dataset(head + row * 4)
+        assert len(g.rows) == 4
+        with pytest.raises(scan.DatasetError, match=(
+                f"^line 6: the fake degrees so far hold {MAX_SPAN * 5 // 4} "
+                f"coefficients; the limit for a file is {MAX_SPAN}$")):
+            scan.parse_dataset(head + row * 5)
+
+    def test_equal_fake_texts_share_one_poly(self):
+        text = ("group X order 4 rank 1 degrees 2\n"
+                "irrep a dim 2 fake t + 1\n"
+                "group Y order 4 rank 1 degrees 2\n"
+                "irrep b dim 2 fake t + 1\n"
+                "irrep c dim 2 fake 1 + t\n")
+        x, y = scan.parse_dataset(text)
+        a, b, c = x.rows[0].fake, *(row.fake for row in y.rows)
+        assert a is b
+        assert a == c
+
     @pytest.mark.parametrize("field, lineno", [("order", 1), ("rank", 1),
                                                ("dim", 2)])
     def test_oversized_integer_names_its_line(self, field, lineno):
@@ -616,6 +639,16 @@ class TestDatasetScan:
         assert scan.parse_dataset(scan.render_dataset((synth,))) == (synth,)
         (report,) = scan.scan_dataset((synth,))
         assert report.failures == scan.scan_group(g).failures == 0
+
+    @pytest.mark.parametrize("spec", ["G(2,2,12)", "G(10,5,5)", "G(6,1,5)"])
+    def test_round_trip_shares_equal_fake_degrees(self, spec):
+        synth = scan.synthetic_dataset(GroupSpec.parse(spec))
+        (g,) = scan.parse_dataset(scan.render_dataset((synth,)))
+        assert g == synth
+        first: dict[LaurentPoly, LaurentPoly] = {}
+        for row in g.rows:
+            assert first.setdefault(row.fake, row.fake) is row.fake
+        assert len(first) < len(g.rows)
 
     def test_synthetic_detects_failures(self):
         (report,) = scan.scan_dataset((scan.synthetic_dataset(
