@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cyclo": ("CycloNumber",),
-    "fakedeg": ("GroupSpec", "IrrLabel", "coinvariant_poincare",
-                "fake_degree", "irr_dimension", "irr_labels"),
+    "fakedeg": ("IrrLabel", "coinvariant_poincare", "fake_degree",
+                "irr_dimension", "irr_labels"),
     "groups": ("MonomialElement", "ReflectionClass", "molien_series",
                "omega_class_sum", "reflection_classes"),
     "partitions": ("Multipartition", "MultipartitionOrbit", "Partition",
@@ -31,6 +31,7 @@ _EXPORTS = {
     "scan": ("DivisibilityVerdict", "ExceptionalGroupData", "ScanReport",
              "divisibility_test", "expected_failure_counts", "parse_dataset",
              "render_dataset", "scan_dataset", "scan_group", "witness_check"),
+    "spec": ("GroupSpec",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

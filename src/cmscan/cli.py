@@ -34,23 +34,37 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+# Characters a write to stdout gathers: few enough that a batch adds
+# little to a command's peak memory, many enough that an unbuffered
+# stdout (python -u) makes a system call a batch, not one a line.
+BATCH_CHARS = 1 << 16
+
+
 def _emit(args, doc: Callable[[], dict],
           lines: Callable[[], Iterable[str]]) -> None:
-    """Stream the JSON document, in batches of 1,024 encoder chunks, or
-    the text report, a line at a time, building only that one."""
+    """Stream the JSON document or the text report, building only that
+    one, in writes of at least BATCH_CHARS characters but the last."""
     if args.json:
         import json
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc())
-        while batch := "".join(itertools.islice(chunks, 1024)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        chunks = itertools.chain(encoder.iterencode(doc()), ("\n",))
     else:
-        sys.stdout.writelines(line + "\n" for line in lines())
+        chunks = (line + "\n" for line in lines())
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= BATCH_CHARS:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        sys.stdout.write("".join(batch))
 
 
 def cmd_fake_degrees(args) -> int:
-    from .fakedeg import GroupSpec, label_rows
+    from .fakedeg import label_rows
     from .partitions import render_multipartition
+    from .spec import GroupSpec
     g = GroupSpec.parse(args.group)
     rows = label_rows(g)
 
@@ -74,16 +88,16 @@ def cmd_fake_degrees(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .fakedeg import GroupSpec
     from .scan import scan_group
+    from .spec import GroupSpec
     report = scan_group(GroupSpec.parse(args.group))
     _emit(args, report.to_dict, report.render)
     return 0
 
 
 def cmd_witness(args) -> int:
-    from .fakedeg import GroupSpec
     from .scan import witness_check
+    from .spec import GroupSpec
     report = witness_check(GroupSpec.parse(args.group))
     _emit(args, report.to_dict, report.render)
     return 0 if report.matches_prediction else 1
@@ -91,8 +105,8 @@ def cmd_witness(args) -> int:
 
 def cmd_verify_omega(args) -> int:
     from .cyclo import CycloNumber
-    from .fakedeg import GroupSpec
     from .groups import omega_class_sum, reflection_classes
+    from .spec import GroupSpec
     g = GroupSpec.parse(args.group)
     classes, m = reflection_classes(g), g.m
     labels = {CycloNumber.zeta(m, e): "1" if e == 0 else "-1" if 2 * e == m
@@ -114,8 +128,8 @@ def cmd_verify_omega(args) -> int:
 
 
 def cmd_molien(args) -> int:
-    from .fakedeg import GroupSpec
     from .groups import degrees_series, molien_series
+    from .spec import GroupSpec
     g = GroupSpec.parse(args.group)
     n = args.truncate
     computed = molien_series(g, n)

@@ -19,67 +19,20 @@ violation.
 from __future__ import annotations
 
 import math
-import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import partitions as pt
 from .polycore import (
     LaurentPoly, VerificationError, div_one_minus, mul_one_minus,
     poincare_polynomial,
 )
-
-_GROUP_RE = re.compile(r"^G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """The group G(m,p,n) of n x n monomial matrices with m-th root of
-    unity entries whose exponent sum is divisible by p; requires p | m."""
-
-    m: int
-    p: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.p < 1 or self.n < 1:
-            raise ValueError("G(m,p,n) needs positive m, p, n")
-        if self.m % self.p != 0:
-            raise ValueError(f"p must divide m in G({self.m},{self.p},{self.n})")
-
-    @property
-    def d(self) -> int:
-        return self.m // self.p
-
-    @property
-    def order(self) -> int:
-        return self.m**self.n * math.factorial(self.n) // self.p
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        """Invariant degrees: m, 2m, ..., (n-1)m, dn."""
-        return tuple(self.m * i for i in range(1, self.n)) + (self.d * self.n,)
-
-    def render(self) -> str:
-        return f"G({self.m},{self.p},{self.n})"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    @classmethod
-    def parse(cls, text: str) -> GroupSpec:
-        m = _GROUP_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"bad group {text!r}; expected G(m,p,n)")
-        return cls(*(int(g) for g in m.groups()))
+from .spec import GroupSpec, natural_is_reducible  # re-exported
 
 
-@dataclass(frozen=True)
-class IrrLabel:
+class IrrLabel(namedtuple("IrrLabel", "orbit eps")):
     """One irreducible label: a shift orbit plus an epsilon index."""
 
-    orbit: pt.MultipartitionOrbit
-    eps: int
+    __slots__ = ()
 
     def render(self) -> str:
         base = pt.render_multipartition(self.orbit.canonical)
@@ -197,16 +150,6 @@ def coinvariant_poincare(g: GroupSpec) -> LaurentPoly:
     """Poincare polynomial of the coinvariant ring:
     prod (1 - t^degree) / (1 - t)^n."""
     return poincare_polynomial(g.degrees)
-
-
-def natural_is_reducible(g: GroupSpec) -> bool:
-    """Whether the natural action of G(m,p,n) on C^n is reducible.
-
-    That happens exactly for G(1,1,n) with n >= 2, the symmetric group
-    fixing the all-ones line, and for G(2,2,2) = {+-1, +-swap}, which is
-    abelian and fixes the lines of (1, 1) and (1, -1).
-    """
-    return (g.m == 1 and g.n >= 2) or (g.m, g.p, g.n) == (2, 2, 2)
 
 
 def reducibility_note(g: GroupSpec) -> str | None:

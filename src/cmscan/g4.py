@@ -12,7 +12,7 @@ and Q(omega) must mix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -33,20 +33,17 @@ def _require(ok: bool, detail: str) -> None:
         raise VerificationError(detail)
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(namedtuple("Quaternion", "a b c d")):
     """The Hurwitz quaternion (a + b i + c j + d k)/2: a, b, c, d are
     ints of one parity, twice the real coordinates."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.a % 2 == self.b % 2 == self.c % 2 == self.d % 2:
-            raise ValueError(f"{(self.a, self.b, self.c, self.d)} mixes "
+    def __new__(cls, a: int, b: int, c: int, d: int) -> Quaternion:
+        if not a % 2 == b % 2 == c % 2 == d % 2:
+            raise ValueError(f"{(a, b, c, d)} mixes "
                              "parities: not a Hurwitz quaternion")
+        return super().__new__(cls, a, b, c, d)
 
     def __mul__(self, other: Quaternion) -> Quaternion:
         # Stored x = 2p and y = 2q multiply to x*y = 2 * (2pq), and 2pq has
@@ -146,12 +143,11 @@ CHARACTER_TABLE: dict[str, ClassFunction] = {
 }
 
 
-@dataclass(frozen=True)
-class G4:
-    """The group with its conjugacy classes labeled Cl1..Cl7."""
+class G4(namedtuple("G4", "elements classes")):
+    """The group with its conjugacy classes labeled Cl1..Cl7: a tuple of
+    Quaternions and a tuple of classes, each a tuple of Quaternions."""
 
-    elements: tuple[Quaternion, ...]
-    classes: tuple[tuple[Quaternion, ...], ...]
+    __slots__ = ()
 
     def class_index(self, q: Quaternion) -> int:
         for idx, cls in enumerate(self.classes):
@@ -256,6 +252,12 @@ def class_function(values) -> ClassFunction:
     return tuple(out)
 
 
+# conj(psi) * |C| / 24 for each row psi: <chi, psi> = sum chi * this.
+_DUAL_ROWS = {name: tuple(y.conj() * Fraction(size, 24)
+                          for size, y in zip(CLASS_SIZES, row))
+              for name, row in CHARACTER_TABLE.items()}
+
+
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> CycloNumber:
     acc = CycloNumber.zero(3)
     for size, x, y in zip(CLASS_SIZES, chi, psi):
@@ -264,10 +266,16 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> CycloNumber:
 
 
 def decompose(chi: ClassFunction) -> dict[str, int]:
-    """Multiplicities against the table rows; rejects non-virtual input."""
+    """Multiplicities against the table rows, <chi, psi> as chi times
+    psi's dual row over the classes where chi is nonzero; rejects
+    non-virtual input."""
+    support = [(i, x) for i, x in enumerate(chi) if not x.is_zero()]
     out = {}
     for name in ROW_NAMES:
-        mult = inner_product(chi, CHARACTER_TABLE[name])
+        dual = _DUAL_ROWS[name]
+        mult = CycloNumber.zero(3)
+        for i, x in support:
+            mult = mult + x * dual[i]
         if not mult.is_rational():
             raise ValueError(f"not a virtual character: <chi, {name}> "
                              "is irrational")
@@ -346,13 +354,10 @@ def solve_ef_multiplicities(n: int, m: int) -> tuple[int, int] | None:
     return a, b
 
 
-@dataclass(frozen=True)
-class ModuleShape:
+class ModuleShape(namedtuple("ModuleShape", "a b eliminated")):
     """One candidate aE + bF with the End-summand facts that decide it."""
 
-    a: int
-    b: int
-    eliminated: bool
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
-from . import linalg
 from .cyclo import CycloNumber
-from .fakedeg import GroupSpec, natural_is_reducible
-from .partitions import partitions
 from .polycore import MAX_SPAN, LaurentPoly, VerificationError, div_one_minus
+from .spec import GroupSpec, natural_is_reducible
 
 
 # Largest cost of the reflection classes: members times n^3 (each member's
@@ -34,27 +31,26 @@ class ReducibleRepresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialElement:
+class MonomialElement(namedtuple("MonomialElement", "m perm exps")):
     """One monomial matrix: entry zeta^exps[i] at (perm[i], i)."""
 
-    m: int
-    perm: tuple[int, ...]
-    exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __new__(cls, m: int, perm: tuple[int, ...],
+                exps: tuple[int, ...]) -> MonomialElement:
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("perm must be a permutation of 0..n-1")
-        if len(self.exps) != len(self.perm):
+        if len(exps) != len(perm):
             raise ValueError("need one exponent per coordinate")
-        if any(not 0 <= e < self.m for e in self.exps):
+        if any(not 0 <= e < m for e in exps):
             raise ValueError("exponents must be reduced mod m")
+        return super().__new__(cls, m, perm, exps)
 
     @property
     def n(self) -> int:
         return len(self.perm)
 
-    def matrix(self) -> linalg.Matrix:
+    def matrix(self) -> tuple[tuple[CycloNumber, ...], ...]:
         zero = CycloNumber.zero(self.m)
         rows = [[zero] * self.n for _ in range(self.n)]
         for j in range(self.n):
@@ -65,12 +61,10 @@ class MonomialElement:
         return (self.perm, self.exps)
 
 
-@dataclass(frozen=True)
-class ReflectionClass:
+class ReflectionClass(namedtuple("ReflectionClass", "elements zeta")):
     """A conjugacy class of reflections with its nontrivial eigenvalue."""
 
-    elements: tuple[MonomialElement, ...]
-    zeta: CycloNumber
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -112,7 +106,7 @@ def reflection_classes(g: GroupSpec) -> tuple[ReflectionClass, ...]:
 
 
 def is_irreducible_natural(g: GroupSpec) -> bool:
-    """Whether G(m,p,n) acts irreducibly on C^n (fakedeg.natural_is_reducible)."""
+    """Whether G(m,p,n) acts irreducibly on C^n (spec.natural_is_reducible)."""
     return not natural_is_reducible(g)
 
 
@@ -125,6 +119,7 @@ def omega_class_sum(g: GroupSpec, refl_class: ReflectionClass) -> Fraction:
     if not is_irreducible_natural(g):
         raise ReducibleRepresentationError(
             f"natural representation of {g} is reducible")
+    from . import linalg  # only verify-omega runs the class sums
     return linalg.class_form_scalar((s.matrix() for s in refl_class.elements),
                                     refl_class.size, refl_class.zeta, str(g))
 
@@ -141,6 +136,7 @@ def _signature_counts(g: GroupSpec) -> dict[tuple[tuple[int, int], ...], int]:
     So each tuple of cycle sums (E_1, ..., E_k) with sum E = 0 mod p
     counts n!/z_lam * m^(n-k) elements; the last E steps by p.
     """
+    from .partitions import partitions  # only molien counts signatures
     m, p, n = g.m, g.p, g.n
     counts: dict[tuple[tuple[int, int], ...], int] = {}
     for lam in partitions(n):
@@ -155,6 +151,13 @@ def _signature_counts(g: GroupSpec) -> dict[tuple[tuple[int, int], ...], int]:
     return counts
 
 
+def _slot_width(g: GroupSpec, truncate: int) -> int:
+    """Bits of one zeta-power slot of a packed Molien coefficient: the
+    bit length of |W| * C(truncate + n, n), the largest count a slot
+    holds, plus one, so no slot carries into the next."""
+    return (g.order * math.comb(truncate + g.n, g.n)).bit_length() + 1
+
+
 def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     """(1/|W|) sum_w 1/det(1 - t w) to order ``truncate``, exactly.
 
@@ -164,12 +167,18 @@ def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     is known in closed form (``_signature_counts``); no element is
     enumerated.  Each signature contributes
     count * prod_cycles sum_j zeta^(E j) t^(L j).  Those products are
-    summed in the group ring Z[C_m]: each t-coefficient is a list of m
-    ints indexed by the exponent of zeta.  Each coefficient is reduced
-    into Q(zeta_m) once (``CycloNumber.from_powers``) and divided by
-    |W|; it must be rational and integral (else VerificationError).  The
-    series are expanded term by term, never summed in closed form: that
-    sum collapses to the degrees product this series is checked against.
+    summed in the group ring Z[C_m]: each t-coefficient is one int of m
+    slots of w bits, slot e holding the count at zeta^e, so multiplying
+    by zeta^E rotates the slots and adding a signature is one int
+    addition.  An element's t^k coefficient counts at most the monomials
+    of degree k in n variables, so every slot stays at most
+    |W| * C(truncate + n, n), and w is one bit wider than that bound:
+    no slot carries into the next.  Each coefficient's slots are read
+    back and reduced into Q(zeta_m) once (``CycloNumber.from_powers``)
+    and divided by |W|; it must be rational and integral (else
+    VerificationError).  The series are expanded term by term, never
+    summed in closed form: that sum collapses to the degrees product
+    this series is checked against.
     Refused with ValueError before any work: a table of (truncate + 1) * m
     ints above polycore.MAX_SPAN, that width times (m/p)(m+1)^(n-1), which
     bounds the signature terms, above MAX_MOLIEN_TERMS, and a field over
@@ -192,23 +201,25 @@ def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     CycloNumber.zero(m)  # builds the field, or refuses it, before the count
     signatures = _signature_counts(g)
 
-    table = [[0] * m for _ in range(n_terms)]
+    order, w = g.order, _slot_width(g, truncate)
+    full = (1 << m * w) - 1
+    table = [0] * n_terms
     for sig, count in sorted(signatures.items()):
-        series = [[0] * m for _ in range(n_terms)]
-        series[0][0] = 1
+        series = [1] + [0] * truncate
         for length, exp in sig:
             # times 1/(1 - zeta^exp t^length): s[k] += zeta^exp * s[k - length],
             # k ascending, so s[k - length] already carries the new factor.
+            up, down = exp * w, (m - exp) * w
             for k in range(length, n_terms):
                 prev = series[k - length]
-                rotated = prev[m - exp:] + prev[:m - exp]
-                series[k] = [a + b for a, b in zip(series[k], rotated)]
-        for k, row in enumerate(series):
-            table[k] = [a + count * b for a, b in zip(table[k], row)]
+                series[k] += ((prev << up) & full) | (prev >> down)
+        for k, v in enumerate(series):
+            table[k] += count * v
 
-    order = g.order
+    mask = (1 << w) - 1
     out: dict[int, int] = {}
-    for k, row in enumerate(table):
+    for k, v in enumerate(table):
+        row = [v >> (e * w) & mask for e in range(m)]
         total = CycloNumber.from_powers(m, row)
         if not total.is_rational():
             raise VerificationError(f"Molien coefficient at t^{k} is not rational")

@@ -11,8 +11,8 @@ the test oracle in tests/linalg_oracle.py.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .cyclo import CycloNumber
 from .polycore import VerificationError

@@ -18,7 +18,7 @@ them through unchecked private helpers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polycore import VerificationError
 
@@ -200,8 +200,8 @@ def shift(mp: Multipartition, d: int) -> Multipartition:
     return tuple(mp[(i - d) % m] for i in range(m))
 
 
-@dataclass(frozen=True)
-class MultipartitionOrbit:
+class MultipartitionOrbit(namedtuple("MultipartitionOrbit",
+                                     "members canonical stab_order")):
     """Orbit of a multipartition under iterated shift by d.
 
     ``members`` lists the distinct multipartitions in deterministic
@@ -209,25 +209,23 @@ class MultipartitionOrbit:
     order, and ``stab_order * len(members) == p`` always holds.
     """
 
-    members: tuple[Multipartition, ...]
-    canonical: Multipartition
-    stab_order: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, members: tuple[Multipartition, ...],
+                canonical: Multipartition,
+                stab_order: int) -> MultipartitionOrbit:
         # fake_degree and irr_dimension read canonical through unchecked
         # helpers, so an orbit built by hand is checked here.
-        check_multipartition(self.canonical)
+        check_multipartition(canonical)
+        return super().__new__(cls, members, canonical, stab_order)
 
     @classmethod
     def _of_valid(cls, members: tuple[Multipartition, ...],
                   canonical: Multipartition,
                   stab_order: int) -> MultipartitionOrbit:
         """The orbit of enumerated or checked members, built without
-        ``__post_init__``'s check."""
-        orbit = object.__new__(cls)
-        orbit.__dict__.update(members=members, canonical=canonical,
-                              stab_order=stab_order)
-        return orbit
+        ``__new__``'s check."""
+        return tuple.__new__(cls, (members, canonical, stab_order))
 
 
 def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:

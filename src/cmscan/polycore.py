@@ -27,9 +27,9 @@ import math
 import re
 import sys
 from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence
 
 # Largest degree minus trailing degree a polynomial may have.  Storage
 # is dense, so this bounds the memory one value can take; it is checked

@@ -16,37 +16,34 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 from . import partitions as pt
 from .fakedeg import (
-    GroupSpec, coinvariant_poincare, fake_degree, irr_dimension,
-    isomorphism_note, label_rows, reducibility_note,
+    coinvariant_poincare, fake_degree, irr_dimension, isomorphism_note,
+    label_rows, reducibility_note,
 )
 from .polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, clip, poincare_polynomial,
     weighted_sum,
 )
+from .spec import GroupSpec
 
 
 class DatasetError(ValueError):
     """A dataset file is malformed or violates a consistency identity."""
 
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
+class DivisibilityVerdict(namedtuple("DivisibilityVerdict",
+                                     "label b dim divides poly")):
     """Outcome of one division of P by t^{-b} f.
 
     ``poly`` is the quotient when ``divides`` (so P = primitive(t^{-b}f)
     * poly), otherwise the nonzero long-division remainder.
     """
 
-    label: str
-    b: int
-    dim: int
-    divides: bool
-    poly: LaurentPoly
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -66,13 +63,10 @@ class DivisibilityVerdict:
                 f"{self.verdict}  {kind}={render_poly(self.poly)}")
 
 
-@dataclass(frozen=True)
-class DatasetRow:
+class DatasetRow(namedtuple("DatasetRow", "ident dim fake")):
     """One row of a scan: an irreducible's name, dimension and fake degree."""
 
-    ident: str
-    dim: int
-    fake: LaurentPoly
+    __slots__ = ()
 
 
 Division = tuple[bool, LaurentPoly]
@@ -122,13 +116,12 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
     return DivisibilityVerdict(label, b, dim, *division)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    group: str
-    labels: int
-    failures: int
-    verdicts: tuple[DivisibilityVerdict, ...]
-    notes: tuple[str, ...]
+class ScanReport(namedtuple("ScanReport",
+                            "group labels failures verdicts notes")):
+    """A scan: the group's name, its label and failure counts, a
+    DivisibilityVerdict per row in row order, and the notes (strs)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         # Verdicts of labels sharing a primitive divisor share their poly.
@@ -263,14 +256,13 @@ def witness_multipartition(g: GroupSpec) -> pt.Multipartition:
     raise ValueError("no witness family is defined for n = 1")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    group: str
-    multipartition: str
-    fake: LaurentPoly
-    verdict: DivisibilityVerdict
-    matches_prediction: bool
-    notes: tuple[str, ...]
+class WitnessReport(namedtuple("WitnessReport", "group multipartition fake "
+                               "verdict matches_prediction notes")):
+    """The witness test of a group: its name, the witness multipartition
+    as text, its fake degree (a LaurentPoly), the DivisibilityVerdict,
+    whether it fails as predicted, and the notes (strs)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -314,13 +306,12 @@ def witness_check(g: GroupSpec) -> WitnessReport:
 
 # -- exceptional groups via ingested fake-degree data ----------------------
 
-@dataclass(frozen=True)
-class ExceptionalGroupData:
-    name: str
-    order: int
-    rank: int
-    degrees: tuple[int, ...]
-    rows: tuple[DatasetRow, ...]
+class ExceptionalGroupData(namedtuple("ExceptionalGroupData",
+                                      "name order rank degrees rows")):
+    """One group of a dataset: its name, order and rank, the tuple of
+    its degrees and a DatasetRow per irreducible."""
+
+    __slots__ = ()
 
     def poincare(self) -> LaurentPoly:
         return poincare_polynomial(self.degrees)
@@ -523,12 +514,12 @@ def expected_failure_counts() -> dict[int, int]:
 _GROUP_ID = re.compile(r"^G_?(\d+)$")
 
 
-@dataclass(frozen=True)
-class CountComparison:
-    group: str
-    failures: int
-    expected: int | None
-    matches: bool | None
+class CountComparison(namedtuple("CountComparison",
+                                 "group failures expected matches")):
+    """A dataset group's failure count against the published one;
+    ``expected`` and ``matches`` are None when none is published."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"group": self.group, "failures": self.failures,

@@ -19,9 +19,11 @@ projection.  ``sparse_rank`` of 1 - w is the old reflection test and
 ``reflection_classes_by_conjugation`` the old reflection classes, which
 enumerate the group and conjugate each reflection by every element.
 ``molien_series_by_inversion`` is the old Molien series, which inverts
-one ``CycloNumber`` power series per cycle signature.  The code is kept
-as it was, so tests can compare the closed forms and the group-ring
-Molien sum against it.
+one ``CycloNumber`` power series per cycle signature, and
+``group_ring_table`` the group-ring sum as it was before its
+coefficients were packed into ints: a list of m ints per t-coefficient.
+The code is kept as it was, so tests can compare the closed forms and
+the packed Molien sum against it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from cmscan.cyclo import CycloNumber
 from cmscan.fakedeg import GroupSpec
-from cmscan.groups import MonomialElement, ReflectionClass
+from cmscan.groups import MonomialElement, ReflectionClass, _signature_counts
 from cmscan.linalg import Matrix, _dot, identity, mat_mul, mat_sub, scalar_mul
 from cmscan.polycore import LaurentPoly, VerificationError
 
@@ -60,13 +62,11 @@ def elements(g: GroupSpec, max_order: int = DEFAULT_MAX_ORDER):
     """All elements in deterministic (perm, exps) lexicographic order,
     valid by construction and so not re-validated."""
     _check_order(g, max_order)
-    m, p, new = g.m, g.p, object.__new__
+    m, p, new = g.m, g.p, tuple.__new__
     for perm in itertools.permutations(range(g.n)):
         for head in itertools.product(range(m), repeat=g.n - 1):
             for last in range(-sum(head) % p, m, p):
-                w = new(MonomialElement)
-                vars(w).update(m=m, perm=perm, exps=head + (last,))
-                yield w
+                yield new(MonomialElement, (m, perm, head + (last,)))
 
 
 def identity_element(m: int, n: int) -> MonomialElement:
@@ -420,4 +420,41 @@ def molien_series_by_inversion(g: GroupSpec, truncate: int = 30,
             raise VerificationError(f"Molien coefficient at t^{k} is not integral")
         if coeff.numerator:
             out[k] = coeff.numerator
+    return LaurentPoly(out)
+
+
+def group_ring_table(g: GroupSpec, truncate: int = 30) -> list[list[int]]:
+    """|W| times the Molien series to order ``truncate`` in Z[C_m]: row k
+    lists the count of t^k at each power of zeta, one signature series
+    (``groups._signature_counts``) expanded and added at a time."""
+    m, n_terms = g.m, truncate + 1
+    table = [[0] * m for _ in range(n_terms)]
+    for sig, count in sorted(_signature_counts(g).items()):
+        series = [[0] * m for _ in range(n_terms)]
+        series[0][0] = 1
+        for length, exp in sig:
+            # times 1/(1 - zeta^exp t^length): s[k] += zeta^exp * s[k - length],
+            # k ascending, so s[k - length] already carries the new factor.
+            for k in range(length, n_terms):
+                prev = series[k - length]
+                rotated = prev[m - exp:] + prev[:m - exp]
+                series[k] = [a + b for a, b in zip(series[k], rotated)]
+        for k, row in enumerate(series):
+            table[k] = [a + count * b for a, b in zip(table[k], row)]
+    return table
+
+
+def molien_series_by_group_ring(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
+    """The Molien series from ``group_ring_table``, each row reduced into
+    Q(zeta_m) and divided by |W|, checked rational and integral."""
+    out: dict[int, int] = {}
+    for k, row in enumerate(group_ring_table(g, truncate)):
+        total = CycloNumber.from_powers(g.m, row)
+        if not total.is_rational():
+            raise VerificationError(f"Molien coefficient at t^{k} is not rational")
+        coeff, rem = divmod(total.num[0], g.order)
+        if rem:
+            raise VerificationError(f"Molien coefficient at t^{k} is not integral")
+        if coeff:
+            out[k] = coeff
     return LaurentPoly(out)

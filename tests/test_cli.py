@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -192,13 +193,13 @@ class TestExitCodes:
         # Only the 2 * 4 diagonal reflections and the 6 * 6 transpositions
         # of G(6,2,4) are built, not its 15552 elements.
         built = []
-        real = groups.MonomialElement.__post_init__
+        real = groups.MonomialElement.__new__
 
-        def spy(self):
-            built.append(self)
-            real(self)
+        def spy(cls, *fields):
+            built.append(fields)
+            return real(cls, *fields)
 
-        monkeypatch.setattr(groups.MonomialElement, "__post_init__", spy)
+        monkeypatch.setattr(groups.MonomialElement, "__new__", spy)
         assert cli.main(["verify-omega", "G(6,2,4)"]) == 0
         assert "3 reflection class(es)" in capsys.readouterr().out
         assert len(built) == 2 * 4 + 6 * 6
@@ -495,6 +496,27 @@ class TestExitCodes:
         else:
             assert head.startswith("scan G(16,1,6): 155584 labels, 0 failures")
             assert tail.endswith("\n")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_reports_are_written_in_batches(self, json_flag, monkeypatch):
+        # An unbuffered stdout (python -u) makes each write call a
+        # system call: this report of 3,886 lines takes one a batch of
+        # BATCH_CHARS characters, and no batch holds much more.
+        sizes = []
+
+        class CountingStdout(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["scan", "G(10,5,6)", *json_flag]) == 0
+        text = out.getvalue()
+        assert text.count("\n") >= 3_886
+        assert len(sizes) <= len(text) // cli.BATCH_CHARS + 1
+        assert min(sizes[:-1]) >= cli.BATCH_CHARS
+        assert max(sizes) < cli.BATCH_CHARS + 10_000
 
     def test_too_many_components_is_refused_before_enumeration(self):
         # 45,450 labels, below the label bound, in 13,635,000 components.

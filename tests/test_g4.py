@@ -1,4 +1,3 @@
-import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -196,7 +195,7 @@ class TestReflectionRepresentation:
 
     def test_partial_class_is_caught(self, group):
         classes = group.classes[:3] + (group.classes[3][:2],) + group.classes[4:]
-        self.check_fails(dataclasses.replace(group, classes=classes),
+        self.check_fails(group._replace(classes=classes),
                          "Cl4: class sum is not proportional to omega")
 
 
@@ -267,7 +266,6 @@ class TestCayleyTable:
         # presentation_check or class_product_check, which raise
         # VerificationError explicitly and so also run under python -O.
         code = """
-import dataclasses
 from cmscan import g4
 from cmscan.polycore import VerificationError
 
@@ -293,7 +291,7 @@ def product(pair, value):
 def swapped(group, i, j):
     classes = list(group.classes)
     classes[i], classes[j] = classes[j], classes[i]
-    return dataclasses.replace(group, classes=tuple(classes))
+    return group._replace(classes=tuple(classes))
 
 print("__debug__ =", __debug__)
 Q = g4.Quaternion
@@ -318,7 +316,7 @@ attempt("presentation", present,
 attempt("presentation", present, product((g4.I, g4.J), -g4.K))
 attempt("presentation", present, product((g4.S1, g4.T1), -g4.ONE))
 attempt("presentation", lambda: present(
-    dataclasses.replace(group, elements=group.elements[:-1])))
+    group._replace(elements=group.elements[:-1])))
 for i, j in ((5, 6), (1, 4), (1, 5), (2, 3)):
     attempt("products", lambda: g4.class_product_check(swapped(group, i, j)))
 attempt("clean", lambda: (g4.presentation_check(group),

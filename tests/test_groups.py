@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -421,6 +422,11 @@ class TestDegreesSeries:
             gr.degrees_series(GroupSpec(3, 3, 2), MAX_SPAN + 1)
 
 
+# m = 1, rank one, p = m and 1 < p < m.
+EXTREMES = ([(1, 1, 4), (6, 6, 3), (12, 4, 2)]
+            + [(m, 1, 1) for m in range(1, 13)])
+
+
 class TestMolienAgainstInversion:
     """The group-ring sum against the per-signature CycloNumber inversion
     it replaced (tests/linalg_oracle.py)."""
@@ -433,10 +439,8 @@ class TestMolienAgainstInversion:
             assert gr.molien_series(g, truncate) == (
                 oracle.molien_series_by_inversion(g, truncate)), g
 
-    @pytest.mark.parametrize("spec", [(1, 1, 4), (6, 6, 3), (12, 4, 2)]
-                             + [(m, 1, 1) for m in range(1, 13)])
+    @pytest.mark.parametrize("spec", EXTREMES)
     def test_extremes(self, spec):
-        # m = 1, rank one, p = m and 1 < p < m.
         g = GroupSpec(*spec)
         got = gr.molien_series(g, truncate=30)
         assert got == oracle.molien_series_by_inversion(g, truncate=30)
@@ -452,6 +456,42 @@ class TestMolienAgainstInversion:
 # of order 7 in its p = m form.
 MOLIEN_GROUPS = [(10, 1, 3), (10, 2, 3), (12, 4, 3), (3, 3, 5), (4, 1, 4),
                  (5, 1, 4), (6, 2, 4), (6, 6, 4), (8, 8, 4), (7, 7, 1)]
+
+
+class TestPackedMolien:
+    """The packed group-ring sum against the list-of-lists expansion it
+    replaced (tests/linalg_oracle.py)."""
+
+    @pytest.mark.parametrize("truncate", [0, 1, 30])
+    def test_configured_groups(self, truncate):
+        groups = configured_groups(max_order=10**5)
+        assert len(groups) == 117
+        for g in groups:
+            assert gr.molien_series(g, truncate) == (
+                oracle.molien_series_by_group_ring(g, truncate)), g
+
+    @pytest.mark.parametrize("spec", EXTREMES + MOLIEN_GROUPS)
+    def test_extremes(self, spec):
+        g = GroupSpec(*spec)
+        for truncate in (0, 1, 30, 61):
+            assert gr.molien_series(g, truncate) == (
+                oracle.molien_series_by_group_ring(g, truncate)), truncate
+
+    @pytest.mark.parametrize("spec", [(11, 1, 3), (11, 11, 4), (1, 1, 12),
+                                      (12, 4, 3), (8, 8, 4)])
+    @pytest.mark.parametrize("truncate", [0, 30])
+    def test_slot_width_holds_every_entry(self, spec, truncate):
+        # Every entry is at most |W| * C(truncate + n, n), and one bit
+        # more than that bound's length leaves each slot's top bit clear.
+        # At t^0 each element counts 1 at zeta^0, so the bound is met:
+        # G(11,1,3)'s 7,986 fills 0.975 of 2^13.
+        g = GroupSpec(*spec)
+        table = oracle.group_ring_table(g, truncate)
+        largest = max(map(max, table))
+        bound = g.order * math.comb(truncate + g.n, g.n)
+        assert largest <= bound < 1 << gr._slot_width(g, truncate) - 1
+        if truncate == 0:
+            assert largest == bound
 
 
 class TestSignatureCounts:
@@ -536,8 +576,8 @@ except VerificationError as exc:
         with pytest.raises(VerificationError, match=r"^G\(5,1,2\): members do "
                            "not have the class's eigenvalue$"):
             gr.omega_class_sum(g, bad)
-        real = gr.linalg.reflection_sum
-        monkeypatch.setattr(gr.linalg, "reflection_sum",
+        real = linalg.reflection_sum
+        monkeypatch.setattr(linalg, "reflection_sum",
                             lambda mats, m: (real(mats, m)[0], one - zeta))
         with pytest.raises(VerificationError,
                            match=r"^G\(5,1,2\): closed form disagrees"):

@@ -2,9 +2,11 @@
 
 `import cmscan` loads none of its modules: the names in `__all__` are
 imported from their modules on first use.  Each subcommand imports only
-the modules it runs, so `cmscan --help` compiles no math module.  The
-budgets are checked in a fresh `python -B` interpreter per command line,
-since this test process has long since imported everything.
+the modules it runs, so `cmscan --help` compiles no math module, and no
+command loads `dataclasses`, `inspect` or `typing` beyond what the bare
+interpreter already has.  The budgets are checked in a fresh
+`python -B` interpreter per command line, since this test process has
+long since imported everything.
 """
 import importlib
 import os
@@ -16,11 +18,14 @@ import pytest
 
 import cmscan
 from cmscan import scan
-from cmscan.fakedeg import GroupSpec
+from cmscan.spec import GroupSpec
 
 SRC = Path(cmscan.__file__).resolve().parent.parent
 
-PROBE = """\
+# Standard modules that cost start-up time and that no command needs.
+STARTUP = ("dataclasses", "inspect", "typing")
+
+PROBE = f"""\
 import io, sys
 from cmscan import cli
 sys.stdout = io.StringIO()
@@ -32,19 +37,21 @@ sys.stdout = sys.__stdout__
 print(code)
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "cmscan"))
 print(*(m for m in ("dataclasses", "fractions", "json") if m in sys.modules))
+print(*(m for m in {STARTUP!r} if m in sys.modules))
 """
+BARE = f"import sys; print(*(m for m in {STARTUP!r} if m in sys.modules))"
 
-SCAN = {"scan", "fakedeg", "partitions", "polycore"}
-FAKE_DEGREES = {"fakedeg", "partitions", "polycore"}
-ELEMENTWISE = {"groups", "linalg", "cyclo", "fakedeg", "partitions",
-               "polycore"}
+SCAN = {"scan", "fakedeg", "partitions", "polycore", "spec"}
+FAKE_DEGREES = {"fakedeg", "partitions", "polycore", "spec"}
+VERIFY_OMEGA = {"groups", "linalg", "cyclo", "polycore", "spec"}
+MOLIEN = {"groups", "partitions", "cyclo", "polycore", "spec"}
 G4 = {"g4", "linalg", "cyclo", "polycore"}
 
 # The module that defines each name of `__all__`.
 HOMES = {
     "cyclo": ["CycloNumber"],
-    "fakedeg": ["GroupSpec", "IrrLabel", "coinvariant_poincare",
-                "fake_degree", "irr_dimension", "irr_labels"],
+    "fakedeg": ["IrrLabel", "coinvariant_poincare", "fake_degree",
+                "irr_dimension", "irr_labels"],
     "groups": ["MonomialElement", "ReflectionClass", "molien_series",
                "omega_class_sum", "reflection_classes"],
     "partitions": ["Multipartition", "MultipartitionOrbit", "Partition",
@@ -54,6 +61,7 @@ HOMES = {
     "scan": ["DivisibilityVerdict", "ExceptionalGroupData", "ScanReport",
              "divisibility_test", "expected_failure_counts", "parse_dataset",
              "render_dataset", "scan_dataset", "scan_group", "witness_check"],
+    "spec": ["GroupSpec"],
 }
 
 
@@ -81,22 +89,38 @@ BUDGETS = [
     (("witness", "G(5,5,2)"), SCAN),
     (("table1", "--data", "DATA"), SCAN),
     (("fake-degrees", "G(3,3,3)"), FAKE_DEGREES),
-    (("verify-omega", "G(3,3,3)"), ELEMENTWISE),
-    (("molien", "G(3,3,3)"), ELEMENTWISE),
+    (("verify-omega", "G(3,3,3)"), VERIFY_OMEGA),
+    (("molien", "G(3,3,3)"), MOLIEN),
     (("g4",), G4),
 ]
 
 
+@pytest.fixture(scope="module")
+def bare_startup():
+    """The STARTUP modules a bare interpreter loads here, as through a
+    site .pth file."""
+    loaded, _ = run_python("-c", BARE)
+    return set(loaded.split())
+
+
 @pytest.mark.parametrize("argv, modules", BUDGETS,
                          ids=[argv[0].lstrip("-") for argv, _ in BUDGETS])
-def test_subcommand_loads_only_its_modules(argv, modules, dataset):
+def test_subcommand_loads_only_its_modules(argv, modules, dataset,
+                                           bare_startup):
     argv = [dataset if arg == "DATA" else arg for arg in argv]
-    code, loaded, heavy, _ = run_python("-c", PROBE, *argv)
+    code, loaded, heavy, startup, _ = run_python("-c", PROBE, *argv)
     assert code == "0"
     assert set(loaded.split()) == (
         {"cmscan", "cmscan.cli"} | {f"cmscan.{name}" for name in modules})
+    assert set(startup.split()) <= bare_startup
     if argv == ["--help"]:
         assert heavy == ""
+
+
+def test_fakedeg_re_exports_the_spec():
+    from cmscan import fakedeg, spec
+    assert fakedeg.GroupSpec is spec.GroupSpec
+    assert fakedeg.natural_is_reducible is spec.natural_is_reducible
 
 
 def test_import_loads_no_module():
