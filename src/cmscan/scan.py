@@ -156,9 +156,10 @@ _CONVENTION_NOTES = (
 )
 
 
-def _series_notes(g: GroupSpec) -> tuple[str, ...]:
-    extra = (reducibility_note(g), isomorphism_note(g))
-    return _CONVENTION_NOTES + tuple(note for note in extra if note)
+def _group_notes(g: GroupSpec) -> tuple[str, ...]:
+    """The group's reducibility and isomorphism notes that apply."""
+    return tuple(note for note in (reducibility_note(g), isomorphism_note(g))
+                 if note)
 
 
 def graded_sum(rows: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
@@ -196,20 +197,13 @@ def scan_group(g: GroupSpec) -> ScanReport:
     report = _scan_rows(g.render(), poincare,
                         (DatasetRow(label.render(), dim, f)
                          for label, dim, f in rows),
-                        _series_notes(g))
+                        _CONVENTION_NOTES + _group_notes(g))
     if graded_sum((dim, f) for _, dim, f in rows) != poincare:
         raise VerificationError("graded sum rule violated")
     return report
 
 
-# -- the three designated witness families --------------------------------
-
-_WRAPAROUND_NOTE = (
-    "closed forms for the orbit weight polynomial assume shifted component "
-    "indices never wrap around mod m; enumeration includes the wrapped "
-    "terms, which changes the outcome for small m"
-)
-
+# -- the designated witness families ---------------------------------------
 
 # witness_check expands P and divides it by one fake degree, which is
 # quadratic in deg P, and orbit_of keeps up to p shifted m-tuples; both
@@ -237,23 +231,18 @@ def _check_witness_size(g: GroupSpec) -> None:
 
 
 def witness_multipartition(g: GroupSpec) -> pt.Multipartition:
-    """The designated failing multipartition for G(m,p,n), p > 1."""
+    """The designated failing multipartition for G(m,p,n), p > 1:
+    ((1),(1^(n-1)),-,...) for n = 2, 3 and ((2,2,1^(n-4)),-,...) for
+    n >= 4, padded with empty components to m of them."""
     if g.p == 1:
         raise ValueError(
             "witness families are defined only for p > 1; "
             "G(m,1,n) has no failing label")
-    empty: pt.Partition = ()
-    if g.n == 2:
-        return ((1,), (1,)) + (empty,) * (g.m - 2)
-    if g.n == 3:
-        if g.m < 3:
-            raise ValueError(
-                "the n = 3 witness ((1),(1),(1)) needs at least 3 components; "
-                f"m = {g.m} is too small")
-        return ((1,), (1,), (1,)) + (empty,) * (g.m - 3)
-    if g.n >= 4:
-        return ((2, 2) + (1,) * (g.n - 4),) + (empty,) * (g.m - 1)
-    raise ValueError("no witness family is defined for n = 1")
+    if g.n == 1:
+        raise ValueError("no witness family is defined for n = 1")
+    if g.n <= 3:  # p > 1, so m >= 2
+        return ((1,), (1,) * (g.n - 1)) + ((),) * (g.m - 2)
+    return ((2, 2) + (1,) * (g.n - 4),) + ((),) * (g.m - 1)
 
 
 class WitnessReport(namedtuple("WitnessReport", "group multipartition fake "
@@ -277,8 +266,7 @@ class WitnessReport(namedtuple("WitnessReport", "group multipartition fake "
 
     def render(self) -> Iterator[str]:
         status = ("matches the predicted failure" if self.matches_prediction
-                  else "does NOT fail; the predicted failure relies on a "
-                       "no-wraparound assumption")
+                  else "does NOT fail")
         yield (f"witness {self.group}: label {self.multipartition}, "
                f"f = {self.fake.render()}")
         yield f"  {self.verdict.render()}"
@@ -289,8 +277,10 @@ class WitnessReport(namedtuple("WitnessReport", "group multipartition fake "
 
 def witness_check(g: GroupSpec) -> WitnessReport:
     """Test the designated witness label and compare with its predicted
-    failure; discrepancies are reported, never corrected.  Groups over
-    the witness size bounds are refused first (ValueError)."""
+    failure; discrepancies are reported, never corrected.  The notes are
+    the group's reducibility and isomorphism notes, which name the groups
+    where it divides.  Groups over the witness size bounds are refused
+    first (ValueError)."""
     _check_witness_size(g)
     mp = witness_multipartition(g)
     orbit = pt.orbit_of(mp, g.p, g.d)
@@ -298,10 +288,8 @@ def witness_check(g: GroupSpec) -> WitnessReport:
     dim = irr_dimension(g, orbit)
     verdict = divisibility_test(coinvariant_poincare(g), f, dim,
                                 pt.render_multipartition(orbit.canonical))
-    matches = not verdict.divides
-    notes = () if matches else (_WRAPAROUND_NOTE,)
     return WitnessReport(g.render(), pt.render_multipartition(mp), f,
-                         verdict, matches, notes)
+                         verdict, not verdict.divides, _group_notes(g))
 
 
 # -- exceptional groups via ingested fake-degree data ----------------------

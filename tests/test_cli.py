@@ -157,6 +157,12 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "does NOT fail" in proc.stdout
 
+    def test_witness_on_an_isomorphic_group_is_exit_1_with_its_note(self):
+        proc = run_cli("witness", "G(2,2,3)")
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[-1] == (
+            "  note: G(2,2,3) is isomorphic to G(1,1,4) (the symmetric group S4)")
+
     def test_witness_undefined_family_is_exit_2(self):
         proc = run_cli("witness", "G(3,1,2)")
         assert proc.returncode == 2

@@ -13,8 +13,9 @@ and checked against the recorded sha256 first.  The file is read, never
 written.
 
 PINNED holds, in the same form, commands the benchmark does not run.
-The `fake-degrees` and `witness` ones were recorded before fake degrees
-were expanded in closed form, from the graded-product assembly; the
+The `fake-degrees` and `witness G(6,3,4)` ones were recorded before fake
+degrees were expanded in closed form, from the graded-product assembly;
+the two n = 3 `witness` ones when its label became ((1),(1,1),-,...); the
 `verify-omega` and text `g4` ones while the restricted-form sums were
 still checked as Gram matrices on h + h*.
 """
@@ -42,10 +43,10 @@ PINNED = {
                                         "52b4ca6918df518f3f0991fb244ea965"),
     "witness G(6,3,4)": (0, "a96223953e45178973ebef0c1134c3f8"
                             "95bbf4ba1e9f45372b3845b48b0e51ec"),
-    "witness G(12,4,3) --json": (0, "7f9f038ab1b0ae96089f0c32efd8d54e"
-                                    "c095ed22a18e6f743bafcefe7a0fc9f5"),
-    "witness G(3,3,3)": (1, "c428f87e8d219e155de52078007667e8"
-                            "919ccc78c78b239392c09ce0c9e9a188"),
+    "witness G(12,4,3) --json": (0, "4b145807829b170d628e2081ea2ce576"
+                                    "48d3e7fbf4e16a7c7bf04e1b40ec4e70"),
+    "witness G(3,3,3)": (0, "dd9113d51a928252ce3b3c3eb30a84a6"
+                            "3e24a638d2e642884be90b232c6d6890"),
     "verify-omega G(105,1,1)": (0, "5e9d9384635fdf16eea8756cae12693e"
                                    "90e98d7327fffeb78a33ededc83797b7"),
     "verify-omega G(24,1,2) --json": (0, "a5768b70d7964ecd21d8869a8ab05211"

@@ -10,8 +10,8 @@ from cmscan import cli, polycore
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
-    GroupSpec, coinvariant_poincare, fake_degree,
-    irr_dimension, irr_labels, label_rows,
+    GroupSpec, coinvariant_poincare, fake_degree, irr_dimension, irr_labels,
+    isomorphism_note, label_rows, reducibility_note,
 )
 from cmscan.polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial,
@@ -362,7 +362,9 @@ class TestWitness:
         assert scan.witness_multipartition(GroupSpec(6, 6, 2)) == (
             (1,), (1,), (), (), (), ())
         assert scan.witness_multipartition(GroupSpec(4, 2, 3)) == (
-            (1,), (1,), (1,), ())
+            (1,), (1, 1), (), ())
+        assert scan.witness_multipartition(GroupSpec(2, 2, 3)) == (
+            (1,), (1, 1))
         assert scan.witness_multipartition(GroupSpec(2, 2, 5)) == (
             (2, 2, 1), ())
 
@@ -371,12 +373,11 @@ class TestWitness:
             scan.witness_multipartition(GroupSpec(3, 1, 2))  # p == 1
         with pytest.raises(ValueError):
             scan.witness_multipartition(GroupSpec(4, 4, 1))  # n == 1
-        with pytest.raises(ValueError):
-            scan.witness_multipartition(GroupSpec(2, 2, 3))  # m < 3, n == 3
 
     @pytest.mark.parametrize("spec", [(5, 5, 2), (6, 6, 2), (2, 2, 4),
                                       (2, 2, 5), (5, 5, 3), (6, 6, 3),
-                                      (6, 2, 3), (6, 2, 2)])
+                                      (6, 2, 3), (6, 2, 2), (3, 3, 3),
+                                      (4, 4, 3), (4, 2, 3)])
     def test_predicted_failures(self, spec):
         report = scan.witness_check(GroupSpec(*spec))
         assert report.matches_prediction
@@ -419,22 +420,35 @@ class TestWitness:
         report = scan.witness_check(GroupSpec(5, 5, 2))
         assert report.fake == P("t + t^4")
 
-    @pytest.mark.parametrize("spec", [(3, 3, 2), (4, 4, 2), (3, 3, 3),
-                                      (4, 4, 3), (4, 2, 3)])
-    def test_small_shift_wraparound_discrepancy(self, spec):
-        report = scan.witness_check(GroupSpec(*spec))
+    @pytest.mark.parametrize("spec", [(2, 2, 2), (2, 2, 3), (3, 3, 2),
+                                      (4, 4, 2)])
+    def test_isomorphic_or_reducible_groups_divide(self, spec):
+        # The groups outside the singular class, each named by its note.
+        g = GroupSpec(*spec)
+        report = scan.witness_check(g)
         assert not report.matches_prediction
         assert report.verdict.divides
-        assert any("wrap" in n for n in report.notes)
-        assert "does NOT fail" in "\n".join(report.render())
+        note = reducibility_note(g) or isomorphism_note(g)
+        assert note and report.notes == (note,)
+        lines = list(report.render())
+        assert lines[2:] == ["  does NOT fail", f"  note: {note}"]
 
     @pytest.mark.parametrize("spec", [(3, 3, 3), (4, 4, 3), (4, 2, 3)])
     def test_wraparound_groups_still_fail_elsewhere(self, spec):
         assert scan.scan_group(GroupSpec(*spec)).failures > 0
 
     def test_g333_wraparound_fake_degree(self):
+        # f counts every orbit member, the wrapped-round 1,1|-|1 included.
         report = scan.witness_check(GroupSpec(3, 3, 3))
-        assert report.fake == P("t^3 + t^6")
+        assert report.fake == P("t^8 + 2*t^5")
+
+    def test_g333_witness_is_the_criterion_5_orbit(self):
+        g = GroupSpec(3, 3, 3)
+        orbit = pt.orbit_of(((1,), (1, 1), ()), g.p, g.d)
+        report = scan.witness_check(g)
+        assert report.multipartition == "1|1,1|-"
+        assert report.verdict.label == pt.render_multipartition(orbit.canonical)
+        assert report.fake == fake_degree(g, orbit)
 
 
 class TestDichotomySweep:
@@ -442,16 +456,14 @@ class TestDichotomySweep:
     fails exactly for G(m,1,n), for the cyclic G(m,p,1) = G(m/p,1,1), and
     for the p > 1 groups below, which are not in the singular class."""
 
-    # Typed by hand from the theorem, not read from the code under test.
+    # Typed by hand from the theorem, not read from the code under test;
+    # each value is part of the group's note.
     NOT_SINGULAR = {
-        (2, 2, 2): "reducible: the Klein four-group on C^2",
-        (2, 2, 3): "isomorphic to G(1,1,4), the symmetric group S_4",
-        (3, 3, 2): "isomorphic to G(1,1,3), the symmetric group S_3",
-        (4, 4, 2): "isomorphic to G(2,1,2), type B_2",
+        (2, 2, 2): "reducible",  # the Klein four-group on C^2
+        (2, 2, 3): "isomorphic to G(1,1,4)",  # the symmetric group S_4
+        (3, 3, 2): "isomorphic to G(1,1,3)",  # the symmetric group S_3
+        (4, 4, 2): "isomorphic to G(2,1,2)",  # type B_2
     }
-    # README's wraparound cases: singular groups whose designated
-    # witness label divides P.
-    WITNESS_DIVIDES = {(3, 3, 3), (4, 2, 3), (4, 4, 3)}
 
     GROUPS = [g for g in (GroupSpec(m, p, n) for m in range(1, 13)
                           for p in range(1, m + 1) if m % p == 0
@@ -473,7 +485,27 @@ class TestDichotomySweep:
         assert len(singular) == 80
         missed = {(g.m, g.p, g.n) for g in singular
                   if not scan.witness_check(g).matches_prediction}
-        assert missed == self.WITNESS_DIVIDES
+        assert missed == set()
+
+    def test_witness_on_a_wider_grid(self):
+        # Every p > 1, n >= 2 group with m <= 24, n <= 8 and deg P <= 3000:
+        # the witness fails exactly outside NOT_SINGULAR, and each group of
+        # NOT_SINGULAR carries its one note.
+        grid = [g for g in (GroupSpec(m, p, n) for m in range(2, 25)
+                            for p in range(2, m + 1) if m % p == 0
+                            for n in range(2, 9))
+                if sum(d - 1 for d in g.degrees) <= 3000]
+        assert len(grid) == 420
+        for g in grid:
+            key = (g.m, g.p, g.n)
+            report = scan.witness_check(g)
+            assert report.matches_prediction != (key in self.NOT_SINGULAR), key
+            if key in self.NOT_SINGULAR:
+                (note,) = report.notes
+                assert note.startswith(g.render())
+                assert self.NOT_SINGULAR[key] in note
+            else:
+                assert report.notes == (), key
 
 
 SAMPLE = """\
