@@ -21,7 +21,7 @@ from .polycore import VerificationError
 
 __all__ = [
     "Quaternion", "G4", "build_g4", "ROW_NAMES", "decompose",
-    "inner_product", "solve_ef_multiplicities", "admissible_shapes",
+    "inner_products", "solve_ef_multiplicities", "admissible_shapes",
     "ModuleShape", "reflection_form_check", "run_battery",
 ]
 
@@ -119,27 +119,24 @@ ROW_NAMES = ("T", "V1", "V2", "W", "h", "h*", "U")
 ClassFunction = tuple  # 7 CycloNumber(3) values on Cl1..Cl7
 
 
-def _omega_row(*spec) -> ClassFunction:
-    """Row values given as ints or (coeff, omega_power) pairs."""
-    out = []
-    for entry in spec:
-        if isinstance(entry, tuple):
-            coeff, power = entry
-            val = CycloNumber.zeta(3, power) * Fraction(coeff)
-        else:
-            val = CycloNumber.from_rational(3, entry)
-        out.append(val)
-    return tuple(out)
+def class_function(values) -> ClassFunction:
+    """Lift 7 values, each an int or an int pair (coeff, omega_power)
+    for coeff * omega^power, to a class function over Q(omega)."""
+    out = tuple(CycloNumber.zeta(3, v[1]) * v[0] if isinstance(v, tuple)
+                else CycloNumber.from_rational(3, v) for v in values)
+    if len(out) != 7:
+        raise ValueError("class functions have 7 values")
+    return out
 
 
 CHARACTER_TABLE: dict[str, ClassFunction] = {
-    "T":  _omega_row(1, 1, 1, 1, 1, 1, 1),
-    "V1": _omega_row(1, 1, (1, 2), (1, 1), 1, (1, 2), (1, 1)),
-    "V2": _omega_row(1, 1, (1, 1), (1, 2), 1, (1, 1), (1, 2)),
-    "W":  _omega_row(2, -2, -1, -1, 0, 1, 1),
-    "h":  _omega_row(2, -2, (-1, 2), (-1, 1), 0, (1, 2), (1, 1)),
-    "h*": _omega_row(2, -2, (-1, 1), (-1, 2), 0, (1, 1), (1, 2)),
-    "U":  _omega_row(3, 3, 0, 0, -1, 0, 0),
+    "T":  class_function((1, 1, 1, 1, 1, 1, 1)),
+    "V1": class_function((1, 1, (1, 2), (1, 1), 1, (1, 2), (1, 1))),
+    "V2": class_function((1, 1, (1, 1), (1, 2), 1, (1, 1), (1, 2))),
+    "W":  class_function((2, -2, -1, -1, 0, 1, 1)),
+    "h":  class_function((2, -2, (-1, 2), (-1, 1), 0, (1, 2), (1, 1))),
+    "h*": class_function((2, -2, (-1, 1), (-1, 2), 0, (1, 1), (1, 2))),
+    "U":  class_function((3, 3, 0, 0, -1, 0, 0)),
 }
 
 
@@ -153,7 +150,7 @@ class G4(namedtuple("G4", "elements classes")):
         for idx, cls in enumerate(self.classes):
             if q in cls:
                 return idx
-        raise ValueError(f"{q} is not a group element")
+        raise VerificationError(f"{q} is not a group element")
 
 
 def _generated(gens) -> set[Quaternion]:
@@ -241,47 +238,41 @@ def class_product_check(group: G4) -> None:
 
 # -- character arithmetic over Q(omega) ------------------------------------
 
-def class_function(values) -> ClassFunction:
-    """Lift 7 integers (or CycloNumbers over Q(omega)) to a class function."""
-    out = []
-    for v in values:
-        out.append(v if isinstance(v, CycloNumber)
-                   else CycloNumber.from_rational(3, v))
-    if len(out) != 7:
-        raise ValueError("class functions have 7 values")
-    return tuple(out)
+def _dual_rows(table) -> dict[str, ClassFunction]:
+    """conj(psi) * |C| for each row psi, over Z[omega]."""
+    return {name: tuple(y.conj() * size for size, y in zip(CLASS_SIZES, row))
+            for name, row in table.items()}
 
 
-# conj(psi) * |C| / 24 for each row psi: <chi, psi> = sum chi * this.
-_DUAL_ROWS = {name: tuple(y.conj() * Fraction(size, 24)
-                          for size, y in zip(CLASS_SIZES, row))
-              for name, row in CHARACTER_TABLE.items()}
+_DUAL_ROWS = _dual_rows(CHARACTER_TABLE)
 
 
-def inner_product(chi: ClassFunction, psi: ClassFunction) -> CycloNumber:
-    acc = CycloNumber.zero(3)
-    for size, x, y in zip(CLASS_SIZES, chi, psi):
-        acc = acc + x * y.conj() * Fraction(size)
-    return acc * Fraction(1, 24)
+def inner_products(chi: ClassFunction,
+                   dual_rows=_DUAL_ROWS) -> dict[str, CycloNumber]:
+    """<chi, psi> for each row psi: chi times psi's dual row, summed in
+    Z[omega] over the classes where chi is nonzero, divided by 24 once."""
+    support = [(i, x) for i, x in enumerate(chi) if not x.is_zero()]
+    out = {}
+    for name, dual in dual_rows.items():
+        acc = CycloNumber.zero(3)
+        for i, x in support:
+            acc = acc + x * dual[i]
+        out[name] = acc * Fraction(1, 24)
+    return out
 
 
 def decompose(chi: ClassFunction) -> dict[str, int]:
-    """Multiplicities against the table rows, <chi, psi> as chi times
-    psi's dual row over the classes where chi is nonzero; rejects
-    non-virtual input."""
-    support = [(i, x) for i, x in enumerate(chi) if not x.is_zero()]
+    """Multiplicities against the table rows; a non-virtual chi is a
+    VerificationError."""
     out = {}
-    for name in ROW_NAMES:
-        dual = _DUAL_ROWS[name]
-        mult = CycloNumber.zero(3)
-        for i, x in support:
-            mult = mult + x * dual[i]
-        if not mult.is_rational():
-            raise ValueError(f"not a virtual character: <chi, {name}> "
-                             "is irrational")
-        value = mult.as_rational()
+    for name, value in inner_products(chi).items():
+        if not value.is_rational():
+            raise VerificationError(f"not a virtual character: <chi, {name}> "
+                                    "is irrational")
+        value = value.as_rational()
         if value.denominator != 1:
-            raise ValueError(f"not a virtual character: <chi, {name}> = {value}")
+            raise VerificationError(
+                f"not a virtual character: <chi, {name}> = {value}")
         out[name] = value.numerator
     return out
 
@@ -293,8 +284,7 @@ def pointwise_product(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
 def character_of(multiplicities: dict[str, int]) -> ClassFunction:
     acc = [CycloNumber.zero(3)] * 7
     for name, mult in multiplicities.items():
-        row = CHARACTER_TABLE[name]
-        acc = [a + v * Fraction(mult) for a, v in zip(acc, row)]
+        acc = [a + v * mult for a, v in zip(acc, CHARACTER_TABLE[name])]
     return tuple(acc)
 
 
@@ -308,21 +298,18 @@ def endomorphism_character(chi: ClassFunction) -> ClassFunction:
 
 def orthogonality_check() -> None:
     rows = [CHARACTER_TABLE[name] for name in ROW_NAMES]
-    one, zero = CycloNumber.one(3), CycloNumber.zero(3)
-    for i, chi in enumerate(rows):
-        for j, psi in enumerate(rows):
-            want = one if i == j else zero
-            _require(inner_product(chi, psi) == want,
-                     f"rows {ROW_NAMES[i]} and {ROW_NAMES[j]} are not orthonormal")
-    for ci in range(7):
-        for cj in range(7):
-            acc = CycloNumber.zero(3)
-            for chi in rows:
-                acc = acc + chi[ci] * chi[cj].conj()
-            want = (CycloNumber.from_rational(3, Fraction(24, CLASS_SIZES[ci]))
-                    if ci == cj else zero)
-            _require(acc == want, f"columns Cl{ci + 1} and Cl{cj + 1} "
-                     "fail column orthogonality")
+    dual_rows = _dual_rows(CHARACTER_TABLE)
+    for name, chi in zip(ROW_NAMES, rows):
+        products = inner_products(chi, dual_rows)
+        for other in ROW_NAMES:
+            _require(products[other] == (1 if other == name else 0),
+                     f"rows {name} and {other} are not orthonormal")
+    for ci, cj in itertools.product(range(7), repeat=2):
+        acc = CycloNumber.zero(3)
+        for chi in rows:
+            acc = acc + chi[ci] * chi[cj].conj()
+        _require(acc * CLASS_SIZES[ci] == (24 if ci == cj else 0),
+                 f"columns Cl{ci + 1} and Cl{cj + 1} fail column orthogonality")
 
 
 def trace_consistency_check(group: G4) -> None:
@@ -387,8 +374,7 @@ def admissible_shapes() -> tuple[ModuleShape, ...]:
         for b in range(5):
             if (a, b) == (0, 0) or 12 * a + 6 * b > 24:
                 continue
-            chi = tuple(x * Fraction(a) + y * Fraction(b)
-                        for x, y in zip(E_CHARACTER, F_CHARACTER))
+            chi = tuple(x * a + y * b for x, y in zip(E_CHARACTER, F_CHARACTER))
             mults = decompose(endomorphism_character(chi))
             eliminated = mults["h"] == 0 and mults["h*"] == 0
             shapes.append(ModuleShape(a, b, eliminated))
@@ -484,8 +470,7 @@ def run_battery() -> tuple[tuple[str, str], ...]:
     homomorphism_check(group)
     checks.append(("reflection representation",
                    "V1-twisted quaternionic action realizes the h row"))
-    regular = class_function((24, 0, 0, 0, 0, 0, 0))
-    reg = decompose(regular)
+    reg = decompose(class_function((24, 0, 0, 0, 0, 0, 0)))
     _require(reg == {"T": 1, "V1": 1, "V2": 1, "W": 2, "h": 2, "h*": 2, "U": 3},
              f"regular character decomposes as {reg}")
     checks.append(("regular character", "multiplicities equal the degrees"))

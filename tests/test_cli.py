@@ -269,6 +269,18 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "all 13 checks passed" in proc.stdout
 
+    def test_g4_battery_failure_is_exit_1(self, monkeypatch, capsys):
+        # A failed identity of the battery is a mismatch, even where the
+        # check that finds it is a decomposition: g4 reads no input.
+        from cmscan import g4
+        monkeypatch.setattr(g4, "F_CHARACTER",
+                            g4.class_function((1, 0, 0, 0, 0, 0, 0)))
+        assert cli.main(["g4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("cmscan: verification mismatch: not a "
+                                "virtual character: <chi, T> = 1/24\n")
+
     def test_table1_without_data_is_exit_2(self):
         proc = run_cli("table1")
         assert proc.returncode == 2

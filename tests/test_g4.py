@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import cyclo_oracle as oracle
 from cmscan import g4
 from cmscan.cyclo import CycloNumber
 from cmscan.polycore import VerificationError
@@ -102,12 +103,89 @@ class TestCharacterTable:
                                      "h": 2, "h*": 2, "U": 3}
 
     def test_decompose_rejects_non_virtual(self):
-        with pytest.raises(ValueError, match="virtual"):
+        with pytest.raises(VerificationError,
+                           match=r"not a virtual character: <chi, T> = 1/24"):
             g4.decompose(g4.class_function((1, 0, 0, 0, 0, 0, 0)))
 
+    def test_class_function_lifts_omega_pairs(self):
+        omega = CycloNumber.zeta(3)
+        assert g4.class_function((2, -1, (3, 1), (-1, 2), 0, (1, 0), (1, 3))) == (
+            CycloNumber.from_rational(3, 2), CycloNumber.from_rational(3, -1),
+            omega * 3, -(omega * omega), CycloNumber.zero(3),
+            CycloNumber.one(3), CycloNumber.one(3))
+        with pytest.raises(ValueError, match="7 values"):
+            g4.class_function((1, 1))
+
     def test_inner_product_normalisation(self):
-        chi = g4.CHARACTER_TABLE["h"]
-        assert g4.inner_product(chi, chi) == CycloNumber.one(3)
+        h = _to_oracle(g4.CHARACTER_TABLE["h"])
+        assert _oracle_inner(h, h) == 1
+        assert g4.inner_products(g4.CHARACTER_TABLE["h"])["h"] == CycloNumber.one(3)
+
+
+def _to_oracle(chi):
+    return tuple(oracle.CycloNumber(3, x.coords) for x in chi)
+
+
+def _oracle_inner(chi, psi):
+    """<chi, psi> = sum over classes of |C| chi conj(psi) / 24, in the
+    Fraction-coordinate kernel."""
+    acc = oracle.CycloNumber.zero(3)
+    for size, x, y in zip(g4.CLASS_SIZES, chi, psi):
+        acc = acc + x * y.conj() * size
+    return acc * Fraction(1, 24)
+
+
+class TestInnerProductOracle:
+    """g4.decompose, the only inner product in src, against sums in the
+    Fraction kernel of tests/cyclo_oracle.py."""
+
+    ROWS = {name: _to_oracle(row) for name, row in g4.CHARACTER_TABLE.items()}
+
+    def oracle_decompose(self, chi):
+        out = {}
+        for name, row in self.ROWS.items():
+            value = _oracle_inner(chi, row)
+            assert value.is_rational()
+            assert value.as_rational().denominator == 1
+            out[name] = value.as_rational()
+        return out
+
+    def test_rows_are_orthonormal(self):
+        for name, chi in self.ROWS.items():
+            for other, psi in self.ROWS.items():
+                assert _oracle_inner(chi, psi) == int(name == other)
+            got = g4.decompose(g4.CHARACTER_TABLE[name])
+            assert got == self.oracle_decompose(chi)
+
+    def test_regular_and_endomorphism_characters(self):
+        rows = self.ROWS
+        e = tuple(t + v1 + v2 + u * 3 for t, v1, v2, u in
+                  zip(rows["T"], rows["V1"], rows["V2"], rows["U"]))
+        f = tuple(h + hs + w for h, hs, w in
+                  zip(rows["h"], rows["h*"], rows["W"]))
+        assert _to_oracle(g4.E_CHARACTER) == e
+        assert _to_oracle(g4.F_CHARACTER) == f
+        regular = (oracle.CycloNumber.from_rational(3, 24),) + tuple(
+            oracle.CycloNumber.zero(3) for _ in range(6))
+        cases = [
+            (g4.class_function((24, 0, 0, 0, 0, 0, 0)), regular),
+            (g4.endomorphism_character(g4.E_CHARACTER),
+             tuple(x * x.conj() for x in e)),
+            (g4.endomorphism_character(g4.F_CHARACTER),
+             tuple(x * x.conj() for x in f)),
+        ]
+        for chi, want in cases:
+            assert _to_oracle(chi) == want
+            assert g4.decompose(chi) == self.oracle_decompose(want)
+
+    def test_tensor_products(self):
+        for name_a, row_a in self.ROWS.items():
+            for name_b, row_b in self.ROWS.items():
+                want = tuple(x * y for x, y in zip(row_a, row_b))
+                chi = g4.pointwise_product(g4.CHARACTER_TABLE[name_a],
+                                           g4.CHARACTER_TABLE[name_b])
+                assert _to_oracle(chi) == want
+                assert g4.decompose(chi) == self.oracle_decompose(want)
 
 
 class TestModuleShapes:
@@ -253,7 +331,7 @@ class TestCayleyTable:
             want = [idx for idx, cls in enumerate(group.classes) if q in cls]
             assert [group.class_index(q)] == want
         outsider = g4.Quaternion(4, 0, 0, 0)
-        with pytest.raises(ValueError, match="not a group element"):
+        with pytest.raises(VerificationError, match="not a group element"):
             group.class_index(outsider)
 
     def test_classes_are_conjugation_orbits(self, group):
