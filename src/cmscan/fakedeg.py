@@ -19,7 +19,8 @@ violation.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
+from itertools import chain, compress
 
 from . import partitions as pt
 from .polycore import (
@@ -43,18 +44,7 @@ class IrrLabel(namedtuple("IrrLabel", "orbit eps")):
 
 def group_orbits(g: GroupSpec) -> tuple[pt.MultipartitionOrbit, ...]:
     """Shift orbits of m-multipartitions of n, in enumeration order."""
-    mps = pt.multipartitions(g.m, g.n)
-    # Enumeration order is multipartition_key order, so positions sort
-    # orbit members without re-keying them.
-    unseen = {mp: i for i, mp in enumerate(mps)}
-    orbits: list[pt.MultipartitionOrbit] = []
-    for mp in mps:
-        if mp in unseen:
-            orbit = pt._orbit(mp, g.p, g.d, unseen.__getitem__)
-            for member in orbit.members:
-                del unseen[member]
-            orbits.append(orbit)
-    return tuple(orbits)
+    return pt.shift_orbits(g.m, g.p, g.n)
 
 
 def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
@@ -84,19 +74,40 @@ def label_rows(g: GroupSpec) -> tuple[tuple[IrrLabel, int, LaurentPoly], ...]:
 
 def _hooks(mp: pt.Multipartition) -> tuple[int, ...]:
     """Hook lengths of all nonempty components, ascending."""
-    return tuple(sorted(h for lam in mp if lam for h in pt._hook_lengths(lam)))
+    return tuple(sorted(chain.from_iterable(
+        map(pt._hook_lengths, filter(None, mp)))))
 
 
 def irr_dimension(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> int:
     """Dimension of each label of the orbit:
     n! / (stabiliser order * prod of all hook lengths)."""
-    q, r = divmod(math.factorial(g.n),
-                  orbit.stab_order * math.prod(_hooks(orbit.canonical)))
+    hook_product = math.prod(map(math.prod, map(pt._hook_lengths,
+                                                filter(None, orbit.canonical))))
+    q, r = divmod(math.factorial(g.n), orbit.stab_order * hook_product)
     if r:
         raise VerificationError(
             f"stabiliser order times hook product of {orbit.canonical} "
             f"does not divide {g.n}!")
     return q
+
+
+def _index_weights(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> list[int]:
+    """r(mu) = sum_i i * |mu^i| for each member mu of the orbit, the
+    canonical member first, then its shifts by d, 2d, ...
+
+    Shifting by k adds k to the index of every box and takes m off each
+    box that wraps round, those of the last k components.  So the
+    weights come from the indices and sizes of the canonical member's
+    nonempty components, and no other member is built.
+    """
+    m, p, n = g
+    mp = orbit.canonical
+    boxes = [(i, sum(mp[i])) for i in compress(range(m), mp)]
+    first = sum(i * size for i, size in boxes)
+    d = m // p
+    return [first] + [first + k * n - m * sum(size for i, size in boxes
+                                               if i >= m - k)
+                      for k in range(d, p // orbit.stab_order * d, d)]
 
 
 def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
@@ -107,12 +118,12 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
     multiset, coefficients of R'); ``memo``, when given, maps the keys
     of this same group to their shapes, so each shape is expanded once.
     """
-    weights = [pt.index_weight(member) for member in orbit.members]
+    weights = _index_weights(g, orbit)
     k = min(weights)
     reduced_weight = [0] * (max(weights) - k + 1)
     for w in weights:
         reduced_weight[w - k] += 1
-    b = k + g.m * sum(pt._weighted_size(lam) for lam in orbit.canonical if lam)
+    b = k + g.m * sum(map(pt._weighted_size, filter(None, orbit.canonical)))
     key = (_hooks(orbit.canonical), tuple(reduced_weight))
     shape = None if memo is None else memo.get(key)
     if shape is None:
@@ -125,23 +136,25 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
 def _expand_shape(g: GroupSpec, hooks: tuple[int, ...],
                   reduced_weight: tuple[int, ...]) -> LaurentPoly:
     """R' * (1 - t^(dn)) * prod_{i<n} (1 - t^(mi)) / prod_h (1 - t^(mh))."""
-    num = Counter([g.d * g.n] + [g.m * i for i in range(1, g.n)])
-    den = Counter(g.m * h for h in hooks)
-    common = num & den
-    num -= common
-    den -= common
+    num = [g.d * g.n] + [g.m * i for i in range(1, g.n)]
+    den = []
+    for h in hooks:  # equal degrees cancel
+        if g.m * h in num:
+            num.remove(g.m * h)
+        else:
+            den.append(g.m * h)
     c = list(reduced_weight)
-    for a in num.elements():
+    for a in num:
         c += [0] * a
         mul_one_minus(c, a)
-    for a in den.elements():
+    for a in den:
         div_one_minus(c, a)
         if any(c[max(len(c) - a, 0):]):
             raise VerificationError(
                 f"fake degree with hooks {hooks} is not a polynomial: "
                 f"dividing by 1 - t^{a} leaves a remainder")
         del c[len(c) - a:]
-    if any(x < 0 for x in c):
+    if min(c, default=0) < 0:
         raise VerificationError("fake degree has a negative coefficient")
     return LaurentPoly._dense(0, c)
 

@@ -9,6 +9,12 @@ epsilon label per stabiliser element.
 Text format: components joined by "|", parts by ",", empty component
 "-", e.g. ``"2,2|-|1"`` for ((2,2), (), (1)).
 
+Shift orbits are found on ranks: each partition a component can hold
+gets its index in ``multipartition_key`` order, so a multipartition
+becomes a tuple of ints that compares as its key does, and a shift is
+two slices.  An orbit keeps only its least member, ``canonical``; its
+other members are built when asked for.
+
 Partitions are validated where they enter from outside (the public
 ``check_*``, ``orbit_of``, ``parse_multipartition`` and the canonical
 member of a ``MultipartitionOrbit`` built by hand); the enumerators
@@ -19,6 +25,8 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
+from operator import mul
 
 from .polycore import VerificationError
 
@@ -30,15 +38,17 @@ Multipartition = tuple[Partition, ...]
 MAX_MULTIPARTITIONS = 200_000
 
 # The most component slots (count * m) the enumerated multipartitions
-# hold.  The labels and their shift orbits take about 10 bytes a slot:
-# G(300,1,2)'s 45,450 labels hold 13,635,000 slots and peak at 132 MB
-# RSS, and scanning them runs out of a 512 MB address space.  Below
-# MAX_MULTIPARTITIONS this admits G(16,p,6) (2,489,344 slots) and
-# G(200,1,2) (4,060,000) and refuses G(300,1,2).
+# hold.  Each label keeps its orbit's canonical m-tuple, so the labels
+# take about 9 bytes a slot and a scan about 11: with this bound lifted,
+# G(300,1,2)'s 45,450 labels hold 13,635,000 slots, and fake-degrees
+# peaks at 131 MB RSS (206 MB with --json) and scan at 163 MB (2-core
+# x86-64, CPython 3.11).  Below MAX_MULTIPARTITIONS this admits
+# G(16,p,6) (2,489,344 slots) and G(200,1,2) (4,060,000) and refuses
+# G(300,1,2).
 MAX_COMPONENT_SLOTS = 10_000_000
 
 # Distinct (n, max_part) arguments whose partitions are kept, and
-# distinct partitions whose hook lengths are kept.
+# distinct partitions whose hook lengths, n(lambda) and text are kept.
 PARTITIONS_CACHE_SIZE = 4096
 
 
@@ -96,13 +106,14 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for row in lam if row > j) for j in range(lam[0]))
 
 
+@functools.lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def _weighted_size(lam: Partition) -> int:
     """n(lam) = sum_i (i - 1) * lam_i of a valid partition.
 
     >>> _weighted_size((2, 2, 1))
     4
     """
-    return sum(i * part for i, part in enumerate(lam))
+    return sum(map(mul, range(len(lam)), lam))
 
 
 # -- multipartitions ----------------------------------------------------
@@ -147,6 +158,42 @@ def _multipartition_count(m: int, n: int) -> int:
     return a[-1]
 
 
+def _check_size(m: int, n: int) -> None:
+    """Refuse more than MAX_MULTIPARTITIONS m-multipartitions of n, or
+    more than MAX_COMPONENT_SLOTS components in all, before enumerating."""
+    count = _multipartition_count(m, n)
+    if count > MAX_MULTIPARTITIONS:
+        raise ValueError(
+            f"more than {MAX_MULTIPARTITIONS} {m}-multipartitions of {n}: "
+            "too many labels to enumerate")
+    if count * m > MAX_COMPONENT_SLOTS:
+        raise ValueError(
+            f"the {count} {m}-multipartitions of {n} hold {count * m} "
+            f"components; the limit is {MAX_COMPONENT_SLOTS}")
+
+
+def _by_boxes(m: int, n: int, parts: Callable[[int], Sequence],
+              empty) -> Iterator[tuple]:
+    """The m-multipartitions of n in ``multipartitions`` order, each
+    component written as an item of ``parts(size)`` (its partitions of
+    that size, in order) or as ``empty``: j empty components, one
+    nonempty partition of some size s, then the (m - j - 1)-
+    multipartitions of n - s.  Every level places at least one box, so
+    the recursion is at most n deep; the first level yields its tuples
+    one at a time, so they are not all held at once."""
+    if n == 0:
+        yield (empty,) * m
+        return
+    for j in range(m):
+        head = (empty,) * j
+        for size in range(n, 0, -1):
+            rest = list(_by_boxes(m - j - 1, n - size, parts, empty))
+            for lam in parts(size) if rest else ():
+                first = head + (lam,)
+                for tail in rest:
+                    yield first + tail
+
+
 def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
     """All m-multipartitions of n, deterministically ordered.
 
@@ -160,72 +207,116 @@ def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
     Refuses, before enumerating, more than MAX_MULTIPARTITIONS of them
     or more than MAX_COMPONENT_SLOTS components in all.
     """
-    count = _multipartition_count(m, n)
-    if count > MAX_MULTIPARTITIONS:
-        raise ValueError(
-            f"more than {MAX_MULTIPARTITIONS} {m}-multipartitions of {n}: "
-            "too many labels to enumerate")
-    if count * m > MAX_COMPONENT_SLOTS:
-        raise ValueError(
-            f"the {count} {m}-multipartitions of {n} hold {count * m} "
-            f"components; the limit is {MAX_COMPONENT_SLOTS}")
-    return tuple(_by_boxes(m, n))
+    _check_size(m, n)
+    return tuple(_by_boxes(m, n, partitions, ()))
 
 
-def _by_boxes(m: int, n: int) -> list[Multipartition]:
-    """The m-multipartitions of n in ``multipartitions`` order, as j
-    empty components, one nonempty partition of some size s, then the
-    (m - j - 1)-multipartitions of n - s; every level places at least
-    one box, so the recursion is at most n deep."""
-    if n == 0:
-        return [((),) * m]
-    out: list[Multipartition] = []
-    for j in range(m):
-        head = ((),) * j
-        for size in range(n, 0, -1):
-            rest = _by_boxes(m - j - 1, n - size)
-            for lam in partitions(size):
-                first = head + (lam,)
-                out += [first + r for r in rest]
-    return out
+def _orbit_size(r: tuple[int, ...], p: int, d: int) -> int:
+    """The number of distinct shifts of the rank tuple r by multiples of
+    d, when r is the least of them, else 0.  Shifting p times by d is
+    the identity, so the first repeat is r itself and comes within p
+    shifts; the check that its count divides p is kept explicit."""
+    shifted = r
+    for size in range(1, p):
+        shifted = shifted[-d:] + shifted[:-d]
+        if shifted <= r:
+            if shifted < r:
+                return 0
+            break
+    else:
+        size = p
+    if p % size:
+        raise VerificationError("orbit size must divide p")
+    return size
 
 
-def shift(mp: Multipartition, d: int) -> Multipartition:
-    """Cyclic shift moving component i to component (i + d) mod m.
+def _local_ranks(mp: Multipartition) -> tuple[list[Partition], tuple[int, ...]]:
+    """mp's distinct components in ``multipartition_key`` order, and mp
+    as the tuple of its components' ranks among them."""
+    parts = sorted(set(mp), key=_partition_key)
+    rank = {lam: i for i, lam in enumerate(parts)}
+    return parts, tuple(map(rank.__getitem__, mp))
 
-    >>> shift(((1,), (1,), ()), 1)
-    ((), (1,), (1,))
-    """
-    m = len(mp)
-    return tuple(mp[(i - d) % m] for i in range(m))
+
+def _shifts(r: tuple, d: int, count: int) -> list[tuple]:
+    """r shifted by 0, d, ..., (count - 1) * d; a shift by k moves
+    component i to component (i + k) mod m."""
+    m = len(r)
+    return [r[m - k:] + r[:m - k] for k in range(0, count * d, d)]
 
 
 class MultipartitionOrbit(namedtuple("MultipartitionOrbit",
-                                     "members canonical stab_order")):
-    """Orbit of a multipartition under iterated shift by d.
+                                     "canonical p stab_order")):
+    """Orbit of a multipartition under the order-p group of shifts by
+    d = m/p.
 
-    ``members`` lists the distinct multipartitions in deterministic
-    order, ``canonical`` is the least member under the enumeration
-    order, and ``stab_order * len(members) == p`` always holds.
+    ``canonical`` is its least member in ``multipartition_key`` order,
+    and the orbit has p / stab_order members; ``members`` lists them,
+    built when asked for.
     """
 
     __slots__ = ()
 
-    def __new__(cls, members: tuple[Multipartition, ...],
-                canonical: Multipartition,
+    def __new__(cls, canonical: Multipartition, p: int,
                 stab_order: int) -> MultipartitionOrbit:
         # fake_degree and irr_dimension read canonical through unchecked
         # helpers, so an orbit built by hand is checked here.
         check_multipartition(canonical)
-        return super().__new__(cls, members, canonical, stab_order)
+        return super().__new__(cls, canonical, p, stab_order)
 
     @classmethod
-    def _of_valid(cls, members: tuple[Multipartition, ...],
-                  canonical: Multipartition,
+    def _of_valid(cls, canonical: Multipartition, p: int,
                   stab_order: int) -> MultipartitionOrbit:
-        """The orbit of enumerated or checked members, built without
-        ``__new__``'s check."""
-        return tuple.__new__(cls, (members, canonical, stab_order))
+        """The orbit of an enumerated or checked canonical member, built
+        without ``__new__``'s check."""
+        return tuple.__new__(cls, (canonical, p, stab_order))
+
+    @property
+    def members(self) -> tuple[Multipartition, ...]:
+        """The distinct shifts of canonical, in ``multipartition_key``
+        order."""
+        if self.stab_order == self.p:
+            return (self.canonical,)
+        parts, r = _local_ranks(self.canonical)
+        shifts = _shifts(r, len(r) // self.p, self.p // self.stab_order)
+        return tuple(tuple(map(parts.__getitem__, s)) for s in sorted(shifts))
+
+
+def shift_orbits(m: int, p: int, n: int) -> tuple[MultipartitionOrbit, ...]:
+    """The orbits of the m-multipartitions of n under shift by d = m/p,
+    in enumeration order of their canonical members, refused first as
+    ``multipartitions`` is.
+
+    For p > 1 the multipartitions are enumerated as rank tuples: the
+    table lists every partition of size n down to 1, descending-lex
+    within a size, then the empty partition, which is
+    ``multipartition_key`` order, so a tuple of ranks (indices in the
+    table) compares as its multipartition's key does.  A rank tuple is
+    kept only when it is the least of its shifts, so no orbit's other
+    members are built.
+    """
+    _check_size(m, n)
+    if p == 1:
+        return tuple(MultipartitionOrbit._of_valid(mp, 1, 1)
+                     for mp in _by_boxes(m, n, partitions, ()))
+    table: list[Partition] = []
+    ranks: dict[int, range] = {}
+    for size in range(n, 0, -1):
+        ranks[size] = range(len(table), len(table) + len(partitions(size)))
+        table += partitions(size)
+    table.append(())
+    d = m // p
+    orbits: list[MultipartitionOrbit] = []
+    for r in _by_boxes(m, n, ranks.__getitem__, len(table) - 1):
+        # A shift by a multiple of d brings some r[j * d] to the front,
+        # so most tuples that are not least are seen at once.
+        if min(r[::d]) < r[0]:
+            continue
+        size = _orbit_size(r, p, d)
+        if size:
+            orbits.append(MultipartitionOrbit._of_valid(
+                tuple(map(table.__getitem__, r)), p, p // size))
+    return tuple(orbits)
 
 
 def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
@@ -233,41 +324,23 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
     mp = check_multipartition(mp)
     if p < 1 or d < 1 or len(mp) != p * d:
         raise ValueError("need m = p * d components")
-    return _orbit(mp, p, d, multipartition_key)
-
-
-def _orbit(mp: Multipartition, p: int, d: int, key) -> MultipartitionOrbit:
-    """Orbit of a valid mp, its members sorted by ``key``; the action is
-    cyclic, so the first repeat is mp itself."""
-    seen = [mp]
-    current = shift(mp, d)
-    while current != mp and len(seen) < p:
-        seen.append(current)
-        current = shift(current, d)
-    stab, rem = divmod(p, len(seen))
-    if rem or current != mp:
-        raise VerificationError("orbit size must divide p")
-    members = tuple(sorted(seen, key=key))
-    return MultipartitionOrbit._of_valid(members, members[0], stab)
-
-
-def index_weight(mp: Multipartition) -> int:
-    """r(mp) = sum_i i * |mp^i| (components indexed from 0).
-
-    >>> index_weight(((1,), (1,), ()))
-    1
-    """
-    return sum(i * sum(lam) for i, lam in enumerate(mp) if lam)
+    parts, r = _local_ranks(mp)
+    least = min(_shifts(r, d, p))
+    stab = p // _orbit_size(least, p, d)
+    return MultipartitionOrbit._of_valid(tuple(map(parts.__getitem__, least)),
+                                         p, stab)
 
 
 # -- text format ---------------------------------------------------------
 
+@functools.lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
+def _component_text(lam: Partition) -> str:
+    return ",".join(map(str, lam))
+
+
 def render_multipartition(mp: Multipartition) -> str:
     """Canonical text, e.g. ((2,2),(),(1,)) -> "2,2|-|1"."""
-    comps = []
-    for lam in mp:
-        comps.append(",".join(str(p) for p in lam) if lam else "-")
-    return "|".join(comps)
+    return "|".join([_component_text(lam) if lam else "-" for lam in mp])
 
 
 def parse_multipartition(text: str) -> Multipartition:

@@ -60,9 +60,16 @@ def mul_one_minus(c: list[int], a: int) -> None:
 
 def div_one_minus(c: list[int], a: int) -> None:
     """c /= 1 - t^a as a power series in place, truncated to len(c):
-    q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
-    for j in range(min(a, len(c))):
-        c[j::a] = accumulate(c[j::a])
+    q[i] = c[i] + q[i - a].  With a^2 >= len(c) there are at most a
+    blocks of a coefficients, and each adds the block before it, already
+    final; otherwise each of the a residue classes mod a is one prefix
+    sum."""
+    if a * a >= len(c):
+        for i in range(a, len(c), a):
+            c[i:i + a] = map(add, c[i:i + a], c[i - a:i])
+    else:
+        for j in range(a):
+            c[j::a] = accumulate(c[j::a])
 
 
 # Packed division reads a coefficient list c as the integer
@@ -305,7 +312,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly._dense(self._lo + k, self._c)
+        if not self._c:
+            return self
+        out = object.__new__(LaurentPoly)
+        out._lo, out._c = self._lo + k, self._c  # already trimmed
+        return out
 
     def __divmod__(self, other) -> tuple[LaurentPoly, LaurentPoly]:
         """Long division ordered by descending exponent, over the integers.
@@ -467,6 +478,24 @@ def weighted_sum(terms: Iterable[tuple[LaurentPoly, int]]) -> LaurentPoly:
         j = i + len(f._c)
         out[i:j] = map(add, out[i:j], map(mul, f._c, repeat(w)))
     return LaurentPoly._dense(lo, out)
+
+
+def packed_value(f: LaurentPoly, width: int) -> int | None:
+    """f(2^width) for f with nonnegative exponents and every coefficient
+    in [0, 2^width), the int whose width-bit slots are f's coefficients;
+    None for any other f.  ``width`` is a multiple of 8.
+
+    >>> packed_value(LaurentPoly.parse("3*t^2 + 1"), 8) == 3 << 16 | 1
+    True
+    """
+    if f._lo < 0:
+        return None
+    try:
+        slots = b"".join(map(int.to_bytes, f._c, repeat(width // 8),
+                             repeat("little")))
+    except OverflowError:  # a negative coefficient or one too wide
+        return None
+    return int.from_bytes(slots, "little") << width * f._lo
 
 
 def cyclotomic(k: int) -> LaurentPoly:

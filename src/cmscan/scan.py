@@ -21,12 +21,12 @@ from collections.abc import Callable, Iterable, Iterator
 
 from . import partitions as pt
 from .fakedeg import (
-    coinvariant_poincare, fake_degree, irr_dimension, isomorphism_note,
-    label_rows, reducibility_note,
+    IrrLabel, coinvariant_poincare, fake_degree, irr_dimension,
+    isomorphism_note, label_rows, reducibility_note,
 )
 from .polycore import (
-    MAX_SPAN, LaurentPoly, VerificationError, clip, poincare_polynomial,
-    weighted_sum,
+    MAX_SPAN, LaurentPoly, VerificationError, clip, packed_value,
+    poincare_polynomial, weighted_sum,
 )
 from .spec import GroupSpec
 
@@ -76,6 +76,8 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
                       label: str,
                       memo: dict[LaurentPoly, Division] | None = None,
                       charge: Callable[[LaurentPoly, str], None] | None = None,
+                      shapes: dict[LaurentPoly, tuple[int, Division]]
+                      | None = None,
                       ) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
@@ -91,29 +93,40 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
     division and one quotient or remainder object.  ``charge``, when
     given, is called with each primitive divisor the memo does not hold
     yet and the label, before that division starts; it may refuse it by
-    raising.
+    raising.  ``shapes``, when given, maps each shape t^-b f already
+    tested against this same ``poincare`` to its value at 1 and its
+    division, so a repeated shape costs one lookup: its value at 1,
+    content, primitive part and division are each found once.
     """
     if f.is_zero():
         raise VerificationError(f"fake degree of {label} must be nonzero")
-    if f.at_one() != dim:
-        raise VerificationError(f"dim {dim} != f(1) = {f.at_one()} for {label}")
     b = f.trailing_degree()
-    shifted = f.shift(-b)
-    content = shifted.content()
-    primitive = shifted if content == 1 else shifted / LaurentPoly.monomial(content)
-    if memo is None:
-        memo = {}
-    division = memo.get(primitive)
-    if division is None:
-        if charge is not None:
-            charge(primitive, label)
-        quotient, remainder = divmod(poincare, primitive)
-        divides = remainder.is_zero()
-        if divides and (quotient.at_one() * primitive.at_one()
-                        != poincare.at_one()):
-            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
-        division = memo[primitive] = (divides, quotient if divides else remainder)
-    return DivisibilityVerdict(label, b, dim, *division)
+    shape = f.shift(-b)
+    known = None if shapes is None else shapes.get(shape)
+    at_one = shape.at_one() if known is None else known[0]
+    if at_one != dim:
+        raise VerificationError(f"dim {dim} != f(1) = {at_one} for {label}")
+    if known is None:
+        content = shape.content()
+        primitive = shape if content == 1 else shape / LaurentPoly.monomial(content)
+        if memo is None:
+            memo = {}
+        division = memo.get(primitive)
+        if division is None:
+            if charge is not None:
+                charge(primitive, label)
+            quotient, remainder = divmod(poincare, primitive)
+            divides = remainder.is_zero()
+            if divides and (quotient.at_one() * primitive.at_one()
+                            != poincare.at_one()):
+                raise VerificationError(
+                    f"quotient(1) * primitive(1) != P(1) for {label}")
+            division = memo[primitive] = (divides,
+                                          quotient if divides else remainder)
+        known = (at_one, division)
+        if shapes is not None:
+            shapes[shape] = known
+    return DivisibilityVerdict(label, b, dim, *known[1])
 
 
 class ScanReport(namedtuple("ScanReport",
@@ -176,14 +189,53 @@ def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
                notes: tuple[str, ...],
                charge: Callable[[LaurentPoly, str], None] | None = None,
                ) -> ScanReport:
-    """Test every row in order, dividing each distinct primitive divisor
+    """Test every row in order, taking each distinct shape's value at 1
+    and primitive part once and dividing each distinct primitive divisor
     into P once, and count the failing rows."""
     memo: dict[LaurentPoly, Division] = {}
+    shapes: dict[LaurentPoly, tuple[int, Division]] = {}
     verdicts = tuple(divisibility_test(poincare, row.fake, row.dim, row.ident,
-                                       memo, charge)
+                                       memo, charge, shapes)
                      for row in rows)
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(name, len(verdicts), failures, verdicts, notes)
+
+
+def _graded_sum_width(rows: Iterable[tuple[object, int, LaurentPoly]]) -> int:
+    """Bits of one slot of the packed graded sum: the bit length of
+    sum(dim^2), which bounds every coefficient a slot holds, plus one,
+    rounded up to whole bytes."""
+    return -(-(sum(dim * dim for _, dim, _ in rows).bit_length() + 1) // 8) * 8
+
+
+def _graded_sum_holds(rows: tuple[tuple[IrrLabel, int, LaurentPoly], ...],
+                      poincare: LaurentPoly) -> bool:
+    """sum(dim * f) == P over scanned (label, dim, f) rows, as one sum
+    of integers: each polynomial is read at X = 2^w with w bits a slot.
+
+    The rows were scanned first, so f(1) = dim holds for each, and every
+    f is nonnegative (``fakedeg._expand_shape`` checks it).  So every
+    partial sum's coefficient is at most sum(dim * f(1)) = sum(dim^2) <
+    2^(w-1): no slot carries into the next, and the total's slots are
+    the coefficients of sum(dim * f).  P packs only when its
+    coefficients fit w bits too.  Each distinct shape t^-b f is packed
+    once, and a row adds dim * shape(X) * X^b.
+    """
+    width = _graded_sum_width(rows)
+    packed: dict[LaurentPoly, int] = {}
+    total = 0
+    for label, dim, f in rows:
+        b = f.trailing_degree()
+        shape = f.shift(-b)
+        value = packed.get(shape)
+        if value is None:
+            value = packed[shape] = packed_value(shape, width)
+            if value is None:
+                raise VerificationError(
+                    f"fake degree of {label.render()} has a negative "
+                    "coefficient")
+        total += dim * value << width * b
+    return total == packed_value(poincare, width)
 
 
 def scan_group(g: GroupSpec) -> ScanReport:
@@ -198,7 +250,7 @@ def scan_group(g: GroupSpec) -> ScanReport:
                         (DatasetRow(label.render(), dim, f)
                          for label, dim, f in rows),
                         _CONVENTION_NOTES + _group_notes(g))
-    if graded_sum((dim, f) for _, dim, f in rows) != poincare:
+    if not _graded_sum_holds(rows, poincare):
         raise VerificationError("graded sum rule violated")
     return report
 
@@ -206,8 +258,8 @@ def scan_group(g: GroupSpec) -> ScanReport:
 # -- the designated witness families ---------------------------------------
 
 # witness_check expands P and divides it by one fake degree, which is
-# quadratic in deg P, and orbit_of keeps up to p shifted m-tuples; both
-# are bounded before any work.
+# quadratic in deg P, and orbit_of builds p shifted m-tuples to find the
+# least; both are bounded before any work.
 MAX_WITNESS_DEGREE = 20_000
 
 

@@ -13,6 +13,12 @@ and the hook quotient as an unexpanded ``polyoracle.GradedProduct``.
 ``orbit_weight_poly`` is the orbit weight polynomial as a LaurentPoly,
 which ``fakedeg.fake_degree`` now keeps as a list of member counts.
 
+``shift``, ``index_weight`` and ``shift_orbits`` are the orbit builder
+``fakedeg.group_orbits`` used before it enumerated rank tuples: every
+multipartition in a dict, each orbit's members built by shifting its
+first-seen member and deleted from the dict, and the index weights
+summed member by member.
+
 ``standard_tableaux`` and ``major_index_poly`` enumerate standard Young
 tableaux and their major indices: the G(1,1,n) fake degrees, by a route
 independent of the hook formulas.
@@ -21,15 +27,64 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
+from cmscan import partitions as pt
 from cmscan.partitions import (
-    MAX_MULTIPARTITIONS, Multipartition, MultipartitionOrbit, Partition,
-    _hook_lengths, _multipartition_count, _weighted_size, check_partition,
-    index_weight, partitions,
+    MAX_MULTIPARTITIONS, Multipartition, Partition, _hook_lengths,
+    _multipartition_count, _weighted_size, check_partition, partitions,
 )
 from cmscan.polycore import LaurentPoly, VerificationError
 from polyoracle import GradedProduct
+
+
+def shift(mp: Multipartition, d: int) -> Multipartition:
+    """Cyclic shift moving component i to component (i + d) mod m.
+
+    >>> shift(((1,), (1,), ()), 1)
+    ((), (1,), (1,))
+    """
+    m = len(mp)
+    return tuple(mp[(i - d) % m] for i in range(m))
+
+
+def index_weight(mp: Multipartition) -> int:
+    """r(mp) = sum_i i * |mp^i| (components indexed from 0).
+
+    >>> index_weight(((1,), (1,), ()))
+    1
+    """
+    return sum(i * sum(lam) for i, lam in enumerate(mp) if lam)
+
+
+# An orbit as the dict-and-shift builder made it: its members in
+# enumeration order, the first of them, and the stabiliser order.
+ShiftOrbit = namedtuple("ShiftOrbit", "members canonical stab_order")
+
+
+def shift_orbits(m: int, p: int, n: int) -> tuple[ShiftOrbit, ...]:
+    """Shift orbits of the m-multipartitions of n under shift by m/p, in
+    enumeration order of their first members."""
+    d = m // p
+    mps = pt.multipartitions(m, n)
+    unseen = {mp: i for i, mp in enumerate(mps)}
+    orbits: list[ShiftOrbit] = []
+    for mp in mps:
+        if mp not in unseen:
+            continue
+        seen = [mp]
+        current = shift(mp, d)
+        while current != mp and len(seen) < p:
+            seen.append(current)
+            current = shift(current, d)
+        stab, rem = divmod(p, len(seen))
+        if rem or current != mp:
+            raise VerificationError("orbit size must divide p")
+        members = tuple(sorted(seen, key=unseen.__getitem__))
+        for member in members:
+            del unseen[member]
+        orbits.append(ShiftOrbit(members, members[0], stab))
+    return tuple(orbits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,7 +124,7 @@ def standard_tableau_count(lam: Partition) -> int:
     return count
 
 
-def irr_dimension(n: int, orbit: MultipartitionOrbit) -> int:
+def irr_dimension(n: int, orbit) -> int:
     """Dimension: multinomial(n; component sizes) * prod SYT counts,
     divided by the stabiliser order."""
     dim = math.factorial(n)
@@ -95,7 +150,7 @@ def hook_quotient(mp: Multipartition) -> GradedProduct:
                          factors=factors)
 
 
-def orbit_weight_poly(orbit: MultipartitionOrbit) -> LaurentPoly:
+def orbit_weight_poly(orbit) -> LaurentPoly:
     """R(t) = sum over orbit members of t^index_weight."""
     out = LaurentPoly.zero()
     for member in orbit.members:

@@ -61,7 +61,7 @@ def test_criterion_1_fake_degree_consistency_battery(capsys):
                 f = fd.fake_degree(g, label.orbit)
                 dim = fd.irr_dimension(g, label.orbit)
                 assert f.at_one() == dim
-                k = min(pt.index_weight(mp) for mp in label.orbit.members)
+                k = min(partitions_oracle.index_weight(mp) for mp in label.orbit.members)
                 hooks = sum(pt._weighted_size(lam)
                             for lam in label.orbit.canonical)
                 assert f.trailing_degree() == k + g.m * hooks

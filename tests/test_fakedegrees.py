@@ -143,7 +143,7 @@ class TestGlobalIdentities:
     def test_trailing_degree_formula(self, g):
         for orbit in fd.group_orbits(g):
             f = fd.fake_degree(g, orbit)
-            k = min(pt.index_weight(mp) for mp in orbit.members)
+            k = min(partitions_oracle.index_weight(mp) for mp in orbit.members)
             hooks = sum(pt._weighted_size(lam) for lam in orbit.canonical)
             assert f.trailing_degree() == k + g.m * hooks
 
@@ -200,6 +200,43 @@ class TestClosedForm:
         with pytest.raises(VerificationError, match=message):
             for orbit in fd.group_orbits(g):
                 fd.fake_degree(g, orbit)
+
+
+# Every G(m,p,n) with m <= 12, n <= 7 and at most 5,000 m-multipartitions
+# of n, the battery among them: 189 of that grid's 245 groups.  The
+# oracle builds every member of every orbit, which makes the other 56
+# slow.
+ORBIT_GROUPS = [fd.GroupSpec(m, p, n) for m in range(1, 13)
+                for p in range(1, m + 1) for n in range(1, 8)
+                if m % p == 0 and pt._multipartition_count(m, n) <= 5000]
+
+
+class TestOrbitOracle:
+    """group_orbits, which keeps each rank tuple that is the least of its
+    shifts, and the weights, b and dims read from the canonical member,
+    against the dict-and-shift builder they replaced
+    (partitions_oracle.shift_orbits)."""
+
+    def test_grid_holds_the_battery(self):
+        assert len(ORBIT_GROUPS) == 189
+        assert set(configured_groups(max_order=2000)) <= set(ORBIT_GROUPS)
+
+    @pytest.mark.parametrize("g", ORBIT_GROUPS, ids=str)
+    def test_matches_shift_builder(self, g):
+        orbits = fd.group_orbits(g)
+        want = partitions_oracle.shift_orbits(g.m, g.p, g.n)
+        assert [(o.canonical, o.stab_order) for o in orbits] == [
+            (o.canonical, o.stab_order) for o in want]
+        memo = {}
+        for orbit, old in zip(orbits, want):
+            assert orbit.members == old.members
+            weights = [partitions_oracle.index_weight(mp) for mp in old.members]
+            # Equal index weight multisets give equal R'.
+            assert sorted(fd._index_weights(g, orbit)) == sorted(weights)
+            b = min(weights) + g.m * sum(map(pt._weighted_size, old.canonical))
+            assert fd.fake_degree(g, orbit, memo).trailing_degree() == b
+            assert fd.irr_dimension(g, orbit) == \
+                partitions_oracle.irr_dimension(g.n, old)
 
 
 class TestConfiguredBattery:

@@ -184,6 +184,21 @@ class TestDivision:
         assert divmod(a * b, b) == (a, LaurentPoly.zero())
 
 
+class TestPackedValue:
+    def test_slots_are_the_coefficients(self):
+        f = P("3*t^4 + 255*t^2 + 1")
+        assert polycore.packed_value(f, 8) == 3 << 32 | 255 << 16 | 1
+        assert polycore.packed_value(f, 16) == 3 << 64 | 255 << 32 | 1
+        assert polycore.packed_value(f.shift(2), 8) == (
+            polycore.packed_value(f, 8) << 16)
+        assert polycore.packed_value(LaurentPoly.zero(), 8) == 0
+
+    def test_refuses_what_its_slots_cannot_hold(self):
+        for f in ("256*t + 1", "t - 1", "t^-1 + 1"):
+            assert polycore.packed_value(P(f), 8) is None, f
+        assert polycore.packed_value(P("256*t + 1"), 16) == 256 << 16 | 1
+
+
 class TestCyclotomic:
     def test_small_values(self):
         assert cyclotomic(1) == P("t - 1")

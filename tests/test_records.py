@@ -22,7 +22,7 @@ RECORDS = {
     "GroupSpec": lambda: GroupSpec(3, 3, 2),
     "IrrLabel": lambda: fakedeg.IrrLabel(ORBIT, 0),
     "MultipartitionOrbit": lambda: partitions.MultipartitionOrbit(
-        ORBIT.members, ORBIT.canonical, 1),
+        ORBIT.canonical, 2, 1),
     "MonomialElement": lambda: groups.MonomialElement(3, (1, 0), (2, 1)),
     "ReflectionClass": lambda: groups.ReflectionClass(
         (groups.MonomialElement(2, (0,), (1,)),), CycloNumber.zeta(2, 1)),
@@ -87,7 +87,7 @@ for make in (lambda: GroupSpec(0, 1, 1), lambda: GroupSpec(4, 3, 2),
              lambda: groups.MonomialElement(3, (0, 0), (0, 0)),
              lambda: groups.MonomialElement(3, (0, 1), (0,)),
              lambda: groups.MonomialElement(3, (0, 1), (0, 3)),
-             lambda: partitions.MultipartitionOrbit((), ((1, 2),), 1),
+             lambda: partitions.MultipartitionOrbit(((1, 2),), 1, 1),
              lambda: g4.Quaternion(1, 0, 0, 0)):
     try:
         make()

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 import partitions_oracle
 from battery import configured_groups
-from cmscan import cli, polycore
+from cmscan import cli, fakedeg, polycore
 from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.fakedeg import (
@@ -186,6 +187,46 @@ class TestDivisionMemo:
             for d in divisors) > 400
         assert None not in results
 
+    def test_scan_group_work_is_per_orbit_and_per_shape(self, monkeypatch):
+        # One fake_degree call an orbit, one expansion a shape key (hook
+        # multiset, R'), one division of P a primitive part.
+        g = GroupSpec(10, 5, 6)
+        poincare = coinvariant_poincare(g)
+        orbits = fakedeg.group_orbits(g)
+        keys = set()
+        for orbit in orbits:
+            weight = partitions_oracle.orbit_weight_poly(orbit)
+            low = weight.trailing_degree()
+            keys.add((tuple(sorted(h for lam in orbit.canonical
+                                   for h in pt._hook_lengths(lam))),
+                      tuple(dict(weight.items()).get(low + i, 0)
+                            for i in range(weight.degree() - low + 1))))
+        primitives = {_primitive(f) for _, _, f in label_rows(g)}
+        calls = {"fake_degree": 0, "_expand_shape": 0, "divisions": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        for name in ("fake_degree", "_expand_shape"):
+            monkeypatch.setattr(fakedeg, name,
+                                counted(name, getattr(fakedeg, name)))
+        real_divmod = LaurentPoly.__divmod__
+
+        def divmod_spy(a, b):
+            calls["divisions"] += a == poincare
+            return real_divmod(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__divmod__", divmod_spy)
+        report = scan.scan_group(g)
+        assert report.labels == len(orbits) == 3883
+        assert calls == {"fake_degree": len(orbits),
+                         "_expand_shape": len(keys),
+                         "divisions": len(primitives)}
+        assert len(keys) == 232
+
     def test_memo_entries_are_shared(self):
         poincare = P("1 + 2*t + t^2")
         memo = {}
@@ -241,6 +282,70 @@ class TestGradedSum:
         assert scan.graded_sum(rows) == _per_row_sum(rows) == P(
             "4*t^3 + 7*t^2 + 7*t - 2 + 3*t^-1")
         assert scan.graded_sum([]) == LaurentPoly.zero()
+
+
+class TestPackedGradedSum:
+    """scan_group checks sum(dim * f) == P as one packed integer sum
+    (``_graded_sum_holds``); the oracle is graded_sum, which
+    ExceptionalGroupData.validate still runs on dataset rows."""
+
+    @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
+    def test_agrees_with_graded_sum(self, g):
+        rows = label_rows(g)
+        poincare = coinvariant_poincare(g)
+        (label, dim, f), *rest = rows
+        moved = ((label, dim, f.shift(1)), *rest)
+        for rows_, target in ((rows, poincare), (rows, poincare * 2),
+                              (rows, poincare.shift(1)),
+                              (rows, poincare + P("t^2 - t")),
+                              (moved, poincare)):
+            want = scan.graded_sum((d, f) for _, d, f in rows_) == target
+            assert scan._graded_sum_holds(rows_, target) is want
+            assert want is (rows_ is rows and target is poincare)
+
+    @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
+    def test_slot_width_holds_every_coefficient(self, g):
+        # Coefficients are nonnegative, so each partial sum's are at most
+        # the total's, and those at most sum(dim * f(1)) = sum(dim^2);
+        # one bit more than that bound's length leaves each slot's top
+        # bit clear.  At t^0 of G(1,1,1) the bound is met.
+        rows = label_rows(g)
+        largest = max(c for _, c in coinvariant_poincare(g).items())
+        bound = sum(dim * dim for _, dim, _ in rows)
+        assert largest <= bound < 1 << scan._graded_sum_width(rows) - 1
+        if g.order == 1:
+            assert largest == bound
+
+    def test_negative_coefficient_is_refused(self):
+        # dim = f(1) holds, but a negative coefficient voids the bound.
+        (label, _, _), *_ = label_rows(GroupSpec(2, 1, 1))
+        with pytest.raises(VerificationError, match=re.escape(
+                "fake degree of 1|- has a negative coefficient")):
+            scan._graded_sum_holds(((label, 1, P("2 - t")),), P("1"))
+
+    def test_moved_row_raises_under_optimize(self):
+        script = """
+from cmscan import scan
+from cmscan.fakedeg import GroupSpec
+from cmscan.polycore import VerificationError
+real = scan.label_rows
+
+def moved(g):
+    (label, dim, f), *rest = real(g)
+    return ((label, dim, f.shift(1)), *rest)
+
+scan.label_rows = moved
+print("__debug__ =", __debug__)
+try:
+    scan.scan_group(GroupSpec(3, 3, 3))
+except VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "__debug__ = False", "VerificationError: graded sum rule violated"]
 
 
 class TestGroupScanIsDatasetScan:
