@@ -259,9 +259,14 @@ class MultipartitionOrbit(namedtuple("MultipartitionOrbit",
 
     def __new__(cls, canonical: Multipartition, p: int,
                 stab_order: int) -> MultipartitionOrbit:
-        # fake_degree and irr_dimension read canonical through unchecked
-        # helpers, so an orbit built by hand is checked here.
+        # fake_degree, irr_dimension and members read canonical, p and
+        # stab_order through unchecked helpers, so an orbit built by hand
+        # is checked here.
         check_multipartition(canonical)
+        if p < 1 or len(canonical) % p:
+            raise ValueError("need m = p * d components")
+        if stab_order < 1 or p % stab_order:
+            raise ValueError("the stabiliser order must divide p")
         return super().__new__(cls, canonical, p, stab_order)
 
     @classmethod
@@ -295,10 +300,10 @@ def shift_orbits(m: int, p: int, n: int) -> tuple[MultipartitionOrbit, ...]:
     kept only when it is the least of its shifts, so no orbit's other
     members are built.
     """
-    _check_size(m, n)
     if p == 1:
         return tuple(MultipartitionOrbit._of_valid(mp, 1, 1)
-                     for mp in _by_boxes(m, n, partitions, ()))
+                     for mp in multipartitions(m, n))
+    _check_size(m, n)
     table: list[Partition] = []
     ranks: dict[int, range] = {}
     for size in range(n, 0, -1):

@@ -60,16 +60,9 @@ def mul_one_minus(c: list[int], a: int) -> None:
 
 def div_one_minus(c: list[int], a: int) -> None:
     """c /= 1 - t^a as a power series in place, truncated to len(c):
-    q[i] = c[i] + q[i - a].  With a^2 >= len(c) there are at most a
-    blocks of a coefficients, and each adds the block before it, already
-    final; otherwise each of the a residue classes mod a is one prefix
-    sum."""
-    if a * a >= len(c):
-        for i in range(a, len(c), a):
-            c[i:i + a] = map(add, c[i:i + a], c[i - a:i])
-    else:
-        for j in range(a):
-            c[j::a] = accumulate(c[j::a])
+    q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
+    for j in range(min(a, len(c))):
+        c[j::a] = accumulate(c[j::a])
 
 
 # Packed division reads a coefficient list c as the integer

@@ -21,8 +21,8 @@ from collections.abc import Callable, Iterable, Iterator
 
 from . import partitions as pt
 from .fakedeg import (
-    IrrLabel, coinvariant_poincare, fake_degree, irr_dimension,
-    isomorphism_note, label_rows, reducibility_note,
+    coinvariant_poincare, fake_degree, irr_dimension, isomorphism_note,
+    label_rows, reducibility_note,
 )
 from .polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, clip, packed_value,
@@ -76,8 +76,6 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
                       label: str,
                       memo: dict[LaurentPoly, Division] | None = None,
                       charge: Callable[[LaurentPoly, str], None] | None = None,
-                      shapes: dict[LaurentPoly, tuple[int, Division]]
-                      | None = None,
                       ) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
@@ -93,40 +91,29 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
     division and one quotient or remainder object.  ``charge``, when
     given, is called with each primitive divisor the memo does not hold
     yet and the label, before that division starts; it may refuse it by
-    raising.  ``shapes``, when given, maps each shape t^-b f already
-    tested against this same ``poincare`` to its value at 1 and its
-    division, so a repeated shape costs one lookup: its value at 1,
-    content, primitive part and division are each found once.
+    raising.
     """
     if f.is_zero():
         raise VerificationError(f"fake degree of {label} must be nonzero")
+    if f.at_one() != dim:
+        raise VerificationError(f"dim {dim} != f(1) = {f.at_one()} for {label}")
     b = f.trailing_degree()
-    shape = f.shift(-b)
-    known = None if shapes is None else shapes.get(shape)
-    at_one = shape.at_one() if known is None else known[0]
-    if at_one != dim:
-        raise VerificationError(f"dim {dim} != f(1) = {at_one} for {label}")
-    if known is None:
-        content = shape.content()
-        primitive = shape if content == 1 else shape / LaurentPoly.monomial(content)
-        if memo is None:
-            memo = {}
-        division = memo.get(primitive)
-        if division is None:
-            if charge is not None:
-                charge(primitive, label)
-            quotient, remainder = divmod(poincare, primitive)
-            divides = remainder.is_zero()
-            if divides and (quotient.at_one() * primitive.at_one()
-                            != poincare.at_one()):
-                raise VerificationError(
-                    f"quotient(1) * primitive(1) != P(1) for {label}")
-            division = memo[primitive] = (divides,
-                                          quotient if divides else remainder)
-        known = (at_one, division)
-        if shapes is not None:
-            shapes[shape] = known
-    return DivisibilityVerdict(label, b, dim, *known[1])
+    shifted = f.shift(-b)
+    content = shifted.content()
+    primitive = shifted if content == 1 else shifted / LaurentPoly.monomial(content)
+    if memo is None:
+        memo = {}
+    division = memo.get(primitive)
+    if division is None:
+        if charge is not None:
+            charge(primitive, label)
+        quotient, remainder = divmod(poincare, primitive)
+        divides = remainder.is_zero()
+        if divides and (quotient.at_one() * primitive.at_one()
+                        != poincare.at_one()):
+            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
+        division = memo[primitive] = (divides, quotient if divides else remainder)
+    return DivisibilityVerdict(label, b, dim, *division)
 
 
 class ScanReport(namedtuple("ScanReport",
@@ -185,56 +172,85 @@ def graded_sum(rows: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
     return weighted_sum(weights.items())
 
 
+class _Shape(namedtuple("_Shape", "at_one division degrees")):
+    """A distinct shape t^-b f of a scan: its value at 1, its division
+    into P, and how many rows have it at each b (a dict)."""
+
+    __slots__ = ()
+
+
 def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
                notes: tuple[str, ...],
                charge: Callable[[LaurentPoly, str], None] | None = None,
+               shapes: dict[LaurentPoly, _Shape] | None = None,
                ) -> ScanReport:
-    """Test every row in order, taking each distinct shape's value at 1
-    and primitive part once and dividing each distinct primitive divisor
-    into P once, and count the failing rows."""
+    """Test every row in order and count the failing rows.
+
+    Each row's shape t^-b f is looked up once in ``shapes``; only a new
+    shape goes through divisibility_test, so its value at 1, primitive
+    part and division are found once, and each distinct primitive
+    divisor is divided into P once.  Every row still has its own dim
+    checked against f(1).  ``shapes``, when given, is filled for the
+    caller.
+    """
     memo: dict[LaurentPoly, Division] = {}
-    shapes: dict[LaurentPoly, tuple[int, Division]] = {}
-    verdicts = tuple(divisibility_test(poincare, row.fake, row.dim, row.ident,
-                                       memo, charge, shapes)
-                     for row in rows)
+    if shapes is None:
+        shapes = {}
+    verdicts = []
+    for row in rows:
+        f = row.fake
+        b = f.trailing_degree() if f else 0  # divisibility_test refuses 0
+        shape = f.shift(-b)
+        known = shapes.get(shape)
+        if known is None:
+            verdict = divisibility_test(poincare, f, row.dim, row.ident,
+                                        memo, charge)
+            known = shapes[shape] = _Shape(
+                verdict.dim, (verdict.divides, verdict.poly), {})
+        elif known.at_one != row.dim:
+            raise VerificationError(
+                f"dim {row.dim} != f(1) = {known.at_one} for {row.ident}")
+        else:
+            verdict = DivisibilityVerdict(row.ident, b, row.dim,
+                                          *known.division)
+        known.degrees[b] = known.degrees.get(b, 0) + 1
+        verdicts.append(verdict)
     failures = sum(1 for v in verdicts if not v.divides)
-    return ScanReport(name, len(verdicts), failures, verdicts, notes)
+    return ScanReport(name, len(verdicts), failures, tuple(verdicts), notes)
 
 
-def _graded_sum_width(rows: Iterable[tuple[object, int, LaurentPoly]]) -> int:
+def _graded_sum_width(shapes: dict[LaurentPoly, _Shape]) -> int:
     """Bits of one slot of the packed graded sum: the bit length of
-    sum(dim^2), which bounds every coefficient a slot holds, plus one,
-    rounded up to whole bytes."""
-    return -(-(sum(dim * dim for _, dim, _ in rows).bit_length() + 1) // 8) * 8
+    sum(dim^2) over the rows, which bounds every coefficient a slot
+    holds, plus one, rounded up to whole bytes."""
+    bound = sum(s.at_one * s.at_one * sum(s.degrees.values())
+                for s in shapes.values())
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
-def _graded_sum_holds(rows: tuple[tuple[IrrLabel, int, LaurentPoly], ...],
+def _graded_sum_holds(shapes: dict[LaurentPoly, _Shape],
                       poincare: LaurentPoly) -> bool:
-    """sum(dim * f) == P over scanned (label, dim, f) rows, as one sum
-    of integers: each polynomial is read at X = 2^w with w bits a slot.
+    """sum(dim * f) == P over the rows ``_scan_rows`` recorded in
+    ``shapes``, as one sum of integers: each polynomial is read at
+    X = 2^w, with w bits a slot.
 
-    The rows were scanned first, so f(1) = dim holds for each, and every
-    f is nonnegative (``fakedeg._expand_shape`` checks it).  So every
-    partial sum's coefficient is at most sum(dim * f(1)) = sum(dim^2) <
+    A row of shape s at b has f = s * t^b and dim = s(1), which the scan
+    checked, so the sum is that of s(1) * s * sum_b rows_b * t^b over the
+    shapes.  Every s is nonnegative (``fakedeg._expand_shape`` checks
+    it), so every partial product and sum has its coefficients at most
+    the total's, and those at most sum(dim * f(1)) = sum(dim^2) <
     2^(w-1): no slot carries into the next, and the total's slots are
     the coefficients of sum(dim * f).  P packs only when its
-    coefficients fit w bits too.  Each distinct shape t^-b f is packed
-    once, and a row adds dim * shape(X) * X^b.
+    coefficients fit w bits too.
     """
-    width = _graded_sum_width(rows)
-    packed: dict[LaurentPoly, int] = {}
+    width = _graded_sum_width(shapes)
     total = 0
-    for label, dim, f in rows:
-        b = f.trailing_degree()
-        shape = f.shift(-b)
-        value = packed.get(shape)
+    for shape, (at_one, _, degrees) in shapes.items():
+        value = packed_value(shape, width)
         if value is None:
-            value = packed[shape] = packed_value(shape, width)
-            if value is None:
-                raise VerificationError(
-                    f"fake degree of {label.render()} has a negative "
-                    "coefficient")
-        total += dim * value << width * b
+            raise VerificationError("fake degree has a negative coefficient")
+        total += at_one * value * sum(rows << width * b
+                                      for b, rows in degrees.items())
     return total == packed_value(poincare, width)
 
 
@@ -246,11 +262,12 @@ def scan_group(g: GroupSpec) -> ScanReport:
     poincare = coinvariant_poincare(g)
     if poincare.at_one() != g.order:
         raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
+    shapes: dict[LaurentPoly, _Shape] = {}
     report = _scan_rows(g.render(), poincare,
                         (DatasetRow(label.render(), dim, f)
                          for label, dim, f in rows),
-                        _CONVENTION_NOTES + _group_notes(g))
-    if not _graded_sum_holds(rows, poincare):
+                        _CONVENTION_NOTES + _group_notes(g), shapes=shapes)
+    if not _graded_sum_holds(shapes, poincare):
         raise VerificationError("graded sum rule violated")
     return report
 

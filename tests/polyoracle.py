@@ -11,11 +11,9 @@ carry), multiplying out Phi_k^e and dividing once at the end.
 ``series_quotient`` is the power-series division over ``Fraction`` that
 ``groups.degrees_series`` used before its integer prefix sums, and
 ``parse`` the term-at-a-time scanner that ``LaurentPoly.parse`` was
-before its single grammar.  ``div_one_minus_by_residues`` is the
-division by 1 - t^a that ``polycore.div_one_minus`` ran for every a
-before its block form.  The code is kept as it was, so tests can
+before its single grammar.  The code is kept as it was, so tests can
 compare the dense kernel, the factor-at-a-time expansion, the degrees
-series, the parser and the division by 1 - t^a against it.
+series and the parser against it.
 
 ``GradedProduct`` is the formal product that ``fakedeg.fake_degree``
 was assembled as before its closed form, and ``NotPolynomialError`` the
@@ -29,7 +27,6 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, Mapping
 
 from cmscan.polycore import MAX_SPAN, LaurentPoly, div_one_minus, mul_one_minus
@@ -390,13 +387,6 @@ def reduce_with(gp: GradedProduct, poly: DictPoly) -> DictPoly:
     if not r.is_zero():
         raise NotPolynomialError(max(cf.negative_indices(), default=1))
     return (q * (gp.scalar * sign)).shift(gp.shift)
-
-
-def div_one_minus_by_residues(c: list[int], a: int) -> None:
-    """c /= 1 - t^a as a power series in place, truncated to len(c):
-    q[i] = c[i] + q[i - a], one prefix sum per residue class mod a."""
-    for j in range(min(a, len(c))):
-        c[j::a] = accumulate(c[j::a])
 
 
 def series_quotient(num: LaurentPoly, den: LaurentPoly, n: int) -> LaurentPoly:

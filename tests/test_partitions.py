@@ -217,6 +217,15 @@ class TestShiftOrbits:
         with pytest.raises(ValueError):
             pt.MultipartitionOrbit(canonical, 2, 1)
 
+    @pytest.mark.parametrize("p, stab_order", [(2, 1), (0, 1), (-3, 1),
+                                               (3, 2), (3, 0)])
+    def test_hand_built_orbit_needs_consistent_p(self, p, stab_order):
+        # members reads d = m / p and p / stab_order shifts.
+        with pytest.raises(ValueError):
+            pt.MultipartitionOrbit(((1,), (1,), ()), p, stab_order)
+        assert pt.MultipartitionOrbit(((1,), (1,), ()), 3, 1) == (
+            pt.orbit_of(((1,), (), (1,)), 3, 1))
+
     @pytest.mark.parametrize("p, d", [(300, 1), (60, 4)])
     def test_long_orbits(self, p, d):
         free = ((1,),) + ((),) * (p * d - 1)

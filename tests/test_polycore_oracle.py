@@ -252,41 +252,6 @@ class TestWeightedSum:
             f + LaurentPoly.monomial(4, -7))
 
 
-class TestDivOneMinus:
-    """polycore.div_one_minus, which adds whole blocks when a^2 >= len,
-    against the residue-class prefix sums it ran for every a before."""
-
-    @staticmethod
-    def both(c, a):
-        got, want = list(c), list(c)
-        polycore.div_one_minus(got, a)
-        polyoracle.div_one_minus_by_residues(want, a)
-        return got, want
-
-    def test_every_length_and_step(self):
-        # Lengths 0..40 and every a up to two past the length: a = 1,
-        # the block form (a^2 >= len), the residue form and a >= len.
-        for n in range(41):
-            c = [(7 * i * i - 5 * i + 3) % 23 - 11 for i in range(n)]
-            for a in range(1, n + 3):
-                got, want = self.both(c, a)
-                assert got == want, (n, a)
-
-    @given(st.lists(st.integers(-10**30, 10**30), max_size=200),
-           st.integers(1, 250))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_residue_prefix_sums(self, c, a):
-        got, want = self.both(c, a)
-        assert got == want
-
-    def test_edge_cases(self):
-        assert self.both([], 1) == ([], [])
-        assert self.both([3], 1) == ([3], [3])
-        assert self.both([1, 2, 3], 3) == ([1, 2, 3], [1, 2, 3])
-        assert self.both([1, 0, 0, 0, 0], 2)[0] == [1, 0, 1, 0, 1]
-        assert self.both([1, 1, 1, 1], 1)[0] == [1, 2, 3, 4]
-
-
 class TestCanonicalForm:
     def test_far_explicit_zero_is_dropped(self):
         p = LaurentPoly({50: 0, 1: 1})

@@ -284,10 +284,20 @@ class TestGradedSum:
         assert scan.graded_sum([]) == LaurentPoly.zero()
 
 
+def _scanned_shapes(rows, poincare):
+    """The per-shape record _scan_rows keeps of (label, dim, f) rows."""
+    shapes = {}
+    scan._scan_rows("x", poincare, (scan.DatasetRow(label.render(), dim, f)
+                                    for label, dim, f in rows), (),
+                    shapes=shapes)
+    return shapes
+
+
 class TestPackedGradedSum:
     """scan_group checks sum(dim * f) == P as one packed integer sum
-    (``_graded_sum_holds``); the oracle is graded_sum, which
-    ExceptionalGroupData.validate still runs on dataset rows."""
+    over the scan's distinct shapes (``_graded_sum_holds``); the oracle
+    is graded_sum, which ExceptionalGroupData.validate still runs on
+    dataset rows."""
 
     @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
     def test_agrees_with_graded_sum(self, g):
@@ -299,8 +309,9 @@ class TestPackedGradedSum:
                               (rows, poincare.shift(1)),
                               (rows, poincare + P("t^2 - t")),
                               (moved, poincare)):
+            shapes = _scanned_shapes(rows_, poincare)
             want = scan.graded_sum((d, f) for _, d, f in rows_) == target
-            assert scan._graded_sum_holds(rows_, target) is want
+            assert scan._graded_sum_holds(shapes, target) is want
             assert want is (rows_ is rows and target is poincare)
 
     @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
@@ -310,18 +321,21 @@ class TestPackedGradedSum:
         # one bit more than that bound's length leaves each slot's top
         # bit clear.  At t^0 of G(1,1,1) the bound is met.
         rows = label_rows(g)
-        largest = max(c for _, c in coinvariant_poincare(g).items())
+        poincare = coinvariant_poincare(g)
+        largest = max(c for _, c in poincare.items())
         bound = sum(dim * dim for _, dim, _ in rows)
-        assert largest <= bound < 1 << scan._graded_sum_width(rows) - 1
+        width = scan._graded_sum_width(_scanned_shapes(rows, poincare))
+        assert largest <= bound < 1 << width - 1
         if g.order == 1:
             assert largest == bound
 
     def test_negative_coefficient_is_refused(self):
         # dim = f(1) holds, but a negative coefficient voids the bound.
         (label, _, _), *_ = label_rows(GroupSpec(2, 1, 1))
+        shapes = _scanned_shapes(((label, 1, P("2 - t")),), P("1"))
         with pytest.raises(VerificationError, match=re.escape(
-                "fake degree of 1|- has a negative coefficient")):
-            scan._graded_sum_holds(((label, 1, P("2 - t")),), P("1"))
+                "fake degree has a negative coefficient")):
+            scan._graded_sum_holds(shapes, P("1"))
 
     def test_moved_row_raises_under_optimize(self):
         script = """
