@@ -74,11 +74,11 @@ def reflection_sum(reflections: Iterable[Matrix],
     M M == t M, which in characteristic 0 holds exactly when s is a
     reflection: rank M = 1 with Im M and Ker M complementary.
     """
-    total = t = None
+    total = t = ident = None
     for s in reflections:
-        n = len(s)
-        b = mat_sub(identity(n, m), s)
-        tr = sum((b[i][i] for i in range(1, n)), b[0][0])
+        ident = ident or identity(len(s), m)  # a class's members share n
+        b = mat_sub(ident, s)
+        tr = sum((b[i][i] for i in range(1, len(b))), b[0][0])
         if tr.is_zero() or mat_mul(b, b) != scalar_mul(tr, b):
             raise VerificationError("1 - s does not have rank one with nonzero "
                                     "trace: s is not a reflection")
@@ -120,7 +120,8 @@ def class_form_scalar(reflections: Iterable[Matrix], k: int,
     if t != one - zeta:
         raise VerificationError(
             f"{name}: members do not have the class's eigenvalue")
-    if 2 - zeta - zeta.conj() != (one - zeta) * (one - zeta.conj()):
+    zeta_bar = zeta.conj()
+    if 2 - zeta - zeta_bar != (one - zeta) * (one - zeta_bar):
         raise VerificationError(
             f"{name}: closed form disagrees with the computed scalar")
     n = len(total)

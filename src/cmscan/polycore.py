@@ -427,10 +427,11 @@ class LaurentPoly:
 
     def render(self) -> str:
         """Canonical text: descending exponents, unit coefficients elided."""
-        if not self._c:
-            return "0"
         parts: list[str] = []
-        for e, c in reversed(list(self.items())):
+        top = self._lo + len(self._c) - 1
+        for e, c in zip(range(top, self._lo - 1, -1), reversed(self._c)):
+            if not c:
+                continue
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -441,7 +442,7 @@ class LaurentPoly:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.render()

@@ -26,7 +26,7 @@ from .fakedeg import (
 )
 from .polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, clip, packed_value,
-    poincare_polynomial, weighted_sum,
+    poincare_polynomial,
 )
 from .spec import GroupSpec
 
@@ -162,19 +162,9 @@ def _group_notes(g: GroupSpec) -> tuple[str, ...]:
                  if note)
 
 
-def graded_sum(rows: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
-    """sum(dim * f) over (dim, f) rows.  The dims of equal fake degrees
-    are added first, so each distinct f is scaled and added once, into
-    one buffer."""
-    weights: dict[LaurentPoly, int] = {}
-    for dim, f in rows:
-        weights[f] = weights.get(f, 0) + dim
-    return weighted_sum(weights.items())
-
-
 class _Shape(namedtuple("_Shape", "at_one division degrees")):
     """A distinct shape t^-b f of a scan: its value at 1, its division
-    into P, and how many rows have it at each b (a dict)."""
+    into P (None in ``validate``), and its rows at each b (a dict)."""
 
     __slots__ = ()
 
@@ -219,38 +209,37 @@ def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
     return ScanReport(name, len(verdicts), failures, tuple(verdicts), notes)
 
 
-def _graded_sum_width(shapes: dict[LaurentPoly, _Shape]) -> int:
-    """Bits of one slot of the packed graded sum: the bit length of
-    sum(dim^2) over the rows, which bounds every coefficient a slot
-    holds, plus one, rounded up to whole bytes."""
-    bound = sum(s.at_one * s.at_one * sum(s.degrees.values())
-                for s in shapes.values())
-    return -(-(bound.bit_length() + 1) // 8) * 8
-
-
 def _graded_sum_holds(shapes: dict[LaurentPoly, _Shape],
                       poincare: LaurentPoly) -> bool:
-    """sum(dim * f) == P over the rows ``_scan_rows`` recorded in
-    ``shapes``, as one sum of integers: each polynomial is read at
-    X = 2^w, with w bits a slot.
+    """sum(dim * f) == P over the rows recorded in ``shapes``, as one
+    sum of integers: each polynomial is read at X = 2^w, w bits a slot.
 
-    A row of shape s at b has f = s * t^b and dim = s(1), which the scan
-    checked, so the sum is that of s(1) * s * sum_b rows_b * t^b over the
-    shapes.  Every s is nonnegative (``fakedeg._expand_shape`` checks
-    it), so every partial product and sum has its coefficients at most
-    the total's, and those at most sum(dim * f(1)) = sum(dim^2) <
-    2^(w-1): no slot carries into the next, and the total's slots are
-    the coefficients of sum(dim * f).  P packs only when its
-    coefficients fit w bits too.
+    The rule at t = 1, sum(dim^2) == P(1), is checked first; w is then
+    its bit length plus one, rounded up to whole bytes.  A row of shape
+    s at b has f = s * t^b, dim = s(1) and degree at most deg P (the
+    callers check these), so the terms are s(1) * rows_b * s * t^b over
+    the (shape, b) pairs, none wider than P.  They are added in pairs,
+    in order of b, so a round costs about the total's size however many
+    terms there are.  Every s is nonnegative, so no coefficient of a
+    partial sum exceeds the total's, which are at most sum(dim^2) <
+    2^(w-1): no slot carries into the next.
     """
-    width = _graded_sum_width(shapes)
-    total = 0
+    bound = sum(at_one * at_one * sum(degrees.values())
+                for at_one, _, degrees in shapes.values())
+    if bound != poincare.at_one():
+        return False
+    width = -(-(bound.bit_length() + 1) // 8) * 8
+    terms = []
     for shape, (at_one, _, degrees) in shapes.items():
         value = packed_value(shape, width)
         if value is None:
             raise VerificationError("fake degree has a negative coefficient")
-        total += at_one * value * sum(rows << width * b
-                                      for b, rows in degrees.items())
+        terms += [(b, rows * at_one * value) for b, rows in degrees.items()]
+    terms.sort(key=lambda term: term[0])
+    while len(terms) > 1:  # the last term of an odd count waits a round
+        terms = [(b, low + (high << width * (c - b))) for (b, low), (c, high)
+                 in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    total = sum(value << width * b for b, value in terms)
     return total == packed_value(poincare, width)
 
 
@@ -374,10 +363,11 @@ class ExceptionalGroupData(namedtuple("ExceptionalGroupData",
         return poincare_polynomial(self.degrees)
 
     def validate(self) -> LaurentPoly:
-        """Check that every dim is positive and the three consistency
-        identities, and return the Poincaré polynomial checked against;
-        raise DatasetError naming the failing row and identity, with
-        each value from the file quoted to at most 40 characters."""
+        """Check that every dim is positive, the three consistency
+        identities, and that every fake degree has nonnegative coefficients
+        and degree at most deg P; return the Poincaré polynomial checked
+        against.  Raise DatasetError naming the failing row and identity,
+        with each value from the file quoted to at most 40 characters."""
         name = clip(self.name)
         if len(self.degrees) != self.rank:
             raise DatasetError(f"{name}: {len(self.degrees)} degrees "
@@ -387,28 +377,36 @@ class ExceptionalGroupData(namedtuple("ExceptionalGroupData",
             raise DatasetError(
                 f"{name}: sum of dim^2 is {clip(square_sum)}, "
                 f"order is {clip(self.order)}")
+
+        def refuse(row: DatasetRow, what: str) -> DatasetError:
+            return DatasetError(f"{name} row {clip(row.ident)}: {what}")
+
+        top = sum(d - 1 for d in self.degrees)  # deg P
+        shapes: dict[LaurentPoly, _Shape] = {}
         for row in self.rows:
             if row.dim < 1:
-                raise DatasetError(
-                    f"{name} row {clip(row.ident)}: dim {clip(row.dim)} is "
-                    "not positive")
-            if row.fake.at_one() != row.dim:
-                raise DatasetError(
-                    f"{name} row {clip(row.ident)}: f(1) = "
-                    f"{clip(row.fake.at_one())} != dim {clip(row.dim)}")
-            if row.fake.trailing_degree() < 0:
-                raise DatasetError(
-                    f"{name} row {clip(row.ident)}: fake degree has a "
-                    "negative exponent")
+                raise refuse(row, f"dim {clip(row.dim)} is not positive")
+            f = row.fake
+            b = f.trailing_degree() if f else 0
+            shape = f.shift(-b)
+            known = shapes.get(shape)
+            if known is None:
+                known = shapes[shape] = _Shape(shape.at_one(), None, {})
+            if known.at_one != row.dim:
+                raise refuse(row, f"f(1) = {clip(known.at_one)} != dim "
+                                  f"{clip(row.dim)}")
+            if b < 0:
+                raise refuse(row, "fake degree has a negative exponent")
+            if not known.degrees and any(c < 0 for _, c in shape.items()):
+                raise refuse(row, "fake degree has a negative coefficient")
+            if f.degree() > top:  # refused before anything is packed
+                raise refuse(row, "fake degree has degree "
+                                  f"{clip(f.degree())}, above deg P = {top}")
+            known.degrees[b] = known.degrees.get(b, 0) + 1
         poincare = self.poincare()
-        try:
-            total = graded_sum((row.dim, row.fake) for row in self.rows)
-        except ValueError as exc:  # wider than polycore.MAX_SPAN
-            raise DatasetError(f"{name}: {exc}") from exc
-        if total != poincare:
-            raise DatasetError(
-                f"{name}: sum of dim * f differs from the coinvariant "
-                "Poincaré polynomial")
+        if not _graded_sum_holds(shapes, poincare):
+            raise DatasetError(f"{name}: sum of dim * f differs from the "
+                               "coinvariant Poincaré polynomial")
         return poincare
 
 

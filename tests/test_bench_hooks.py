@@ -22,7 +22,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(cmscan.__file__).resolve().parent.parent
 
 # Targets already gone from cmscan, by tracer name; the benchmark still
-# lists them (see ROADMAP, item 4).
+# lists them (see ROADMAP, item 2).
 KNOWN_ABSENT = {
     "groups.is_reflection", "linalg.sparse_rank",
     "linalg.restricted_form_matrix", "groups.reflections", "groups.elements",

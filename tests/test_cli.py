@@ -42,17 +42,19 @@ def crafted_division_dataset(n: int) -> str:
 
 
 def wide_division_dataset() -> str:
-    """A valid file for degrees 2 (70 times): P = (1 + t)^70, a row
-    P - (2^70 - 1) of dim 1, then rows of constant f = dim whose squares
-    add up to 2^70 - 1."""
-    rest = 2**70 - 1
-    terms = " + ".join(f"{math.comb(70, e)}*t^{e}" for e in range(70, 0, -1))
-    rows = [f"irrep p dim 1 fake {terms} - {rest - 1}\n"]
-    while rest:
-        dim = math.isqrt(rest)
-        rows.append(f"irrep c{len(rows) - 1} dim {dim} fake {dim}\n")
-        rest -= dim * dim
-    return (f"group X order {2**70} rank 70 degrees {','.join(['2'] * 70)}\n"
+    """A valid file for degrees 2 (69 times): P = (1 + t)^69, a row
+    p = t + t^35 of dim 2, then rows c*t^k of dim c, whose dims square
+    to the coefficients of P - 2p."""
+    rest = [math.comb(69, e) for e in range(70)]
+    rest[1] -= 2
+    rest[35] -= 2
+    rows = ["irrep p dim 2 fake t^35 + t\n"]
+    for e, coeff in enumerate(rest):
+        while coeff:
+            dim = math.isqrt(coeff)
+            rows.append(f"irrep c{len(rows) - 1} dim {dim} fake {dim}*t^{e}\n")
+            coeff -= dim * dim
+    return (f"group X order {2**69} rank 69 degrees {','.join(['2'] * 69)}\n"
             + "".join(rows))
 
 
@@ -320,7 +322,14 @@ class TestExitCodes:
          "G5 row z: dim 0 is not positive"),
         # validate refuses f(1) != dim before the divisibility test sees it.
         ("sgn dim 1 fake t + t^2", "G5 row sgn: f(1) = 2 != dim 1"),
-    ], ids=["dim-0", "dim-0-zero-f", "f1-not-dim"])
+        # A fake degree is a graded multiplicity: no negative coefficient,
+        # and no degree above deg P = 1.
+        ("sgn dim 1 fake 2*t - 1",
+         "G5 row sgn: fake degree has a negative coefficient"),
+        ("sgn dim 1 fake t^2",
+         "G5 row sgn: fake degree has degree 2, above deg P = 1"),
+    ], ids=["dim-0", "dim-0-zero-f", "f1-not-dim", "negative-coefficient",
+            "above-deg-p"])
     def test_table1_bad_row_is_exit_2(self, tmp_path, rows, message):
         path = tmp_path / "bad-row.fd"
         path.write_text("group G5 order 2 rank 1 degrees 2\n"
@@ -375,21 +384,66 @@ class TestExitCodes:
          "G row " + "r" * 37 + "...: f(1) = 1 != dim 1" + "0" * 36 + "...\n"),
         ("group G order 2 rank 1 degrees 2\nirrep a dim 1 fake 1\n"
          "irrep b dim 1 fake t^" + "9" * 4000 + "\n",
-         "G: polynomial would span " + "9" * 37 + "... exponents; "),
+         "G row b: fake degree has degree " + "9" * 37 + "..., above deg "
+         "P = 1\n"),
     ], ids=["unrecognized-line", "long-degree", "huge-degree", "long-name-order",
             "huge-square-sum", "long-row-dim", "wide-graded-sum"])
     def test_table1_quotes_a_long_line_briefly(self, tmp_path, text, start):
         # These errors used to quote the whole line, the degree list past
         # int()'s digit limit, the degree sum below it, the group name,
         # row ident and the integers of validate's identities, or the span
-        # of a graded sum (naming no group); a square sum past the digit
-        # limit gave only int()'s message.
+        # of a graded sum (naming no group; a row above deg P is now
+        # refused first); a square sum past the digit limit gave only
+        # int()'s message.
         path = tmp_path / "long.fd"
         path.write_text(text, encoding="utf-8")
         proc = run_cli("table1", "--data", str(path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("cmscan: error: " + start)
         assert len(proc.stderr.encode()) < 200
+
+    # Every identity but the coefficients' sign holds, so this file
+    # used to exit 0 with "failing rows: a".
+    NEGATIVE = ("group G order 2 rank 1 degrees 2\n"
+                "irrep a dim 1 fake 1 + t - t^2\nirrep b dim 1 fake t^2\n")
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+    def test_table1_negative_coefficient_is_exit_2(self, tmp_path, flags):
+        path = tmp_path / "negative.fd"
+        path.write_text(self.NEGATIVE, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "cmscan", "table1", "--data",
+             str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ("cmscan: error: G row a: fake degree has a "
+                               "negative coefficient\n")
+        assert proc.stdout == ""
+
+    def test_table1_far_exponent_is_refused_before_packing(self, tmp_path):
+        # Packed at 8 bits a slot, t^(10^4000 - 1) would be an integer of
+        # about 10^4001 bits; deg P bounds every row first.
+        path = tmp_path / "far.fd"
+        path.write_text("group G order 2 rank 1 degrees 2\n"
+                        "irrep a dim 1 fake 1\n"
+                        "irrep b dim 1 fake t^" + "9" * 4000 + "\n",
+                        encoding="utf-8")
+        proc = run_limited("table1", "--data", str(path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("cmscan: error: G row b: fake degree has degree "
+                               + "9" * 37 + "..., above deg P = 1\n")
+
+    def test_table1_graded_sum_slots_follow_p(self, tmp_path):
+        # sum(dim^2) = order = 10^4000 while P(1) = 2^20 + 1: at slots of
+        # 13,296 bits, P would pack into 1.7 GB.  The rule at t = 1 is
+        # checked before anything is packed.
+        path = tmp_path / "slots.fd"
+        path.write_text(f"group G order {10**4000} rank 1 degrees "
+                        f"{2**20 + 1}\nirrep a dim {10**2000} fake "
+                        f"{10**2000}\n", encoding="utf-8")
+        proc = run_limited("table1", "--data", str(path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("cmscan: error: G: sum of dim * f differs from "
+                               "the coinvariant Poincaré polynomial\n")
 
     @pytest.mark.parametrize("degrees, start", [
         (",".join(["2"] * 8000), "line 1: group X: expanding the Poincaré "
@@ -438,10 +492,10 @@ class TestExitCodes:
             "irrep b dim 1 fake t^2\nirrep c dim 1 fake t^2\n"
             "irrep d dim 1 fake t^4\n")
 
-    # WIDE: P = (1 + t)^70, whose largest coefficient takes two words.
-    # p = P - (2^70 - 1) divides in 1 step of 71 terms: 142.  The rows of
-    # constant f, whose squared dims add up to 2^70 - 1, share the
-    # divisor 1, 71 steps of 1 term: 142.
+    # WIDE: P = (1 + t)^69, whose largest coefficient takes two words.
+    # p = t + t^35 divides by 1 + t^34, a polynomial in t^34: 36 steps
+    # of 2 terms, 144.  The rows c*t^k, of constant shape, share the
+    # divisor 1, 70 steps of 1 term: 140.
     WIDE = wide_division_dataset()
 
     @pytest.mark.parametrize("text, limit, refused", [

@@ -1,7 +1,9 @@
+import functools
 import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from cmscan.fakedeg import (
 )
 from cmscan.polycore import (
     MAX_SPAN, LaurentPoly, VerificationError, poincare_polynomial,
+    weighted_sum,
 )
 from polyoracle import DictPoly
 
@@ -265,23 +268,33 @@ def _per_row_sum(rows):
     return total
 
 
+def graded_sum(rows):
+    """sum(dim * f) over (dim, f) rows, the oracle of the packed graded
+    sum.  The dims of equal fake degrees are added first, so each
+    distinct f is scaled and added once, into one buffer."""
+    weights = {}
+    for dim, f in rows:
+        weights[f] = weights.get(f, 0) + dim
+    return weighted_sum(weights.items())
+
+
 class TestGradedSum:
-    """graded_sum adds the dims of equal fake degrees before scaling;
-    the oracle is the per-row sum."""
+    """The oracle graded_sum adds the dims of equal fake degrees before
+    scaling; its own oracle is the per-row sum."""
 
     @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
     def test_label_rows(self, g):
         rows = [(dim, f) for _, dim, f in label_rows(g)]
-        assert scan.graded_sum(rows) == _per_row_sum(rows)
-        assert scan.graded_sum(rows) == coinvariant_poincare(g)
+        assert graded_sum(rows) == _per_row_sum(rows)
+        assert graded_sum(rows) == coinvariant_poincare(g)
 
     def test_repeated_and_distinct_rows(self):
         rows = [(1, P("1")), (2, P("t + t^2")), (3, P("t^2 + t")),
                 (1, P("2*t^3")), (2, P("t^3")), (0, P("t^9")),
                 (4, P("t^-1 - 1")), (2, P("t + t^2")), (1, P("1 - t^-1"))]
-        assert scan.graded_sum(rows) == _per_row_sum(rows) == P(
+        assert graded_sum(rows) == _per_row_sum(rows) == P(
             "4*t^3 + 7*t^2 + 7*t - 2 + 3*t^-1")
-        assert scan.graded_sum([]) == LaurentPoly.zero()
+        assert graded_sum([]) == LaurentPoly.zero()
 
 
 def _scanned_shapes(rows, poincare):
@@ -293,11 +306,23 @@ def _scanned_shapes(rows, poincare):
     return shapes
 
 
+# The groups of the benchmark's three dataset files
+# (perfbench/workloads.py, DATASET_POOLS).
+BENCHMARK_DATASET_GROUPS = (
+    "G(2,2,14)", "G(2,2,13)", "G(2,2,12)", "G(10,5,5)", "G(12,4,5)",
+    "G(12,6,5)", "G(6,1,5)", "G(5,1,6)", "G(2,1,12)")
+
+
+@functools.cache
+def _synthetic(spec):
+    return scan.synthetic_dataset(GroupSpec.parse(spec))
+
+
 class TestPackedGradedSum:
-    """scan_group checks sum(dim * f) == P as one packed integer sum
-    over the scan's distinct shapes (``_graded_sum_holds``); the oracle
-    is graded_sum, which ExceptionalGroupData.validate still runs on
-    dataset rows."""
+    """scan_group and ExceptionalGroupData.validate check
+    sum(dim * f) == P as one packed integer sum over the distinct
+    shapes of the rows (``_graded_sum_holds``); the oracle is
+    graded_sum."""
 
     @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
     def test_agrees_with_graded_sum(self, g):
@@ -310,12 +335,44 @@ class TestPackedGradedSum:
                               (rows, poincare + P("t^2 - t")),
                               (moved, poincare)):
             shapes = _scanned_shapes(rows_, poincare)
-            want = scan.graded_sum((d, f) for _, d, f in rows_) == target
+            want = graded_sum((d, f) for _, d, f in rows_) == target
             assert scan._graded_sum_holds(shapes, target) is want
             assert want is (rows_ is rows and target is poincare)
 
+    @pytest.mark.parametrize("moved", [False, True], ids=["as-is", "moved"])
+    @pytest.mark.parametrize("spec", BENCHMARK_DATASET_GROUPS)
+    def test_validate_record_agrees_with_graded_sum(self, spec, moved,
+                                                    monkeypatch):
+        # validate hands _graded_sum_holds the record its row loop built;
+        # "moved" multiplies the first row below deg P by t.
+        g = _synthetic(spec)
+        poincare = coinvariant_poincare(GroupSpec.parse(spec))
+        rows = g.rows
+        if moved:
+            k = next(k for k, row in enumerate(rows)
+                     if row.fake.degree() < poincare.degree())
+            rows = (*rows[:k], rows[k]._replace(fake=rows[k].fake.shift(1)),
+                    *rows[k + 1:])
+        want = graded_sum((row.dim, row.fake) for row in rows) == poincare
+        assert want is not moved
+        seen = []
+        real = scan._graded_sum_holds
+
+        def spy(shapes, target):
+            seen.append(real(shapes, target))
+            return seen[-1]
+
+        monkeypatch.setattr(scan, "_graded_sum_holds", spy)
+        if want:
+            assert g._replace(rows=rows).validate() == poincare
+        else:
+            with pytest.raises(scan.DatasetError, match="sum of dim \\* f "
+                               "differs"):
+                g._replace(rows=rows).validate()
+        assert seen == [want]
+
     @pytest.mark.parametrize("g", configured_groups(max_order=2000), ids=str)
-    def test_slot_width_holds_every_coefficient(self, g):
+    def test_slot_width_holds_every_coefficient(self, g, monkeypatch):
         # Coefficients are nonnegative, so each partial sum's are at most
         # the total's, and those at most sum(dim * f(1)) = sum(dim^2);
         # one bit more than that bound's length leaves each slot's top
@@ -324,7 +381,17 @@ class TestPackedGradedSum:
         poincare = coinvariant_poincare(g)
         largest = max(c for _, c in poincare.items())
         bound = sum(dim * dim for _, dim, _ in rows)
-        width = scan._graded_sum_width(_scanned_shapes(rows, poincare))
+        shapes = _scanned_shapes(rows, poincare)
+        widths = set()
+
+        def spy(f, width):
+            widths.add(width)
+            return polycore.packed_value(f, width)
+
+        monkeypatch.setattr(scan, "packed_value", spy)
+        assert scan._graded_sum_holds(shapes, poincare)
+        (width,) = widths
+        assert width % 8 == 0
         assert largest <= bound < 1 << width - 1
         if g.order == 1:
             assert largest == bound
@@ -737,10 +804,54 @@ class TestDatasetFormat:
             scan.parse_dataset(text)[0].validate()
 
     def test_validate_graded_sum(self):
+        # 1 + 1 != 1 + t; each row passes every row check.
         text = SAMPLE.replace("irrep sgn dim 1 fake t",
-                              "irrep sgn dim 1 fake t^2")
+                              "irrep sgn dim 1 fake 1")
         with pytest.raises(scan.DatasetError, match="Poincaré"):
             scan.parse_dataset(text)[0].validate()
+
+    @pytest.mark.parametrize("fake, message", [
+        ("2*t - 1", "C2 row sgn: fake degree has a negative coefficient"),
+        ("t^2", "C2 row sgn: fake degree has degree 2, above deg P = 1"),
+        # Both faults in one row: the sign is named.
+        ("t^2 - t^3 + t", "C2 row sgn: fake degree has a negative "
+                          "coefficient"),
+    ], ids=["negative", "above-deg-p", "both"])
+    def test_validate_graded_multiplicity(self, fake, message):
+        text = SAMPLE.replace("fake t", f"fake {fake}")
+        with pytest.raises(scan.DatasetError, match=f"^{re.escape(message)}$"):
+            scan.parse_dataset(text)[0].validate()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a dim 1 fake 2 - t^2\nirrep b dim 1 fake 2*t", "a: fake degree "
+         "has a negative coefficient"),
+        ("a dim 1 fake 2*t\nirrep b dim 1 fake 2 - t^2", "a: f\\(1\\) = 2"),
+        ("a dim 1 fake 2*t - t^-1\nirrep b dim 1 fake 1",
+         "a: fake degree has a negative exponent"),
+        ("a dim 1 fake t^2\nirrep b dim 1 fake 2 - t", "a: fake degree has "
+         "degree 2"),
+    ], ids=["sign-before-later-row", "f1-before-later-row", "exponent-first",
+            "degree-before-later-row"])
+    def test_validate_reports_the_first_failing_row(self, rows, message):
+        # Rows are checked in file order; within a row, dim, f(1), the
+        # exponents, the coefficients' sign, then the degree.
+        text = f"group C2 order 2 rank 1 degrees 2\nirrep {rows}\n"
+        with pytest.raises(scan.DatasetError, match=f"^C2 row {message}"):
+            scan.parse_dataset(text)[0].validate()
+
+    def test_validate_graded_sum_is_near_linear(self):
+        # [2^18]_t = sum of t^k: a valid dataset of 2^18 rows of one
+        # shape.  Summed as s(X) * sum_b rows_b X^b, with the inner sum
+        # one addition of the growing total per b, it took about 30 s on
+        # a 2-core x86-64 host; added in pairs in order of b, under 1 s.
+        n = 1 << 18
+        g = scan.ExceptionalGroupData(
+            "X", n, 1, (n,), tuple(scan.DatasetRow(f"r{k}", 1,
+                                                   LaurentPoly.monomial(1, k))
+                                   for k in range(n)))
+        start = time.perf_counter()
+        assert g.validate() == g.poincare()
+        assert time.perf_counter() - start < 5
 
     def test_validate_negative_exponent(self):
         text = SAMPLE.replace("fake t", "fake t^-1")
