@@ -20,18 +20,21 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable
 
 
 def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    # [0-9]: int() alone also reads a sign, "_" and any Unicode digit.
+    if re.fullmatch(r"\s*[0-9]+\s*", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    from .polycore import clip
+    raise argparse.ArgumentTypeError(
+        f"invalid nonnegative int value: {clip(text)!r}")
 
 
 # Characters a write to stdout gathers: few enough that a batch adds

@@ -10,16 +10,16 @@ Text format: components joined by "|", parts by ",", empty component
 "-", e.g. ``"2,2|-|1"`` for ((2,2), (), (1)).
 
 Shift orbits are found on ranks: each partition a component can hold
-gets its index in ``multipartition_key`` order, so a multipartition
-becomes a tuple of ints that compares as its key does, and a shift is
-two slices.  An orbit keeps only its least member, ``canonical``; its
+gets its index in ``_partition_key`` order, so a multipartition becomes
+a tuple of ints that compares as its components' keys do, and a shift
+is two slices.  An orbit keeps only its least member, ``canonical``; its
 other members are built when asked for.
 
 Partitions are validated where they enter from outside (the public
-``check_*``, ``orbit_of``, ``parse_multipartition`` and the canonical
-member of a ``MultipartitionOrbit`` built by hand); the enumerators
-only produce valid ones, so the scan path, orbits included, works on
-them through unchecked private helpers.
+``check_*``, ``orbit_of`` and the canonical member of a
+``MultipartitionOrbit`` built by hand); the enumerators only produce
+valid ones, so the scan path, orbits included, works on them through
+unchecked private helpers.
 """
 from __future__ import annotations
 
@@ -127,10 +127,6 @@ def _partition_key(lam: Partition) -> tuple:
     return (-sum(lam), tuple(-p for p in lam))
 
 
-def multipartition_key(mp: Multipartition) -> tuple:
-    return tuple(_partition_key(lam) for lam in mp)
-
-
 def _multipartition_count(m: int, n: int) -> int:
     """Number of m-multipartitions of n, without enumerating them, or
     the first count above MAX_MULTIPARTITIONS on the way to n.
@@ -199,7 +195,7 @@ def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
 
     The order sorts component 0 first (larger, lexicographically earlier
     partitions first), then the remaining components, which is
-    ascending ``multipartition_key`` order:
+    ascending componentwise ``_partition_key`` order:
 
     >>> multipartitions(2, 2)[0]
     ((2,), ())
@@ -231,7 +227,7 @@ def _orbit_size(r: tuple[int, ...], p: int, d: int) -> int:
 
 
 def _local_ranks(mp: Multipartition) -> tuple[list[Partition], tuple[int, ...]]:
-    """mp's distinct components in ``multipartition_key`` order, and mp
+    """mp's distinct components in ``_partition_key`` order, and mp
     as the tuple of its components' ranks among them."""
     parts = sorted(set(mp), key=_partition_key)
     rank = {lam: i for i, lam in enumerate(parts)}
@@ -250,9 +246,9 @@ class MultipartitionOrbit(namedtuple("MultipartitionOrbit",
     """Orbit of a multipartition under the order-p group of shifts by
     d = m/p.
 
-    ``canonical`` is its least member in ``multipartition_key`` order,
-    and the orbit has p / stab_order members; ``members`` lists them,
-    built when asked for.
+    ``canonical`` is its least member in componentwise
+    ``_partition_key`` order, and the orbit has p / stab_order members;
+    ``members`` lists them, built when asked for.
     """
 
     __slots__ = ()
@@ -278,8 +274,8 @@ class MultipartitionOrbit(namedtuple("MultipartitionOrbit",
 
     @property
     def members(self) -> tuple[Multipartition, ...]:
-        """The distinct shifts of canonical, in ``multipartition_key``
-        order."""
+        """The distinct shifts of canonical, in componentwise
+        ``_partition_key`` order."""
         if self.stab_order == self.p:
             return (self.canonical,)
         parts, r = _local_ranks(self.canonical)
@@ -295,10 +291,10 @@ def shift_orbits(m: int, p: int, n: int) -> tuple[MultipartitionOrbit, ...]:
     For p > 1 the multipartitions are enumerated as rank tuples: the
     table lists every partition of size n down to 1, descending-lex
     within a size, then the empty partition, which is
-    ``multipartition_key`` order, so a tuple of ranks (indices in the
-    table) compares as its multipartition's key does.  A rank tuple is
-    kept only when it is the least of its shifts, so no orbit's other
-    members are built.
+    ``_partition_key`` order, so a tuple of ranks (indices in the table)
+    compares as its multipartition does.  A rank tuple is kept only when
+    it is the least of its shifts, so no orbit's other members are
+    built.
     """
     if p == 1:
         return tuple(MultipartitionOrbit._of_valid(mp, 1, 1)
@@ -346,22 +342,3 @@ def _component_text(lam: Partition) -> str:
 def render_multipartition(mp: Multipartition) -> str:
     """Canonical text, e.g. ((2,2),(),(1,)) -> "2,2|-|1"."""
     return "|".join([_component_text(lam) if lam else "-" for lam in mp])
-
-
-def parse_multipartition(text: str) -> Multipartition:
-    """Inverse of render_multipartition."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty multipartition text")
-    out: list[Partition] = []
-    for comp in text.split("|"):
-        comp = comp.strip()
-        if comp == "-" or comp == "":
-            out.append(())
-            continue
-        try:
-            parts = tuple(int(tok) for tok in comp.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad multipartition component {comp!r}") from exc
-        out.append(check_partition(parts))
-    return tuple(out)

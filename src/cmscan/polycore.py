@@ -8,10 +8,9 @@ One value type and two kernels cover everything the higher layers need:
   convolutions.  Long division by a divisor with leading coefficient
   +-1 is one big-integer division of the coefficient lists packed at
   64 bits a slot, certified by a size bound; any other division runs by
-  index from the top coefficient.  ``weighted_sum`` adds scaled
-  polynomials into one buffer; ``+`` and ``-`` are two-term weighted
-  sums.  All arithmetic is exact; there is no floating point anywhere
-  in this package.
+  index from the top coefficient.  There is no addition: no command
+  sums polynomials.  All arithmetic is exact; there is no floating
+  point anywhere in this package.
 
 * ``mul_one_minus`` and ``div_one_minus`` multiply a coefficient list
   by 1 - t^a (a shift-and-subtract) and divide it by 1 - t^a (the
@@ -29,7 +28,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 # Largest degree minus trailing degree a polynomial may have.  Storage
 # is dense, so this bounds the memory one value can take; it is checked
@@ -260,26 +259,6 @@ class LaurentPoly:
             return LaurentPoly._dense(0, (other,))
         return None
 
-    def __add__(self, other) -> LaurentPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return weighted_sum(((self, 1), (other, 1)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._dense(self._lo, map(neg, self._c))
-
-    def __sub__(self, other) -> LaurentPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return weighted_sum(((self, 1), (other, -1)))
-
-    def __rsub__(self, other) -> LaurentPoly:
-        return -(self - other)
-
     def __mul__(self, other) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
@@ -390,8 +369,9 @@ class LaurentPoly:
     # ``findall`` takes time linear in the text.  It keeps no state per
     # term, as one match of the whole text with a repeated group would,
     # and a bad text adds one match of one character.
-    _TERM = re.compile(r"([+-]|^)\s*(?:(?:(\d+)\s*(?:\*\s*)?)?(t)(?:\^(-?\d+))?"
-                       r"|(\d+))|(\S)[\s\S]*")
+    # Digits are [0-9]: \d and int() also take every other Unicode digit.
+    _TERM = re.compile(r"([+-]|^)\s*(?:(?:([0-9]+)\s*(?:\*\s*)?)?(t)"
+                       r"(?:\^(-?[0-9]+))?|([0-9]+))|(\S)[\s\S]*")
 
     @classmethod
     def parse(cls, text: str) -> LaurentPoly:
@@ -449,29 +429,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly.parse({self.render()!r})"
-
-
-def weighted_sum(terms: Iterable[tuple[LaurentPoly, int]]) -> LaurentPoly:
-    """sum(w * f) over (f, w) pairs, each added, scaled, into one dense
-    buffer spanning all of them; a span above MAX_SPAN is refused before
-    the buffer is allocated.
-
-    >>> print(weighted_sum([(LaurentPoly.parse("t + 1"), 2),
-    ...                     (LaurentPoly.parse("t^-1 - 1"), 3)]))
-    2*t - 1 + 3*t^-1
-    """
-    terms = [(f, w) for f, w in terms if f._c and w]
-    if not terms:
-        return LaurentPoly()
-    lo = min(f._lo for f, _ in terms)
-    end = max(f._lo + len(f._c) for f, _ in terms)
-    _check_span(end - 1 - lo)
-    out = [0] * (end - lo)
-    for f, w in terms:
-        i = f._lo - lo
-        j = i + len(f._c)
-        out[i:j] = map(add, out[i:j], map(mul, f._c, repeat(w)))
-    return LaurentPoly._dense(lo, out)
 
 
 def packed_value(f: LaurentPoly, width: int) -> int | None:

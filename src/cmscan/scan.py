@@ -410,9 +410,10 @@ class ExceptionalGroupData(namedtuple("ExceptionalGroupData",
         return poincare
 
 
-_GROUP_LINE = re.compile(
-    r"^group\s+(\S+)\s+order\s+(\d+)\s+rank\s+(\d+)\s+degrees\s+([\d,\s]+)$")
-_IRREP_LINE = re.compile(r"^irrep\s+(\S+)\s+dim\s+(\d+)\s+fake\s+(.+)$")
+# [0-9], not \d: \d and int() also take every other Unicode digit.
+_GROUP_LINE = re.compile(r"^group\s+(\S+)\s+order\s+([0-9]+)\s+rank\s+([0-9]+)"
+                         r"\s+degrees\s+([0-9,\s]+)$")
+_IRREP_LINE = re.compile(r"^irrep\s+(\S+)\s+dim\s+([0-9]+)\s+fake\s+(.+)$")
 
 
 # Largest cost of a header's Poincaré expansion: one pass per degree

@@ -9,7 +9,10 @@ import math
 import re
 from collections import namedtuple
 
-_GROUP_RE = re.compile(r"^G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$")
+from .polycore import clip
+
+# [0-9], not \d: \d and int() also take every other Unicode digit.
+_GROUP_RE = re.compile(r"^G\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
 
 
 class GroupSpec(namedtuple("GroupSpec", "m p n")):
@@ -48,7 +51,7 @@ class GroupSpec(namedtuple("GroupSpec", "m p n")):
     def parse(cls, text: str) -> GroupSpec:
         m = _GROUP_RE.match(text.strip())
         if not m:
-            raise ValueError(f"bad group {text!r}; expected G(m,p,n)")
+            raise ValueError(f"bad group {clip(text)!r}; expected G(m,p,n)")
         return cls(*(int(g) for g in m.groups()))
 
 

@@ -93,7 +93,7 @@ def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
 
     The order sorts component 0 first (larger, lexicographically earlier
     partitions first), then recurses on the remaining components, which
-    is ascending ``multipartition_key`` order.
+    is ascending componentwise ``pt._partition_key`` order.
 
     Refuses, before enumerating, more than MAX_MULTIPARTITIONS.
     """
@@ -152,10 +152,7 @@ def hook_quotient(mp: Multipartition) -> GradedProduct:
 
 def orbit_weight_poly(orbit) -> LaurentPoly:
     """R(t) = sum over orbit members of t^index_weight."""
-    out = LaurentPoly.zero()
-    for member in orbit.members:
-        out = out + LaurentPoly.monomial(1, index_weight(member))
-    return out
+    return LaurentPoly(Counter(map(index_weight, orbit.members)))
 
 
 def standard_tableaux(lam: Partition) -> tuple[tuple[int, ...], ...]:
@@ -187,8 +184,6 @@ def major_index_poly(lam: Partition) -> LaurentPoly:
     n = sum(lam)
     if n > 8:
         raise ValueError("tableau enumeration is limited to n <= 8")
-    out = LaurentPoly.zero()
-    for rows in standard_tableaux(lam):
-        maj = sum(i + 1 for i in range(n - 1) if rows[i + 1] > rows[i])
-        out = out + LaurentPoly.monomial(1, maj)
-    return out
+    return LaurentPoly(Counter(
+        sum(i + 1 for i in range(n - 1) if rows[i + 1] > rows[i])
+        for rows in standard_tableaux(lam)))

@@ -25,6 +25,7 @@ from cmscan import partitions as pt
 from cmscan import scan
 from cmscan.cyclo import CycloNumber
 from cmscan.polycore import LaurentPoly
+from polyoracle import DictPoly
 
 
 @contextlib.contextmanager
@@ -55,7 +56,7 @@ def test_criterion_1_fake_degree_consistency_battery(capsys):
                   if m % p == 0 and fd.GroupSpec(m, p, n).order <= 5000]
         labels = 0
         for g in groups:
-            graded = LaurentPoly.zero()
+            graded = DictPoly.zero()
             square_sum = 0
             for label in fd.irr_labels(g):
                 f = fd.fake_degree(g, label.orbit)
@@ -65,11 +66,11 @@ def test_criterion_1_fake_degree_consistency_battery(capsys):
                 hooks = sum(pt._weighted_size(lam)
                             for lam in label.orbit.canonical)
                 assert f.trailing_degree() == k + g.m * hooks
-                graded = graded + f * dim
+                graded = graded + DictPoly.of(f) * dim
                 square_sum += dim * dim
                 labels += 1
             assert square_sum == g.order
-            assert graded == fd.coinvariant_poincare(g)
+            assert graded == DictPoly.of(fd.coinvariant_poincare(g))
         info["detail"] = (f"{len(groups)} groups, {labels} labels: "
                           "f(1)=dim, sum dim^2=|W|, graded sum=Poincaré, "
                           "trailing-degree identity")

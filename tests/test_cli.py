@@ -175,6 +175,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "cmscan: error:" in proc.stderr
 
+    def test_long_bad_group_is_quoted_briefly(self):
+        # The whole spec was echoed: 100,047 bytes of stderr.
+        proc = run_cli("scan", "H" * 100_000)
+        assert proc.returncode == 2
+        assert proc.stderr == ("cmscan: error: bad group '" + "H" * 37
+                               + "...'; expected G(m,p,n)\n")
+
+    def test_group_digits_are_ascii(self):
+        # int() reads any Unicode digit: this scanned G(2,1,2), exit 0.
+        proc = run_cli("scan", "G(\uff12,1,2)")
+        assert proc.returncode == 2
+        assert proc.stderr == ("cmscan: error: bad group 'G(\uff12,1,2)'; "
+                               "expected G(m,p,n)\n")
+        assert proc.stdout == ""
+
     def test_verify_omega_ok(self):
         proc = run_cli("verify-omega", "G(4,2,2)")
         assert proc.returncode == 0
@@ -217,12 +232,22 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "agreement: OK" in proc.stdout
 
-    @pytest.mark.parametrize("value", ["-1", "x"])
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which int() reads as 3.
+    @pytest.mark.parametrize("value", ["-1", "x", "\u0663"])
     def test_molien_bad_truncate_is_exit_2(self, value):
         proc = run_cli("molien", "G(3,3,2)", "--truncate", value)
         assert proc.returncode == 2
         assert "--truncate" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_molien_long_truncate_is_quoted_briefly(self):
+        # The whole value was echoed: 5,128 bytes for 5,000 digits.
+        proc = run_cli("molien", "G(3,3,2)", "--truncate", "9" * 5000)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "usage: cmscan molien [-h] [--json] [--truncate TRUNCATE] group\n"
+            "cmscan molien: error: argument --truncate: invalid nonnegative "
+            "int value: '" + "9" * 37 + "...'\n")
 
     def test_molien_truncate_bound_is_exit_2(self):
         # (truncate + 1) * m above polycore.MAX_SPAN is refused before
@@ -353,6 +378,33 @@ class TestExitCodes:
         proc = run_cli("table1", "--data", str(path))
         assert proc.returncode == 2
         assert message in proc.stderr
+
+    # Each file is valid with ASCII digits; with a fullwidth or an
+    # Arabic-Indic digit in one place, int() used to read it and the
+    # command exited 0.
+    @pytest.mark.parametrize("line, replacement, message", [
+        (0, "group G order \uff12 rank 1 degrees 2",
+         "line 1: unrecognized line 'group G order \uff12 rank 1 degrees 2'"),
+        (0, "group G order 2 rank \uff11 degrees 2",
+         "line 1: unrecognized line 'group G order 2 rank \uff11 degrees 2'"),
+        (0, "group G order 2 rank 1 degrees \uff12",
+         "line 1: unrecognized line 'group G order 2 rank 1 degrees \uff12'"),
+        (1, "irrep a dim \uff11 fake 1",
+         "line 2: unrecognized line 'irrep a dim \uff11 fake 1'"),
+        (2, "irrep b dim 1 fake \u0661*t^\u0661",
+         "line 3: bad polynomial text '\u0661*t^\u0661'"),
+    ], ids=["order", "rank", "degrees", "dim", "fake-degree"])
+    def test_table1_digits_are_ascii(self, tmp_path, line, replacement,
+                                     message):
+        lines = ["group G order 2 rank 1 degrees 2", "irrep a dim 1 fake 1",
+                 "irrep b dim 1 fake t"]
+        lines[line] = replacement
+        path = tmp_path / "digits.fd"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli("table1", "--data", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"cmscan: error: {message}\n"
+        assert proc.stdout == ""
 
     def test_table1_whitespace_run_is_refused_quickly(self, tmp_path):
         # The term-at-a-time scanner took about 10 s on this 64 KB row.

@@ -55,8 +55,7 @@ HOMES = {
     "groups": ["MonomialElement", "ReflectionClass", "molien_series",
                "omega_class_sum", "reflection_classes"],
     "partitions": ["Multipartition", "MultipartitionOrbit", "Partition",
-                   "multipartitions", "parse_multipartition",
-                   "render_multipartition"],
+                   "multipartitions", "render_multipartition"],
     "polycore": ["LaurentPoly"],
     "scan": ["DivisibilityVerdict", "ExceptionalGroupData", "ScanReport",
              "divisibility_test", "expected_failure_counts", "parse_dataset",

@@ -1,19 +1,27 @@
 """A standard-library lint of src/cmscan: every imported name is used,
-and every name in ``__all__`` is defined.
+every name in ``__all__`` is defined, and every function, method and
+class is referenced.
 
 Each module is parsed with ``ast``; nothing is imported or run.  A use is
 any load of the name, in code or in an annotation, a string annotation
 included.  A name imported on a line marked ``# re-exported`` is used by
 other modules (``fakedeg`` re-exports ``spec``'s names), and a name
 listed in a literal ``__all__`` counts as used.
+
+A definition is referenced when code in src/cmscan or perfbench/ names
+it: a use as above, an attribute, an import, or an entry of a
+module-level ``_EXPORTS`` (``cmscan/__init__``'s lazy exports).  Dunder
+methods, which Python calls by protocol, are exempt.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cmscan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cmscan"
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _annotations(tree):
@@ -103,9 +111,56 @@ def problems(source: str) -> list[str]:
     return out
 
 
+def definitions(tree) -> list[tuple[int, str]]:
+    """Each function, method and class defined, at any depth, with its
+    line; dunder names left out."""
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__")))
+
+
+def references(tree) -> set[str]:
+    """Names used, attributes, imported names and ``_EXPORTS`` entries."""
+    out = used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(part for alias in node.names
+                       for part in alias.name.split("."))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS"
+                        for t in node.targets)):
+            out.update(n.value for n in ast.walk(node.value)
+                       if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str))
+    return out
+
+
+def dead_definitions(checked: dict[str, str], others: list[str]) -> list[str]:
+    """The definitions in the ``checked`` sources (name -> text) that no
+    code among them or ``others`` references."""
+    trees = {name: ast.parse(source) for name, source in checked.items()}
+    referenced = set().union(*map(references, trees.values()),
+                             *(references(ast.parse(s)) for s in others))
+    return [f"{name} line {line}: {defined} is never referenced"
+            for name, tree in trees.items()
+            for line, defined in definitions(tree)
+            if defined not in referenced]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_is_clean(path):
     assert problems(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_definition_is_referenced():
+    assert dead_definitions(
+        {p.name: p.read_text(encoding="utf-8") for p in MODULES},
+        [p.read_text(encoding="utf-8") for p in PERFBENCH]) == []
 
 
 def test_every_module_is_checked():
@@ -132,6 +187,21 @@ class TestChecker:
 
     def test_marked_re_export_passes(self):
         assert problems("from .spec import GroupSpec  # re-exported\n") == []
+
+    def test_referenced_helper_passes(self):
+        checked = {"a.py": "def _helper():\n    pass\n"
+                           "class Spec:\n    def render(self):\n"
+                           "        return _helper()\n"
+                           "    def __str__(self):\n        return ''\n",
+                   "__init__.py": "_EXPORTS = {'a': ('Spec',)}\n"}
+        assert dead_definitions(checked, ["from cmscan.a import Spec\n"
+                                          "Spec().render()\n"]) == []
+
+    def test_unreferenced_helper_is_found(self):
+        checked = {"a.py": "def used():\n    pass\n"
+                           "def unused():\n    return used()\n"}
+        assert dead_definitions(checked, ["import os\n"]) == [
+            "a.py line 3: unused is never referenced"]
 
     def test_all_counts_as_use_and_must_be_defined(self):
         source = ("from .spec import GroupSpec\n"
