@@ -26,7 +26,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .polycore import VerificationError, cyclotomic
+from .polycore import VerificationError, clip, cyclotomic
 
 # Distinct moduli whose integer tables are kept.
 FIELD_CACHE_SIZE = 64
@@ -43,8 +43,9 @@ def _field_data(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     if m < 1:
         raise ValueError("cyclotomic modulus must be positive")
     if m > MAX_FIELD_TABLE:
-        raise ValueError(f"the powers of zeta_{m} need at least {m} "
-                         f"coordinates; the limit is {MAX_FIELD_TABLE}")
+        raise ValueError(f"the powers of zeta_{clip(m)} need at least "
+                         f"{clip(m)} coordinates; the limit is "
+                         f"{MAX_FIELD_TABLE}")
     phi = cyclotomic(m)
     deg = phi.degree()
     if m * deg > MAX_FIELD_TABLE:

@@ -49,26 +49,22 @@ def group_orbits(g: GroupSpec) -> tuple[pt.MultipartitionOrbit, ...]:
 
 def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
     """All irreducible labels, one per (orbit, epsilon)."""
-    out: list[IrrLabel] = []
-    for orbit in group_orbits(g):
-        for eps in range(orbit.stab_order):
-            out.append(IrrLabel(orbit, eps))
-    return tuple(out)
+    return tuple(IrrLabel(orbit, eps) for orbit in group_orbits(g)
+                 for eps in range(orbit.stab_order))
 
 
 def label_rows(g: GroupSpec) -> tuple[tuple[IrrLabel, int, LaurentPoly], ...]:
     """(label, dim, fake degree) for every irreducible label, in label
-    order.  dim and f are evaluated once per shift orbit, with one shape
-    memo; equal fake degrees are one object, held once by the rows."""
+    order.  dim and f are evaluated once per shift orbit, for all its
+    labels, with one shape memo; equal fake degrees are one object."""
     shapes: dict[tuple, LaurentPoly] = {}
     fakes: dict[LaurentPoly, LaurentPoly] = {}  # each distinct f, by value
-    rows, orbit = [], None
-    for label in irr_labels(g):
-        if label.orbit is not orbit:
-            orbit = label.orbit
-            f = fake_degree(g, orbit, shapes)
-            dim, f = irr_dimension(g, orbit), fakes.setdefault(f, f)
-        rows.append((label, dim, f))
+    rows = []
+    for orbit in group_orbits(g):
+        f = fake_degree(g, orbit, shapes)
+        dim, f = irr_dimension(g, orbit), fakes.setdefault(f, f)
+        rows += [(IrrLabel(orbit, eps), dim, f)
+                 for eps in range(orbit.stab_order)]
     return tuple(rows)
 
 
@@ -135,8 +131,8 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
 
 def _expand_shape(g: GroupSpec, hooks: tuple[int, ...],
                   reduced_weight: tuple[int, ...]) -> LaurentPoly:
-    """R' * (1 - t^(dn)) * prod_{i<n} (1 - t^(mi)) / prod_h (1 - t^(mh))."""
-    num = [g.d * g.n] + [g.m * i for i in range(1, g.n)]
+    """R' * prod_i (1 - t^(d_i)) / prod_h (1 - t^(mh)), d_i the degrees."""
+    num = list(g.degrees)
     den = []
     for h in hooks:  # equal degrees cancel
         if g.m * h in num:

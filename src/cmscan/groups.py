@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .cyclo import CycloNumber
-from .polycore import MAX_SPAN, LaurentPoly, VerificationError, div_one_minus
+from .polycore import MAX_SPAN, LaurentPoly, VerificationError, clip, div_one_minus
 from .spec import GroupSpec, natural_is_reducible
 
 
@@ -87,8 +87,9 @@ def reflection_classes(g: GroupSpec) -> tuple[ReflectionClass, ...]:
     count = n * (g.d - 1) + m * n * (n - 1) // 2
     cost = count and count * n**3 * len(CycloNumber.zero(m).num)
     if cost > MAX_REFLECTION_COST:
-        raise ValueError(f"the {count} reflections of {g} cost count * n^3 * "
-                         f"phi(m) = {cost}; the limit is {MAX_REFLECTION_COST}")
+        raise ValueError(f"the {clip(count)} reflections of {clip(g)} cost "
+                         f"count * n^3 * phi(m) = {clip(cost)}; the limit is "
+                         f"{MAX_REFLECTION_COST}")
     ident = tuple(range(n))
     classes = [([MonomialElement(m, ident, tuple(k if x == i else 0 for x in ident))
                  for i in ident], CycloNumber.zeta(m, k)) for k in range(g.p, m, g.p)]
@@ -188,15 +189,15 @@ def molien_series(g: GroupSpec, truncate: int = 30) -> LaurentPoly:
     n_terms = truncate + 1
     if n_terms * m > MAX_SPAN:
         raise ValueError(
-            f"molien series of {g} to t^{truncate} needs {n_terms * m} "
-            f"coefficients; the limit is {MAX_SPAN}")
+            f"molien series of {clip(g)} to t^{truncate} needs "
+            f"{clip(n_terms * m)} coefficients; the limit is {MAX_SPAN}")
     # (m+1)^(n-1) >= 2^(n-1), so capping n - 1 at the limit's bit length
     # refuses the same groups and keeps a huge n cheap.
     cap = MAX_MOLIEN_TERMS.bit_length()
     terms = g.d * n_terms * m * (m + 1) ** min(g.n - 1, cap)
     if terms > MAX_MOLIEN_TERMS:
         raise ValueError(
-            f"molien series of {g} to t^{truncate} may expand more than "
+            f"molien series of {clip(g)} to t^{truncate} may expand more than "
             f"{MAX_MOLIEN_TERMS} signature-table entries")
     CycloNumber.zero(m)  # builds the field, or refuses it, before the count
     signatures = _signature_counts(g)

@@ -28,7 +28,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from operator import mul
 
-from .polycore import VerificationError
+from .polycore import VerificationError, clip
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -160,12 +160,13 @@ def _check_size(m: int, n: int) -> None:
     count = _multipartition_count(m, n)
     if count > MAX_MULTIPARTITIONS:
         raise ValueError(
-            f"more than {MAX_MULTIPARTITIONS} {m}-multipartitions of {n}: "
-            "too many labels to enumerate")
+            f"more than {MAX_MULTIPARTITIONS} {clip(m)}-multipartitions of "
+            f"{clip(n)}: too many labels to enumerate")
     if count * m > MAX_COMPONENT_SLOTS:
         raise ValueError(
-            f"the {count} {m}-multipartitions of {n} hold {count * m} "
-            f"components; the limit is {MAX_COMPONENT_SLOTS}")
+            f"the {count} {clip(m)}-multipartitions of {clip(n)} hold "
+            f"{clip(count * m)} components; the limit is "
+            f"{MAX_COMPONENT_SLOTS}")
 
 
 def _by_boxes(m: int, n: int, parts: Callable[[int], Sequence],

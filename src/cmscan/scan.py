@@ -177,11 +177,11 @@ def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
     """Test every row in order and count the failing rows.
 
     Each row's shape t^-b f is looked up once in ``shapes``; only a new
-    shape goes through divisibility_test, so its value at 1, primitive
-    part and division are found once, and each distinct primitive
-    divisor is divided into P once.  Every row still has its own dim
-    checked against f(1).  ``shapes``, when given, is filled for the
-    caller.
+    shape goes through divisibility_test, as the shape itself (b = 0),
+    so its value at 1, primitive part and division are found once, and
+    each distinct primitive divisor is divided into P once.  Every row
+    still has its own dim checked against f(1).  ``shapes``, when given,
+    is filled for the caller.
     """
     memo: dict[LaurentPoly, Division] = {}
     if shapes is None:
@@ -193,18 +193,16 @@ def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
         shape = f.shift(-b)
         known = shapes.get(shape)
         if known is None:
-            verdict = divisibility_test(poincare, f, row.dim, row.ident,
-                                        memo, charge)
+            first = divisibility_test(poincare, shape, row.dim, row.ident,
+                                      memo, charge)
             known = shapes[shape] = _Shape(
-                verdict.dim, (verdict.divides, verdict.poly), {})
+                row.dim, (first.divides, first.poly), {})
         elif known.at_one != row.dim:
             raise VerificationError(
                 f"dim {row.dim} != f(1) = {known.at_one} for {row.ident}")
-        else:
-            verdict = DivisibilityVerdict(row.ident, b, row.dim,
-                                          *known.division)
         known.degrees[b] = known.degrees.get(b, 0) + 1
-        verdicts.append(verdict)
+        verdicts.append(DivisibilityVerdict(row.ident, b, row.dim,
+                                            *known.division))
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(name, len(verdicts), failures, tuple(verdicts), notes)
 
@@ -280,12 +278,12 @@ def _check_witness_size(g: GroupSpec) -> None:
     degree = g.m * g.n * (g.n - 1) // 2 + g.d * g.n - g.n
     if degree > MAX_WITNESS_DEGREE:
         raise ValueError(
-            f"the witness of {g} needs a Poincaré polynomial of degree "
-            f"{degree}; the limit is {MAX_WITNESS_DEGREE}")
+            f"the witness of {clip(g)} needs a Poincaré polynomial of "
+            f"degree {clip(degree)}; the limit is {MAX_WITNESS_DEGREE}")
     if g.p * g.m > pt.MAX_MULTIPARTITIONS:
         raise ValueError(
-            f"the witness orbit of {g} spans p*m = {g.p * g.m} components; "
-            f"the limit is {pt.MAX_MULTIPARTITIONS}")
+            f"the witness orbit of {clip(g)} spans p*m = {clip(g.p * g.m)} "
+            f"components; the limit is {pt.MAX_MULTIPARTITIONS}")
 
 
 def witness_multipartition(g: GroupSpec) -> pt.Multipartition:
@@ -567,7 +565,7 @@ def expected_failure_counts() -> dict[int, int]:
     }
 
 
-_GROUP_ID = re.compile(r"^G_?(\d+)$")
+_GROUP_ID = re.compile(r"^G_?([0-9]+)$")
 
 
 class CountComparison(namedtuple("CountComparison",

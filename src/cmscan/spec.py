@@ -25,7 +25,8 @@ class GroupSpec(namedtuple("GroupSpec", "m p n")):
         if m < 1 or p < 1 or n < 1:
             raise ValueError("G(m,p,n) needs positive m, p, n")
         if m % p != 0:
-            raise ValueError(f"p must divide m in G({m},{p},{n})")
+            raise ValueError("p must divide m in "
+                             f"G({clip(m)},{clip(p)},{clip(n)})")
         return super().__new__(cls, m, p, n)
 
     @property

@@ -57,6 +57,37 @@ def wide_division_dataset() -> str:
     return (f"group X order {2**69} rank 69 degrees {','.join(['2'] * 69)}\n"
             + "".join(rows))
 
+# Size refusals of specs with a 4,000-digit number, and their whole
+# stderr.  Each quoted the number in full (up to 12,097 bytes), or,
+# where a value derived from it has over 4,300 digits, failed to format
+# it and printed int()'s own message instead.
+HUGE = "9" * 4000
+CLIPPED = "9" * 37 + "..."
+HUGE_SPEC_REFUSALS = [
+    (("scan", f"G(7,7,{HUGE})"),
+     f"more than 200000 7-multipartitions of {CLIPPED}: too many labels "
+     "to enumerate"),
+    (("fake-degrees", f"G(7,7,{HUGE})"),
+     f"more than 200000 7-multipartitions of {CLIPPED}: too many labels "
+     "to enumerate"),
+    (("molien", f"G(7,7,{HUGE})"),
+     f"molien series of G(7,7,{HUGE[:31]}... to t^30 may expand more than "
+     "268435456 signature-table entries"),
+    (("scan", f"G({HUGE},7,1)"), f"p must divide m in G({CLIPPED},7,1)"),
+    (("verify-omega", f"G({HUGE},1,1)"),
+     f"the powers of zeta_{CLIPPED} need at least {CLIPPED} coordinates; "
+     "the limit is 4194304"),
+    (("witness", f"G({HUGE},{HUGE},2)"),
+     f"the witness of G({HUGE[:35]}... needs a Poincaré polynomial of "
+     f"degree {CLIPPED}; the limit is 20000"),
+    (("witness", f"G(4,2,{HUGE})"),
+     f"the witness of G(4,2,{HUGE[:31]}... needs a Poincaré polynomial of "
+     "degree a 26577-bit integer; the limit is 20000"),
+    (("verify-omega", f"G(2,1,{HUGE})"),
+     f"the a 26576-bit integer reflections of G(2,1,{HUGE[:31]}... cost "
+     "count * n^3 * phi(m) = a 66439-bit integer; the limit is 33554432"),
+]
+
 
 # Address space for children that would exhaust memory if a size bound
 # regressed; a regression then fails the test instead of the host.
@@ -332,6 +363,19 @@ class TestExitCodes:
         proc = run_cli("table1", "--data", str(path))
         assert proc.returncode == 1
         assert "MISMATCH" in proc.stdout
+
+    def test_table1_group_number_is_ascii(self, tmp_path):
+        # G followed by an Arabic-Indic five was compared with G5's
+        # published count: "0 failures, expected 3 -- MISMATCH", exit 1.
+        synth = scan.synthetic_dataset(GroupSpec(2, 1, 2))
+        renamed = scan.ExceptionalGroupData(
+            "G\u0665", synth.order, synth.rank, synth.degrees, synth.rows)
+        path = tmp_path / "arabic-indic.fd"
+        path.write_text(scan.render_dataset((renamed,)), encoding="utf-8")
+        proc = run_cli("table1", "--data", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "  G\u0665: 0 failures (no expected count)\n" in proc.stdout
+        assert "MISMATCH" not in proc.stdout
 
     def test_table1_invalid_dataset_is_exit_2(self, tmp_path):
         path = tmp_path / "bad.fd"
@@ -683,6 +727,16 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert proc.stderr.startswith(f"cmscan: error: {message} ")
         assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, message", HUGE_SPEC_REFUSALS,
+                             ids=[" ".join(argv).replace(HUGE, "9*4000")
+                                  for argv, _ in HUGE_SPEC_REFUSALS])
+    def test_huge_spec_is_quoted_briefly(self, argv, message):
+        proc = run_limited(*argv, timeout=30)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr == f"cmscan: error: {message}\n"
+        assert len(proc.stderr.encode()) < 200
         assert proc.stdout == ""
 
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):

@@ -85,9 +85,19 @@ class TestSmallGroups:
 class TestLabelRows:
     @pytest.mark.parametrize("spec", [(2, 2, 4), (4, 2, 3), (6, 3, 4),
                                       (3, 1, 3), (12, 4, 3)])
-    def test_rows_match_per_label_evaluation(self, spec):
+    def test_rows_match_per_label_evaluation(self, spec, monkeypatch):
         g = fd.GroupSpec(*spec)
+        calls = {"fake_degree": [], "irr_dimension": []}
+        for name, seen in calls.items():
+            def spy(g, orbit, *rest, _real=getattr(fd, name), _seen=seen):
+                _seen.append(orbit)
+                return _real(g, orbit, *rest)
+            monkeypatch.setattr(fd, name, spy)
         rows = fd.label_rows(g)
+        monkeypatch.undo()
+        # dim and f are evaluated once per orbit, in orbit order.
+        orbits = list(fd.group_orbits(g))
+        assert calls == {"fake_degree": orbits, "irr_dimension": orbits}
         assert [label for label, _, _ in rows] == list(fd.irr_labels(g))
         for label, dim, f in rows:
             assert dim == fd.irr_dimension(g, label.orbit)

@@ -12,6 +12,10 @@ A definition is referenced when code in src/cmscan or perfbench/ names
 it: a use as above, an attribute, an import, or an entry of a
 module-level ``_EXPORTS`` (``cmscan/__init__``'s lazy exports).  Dunder
 methods, which Python calls by protocol, are exempt.
+
+No string literal passed to a ``re`` function holds ``\\d``: it matches
+every Unicode decimal digit, so a grammar that means ASCII digits says
+``[0-9]``.
 """
 import ast
 from pathlib import Path
@@ -97,6 +101,20 @@ def literal_all(tree) -> list[str] | None:
     return None
 
 
+def unicode_digit_patterns(tree) -> list[tuple[int, str]]:
+    """Each call ``re.<function>(...)`` with a string literal among its
+    arguments that holds ``\\d``, with its line and function name."""
+    return sorted(
+        (node.lineno, node.func.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+        and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and "\\d" in n.value
+                for arg in node.args + [k.value for k in node.keywords]
+                for n in ast.walk(arg)))
+
+
 def problems(source: str) -> list[str]:
     tree = ast.parse(source)
     exported = literal_all(tree) or []
@@ -108,6 +126,9 @@ def problems(source: str) -> list[str]:
     defined = module_names(tree)
     out += [f"__all__ lists {name}, which is not defined"
             for name in exported if name not in defined]
+    out += [f"line {line}: re.{function} is given \\d, which matches any "
+            "Unicode digit; write [0-9]"
+            for line, function in unicode_digit_patterns(tree)]
     return out
 
 
@@ -202,6 +223,22 @@ class TestChecker:
                            "def unused():\n    return used()\n"}
         assert dead_definitions(checked, ["import os\n"]) == [
             "a.py line 3: unused is never referenced"]
+
+    def test_ascii_digit_pattern_passes(self):
+        source = ("import re\n"
+                  "LINE = re.compile(r'^G_?([0-9]+)$')\n"
+                  "re.sub(r'[0-9]', '', 'x', flags=re.A)\n")
+        assert problems(source) == []
+
+    def test_unicode_digit_pattern_is_found(self):
+        source = ("import re\n"
+                  "LINE = re.compile(r'^G_?(\\d+)$')\n"
+                  "re.fullmatch(pattern='[ab]' r'\\d', string='a1')\n")
+        assert problems(source) == [
+            "line 2: re.compile is given \\d, which matches any Unicode "
+            "digit; write [0-9]",
+            "line 3: re.fullmatch is given \\d, which matches any Unicode "
+            "digit; write [0-9]"]
 
     def test_all_counts_as_use_and_must_be_defined(self):
         source = ("from .spec import GroupSpec\n"
