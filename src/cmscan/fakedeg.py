@@ -56,13 +56,11 @@ def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
 def label_rows(g: GroupSpec) -> tuple[tuple[IrrLabel, int, LaurentPoly], ...]:
     """(label, dim, fake degree) for every irreducible label, in label
     order.  dim and f are evaluated once per shift orbit, for all its
-    labels, with one shape memo; equal fake degrees are one object."""
+    labels, with one shape memo."""
     shapes: dict[tuple, LaurentPoly] = {}
-    fakes: dict[LaurentPoly, LaurentPoly] = {}  # each distinct f, by value
     rows = []
     for orbit in group_orbits(g):
-        f = fake_degree(g, orbit, shapes)
-        dim, f = irr_dimension(g, orbit), fakes.setdefault(f, f)
+        f, dim = fake_degree(g, orbit, shapes), irr_dimension(g, orbit)
         rows += [(IrrLabel(orbit, eps), dim, f)
                  for eps in range(orbit.stab_order)]
     return tuple(rows)

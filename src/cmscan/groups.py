@@ -87,9 +87,9 @@ def reflection_classes(g: GroupSpec) -> tuple[ReflectionClass, ...]:
     count = n * (g.d - 1) + m * n * (n - 1) // 2
     cost = count and count * n**3 * len(CycloNumber.zero(m).num)
     if cost > MAX_REFLECTION_COST:
-        raise ValueError(f"the {clip(count)} reflections of {clip(g)} cost "
-                         f"count * n^3 * phi(m) = {clip(cost)}; the limit is "
-                         f"{MAX_REFLECTION_COST}")
+        raise ValueError(f"the reflections of {clip(g)}, count = "
+                         f"{clip(count)}, cost count * n^3 * phi(m) = "
+                         f"{clip(cost)}; the limit is {MAX_REFLECTION_COST}")
     ident = tuple(range(n))
     classes = [([MonomialElement(m, ident, tuple(k if x == i else 0 for x in ident))
                  for i in ident], CycloNumber.zeta(m, k)) for k in range(g.p, m, g.p)]

@@ -72,10 +72,16 @@ class DatasetRow(namedtuple("DatasetRow", "ident dim fake")):
 Division = tuple[bool, LaurentPoly]
 
 
+def _primitive(shape: LaurentPoly) -> LaurentPoly:
+    """A nonzero shape t^-b f over the gcd of its coefficients."""
+    content = shape.content()
+    return shape if content == 1 else LaurentPoly(
+        {e: c // content for e, c in shape.items()})
+
+
 def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
                       label: str,
                       memo: dict[LaurentPoly, Division] | None = None,
-                      charge: Callable[[LaurentPoly, str], None] | None = None,
                       ) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
@@ -88,25 +94,18 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
 
     ``memo``, when given, maps primitive divisors of this same ``poincare``
     to their division, so labels sharing a primitive part share one
-    division and one quotient or remainder object.  ``charge``, when
-    given, is called with each primitive divisor the memo does not hold
-    yet and the label, before that division starts; it may refuse it by
-    raising.
+    division and one quotient or remainder object.
     """
     if f.is_zero():
         raise VerificationError(f"fake degree of {label} must be nonzero")
     if f.at_one() != dim:
         raise VerificationError(f"dim {dim} != f(1) = {f.at_one()} for {label}")
     b = f.trailing_degree()
-    shifted = f.shift(-b)
-    content = shifted.content()
-    primitive = shifted if content == 1 else shifted / LaurentPoly.monomial(content)
+    primitive = _primitive(f.shift(-b))
     if memo is None:
         memo = {}
     division = memo.get(primitive)
     if division is None:
-        if charge is not None:
-            charge(primitive, label)
         quotient, remainder = divmod(poincare, primitive)
         divides = remainder.is_zero()
         if divides and (quotient.at_one() * primitive.at_one()
@@ -162,53 +161,59 @@ def _group_notes(g: GroupSpec) -> tuple[str, ...]:
                  if note)
 
 
-class _Shape(namedtuple("_Shape", "at_one division degrees")):
-    """A distinct shape t^-b f of a scan: its value at 1, its division
-    into P (None in ``validate``), and its rows at each b (a dict)."""
+class _Shape(namedtuple("_Shape", "shape at_one first degrees")):
+    """A distinct shape t^-b f of a scan's rows: the shape, its value at
+    1, the index of its first row and its row count at each b (a dict)."""
 
     __slots__ = ()
 
 
-def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
-               notes: tuple[str, ...],
-               charge: Callable[[LaurentPoly, str], None] | None = None,
-               shapes: dict[LaurentPoly, _Shape] | None = None,
-               ) -> ScanReport:
-    """Test every row in order and count the failing rows.
-
-    Each row's shape t^-b f is looked up once in ``shapes``; only a new
-    shape goes through divisibility_test, as the shape itself (b = 0),
-    so its value at 1, primitive part and division are found once, and
-    each distinct primitive divisor is divided into P once.  Every row
-    still has its own dim checked against f(1).  ``shapes``, when given,
-    is filled for the caller.
-    """
-    memo: dict[LaurentPoly, Division] = {}
-    if shapes is None:
-        shapes = {}
-    verdicts = []
-    for row in rows:
-        f = row.fake
-        b = f.trailing_degree() if f else 0  # divisibility_test refuses 0
+def _shape_rows(fakes: Iterable[LaurentPoly]
+                ) -> tuple[list[_Shape], list[_Shape]]:
+    """Split each row's fake degree f once into its b and its shape
+    t^-b f: a _Shape per distinct shape, in order of first row, and each
+    row's _Shape, in row order.  A zero f is the shape 0 at b = 0;
+    divisibility_test and validate refuse it."""
+    shapes: dict[LaurentPoly, _Shape] = {}
+    row_shapes = []
+    for row, f in enumerate(fakes):
+        b = f.trailing_degree() if f else 0
         shape = f.shift(-b)
         known = shapes.get(shape)
         if known is None:
-            first = divisibility_test(poincare, shape, row.dim, row.ident,
-                                      memo, charge)
-            known = shapes[shape] = _Shape(
-                row.dim, (first.divides, first.poly), {})
+            known = shapes[shape] = _Shape(shape, shape.at_one(), row, {})
+        known.degrees[b] = known.degrees.get(b, 0) + 1
+        row_shapes.append(known)
+    return list(shapes.values()), row_shapes
+
+
+def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
+               row_shapes: list[_Shape], notes: tuple[str, ...]) -> ScanReport:
+    """Test every row in order and count the failing rows.
+
+    ``row_shapes`` gives each row its _Shape (``_shape_rows``).  A
+    shape's first row divides it into P by divisibility_test, as the
+    shape itself (b = 0), so each distinct primitive divisor is divided
+    once; every other row has its own dim checked against f(1).
+    """
+    memo: dict[LaurentPoly, Division] = {}
+    divisions: dict[int, Division] = {}  # by the shape's first row
+    verdicts = []
+    for i, (row, known) in enumerate(zip(rows, row_shapes)):
+        if known.first == i:  # the verdict's (divides, poly)
+            divisions[i] = divisibility_test(poincare, known.shape, row.dim,
+                                             row.ident, memo)[3:]
         elif known.at_one != row.dim:
             raise VerificationError(
                 f"dim {row.dim} != f(1) = {known.at_one} for {row.ident}")
-        known.degrees[b] = known.degrees.get(b, 0) + 1
-        verdicts.append(DivisibilityVerdict(row.ident, b, row.dim,
-                                            *known.division))
+        verdicts.append(DivisibilityVerdict(
+            row.ident, row.fake.trailing_degree(), row.dim,
+            *divisions[known.first]))
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(name, len(verdicts), failures, tuple(verdicts), notes)
 
 
-def _graded_sum_holds(shapes: dict[LaurentPoly, _Shape],
-                      poincare: LaurentPoly) -> bool:
+def _graded_sum_holds(shapes: list[_Shape], poincare: LaurentPoly) -> bool:
     """sum(dim * f) == P over the rows recorded in ``shapes``, as one
     sum of integers: each polynomial is read at X = 2^w, w bits a slot.
 
@@ -222,13 +227,12 @@ def _graded_sum_holds(shapes: dict[LaurentPoly, _Shape],
     partial sum exceeds the total's, which are at most sum(dim^2) <
     2^(w-1): no slot carries into the next.
     """
-    bound = sum(at_one * at_one * sum(degrees.values())
-                for at_one, _, degrees in shapes.values())
+    bound = sum(s.at_one * s.at_one * sum(s.degrees.values()) for s in shapes)
     if bound != poincare.at_one():
         return False
     width = -(-(bound.bit_length() + 1) // 8) * 8
     terms = []
-    for shape, (at_one, _, degrees) in shapes.items():
+    for shape, at_one, _, degrees in shapes:
         value = packed_value(shape, width)
         if value is None:
             raise VerificationError("fake degree has a negative coefficient")
@@ -249,11 +253,11 @@ def scan_group(g: GroupSpec) -> ScanReport:
     poincare = coinvariant_poincare(g)
     if poincare.at_one() != g.order:
         raise VerificationError(f"P(1) = {poincare.at_one()} != |W| = {g.order}")
-    shapes: dict[LaurentPoly, _Shape] = {}
+    shapes, row_shapes = _shape_rows(f for _, _, f in rows)
     report = _scan_rows(g.render(), poincare,
                         (DatasetRow(label.render(), dim, f)
                          for label, dim, f in rows),
-                        _CONVENTION_NOTES + _group_notes(g), shapes=shapes)
+                        row_shapes, _CONVENTION_NOTES + _group_notes(g))
     if not _graded_sum_holds(shapes, poincare):
         raise VerificationError("graded sum rule violated")
     return report
@@ -360,12 +364,13 @@ class ExceptionalGroupData(namedtuple("ExceptionalGroupData",
     def poincare(self) -> LaurentPoly:
         return poincare_polynomial(self.degrees)
 
-    def validate(self) -> LaurentPoly:
+    def validate(self) -> tuple[LaurentPoly, list[_Shape], list[_Shape]]:
         """Check that every dim is positive, the three consistency
         identities, and that every fake degree has nonnegative coefficients
         and degree at most deg P; return the Poincaré polynomial checked
-        against.  Raise DatasetError naming the failing row and identity,
-        with each value from the file quoted to at most 40 characters."""
+        against and the rows' ``_shape_rows``.  Raise DatasetError naming
+        the failing row and identity, with each value from the file
+        quoted to at most 40 characters."""
         name = clip(self.name)
         if len(self.degrees) != self.rank:
             raise DatasetError(f"{name}: {len(self.degrees)} degrees "
@@ -380,32 +385,25 @@ class ExceptionalGroupData(namedtuple("ExceptionalGroupData",
             return DatasetError(f"{name} row {clip(row.ident)}: {what}")
 
         top = sum(d - 1 for d in self.degrees)  # deg P
-        shapes: dict[LaurentPoly, _Shape] = {}
-        for row in self.rows:
+        shapes, row_shapes = _shape_rows(row.fake for row in self.rows)
+        for i, (row, known) in enumerate(zip(self.rows, row_shapes)):
             if row.dim < 1:
                 raise refuse(row, f"dim {clip(row.dim)} is not positive")
-            f = row.fake
-            b = f.trailing_degree() if f else 0
-            shape = f.shift(-b)
-            known = shapes.get(shape)
-            if known is None:
-                known = shapes[shape] = _Shape(shape.at_one(), None, {})
             if known.at_one != row.dim:
                 raise refuse(row, f"f(1) = {clip(known.at_one)} != dim "
                                   f"{clip(row.dim)}")
-            if b < 0:
+            if row.fake.trailing_degree() < 0:
                 raise refuse(row, "fake degree has a negative exponent")
-            if not known.degrees and any(c < 0 for _, c in shape.items()):
+            if known.first == i and any(c < 0 for _, c in known.shape.items()):
                 raise refuse(row, "fake degree has a negative coefficient")
-            if f.degree() > top:  # refused before anything is packed
+            if row.fake.degree() > top:  # refused before anything is packed
                 raise refuse(row, "fake degree has degree "
-                                  f"{clip(f.degree())}, above deg P = {top}")
-            known.degrees[b] = known.degrees.get(b, 0) + 1
+                                  f"{clip(row.fake.degree())}, above deg P = {top}")
         poincare = self.poincare()
         if not _graded_sum_holds(shapes, poincare):
             raise DatasetError(f"{name}: sum of dim * f differs from the "
                                "coinvariant Poincaré polynomial")
-        return poincare
+        return poincare, shapes, row_shapes
 
 
 # [0-9], not \d: \d and int() also take every other Unicode digit.
@@ -516,42 +514,44 @@ def render_dataset(groups: tuple[ExceptionalGroupData, ...]) -> str:
 # distinct primitive divisors g of its P, a polynomial in t^step, of
 # (len P - deg g) * (deg g / step + 1) * ceil(bit_length(max |P_i|) / 64),
 # the quotient steps times the divisor's terms times the words of P's
-# largest coefficient.  At 2^25 the packed division takes about 0.22 s
-# on a 2-core x86-64 host (CPython 3.11), 6.7 ns a unit.  The long-
-# division loop, which runs once a coefficient reaches 2^62, is outside
-# this model: it took 25-50 ns a unit on three-term divisors but
-# 120-300 ns on one- and two-term ones, and a divisor whose remainder's
-# coefficients grow (t^2 - 3t + 3) makes it quadratic in len P however
-# small the count.
+# largest coefficient, summed in row order before a group's first
+# division (the one place a cost model per division path would go).  At
+# 2^25 the packed division takes about 0.22 s on a 2-core x86-64 host
+# (CPython 3.11), 6.7 ns a unit.  The long-division loop, which runs
+# once a coefficient reaches 2^62, is outside this model: it took 25-50
+# ns a unit on three-term divisors but 120-300 ns on one- and two-term
+# ones, and a divisor whose remainder's coefficients grow (t^2 - 3t + 3)
+# makes it quadratic in len P however small the count.
 MAX_DIVISION_COST = 1 << 25
 
 
 def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, ...]:
     """Validate then scan each dataset group row by row, dividing each
-    distinct primitive divisor into the group's P once.  The cost of
-    each new division (see MAX_DIVISION_COST) is added to the file's
-    total before it starts, and the row that takes the total past the
-    limit is refused, as a DatasetError, without running it."""
+    distinct primitive divisor into the group's P once.  Before a group's
+    first division its divisors' costs (see MAX_DIVISION_COST) are added
+    to the file's total in row order, and the row whose divisor takes the
+    total past the limit is refused, as a DatasetError."""
     note = ("row identities follow the source tabulation; verdicts and "
             "counts are per row")
     reports = []
     spent = 0
     for g in groups:
-        poincare = g.validate()
+        poincare, shapes, row_shapes = g.validate()
         length = poincare.degree() + 1
         words = -(-max(abs(c) for _, c in poincare.items()).bit_length() // 64)
-
-        def charge(divisor: LaurentPoly, row: str) -> None:
-            nonlocal spent
+        firsts: dict[LaurentPoly, int] = {}  # each divisor's first row
+        for shape in shapes:
+            firsts.setdefault(_primitive(shape.shape), shape.first)
+        for divisor, first in firsts.items():
             degree = divisor.degree()
             step = math.gcd(*(e for e, _ in divisor.items())) or 1
             spent += max(length - degree, 0) * (degree // step + 1) * words
             if spent > MAX_DIVISION_COST:
                 raise DatasetError(
-                    f"{clip(g.name)} row {clip(row)}: the file's divisions "
-                    f"would cost {spent}; the limit is {MAX_DIVISION_COST}")
-
-        reports.append(_scan_rows(g.name, poincare, g.rows, (note,), charge))
+                    f"{clip(g.name)} row {clip(g.rows[first].ident)}: the "
+                    f"file's divisions would cost {spent}; the limit is "
+                    f"{MAX_DIVISION_COST}")
+        reports.append(_scan_rows(g.name, poincare, g.rows, row_shapes, (note,)))
     return tuple(reports)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from cmscan import cli, fakedeg, groups, scan
 from cmscan.fakedeg import GroupSpec
+from cmscan.polycore import LaurentPoly
 
 DATASET = """\
 group G12 order 48 rank 2 degrees 6,8
@@ -84,8 +85,9 @@ HUGE_SPEC_REFUSALS = [
      f"the witness of G(4,2,{HUGE[:31]}... needs a Poincaré polynomial of "
      "degree a 26577-bit integer; the limit is 20000"),
     (("verify-omega", f"G(2,1,{HUGE})"),
-     f"the a 26576-bit integer reflections of G(2,1,{HUGE[:31]}... cost "
-     "count * n^3 * phi(m) = a 66439-bit integer; the limit is 33554432"),
+     f"the reflections of G(2,1,{HUGE[:31]}..., count = a 26576-bit "
+     "integer, cost count * n^3 * phi(m) = a 66439-bit integer; the limit "
+     "is 33554432"),
 ]
 
 
@@ -142,9 +144,10 @@ REFUSED_PROBES = [
      "the powers of zeta_1000000000 need at least 1000000000 coordinates;"),
     ("verify-omega", "G(618970019642690137449562111,1,1)",
      "the powers of zeta_618970019642690137449562111 need at least"),
-    ("verify-omega", "G(3,1,1000)", "the 1500500 reflections of G(3,1,1000)"),
+    ("verify-omega", "G(3,1,1000)",
+     "the reflections of G(3,1,1000), count = 1500500, cost"),
     ("verify-omega", "G(2,1,10000000)",
-     "the 100000000000000 reflections of G(2,1,10000000)"),
+     "the reflections of G(2,1,10000000), count = 100000000000000, cost"),
     ("molien", "G(300,1,2)", "molien series of G(300,1,2) to t^30 may"),
     ("molien", "G(700,1,2)", "molien series of G(700,1,2) to t^30 may"),
     ("molien", "G(20000,1,1)", "molien series of G(20000,1,1) to t^30 may"),
@@ -612,6 +615,31 @@ class TestExitCodes:
             with pytest.raises(scan.DatasetError, match=f"^X row {refused}: "
                                "the file's divisions would cost "):
                 scan.scan_dataset(groups)
+
+    @pytest.mark.parametrize("text, limit, refused", [
+        (crafted_division_dataset(16), 107, "f"),
+        (crafted_division_dataset(16), 17, "r0_0"),
+        (STEP, 10, "a"), (STEP, 5, "f"), (WIDE, 283, "c0"), (WIDE, 141, "p"),
+    ], ids=["n16-107", "n16-17", "step-10", "step-5", "wide-283", "wide-141"])
+    def test_refused_group_runs_no_division(self, monkeypatch, text, limit,
+                                            refused):
+        # The budget of a group is summed before its first division, so
+        # a refusal at a later row does not follow divisions of earlier
+        # rows' divisors.
+        monkeypatch.setattr(scan, "MAX_DIVISION_COST", limit)
+        groups = scan.parse_dataset(text)
+        divisors = []
+        real = LaurentPoly.__divmod__
+
+        def spy(num, den):
+            divisors.append(den)
+            return real(num, den)
+
+        monkeypatch.setattr(LaurentPoly, "__divmod__", spy)
+        with pytest.raises(scan.DatasetError, match=f"^X row {refused}: "
+                           "the file's divisions would cost "):
+            scan.scan_dataset(groups)
+        assert divisors == []
 
     def test_table1_fake_degrees_are_bounded_per_file(self, tmp_path):
         # Each row fits MAX_SPAN, but 200 dense rows of about 2**20

@@ -217,8 +217,8 @@ class TestClosedFormClasses:
         monkeypatch.setattr(gr, "MAX_REFLECTION_COST", 242)
         monkeypatch.setattr(gr, "MonomialElement", None)
         with pytest.raises(ValueError, match=re.escape(
-                "the 9 reflections of G(2,1,3) cost count * n^3 * phi(m) = 243; "
-                "the limit is 242")):
+                "the reflections of G(2,1,3), count = 9, cost "
+                "count * n^3 * phi(m) = 243; the limit is 242")):
             gr.reflection_classes(GroupSpec(2, 1, 3))
         # A huge n or m is refused at once, by this bound or the field's.
         monkeypatch.undo()

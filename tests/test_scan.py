@@ -301,12 +301,9 @@ class TestGradedSum:
         assert graded_sum([]) == LaurentPoly.zero()
 
 
-def _scanned_shapes(rows, poincare):
-    """The per-shape record _scan_rows keeps of (label, dim, f) rows."""
-    shapes = {}
-    scan._scan_rows("x", poincare, (scan.DatasetRow(label.render(), dim, f)
-                                    for label, dim, f in rows), (),
-                    shapes=shapes)
+def _scanned_shapes(rows):
+    """The per-shape record _shape_rows keeps of (label, dim, f) rows."""
+    shapes, _ = scan._shape_rows(f for _, _, f in rows)
     return shapes
 
 
@@ -339,7 +336,7 @@ class TestPackedGradedSum:
                               (rows, _dict_sum(((poincare, 1),
                                                 (P("t^2 - t"), 1)))),
                               (moved, poincare)):
-            shapes = _scanned_shapes(rows_, poincare)
+            shapes = _scanned_shapes(rows_)
             want = graded_sum((d, f) for _, d, f in rows_) == target
             assert scan._graded_sum_holds(shapes, target) is want
             assert want is (rows_ is rows and target is poincare)
@@ -369,7 +366,7 @@ class TestPackedGradedSum:
 
         monkeypatch.setattr(scan, "_graded_sum_holds", spy)
         if want:
-            assert g._replace(rows=rows).validate() == poincare
+            assert g._replace(rows=rows).validate()[0] == poincare
         else:
             with pytest.raises(scan.DatasetError, match="sum of dim \\* f "
                                "differs"):
@@ -386,7 +383,7 @@ class TestPackedGradedSum:
         poincare = coinvariant_poincare(g)
         largest = max(c for _, c in poincare.items())
         bound = sum(dim * dim for _, dim, _ in rows)
-        shapes = _scanned_shapes(rows, poincare)
+        shapes = _scanned_shapes(rows)
         widths = set()
 
         def spy(f, width):
@@ -404,7 +401,7 @@ class TestPackedGradedSum:
     def test_negative_coefficient_is_refused(self):
         # dim = f(1) holds, but a negative coefficient voids the bound.
         (label, _, _), *_ = label_rows(GroupSpec(2, 1, 1))
-        shapes = _scanned_shapes(((label, 1, P("2 - t")),), P("1"))
+        shapes = _scanned_shapes(((label, 1, P("2 - t")),))
         with pytest.raises(VerificationError, match=re.escape(
                 "fake degree has a negative coefficient")):
             scan._graded_sum_holds(shapes, P("1"))
@@ -855,7 +852,7 @@ class TestDatasetFormat:
                                                    LaurentPoly.monomial(1, k))
                                    for k in range(n)))
         start = time.perf_counter()
-        assert g.validate() == g.poincare()
+        assert g.validate()[0] == g.poincare()
         assert time.perf_counter() - start < 5
 
     def test_validate_negative_exponent(self):
@@ -931,7 +928,31 @@ class TestDatasetScan:
         reports = scan.scan_dataset(groups)
         assert built == [g.degrees for g in groups]
         assert [r.labels for r in reports] == [len(g.rows) for g in groups]
-        assert groups[1].validate() == coinvariant_poincare(GroupSpec(4, 2, 3))
+        assert groups[1].validate()[0] == coinvariant_poincare(
+            GroupSpec(4, 2, 3))
+
+    def test_each_row_is_shaped_once(self, monkeypatch):
+        # validate splits each row's f into b and t^-b f, and the
+        # division budget and the divisions read that split: one shift
+        # a row.  Rows of equal text share their f.
+        groups = scan.parse_dataset(REPEATS) + (
+            scan.synthetic_dataset(GroupSpec(4, 2, 3)),)
+        rows = {}
+        for g in groups:
+            for row in g.rows:
+                rows[id(row.fake)] = rows.get(id(row.fake), 0) + 1
+        shifts = dict.fromkeys(rows, 0)
+        real = LaurentPoly.shift
+
+        def spy(f, k):
+            if id(f) in shifts:
+                shifts[id(f)] += 1
+            return real(f, k)
+
+        monkeypatch.setattr(LaurentPoly, "shift", spy)
+        reports = scan.scan_dataset(groups)
+        assert shifts == rows
+        assert [r.labels for r in reports] == [len(g.rows) for g in groups]
 
     def test_invalid_data_is_refused(self):
         bad = scan.parse_dataset(SAMPLE.replace("order 2", "order 3"))
