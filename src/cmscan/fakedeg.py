@@ -56,11 +56,12 @@ def irr_labels(g: GroupSpec) -> tuple[IrrLabel, ...]:
 def label_rows(g: GroupSpec) -> tuple[tuple[IrrLabel, int, LaurentPoly], ...]:
     """(label, dim, fake degree) for every irreducible label, in label
     order.  dim and f are evaluated once per shift orbit, for all its
-    labels, with one shape memo."""
-    shapes: dict[tuple, LaurentPoly] = {}
+    labels, with one memo, so orbits with the same shape key and b share
+    one f."""
+    fakes: dict[tuple, dict[int, LaurentPoly]] = {}
     rows = []
     for orbit in group_orbits(g):
-        f, dim = fake_degree(g, orbit, shapes), irr_dimension(g, orbit)
+        f, dim = fake_degree(g, orbit, fakes), irr_dimension(g, orbit)
         rows += [(IrrLabel(orbit, eps), dim, f)
                  for eps in range(orbit.stab_order)]
     return tuple(rows)
@@ -105,12 +106,14 @@ def _index_weights(g: GroupSpec, orbit: pt.MultipartitionOrbit) -> list[int]:
 
 
 def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
-                memo: dict[tuple, LaurentPoly] | None = None) -> LaurentPoly:
+                memo: dict[tuple, dict[int, LaurentPoly]] | None = None
+                ) -> LaurentPoly:
     """Fake degree polynomial shared by every label of the orbit.
 
     The shape t^-b * f depends only on the group and on the key (hook
     multiset, coefficients of R'); ``memo``, when given, maps the keys
-    of this same group to their shapes, so each shape is expanded once.
+    of this same group to their fake degrees by b, the shape at b = 0,
+    so each shape is expanded once and each (key, b) has one f.
     """
     weights = _index_weights(g, orbit)
     k = min(weights)
@@ -119,12 +122,15 @@ def fake_degree(g: GroupSpec, orbit: pt.MultipartitionOrbit,
         reduced_weight[w - k] += 1
     b = k + g.m * sum(map(pt._weighted_size, filter(None, orbit.canonical)))
     key = (_hooks(orbit.canonical), tuple(reduced_weight))
-    shape = None if memo is None else memo.get(key)
-    if shape is None:
-        shape = _expand_shape(g, *key)
+    fakes = None if memo is None else memo.get(key)
+    if fakes is None:
+        fakes = {0: _expand_shape(g, *key)}
         if memo is not None:
-            memo[key] = shape
-    return shape.shift(b)
+            memo[key] = fakes
+    f = fakes.get(b)
+    if f is None:
+        f = fakes[b] = fakes[0].shift(b)
+    return f
 
 
 def _expand_shape(g: GroupSpec, hooks: tuple[int, ...],

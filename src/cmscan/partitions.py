@@ -9,11 +9,12 @@ epsilon label per stabiliser element.
 Text format: components joined by "|", parts by ",", empty component
 "-", e.g. ``"2,2|-|1"`` for ((2,2), (), (1)).
 
-Shift orbits are found on ranks: each partition a component can hold
-gets its index in ``_partition_key`` order, so a multipartition becomes
-a tuple of ints that compares as its components' keys do, and a shift
-is two slices.  An orbit keeps only its least member, ``canonical``; its
-other members are built when asked for.
+Multipartitions are compared by their components' ``_partition_key``s.
+``shift_orbits`` enumerates them as ranks: each partition a component
+can hold gets its index in that order, so a multipartition becomes a
+tuple of ints that compares as its keys do, and a shift is two slices.
+An orbit keeps only its least member, ``canonical``; its other members
+are built when asked for.
 
 Partitions are validated where they enter from outside (the public
 ``check_*``, ``orbit_of`` and the canonical member of a
@@ -208,11 +209,12 @@ def multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
     return tuple(_by_boxes(m, n, partitions, ()))
 
 
-def _orbit_size(r: tuple[int, ...], p: int, d: int) -> int:
-    """The number of distinct shifts of the rank tuple r by multiples of
-    d, when r is the least of them, else 0.  Shifting p times by d is
-    the identity, so the first repeat is r itself and comes within p
-    shifts; the check that its count divides p is kept explicit."""
+def _orbit_size(r: tuple, p: int, d: int) -> int:
+    """The number of distinct shifts of r, a multipartition's ranks or
+    ``_partition_key``s, by multiples of d, when r is the least of them,
+    else 0.  Shifting p times by d is the identity, so the first repeat
+    is r itself and comes within p shifts; the check that its count
+    divides p is kept explicit."""
     shifted = r
     for size in range(1, p):
         shifted = shifted[-d:] + shifted[:-d]
@@ -225,14 +227,6 @@ def _orbit_size(r: tuple[int, ...], p: int, d: int) -> int:
     if p % size:
         raise VerificationError("orbit size must divide p")
     return size
-
-
-def _local_ranks(mp: Multipartition) -> tuple[list[Partition], tuple[int, ...]]:
-    """mp's distinct components in ``_partition_key`` order, and mp
-    as the tuple of its components' ranks among them."""
-    parts = sorted(set(mp), key=_partition_key)
-    rank = {lam: i for i, lam in enumerate(parts)}
-    return parts, tuple(map(rank.__getitem__, mp))
 
 
 def _shifts(r: tuple, d: int, count: int) -> list[tuple]:
@@ -279,9 +273,10 @@ class MultipartitionOrbit(namedtuple("MultipartitionOrbit",
         ``_partition_key`` order."""
         if self.stab_order == self.p:
             return (self.canonical,)
-        parts, r = _local_ranks(self.canonical)
-        shifts = _shifts(r, len(r) // self.p, self.p // self.stab_order)
-        return tuple(tuple(map(parts.__getitem__, s)) for s in sorted(shifts))
+        mp = self.canonical
+        d, count = len(mp) // self.p, self.p // self.stab_order
+        keys = _shifts(tuple(map(_partition_key, mp)), d, count)
+        return tuple(s for _, s in sorted(zip(keys, _shifts(mp, d, count))))
 
 
 def shift_orbits(m: int, p: int, n: int) -> tuple[MultipartitionOrbit, ...]:
@@ -326,11 +321,11 @@ def orbit_of(mp: Multipartition, p: int, d: int) -> MultipartitionOrbit:
     mp = check_multipartition(mp)
     if p < 1 or d < 1 or len(mp) != p * d:
         raise ValueError("need m = p * d components")
-    parts, r = _local_ranks(mp)
-    least = min(_shifts(r, d, p))
-    stab = p // _orbit_size(least, p, d)
-    return MultipartitionOrbit._of_valid(tuple(map(parts.__getitem__, least)),
-                                         p, stab)
+    # Equal keys are equal shifts, so the pairs compare as their keys do.
+    least, canonical = min(zip(_shifts(tuple(map(_partition_key, mp)), d, p),
+                               _shifts(mp, d, p)))
+    return MultipartitionOrbit._of_valid(canonical, p,
+                                         p // _orbit_size(least, p, d))
 
 
 # -- text format ---------------------------------------------------------

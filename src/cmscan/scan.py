@@ -80,9 +80,7 @@ def _primitive(shape: LaurentPoly) -> LaurentPoly:
 
 
 def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
-                      label: str,
-                      memo: dict[LaurentPoly, Division] | None = None,
-                      ) -> DivisibilityVerdict:
+                      label: str) -> DivisibilityVerdict:
     """Divide the b-shifted fake degree into the Poincaré polynomial.
 
     f must be nonzero and ``dim`` must equal f(1).  Both are identities
@@ -90,11 +88,8 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
     ``ExceptionalGroupData.validate`` refuses such dataset rows first, as
     a DatasetError.  The divisor is normalized to its primitive part, so
     the verdict is divisibility in C[t]; when it divides, the quotient
-    satisfies quotient(1) * primitive(1) = P(1) = |W|.
-
-    ``memo``, when given, maps primitive divisors of this same ``poincare``
-    to their division, so labels sharing a primitive part share one
-    division and one quotient or remainder object.
+    satisfies quotient(1) * primitive(1) = P(1) = |W|.  A scan calls it
+    once per distinct primitive divisor (``_scan_rows``).
     """
     if f.is_zero():
         raise VerificationError(f"fake degree of {label} must be nonzero")
@@ -102,17 +97,13 @@ def divisibility_test(poincare: LaurentPoly, f: LaurentPoly, dim: int,
         raise VerificationError(f"dim {dim} != f(1) = {f.at_one()} for {label}")
     b = f.trailing_degree()
     primitive = _primitive(f.shift(-b))
-    if memo is None:
-        memo = {}
-    division = memo.get(primitive)
-    if division is None:
-        quotient, remainder = divmod(poincare, primitive)
-        divides = remainder.is_zero()
-        if divides and (quotient.at_one() * primitive.at_one()
-                        != poincare.at_one()):
-            raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
-        division = memo[primitive] = (divides, quotient if divides else remainder)
-    return DivisibilityVerdict(label, b, dim, *division)
+    quotient, remainder = divmod(poincare, primitive)
+    divides = remainder.is_zero()
+    if divides and (quotient.at_one() * primitive.at_one()
+                    != poincare.at_one()):
+        raise VerificationError(f"quotient(1) * primitive(1) != P(1) for {label}")
+    return DivisibilityVerdict(label, b, dim, divides,
+                               quotient if divides else remainder)
 
 
 class ScanReport(namedtuple("ScanReport",
@@ -161,9 +152,10 @@ def _group_notes(g: GroupSpec) -> tuple[str, ...]:
                  if note)
 
 
-class _Shape(namedtuple("_Shape", "shape at_one first degrees")):
+class _Shape(namedtuple("_Shape", "shape at_one first degrees divisor")):
     """A distinct shape t^-b f of a scan's rows: the shape, its value at
-    1, the index of its first row and its row count at each b (a dict)."""
+    1, the index of its first row, its row count at each b (a dict) and
+    its primitive part, the divisor its rows are tested with."""
 
     __slots__ = ()
 
@@ -181,7 +173,8 @@ def _shape_rows(fakes: Iterable[LaurentPoly]
         shape = f.shift(-b)
         known = shapes.get(shape)
         if known is None:
-            known = shapes[shape] = _Shape(shape, shape.at_one(), row, {})
+            known = shapes[shape] = _Shape(shape, shape.at_one(), row, {},
+                                           _primitive(shape))
         known.degrees[b] = known.degrees.get(b, 0) + 1
         row_shapes.append(known)
     return list(shapes.values()), row_shapes
@@ -191,24 +184,24 @@ def _scan_rows(name: str, poincare: LaurentPoly, rows: Iterable[DatasetRow],
                row_shapes: list[_Shape], notes: tuple[str, ...]) -> ScanReport:
     """Test every row in order and count the failing rows.
 
-    ``row_shapes`` gives each row its _Shape (``_shape_rows``).  A
-    shape's first row divides it into P by divisibility_test, as the
-    shape itself (b = 0), so each distinct primitive divisor is divided
-    once; every other row has its own dim checked against f(1).
+    ``row_shapes`` gives each row its _Shape (``_shape_rows``).  Every
+    row's dim is checked against its shape's f(1); the first row of each
+    distinct primitive divisor then divides it into P by
+    divisibility_test, and the loop's one dict gives that division to
+    every row with the same divisor.
     """
-    memo: dict[LaurentPoly, Division] = {}
-    divisions: dict[int, Division] = {}  # by the shape's first row
+    divisions: dict[LaurentPoly, Division] = {}  # by primitive divisor
     verdicts = []
-    for i, (row, known) in enumerate(zip(rows, row_shapes)):
-        if known.first == i:  # the verdict's (divides, poly)
-            divisions[i] = divisibility_test(poincare, known.shape, row.dim,
-                                             row.ident, memo)[3:]
-        elif known.at_one != row.dim:
+    for row, known in zip(rows, row_shapes):
+        if known.at_one != row.dim:
             raise VerificationError(
                 f"dim {row.dim} != f(1) = {known.at_one} for {row.ident}")
+        division = divisions.get(known.divisor)
+        if division is None:  # the verdict's (divides, poly)
+            division = divisions[known.divisor] = divisibility_test(
+                poincare, known.divisor, known.divisor.at_one(), row.ident)[3:]
         verdicts.append(DivisibilityVerdict(
-            row.ident, row.fake.trailing_degree(), row.dim,
-            *divisions[known.first]))
+            row.ident, row.fake.trailing_degree(), row.dim, *division))
     failures = sum(1 for v in verdicts if not v.divides)
     return ScanReport(name, len(verdicts), failures, tuple(verdicts), notes)
 
@@ -232,7 +225,7 @@ def _graded_sum_holds(shapes: list[_Shape], poincare: LaurentPoly) -> bool:
         return False
     width = -(-(bound.bit_length() + 1) // 8) * 8
     terms = []
-    for shape, at_one, _, degrees in shapes:
+    for shape, at_one, _, degrees, _ in shapes:
         value = packed_value(shape, width)
         if value is None:
             raise VerificationError("fake degree has a negative coefficient")
@@ -541,7 +534,7 @@ def scan_dataset(groups: tuple[ExceptionalGroupData, ...]) -> tuple[ScanReport, 
         words = -(-max(abs(c) for _, c in poincare.items()).bit_length() // 64)
         firsts: dict[LaurentPoly, int] = {}  # each divisor's first row
         for shape in shapes:
-            firsts.setdefault(_primitive(shape.shape), shape.first)
+            firsts.setdefault(shape.divisor, shape.first)
         for divisor, first in firsts.items():
             degree = divisor.degree()
             step = math.gcd(*(e for e, _ in divisor.items())) or 1

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import cmscan
+from cmscan import scan
+from cmscan.spec import GroupSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(cmscan.__file__).resolve().parent.parent
@@ -71,14 +73,26 @@ def test_micro_checks_hold(bench):
     assert [name for name, _, check in ops if not check()] == []
 
 
+# Stands for the path of a dataset file written for the test.
+DATA = "DATA.fd"
+
+
 @pytest.mark.parametrize("argv, spans", [
     (("scan", "G(3,3,3)"), ("cli.main", "scan.scan_group",
-                            "fakedeg.fake_degree")),
+                            "fakedeg.fake_degree", "scan.divisibility_test",
+                            "fakedeg.coinvariant_poincare")),
     (("g4", "--json"), ("cli.main", "g4.run_battery")),
+    (("table1", "--data", DATA, "--json"),
+     ("cli.main", "scan.parse_dataset", "scan.ExceptionalGroupData.validate",
+      "scan.scan_dataset", "scan.divisibility_test")),
 ])
 def test_tracer_records_lazily_imported_callers(argv, spans, tmp_path):
     # The subcommands import their modules when they run; the shims the
     # tracer installed beforehand must still be what they call.
+    data = tmp_path / "data.fd"
+    data.write_text(scan.render_dataset(
+        (scan.synthetic_dataset(GroupSpec(3, 3, 3)),)), "utf-8")
+    argv = [str(data) if arg == DATA else arg for arg in argv]
     out = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

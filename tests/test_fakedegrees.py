@@ -103,6 +103,24 @@ class TestLabelRows:
             assert dim == fd.irr_dimension(g, label.orbit)
             assert f == fd.fake_degree(g, label.orbit)
 
+    @pytest.mark.parametrize("spec", [(10, 5, 6), (6, 3, 4), (6, 2, 5)])
+    def test_rows_share_one_f_per_shape_key_and_b(self, spec):
+        # Orbits with the same shape key (hook multiset, R') and b hold
+        # one f object, not a copy each; keys and b from the oracle.
+        g = fd.GroupSpec(*spec)
+        pairs = set()
+        for orbit in fd.group_orbits(g):
+            weight = partitions_oracle.orbit_weight_poly(orbit)
+            low = weight.trailing_degree()
+            pairs.add((tuple(sorted(h for lam in orbit.canonical
+                                    for h in pt._hook_lengths(lam))),
+                       tuple(dict(weight.items()).get(low + i, 0)
+                             for i in range(weight.degree() - low + 1)),
+                       low + g.m * sum(map(pt._weighted_size, orbit.canonical))))
+        rows = fd.label_rows(g)
+        orbits = len(fd.group_orbits(g))
+        assert len({id(f) for _, _, f in rows}) == len(pairs) < orbits
+
 
 class TestSymmetricGroupOracle:
     @pytest.mark.parametrize("n", range(1, 7))

@@ -229,25 +229,89 @@ class TestDivisionMemo:
                          "divisions": len(primitives)}
         assert len(keys) == 232
 
-    def test_memo_entries_are_shared(self):
-        poincare = P("1 + 2*t + t^2")
-        memo = {}
-        v1 = scan.divisibility_test(poincare, P("t + t^2"), 2, "x", memo)
-        v2 = scan.divisibility_test(poincare, P("3*t^4 + 3*t^5"), 6, "y", memo)
-        assert list(memo) == [P("1 + t")]
-        assert v1.poly is v2.poly and v1.poly == P("1 + t")
-        assert (v2.b, v2.dim, v2.divides) == (4, 6, True)
+    @staticmethod
+    def _spy_divisions(monkeypatch):
+        """The divisors that scan's own calls pass to divisibility_test."""
+        divided = []
+        real = scan.divisibility_test
 
-    def test_dim_mismatch_raises_on_memoized_primitive(self):
-        poincare = P("1 + 2*t + t^2")
-        memo = {}
-        scan.divisibility_test(poincare, P("1 + t"), 2, "x", memo)
-        assert P("1 + t") in memo
+        def spy(poincare, f, *rest):
+            divided.append(f)
+            return real(poincare, f, *rest)
+
+        monkeypatch.setattr(scan, "divisibility_test", spy)
+        return divided
+
+    @staticmethod
+    def _scan_rows(rows, poincare):
+        """_scan_rows of (ident, dim, fake text) rows."""
+        rows = [scan.DatasetRow(ident, dim, P(fake)) for ident, dim, fake in rows]
+        _, row_shapes = scan._shape_rows(row.fake for row in rows)
+        return scan._scan_rows("R", poincare, rows, row_shapes, ())
+
+    def test_rows_sharing_a_primitive_part_share_one_division(self, monkeypatch):
+        divided = self._spy_divisions(monkeypatch)
+        report = self._scan_rows([("x", 2, "t + t^2"), ("y", 6, "3*t^4 + 3*t^5")],
+                                 P("1 + 2*t + t^2"))
+        v1, v2 = report.verdicts
+        assert divided == [P("1 + t")]
+        assert v1.poly is v2.poly and v1.poly == P("1 + t")
+        assert (v1.b, v1.dim, v1.divides) == (1, 2, True)
+        assert (v2.b, v2.dim, v2.divides) == (4, 6, True)
+        # Through scan_dataset: REPEATS' eight rows have two shapes, 1
+        # and 2, and one primitive divisor.
+        divided.clear()
+        (report,) = scan.scan_dataset(scan.parse_dataset(REPEATS))
+        assert divided == [P("1")]
+        assert len({id(v.poly) for v in report.verdicts}) == 1
+
+    def test_dim_mismatch_raises_on_a_divided_divisor(self, monkeypatch):
+        divided = self._spy_divisions(monkeypatch)
         with pytest.raises(VerificationError,
                            match="dim 3 != f\\(1\\) = 2 for y"):
-            scan.divisibility_test(poincare, P("t + t^2"), 3, "y", memo)
+            self._scan_rows([("x", 2, "1 + t"), ("y", 3, "t + t^2")],
+                            P("1 + 2*t + t^2"))
+        assert divided == [P("1 + t")]
         with pytest.raises(VerificationError, match="nonzero"):
-            scan.divisibility_test(poincare, LaurentPoly.zero(), 0, "z", memo)
+            scan.divisibility_test(P("1 + 2*t + t^2"), LaurentPoly.zero(), 0, "z")
+
+    def test_budget_pass_finds_no_primitive_part(self, monkeypatch):
+        # validate's _shape_rows finds each shape's primitive part once;
+        # between validate and _scan_rows the budget only reads it.
+        calls = []
+        events = []
+        real_primitive = scan._primitive
+        real_validate = scan.ExceptionalGroupData.validate
+        real_scan_rows = scan._scan_rows
+
+        def primitive(shape):
+            calls.append(shape)
+            return real_primitive(shape)
+
+        def validate(self):
+            out = real_validate(self)
+            events.append(("validated", len(calls)))
+            return out
+
+        def scan_rows(*args):
+            events.append(("scanning", len(calls)))
+            return real_scan_rows(*args)
+
+        groups = scan.parse_dataset(REPEATS) + (
+            scan.synthetic_dataset(GroupSpec(4, 2, 3)),)
+        shapes = [scan._shape_rows(row.fake for row in g.rows)[0] for g in groups]
+        monkeypatch.setattr(scan, "_primitive", primitive)
+        monkeypatch.setattr(scan.ExceptionalGroupData, "validate", validate)
+        monkeypatch.setattr(scan, "_scan_rows", scan_rows)
+        scan.scan_dataset(groups)
+        assert [kind for kind, _ in events] == ["validated", "scanning"] * 2
+        assert all(events[i][1] == events[i + 1][1]
+                   for i in range(0, len(events), 2))
+        # One call a distinct shape in validate, one a distinct divisor
+        # in divisibility_test: REPEATS has two shapes and one divisor.
+        assert len(shapes[0]) == 2
+        assert len(calls) == sum(len(s) + len({x.divisor for x in s})
+                                 for s in shapes)
 
     @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 6)])
     def test_reports_render_each_verdict_as_before(self, spec):
